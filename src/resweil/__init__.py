@@ -40,7 +40,6 @@ from .finalg import (  # noqa: F401
     ProductAlgebra,
     coordinate_ring,
     decompose_local,
-    dimension_and_basis,
     etale_check,
     product_algebra,
     substitute_in_algebra,
@@ -56,7 +55,6 @@ from .weilres import (  # noqa: F401
     algebra_points,
     enumerate_points,
     open_cover_check,
-    presentation_points,
     product_formula_check,
     regroup_point,
     weil_restrict,
@@ -67,7 +65,6 @@ from .gammaset import (  # noqa: F401
     GammaSet,
     GeometricPoint,
     ProductPoint,
-    algebra_gamma_set,
     evaluation_map,
     fiber,
     fiber_presentation,

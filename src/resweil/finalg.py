@@ -194,11 +194,6 @@ class AlgebraPresentation:
             self.field, self.vars, len(self.relations))
 
 
-def dimension_and_basis(A: AlgebraPresentation):
-    """(dimension, standard monomial basis); raises NotFinite when infinite."""
-    return A.dimension, A.basis_elements()
-
-
 def substitute_in_algebra(A: AlgebraPresentation, f: MPoly, assignment: dict) -> MPoly:
     """Image of f under var -> element substitution, reduced in A."""
     return A.nf(substitute_expand(f, assignment))

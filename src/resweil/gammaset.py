@@ -148,20 +148,19 @@ class EquivariantMap:
 # ---------------------------------------------------------------------------
 # builders
 
-def pi0_points(field, variables, relations, N, guard=SEARCH_GUARD) -> GammaSet:
+def pi0_points(B: AlgebraPresentation, N, guard=SEARCH_GUARD) -> GammaSet:
     """Component set of a finite presentation at stage N over its field.
 
     The permutation is the relative power map x -> x^(field order).
     For anything that is not finite over its stage this refuses rather
     than guessing a component count.
     """
+    field = B.field
     if N % field.degree != 0:
         raise AmbientMismatch(
             "ambient degree %d is no multiple of the base degree %d"
             % (N, field.degree))
     K = stage_field(field.p, N)
-    rels = [r for r in relations if not r.is_zero()]
-    B = AlgebraPresentation(field, tuple(variables), rels)
     if B.basis_monomials is INFINITE:
         raise NotZeroDimensional(
             "the presentation is not finite over its stage")
@@ -170,11 +169,6 @@ def pi0_points(field, variables, relations, N, guard=SEARCH_GUARD) -> GammaSet:
     e = field.degree
     perm = {el: _power_frob_point(el, e) for el in elements}
     return GammaSet(elements, perm, N // e)
-
-
-def algebra_gamma_set(A: AlgebraPresentation, N, guard=SEARCH_GUARD) -> GammaSet:
-    """The geometric point set of the base algebra with its power action."""
-    return pi0_points(A.field, A.vars, A.relations, N, guard)
 
 
 def fiber_presentation(X, s: GeometricPoint, K) -> AlgebraPresentation:
@@ -300,7 +294,7 @@ def reduction_map(R: RestrictedScheme, N, guard=SEARCH_GUARD) -> EquivariantMap:
             "reduction needs a local base with rational residue")
     k = A.field
     K = stage_field(k.p, N)
-    left = pi0_points(k, R.vars, R.relations, N, guard)
+    left = pi0_points(R.quotient, N, guard)
     (s0_raw,) = zero_dim_solve(A, k, guard)
     s0 = GeometricPoint(tuple(x if x.field == K else embed(x, K)
                               for x in s0_raw))

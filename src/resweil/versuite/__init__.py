@@ -6,8 +6,6 @@ from .verify import (
     ambient_degree,
     compute_components,
     verify_case,
-    verify_lemma_local,
-    verify_theorem,
 )
 from .suite import SuiteResult, run_suite
 from .cli import main
@@ -26,6 +24,4 @@ __all__ = [
     "render_case",
     "run_suite",
     "verify_case",
-    "verify_lemma_local",
-    "verify_theorem",
 ]

@@ -6,6 +6,20 @@ computed once at a stage large enough to split the base points, every
 fiber, and the restriction's components simultaneously; each requested
 check then reads off that shared data.  Verification failures are
 recorded in the report, never raised; only resource guards escape.
+
+The restriction owns its coordinate ring (`R.quotient`): the reported
+Groebner basis, the stage search, the left component set, the reduction
+map and every `R.points` call read that one presentation.  Four routes
+stay apart on purpose, since each cross-checks the shared data and
+would certify nothing by reading it:
+
+* the per-factor count in `_count_via_local_factors`, which restricts X
+  again over each local factor of A tensor K;
+* `algebra_points` in the adjunction check, which solves over A tensor K
+  without the restriction;
+* the product check's `buchberger` run on the juxtaposed factor
+  restrictions;
+* the acceptance tests' exhaustive `enumerate_points` on `R.relations`.
 """
 
 import math
@@ -24,13 +38,11 @@ from ..errors import (
 )
 from ..exactfield import stage_field
 from ..finalg import (
-    AlgebraPresentation,
     decompose_local,
     etale_check,
     tensor_extend,
 )
 from ..gammaset import (
-    algebra_gamma_set,
     evaluation_map,
     fiber,
     fiber_presentation,
@@ -76,7 +88,7 @@ def ambient_degree(A, X, R, guard=SEARCH_GUARD):
     for fac in decompose_local(A):
         M = math.lcm(M, fac.residue_degree)
     KM = stage_field(p, M)
-    S = algebra_gamma_set(A, M, guard)
+    S = pi0_points(A, M, guard)
     N = M
     for s in S.elements:
         B = fiber_presentation(X, s, KM)
@@ -88,12 +100,10 @@ def ambient_degree(A, X, R, guard=SEARCH_GUARD):
                 N = math.lcm(N, M * fac.residue_degree)
         except ZeroRing:
             pass
-    rels = [r for r in R.relations if not r.is_zero()]
-    BR = AlgebraPresentation(R.base_field, R.vars, rels)
-    if BR.basis_monomials is INFINITE:
+    if R.quotient.basis_monomials is INFINITE:
         raise NotZeroDimensional("the restriction is not a finite point set")
     try:
-        for fac in decompose_local(BR):
+        for fac in decompose_local(R.quotient):
             N = math.lcm(N, fac.residue_degree)
     except ZeroRing:
         pass
@@ -114,9 +124,9 @@ class ComponentData:
 
 def compute_components(A, X, R, guard=SEARCH_GUARD) -> ComponentData:
     N = ambient_degree(A, X, R, guard)
-    S = algebra_gamma_set(A, N, guard)
+    S = pi0_points(A, N, guard)
     fibs = {s: fiber(X, s, N, guard) for s in S.elements}
-    left = pi0_points(R.base_field, R.vars, R.relations, N, guard)
+    left = pi0_points(R.quotient, N, guard)
     prod = product_gamma_set(S, fibs, N)
     ev = evaluation_map(R, left, S, prod, N)
     return ComponentData(N, S, fibs, left, prod, ev)
@@ -222,7 +232,7 @@ def _expect_outcome(key, vals, comp, comp_error):
 def _check_theorem(A, X, comp, comp_error, guard):
     try:
         cert = etale_check(X)
-    except NotSquareSystem as e:
+    except (NotSquareSystem, NotFinite) as e:
         return CheckOutcome("theorem", False,
                             "smoothness precheck: %s" % e)
     if not cert.ok:
@@ -325,6 +335,9 @@ def _check_non_smooth(X, comp, comp_error):
         why = "the Jacobian determinant is annihilated"
     except NotSquareSystem as e:
         why = str(e)
+    except NotFinite as e:
+        return CheckOutcome("non-smooth", False,
+                            "smoothness precheck: %s" % e)
     if comp is None:
         return CheckOutcome("non-smooth", False,
                             "no component data: %s" % comp_error)
@@ -338,10 +351,9 @@ def _check_non_smooth(X, comp, comp_error):
         "precheck fails (%s); component counts %d vs %d" % (why, nl, nr))
 
 
-def verify_case(case, guard=SEARCH_GUARD, seed=0, force=()):
+def verify_case(case, guard=SEARCH_GUARD, seed=0):
     """Run every expectation and requested check of one case.
 
-    `force` appends extra check tuples not written in the case file.
     Component data that cannot be assembled (infinite fibers or an
     infinite restriction) turns into per-check failures rather than an
     exception, so degenerate cases report honestly.
@@ -418,7 +430,7 @@ def verify_case(case, guard=SEARCH_GUARD, seed=0, force=()):
 
     for key, vals in case.expects:
         rep.checks.append(_expect_outcome(key, vals, comp, comp_error))
-    for chk in tuple(case.checks) + tuple(force):
+    for chk in case.checks:
         kind = chk[0]
         if kind == "theorem":
             out = _check_theorem(A, X, comp, comp_error, guard)
@@ -445,17 +457,3 @@ def verify_case(case, guard=SEARCH_GUARD, seed=0, force=()):
         "total": round((t3 - t0) * 1000.0, 3),
     }
     return rep
-
-
-def verify_theorem(case, guard=SEARCH_GUARD, seed=0):
-    """verify_case with the component comparison always included."""
-    if any(c[0] == "theorem" for c in case.checks):
-        return verify_case(case, guard, seed)
-    return verify_case(case, guard, seed, force=(("theorem",),))
-
-
-def verify_lemma_local(case, guard=SEARCH_GUARD, seed=0):
-    """verify_case with the local reduction comparison always included."""
-    if any(c[0] == "lemma-local" for c in case.checks):
-        return verify_case(case, guard, seed)
-    return verify_case(case, guard, seed, force=(("lemma-local",),))

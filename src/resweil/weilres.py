@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _linalg
 from .errors import (
@@ -95,22 +96,21 @@ class RestrictedScheme:
         self.relations = tuple(relations)
         self.var_table = dict(var_table)
         self.base_field = algebra.field
-        self._gb = None
+
+    @cached_property
+    def quotient(self) -> AlgebraPresentation:
+        """The coordinate ring over the stage, built once for every reader."""
+        return AlgebraPresentation(self.base_field, self.vars, self.relations)
 
     @property
     def groebner(self):
-        if self._gb is None:
-            rels = [r for r in self.relations if not r.is_zero()]
-            self._gb = buchberger(rels, field=self.base_field, variables=self.vars)
-        return self._gb
+        return self.quotient.groebner
 
     def is_empty(self):
         return self.groebner.is_unit_ideal()
 
     def points(self, K=None, guard=SEARCH_GUARD):
-        K = K or self.base_field
-        return presentation_points(self.base_field, self.vars, self.relations,
-                                   K, guard)
+        return zero_dim_solve(self.quotient, K or self.base_field, guard)
 
     def __repr__(self):
         return "RestrictedScheme(%d vars, %d relations over %r)" % (
@@ -313,14 +313,6 @@ def zero_dim_solve(B: AlgebraPresentation, K, guard=SEARCH_GUARD):
             out.append(tuple(combo))
     out.sort(key=_point_label)
     return out
-
-
-def presentation_points(field, variables, relations, K=None, guard=SEARCH_GUARD):
-    """K-points of an affine presentation over the stage."""
-    K = K or field
-    rels = [r for r in relations if not r.is_zero()]
-    B = AlgebraPresentation(field, tuple(variables), rels)
-    return zero_dim_solve(B, K, guard)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +684,7 @@ def open_cover_check(X: SchemePresentation, hs, stages=(1, 2),
     for h in hs:
         rels = [g.extend_context(cctx) for g in X.relations]
         rels.append(z * h.extend_context(cctx) - 1)
-        charts.append(SchemePresentation(A, xz, rels))
+        charts.append(weil_restrict(A, SchemePresentation(A, xz, rels)))
 
     ok = True
     per_stage = []
@@ -713,8 +705,7 @@ def open_cover_check(X: SchemePresentation, hs, stages=(1, 2),
             unit_sets.append(sel)
         stage_ok = all(any(pt in sel for sel in unit_sets) for pt in pts)
         chart_counts = []
-        for chart, sel in zip(charts, unit_sets):
-            Rh = weil_restrict(A, chart)
+        for Rh, sel in zip(charts, unit_sets):
             hpts = Rh.points(K, guard)
             keep = [Rh.vars.index(v) for v in R.vars]
             proj = {tuple(q[i] for i in keep) for q in hpts}

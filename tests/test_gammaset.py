@@ -9,7 +9,6 @@ from resweil import (
     MPoly,
     PrimeField,
     SchemePresentation,
-    algebra_gamma_set,
     evaluation_map,
     fiber,
     frobenius,
@@ -89,7 +88,7 @@ def test_gamma_set_rejects_non_permutation():
 
 def test_pi0_quadratic_four_cycle():
     _, _, R = quad_setup()
-    G = pi0_points(F5, R.vars, R.relations, 4)
+    G = pi0_points(R.quotient, 4)
     assert len(G) == 4 and G.cycle_type() == (4,)
 
 
@@ -97,9 +96,9 @@ def test_pi0_rational_points_are_fixed():
     A = algebra(F7, ["eps"], lambda e: [e * e])
     X = scheme(A, ["y"], lambda e, y: [y * y - y - e])
     R = weil_restrict(A, X)
-    G = pi0_points(F7, R.vars, R.relations, 1)
+    G = pi0_points(R.quotient, 1)
     assert G.cycle_type() == (1, 1)
-    G2 = pi0_points(F7, R.vars, R.relations, 3)
+    G2 = pi0_points(R.quotient, 3)
     assert G2.cycle_type() == (1, 1)
 
 
@@ -109,41 +108,42 @@ def test_pi0_over_extension_stage():
     y = MPoly.variable(K, ctx, "y")
     # y^2 = 1+2g with 1+2g a nonsquare: roots conjugate over K at stage 4
     c = K.element((1, 2))
-    G = pi0_points(K, ctx, [y * y - MPoly.constant(K, ctx, c)], 4)
+    G = pi0_points(
+        AlgebraPresentation(K, ctx, [y * y - MPoly.constant(K, ctx, c)]), 4)
     assert len(G) == 2 and G.cycle_type() == (2,)
     assert G.period == 2
     # the generator itself has order 3, hence is a square: both roots rational
-    G2 = pi0_points(K, ctx, [y * y - MPoly.constant(K, ctx, K.gen)], 4)
+    G2 = pi0_points(
+        AlgebraPresentation(K, ctx, [y * y - MPoly.constant(K, ctx, K.gen)]), 4)
     assert G2.cycle_type() == (1, 1)
 
 
 def test_pi0_guards():
     ctx = ("y",)
-    y = MPoly.variable(F5, ctx, "y")
+    K = make_ext_field(5, 2)
     with pytest.raises(AmbientMismatch):
-        pi0_points(make_ext_field(5, 2), ("y",),
-                   [MPoly.variable(make_ext_field(5, 2), ("y",), "y")], 3)
+        pi0_points(AlgebraPresentation(K, ctx, [MPoly.variable(K, ctx, "y")]), 3)
     with pytest.raises(NotZeroDimensional):
-        pi0_points(F5, ctx, [], 1)
+        pi0_points(AlgebraPresentation(F5, ctx, []), 1)
 
 
 def test_algebra_gamma_sets():
-    assert algebra_gamma_set(algebra(F5, ["t"], lambda t: [t * t - 2]), 2) \
+    assert pi0_points(algebra(F5, ["t"], lambda t: [t * t - 2]), 2) \
         .cycle_type() == (2,)
-    assert algebra_gamma_set(algebra(F5, ["t"], lambda t: [t * t - t]), 1) \
+    assert pi0_points(algebra(F5, ["t"], lambda t: [t * t - t]), 1) \
         .cycle_type() == (1, 1)
-    assert algebra_gamma_set(algebra(F5, ["t"], lambda t: [t * t * (t - 1)]), 1) \
+    assert pi0_points(algebra(F5, ["t"], lambda t: [t * t * (t - 1)]), 1) \
         .cycle_type() == (1, 1)
     prod = product_algebra(AlgebraPresentation(F5, (), []),
                            AlgebraPresentation(F5, (), []))
-    assert algebra_gamma_set(prod.presentation, 1).cycle_type() == (1, 1)
+    assert pi0_points(prod.presentation, 1).cycle_type() == (1, 1)
 
 
 # -- fibers ------------------------------------------------------------
 
 def test_fiber_sizes_and_contents():
     A, X, _ = quad_setup()
-    S = algebra_gamma_set(A, 4)
+    S = pi0_points(A, 4)
     sizes = [len(fiber(X, s, 4)) for s in S.elements]
     assert sizes == [2, 2]
 
@@ -151,7 +151,7 @@ def test_fiber_sizes_and_contents():
 def test_fiber_positive_dimensional():
     A = algebra(F5, ["t"], lambda t: [t * t - t])
     X = SchemePresentation(A, ("y",), [])
-    S = algebra_gamma_set(A, 1)
+    S = pi0_points(A, 1)
     with pytest.raises(PositiveDimensionalFiber):
         fiber(X, S.elements[0], 1)
 
@@ -159,7 +159,7 @@ def test_fiber_positive_dimensional():
 def test_fiber_moves_along_frobenius():
     # the p-power map sends the fiber over s onto the fiber over sigma(s)
     A, X, _ = quad_setup()
-    S = algebra_gamma_set(A, 4)
+    S = pi0_points(A, 4)
     s = S.elements[0]
     t = S.perm[s]
     fs = fiber(X, s, 4)
@@ -179,7 +179,7 @@ def test_product_two_rational_base_points():
     ctx = P.vars + ("y",)
     y = MPoly.variable(F5, ctx, "y")
     X = SchemePresentation(P, ("y",), [y * y - 2])
-    S = algebra_gamma_set(P, 2)
+    S = pi0_points(P, 2)
     fibs = {s: fiber(X, s, 2) for s in S.elements}
     assert [len(v) for v in fibs.values()] == [2, 2]
     G = product_gamma_set(S, fibs, 2)
@@ -188,7 +188,7 @@ def test_product_two_rational_base_points():
 
 def test_product_twisted_cycle():
     A, X, R = quad_setup()
-    S = algebra_gamma_set(A, 4)
+    S = pi0_points(A, 4)
     fibs = {s: fiber(X, s, 4) for s in S.elements}
     G = product_gamma_set(S, fibs, 4)
     assert len(G) == 4 and G.cycle_type() == (4,)
@@ -204,7 +204,7 @@ def test_product_twisted_cycle():
 
 def test_product_guards():
     A, X, _ = quad_setup()
-    S = algebra_gamma_set(A, 4)
+    S = pi0_points(A, 4)
     fibs = {S.elements[0]: fiber(X, S.elements[0], 4)}
     with pytest.raises(MissingFiber):
         product_gamma_set(S, fibs, 4)
@@ -228,7 +228,7 @@ def test_gamma_iso_success_and_failure():
 
 def test_gamma_iso_anchors_are_least_labels():
     _, _, R = quad_setup()
-    left = pi0_points(F5, R.vars, R.relations, 4)
+    left = pi0_points(R.quotient, 4)
     iso = gamma_iso(left, left)
     anchor = min(left.elements, key=lambda e: e.label())
     assert iso.mapping[anchor] == anchor
@@ -236,8 +236,8 @@ def test_gamma_iso_anchors_are_least_labels():
 
 def test_evaluation_map_quadratic():
     A, X, R = quad_setup()
-    left = pi0_points(F5, R.vars, R.relations, 4)
-    S = algebra_gamma_set(A, 4)
+    left = pi0_points(R.quotient, 4)
+    S = pi0_points(A, 4)
     fibs = {s: fiber(X, s, 4) for s in S.elements}
     G = product_gamma_set(S, fibs, 4)
     ev = evaluation_map(R, left, S, G, 4)
@@ -248,8 +248,8 @@ def test_evaluation_map_dual():
     A = algebra(F7, ["eps"], lambda e: [e * e])
     X = scheme(A, ["y"], lambda e, y: [y * y - y - e])
     R = weil_restrict(A, X)
-    left = pi0_points(F7, R.vars, R.relations, 1)
-    S = algebra_gamma_set(A, 1)
+    left = pi0_points(R.quotient, 1)
+    S = pi0_points(A, 1)
     fibs = {s: fiber(X, s, 1) for s in S.elements}
     G = product_gamma_set(S, fibs, 1)
     ev = evaluation_map(R, left, S, G, 1)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from resweil import MPoly, PrimeField, weil_restrict
+from resweil import AlgebraPresentation, MPoly, PrimeField, weil_restrict
 from resweil.errors import CaseSyntaxError, NonPrime, UndeclaredVariable
 from resweil.versuite import (
     ambient_degree,
@@ -15,8 +15,6 @@ from resweil.versuite import (
     render_case,
     run_suite,
     verify_case,
-    verify_lemma_local,
-    verify_theorem,
 )
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -198,7 +196,8 @@ def test_verify_negative_control():
 
 def test_verify_theorem_forced_on_negative_case():
     case = parse_case(Path(corpus("nilpotent-collapse")).read_text())
-    rep = verify_theorem(case)
+    case.checks += (("theorem",),)
+    rep = verify_case(case)
     thm = [c for c in rep.checks if c.name == "theorem"]
     assert len(thm) == 1 and not thm[0].ok
     assert "precheck" in thm[0].detail
@@ -209,7 +208,8 @@ def test_verify_lemma_local_needs_rational_residue():
     # the whole-field base is local with residue degree 2, so the direct
     # reduction must refuse rather than produce a junk comparison
     case = parse_case(Path(corpus("tensor-mixed-base")).read_text())
-    rep = verify_lemma_local(case)
+    case.checks += (("lemma-local",),)
+    rep = verify_case(case)
     lem = [c for c in rep.checks if c.name == "lemma-local"]
     assert len(lem) == 1 and not lem[0].ok
     assert "local base" in lem[0].detail
@@ -243,6 +243,31 @@ def test_report_objects_deterministic():
     assert json.dumps(a) == json.dumps(b)
 
 
+def test_verify_case_builds_the_restricted_quotient_once(monkeypatch):
+    # one constant is a nonsquare, so the stage is 2 and the per-factor
+    # cross-check restricts over F_9, outside the count below
+    case = parse_case(
+        'case "groebner-shaped"\nfield p = 3\n'
+        "algebra A : vars t ; rels t^3\n"
+        "scheme X : vars y, z ; rels y^2 - 1 - t, z^2 - 2 - 2*t*y\n"
+        "checks theorem\n")
+    R = weil_restrict(case.algebra, case.scheme)
+    wanted = (R.base_field, R.vars,
+              tuple(r for r in R.relations if not r.is_zero()))
+    built = []
+    init = AlgebraPresentation.__init__
+
+    def counting_init(self, field, variables, relations, *args, **kwargs):
+        relations = tuple(relations)
+        built.append((field, tuple(variables), relations))
+        init(self, field, variables, relations, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraPresentation, "__init__", counting_init)
+    rep = verify_case(case)
+    assert rep.ok() and rep.S["ambient_degree"] == 2
+    assert built.count(wanted) == 1
+
+
 # ------------------------------------------------------------- the suite
 
 def test_suite_runs_in_name_order():
@@ -261,6 +286,29 @@ def test_wrong_expectation_exits_1(tmp_path):
     assert result.exit_code == 1
     mism = [c for c in result.reports[0].checks if c.name == "expect pi0_res"]
     assert not mism[0].ok and "expected 5" in mism[0].detail
+
+
+INFINITE_SQUARE = """\
+case "infinite-square"
+field p = 5
+algebra A : vars eps ; rels eps^2
+scheme X : vars y, z ; rels y - z, 2*y - 2*z
+checks theorem
+"""
+
+
+def test_infinite_coordinate_ring_fails_the_theorem_check(tmp_path):
+    # a square system whose coordinate ring is infinite has no Jacobian
+    # verdict; the check fails with the reason, the run goes on
+    fault = tmp_path / "infinite-square.case"
+    fault.write_text(INFINITE_SQUARE)
+    result = run_suite([corpus("dual-numbers-etale"), str(fault)])
+    assert result.exit_code == 1
+    assert [r.case for r in result.reports] == [
+        "dual-numbers-etale", "infinite-square"]
+    assert result.reports[0].ok()
+    thm = [c for c in result.reports[1].checks if c.name == "theorem"]
+    assert len(thm) == 1 and not thm[0].ok and thm[0].detail
 
 
 def test_corrupted_file_exits_2(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,6 @@ from resweil import (
     enumerate_points,
     make_ext_field,
     open_cover_check,
-    presentation_points,
     product_algebra,
     product_formula_check,
     regroup_point,
@@ -29,7 +29,10 @@ from resweil.errors import (
     NotLocalBase,
     SearchGuardExceeded,
 )
+from resweil.versuite import parse_case
 from resweil.weilres import relative_coords
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -204,7 +207,7 @@ def test_presentation_points_underdetermined():
     ctx = ("a", "b")
     a = MPoly.variable(F5, ctx, "a")
     b = MPoly.variable(F5, ctx, "b")
-    pts = presentation_points(F5, ctx, [a * b - 1], F5)
+    pts = zero_dim_solve(AlgebraPresentation(F5, ctx, [a * b - 1]), F5)
     assert len(pts) == 4
 
 
@@ -326,6 +329,23 @@ def test_open_cover_dual():
         assert row["points"] == 2
         assert row["unit_counts"] == [1, 1]
         assert row["chart_counts"] == [1, 1]
+
+
+def test_open_cover_restricts_each_chart_once(monkeypatch):
+    case = parse_case((CASES / "cubic-dual-lift.case").read_text())
+    (hs,) = [c[1] for c in case.checks if c[0] == "cover"]
+    calls = []
+
+    def counting_restrict(A, X, basis=None):
+        calls.append(X)
+        return weil_restrict(A, X, basis)
+
+    monkeypatch.setattr("resweil.weilres.weil_restrict", counting_restrict)
+    for stages in ((1,), (1, 2, 3)):
+        calls.clear()
+        cert = open_cover_check(case.scheme, hs, stages)
+        assert cert.ok and len(cert.per_stage) == len(stages)
+        assert len(calls) == len(hs) + 1
 
 
 def test_open_cover_not_covering():

@@ -54,6 +54,7 @@ from .weilres import (  # noqa: F401
     adjunction_check,
     algebra_points,
     enumerate_points,
+    fiber_presentation,
     open_cover_check,
     product_formula_check,
     regroup_point,
@@ -67,7 +68,6 @@ from .gammaset import (  # noqa: F401
     ProductPoint,
     evaluation_map,
     fiber,
-    fiber_presentation,
     gamma_iso,
     pi0_points,
     product_gamma_set,

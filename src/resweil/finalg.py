@@ -48,6 +48,7 @@ class AlgebraPresentation:
         self.basis_monomials = standard_monomials(self.groebner)
         self._mono_index = None
         self._nilradical_dim = None
+        self.points_by_stage = {}  # filled by weilres.zero_dim_solve
 
     # -- basic structure ----------------------------------------------
 

@@ -22,10 +22,11 @@ from .errors import (
 )
 from .exactfield import embed, frobenius, stage_field
 from .finalg import AlgebraPresentation, decompose_local
-from .multipoly import INFINITE, MPoly, substitute_expand
+from .multipoly import INFINITE
 from .weilres import (
     SEARCH_GUARD,
     RestrictedScheme,
+    fiber_presentation,
     regroup_point,
     zero_dim_solve,
 )
@@ -171,21 +172,6 @@ def pi0_points(B: AlgebraPresentation, N, guard=SEARCH_GUARD) -> GammaSet:
     return GammaSet(elements, perm, N // e)
 
 
-def fiber_presentation(X, s: GeometricPoint, K) -> AlgebraPresentation:
-    """Coordinate ring of the fiber of X over one base point, at stage K."""
-    yctx = tuple(X.vars)
-    svals = {}
-    for tv, sv in zip(X.base.vars, s.coords):
-        svals[tv] = sv if sv.field == K else embed(sv, K)
-    rels = []
-    for g in X.relations:
-        assign = {tv: MPoly.constant(K, yctx, sv) for tv, sv in svals.items()}
-        for yv in X.vars:
-            assign[yv] = MPoly.variable(K, yctx, yv)
-        rels.append(substitute_expand(g, assign))
-    return AlgebraPresentation(K, yctx, [r for r in rels if not r.is_zero()])
-
-
 def fiber(X, s: GeometricPoint, N, guard=SEARCH_GUARD):
     """Geometric points of X over one base point, as a sorted list.
 
@@ -194,7 +180,7 @@ def fiber(X, s: GeometricPoint, N, guard=SEARCH_GUARD):
     assembled product.
     """
     K = stage_field(X.field.p, N)
-    B = fiber_presentation(X, s, K)
+    B = fiber_presentation(X, s.coords, K)
     if B.basis_monomials is INFINITE:
         raise PositiveDimensionalFiber(
             "the fiber at %r is not a finite point set" % (s,))

@@ -1,10 +1,11 @@
 """Run case files in bulk and fold the outcomes into one exit code.
 
 Exit codes: 0 when everything passed, 1 when some check failed, 2 when
-some input could not be read or parsed, 3 when a resource guard stopped
-a case.  A worse category wins: input trouble over failed checks over
-guard stops.  Cases run in case-name order regardless of the argument
-order, so reports come out the same for any shuffling of the paths.
+some input could not be read, parsed or verified at all (a zero-ring
+base, say), 3 when a resource guard stopped a case.  A worse category
+wins: input trouble over failed checks over guard stops.  Cases run in
+case-name order regardless of the argument order, so reports come out
+the same for any shuffling of the paths.
 """
 
 from dataclasses import dataclass, field
@@ -56,6 +57,9 @@ def run_suite(paths, guard=SEARCH_GUARD, seed=0) -> SuiteResult:
             rep = verify_case(case, guard, seed)
         except GuardExceeded as e:
             problems.append((path, "guard", str(e)))
+            continue
+        except ResweilError as e:
+            problems.append((path, "input", str(e)))
             continue
         reports.append(rep)
         failed = failed or not rep.ok()

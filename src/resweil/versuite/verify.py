@@ -1,17 +1,22 @@
 """Case verification: stage selection, the component comparison
 pipeline, and report assembly.
 
-verify_case drives everything a case asks for.  The component data is
-computed once at a stage large enough to split the base points, every
-fiber, and the restriction's components simultaneously; each requested
-check then reads off that shared data.  Verification failures are
-recorded in the report, never raised; only resource guards escape.
+verify_case drives everything a case asks for.  It restricts X once
+and computes the component data once, at a stage large enough to split
+the base points, every fiber, and the restriction's components
+simultaneously; each check reads those objects.  Verification failures
+are recorded in the report, never raised; only resource guards escape.
 
-The restriction owns its coordinate ring (`R.quotient`): the reported
-Groebner basis, the stage search, the left component set, the reduction
-map and every `R.points` call read that one presentation.  Four routes
-stay apart on purpose, since each cross-checks the shared data and
-would certify nothing by reading it:
+The restriction owns its coordinate ring (`R.quotient`): the report,
+the stage search and the left component set read it, and since it
+keeps its points per stage, the components, the adjunction check and
+the cover check (which takes R) share one solve per stage.  Lemma-local
+reads the component data: one base point means a local base with
+rational residue, and the evaluation witness is then the reduction to
+the special fiber.  `reduction_map` stays public as the acceptance
+tests' independent route over local factors.  Four routes stay apart
+on purpose, since each cross-checks the shared data and would certify
+nothing by reading it:
 
 * the per-factor count in `_count_via_local_factors`, which restricts X
   again over each local factor of A tensor K;
@@ -27,7 +32,6 @@ import time
 from dataclasses import dataclass
 
 from ..errors import (
-    EmptyBase,
     NotCovering,
     NotFinite,
     NotLocalBase,
@@ -45,17 +49,16 @@ from ..finalg import (
 from ..gammaset import (
     evaluation_map,
     fiber,
-    fiber_presentation,
     gamma_iso,
     pi0_points,
     product_gamma_set,
-    reduction_map,
 )
 from ..multipoly import INFINITE
 from ..weilres import (
     SEARCH_GUARD,
     SchemePresentation,
     adjunction_check,
+    fiber_presentation,
     open_cover_check,
     product_formula_check,
     weil_restrict,
@@ -91,7 +94,7 @@ def ambient_degree(A, X, R, guard=SEARCH_GUARD):
     S = pi0_points(A, M, guard)
     N = M
     for s in S.elements:
-        B = fiber_presentation(X, s, KM)
+        B = fiber_presentation(X, s.coords, KM)
         if B.basis_monomials is INFINITE:
             raise PositiveDimensionalFiber(
                 "the fiber at %r is not a finite point set" % (s,))
@@ -270,21 +273,23 @@ def _check_theorem(A, X, comp, comp_error, guard):
         % (comp.N, nl, tl, cross))
 
 
-def _check_lemma_local(R, comp, comp_error, guard):
-    N = comp.N if comp is not None else 1
-    try:
-        red = reduction_map(R, N, guard)
-    except NotLocalBase as e:
-        return CheckOutcome("lemma-local", False, str(e))
-    if red.is_bijective():
+def _check_lemma_local(comp, comp_error):
+    if comp is None:
+        return CheckOutcome("lemma-local", False,
+                            "no component data: %s" % comp_error)
+    if len(comp.S) != 1:
+        return CheckOutcome(
+            "lemma-local", False,
+            "reduction needs a local base with rational residue")
+    if comp.ev.is_bijective():
         return CheckOutcome(
             "lemma-local", True,
             "reduction is a bijection on %d component(s) at stage %d"
-            % (len(red.source), N))
+            % (len(comp.left), comp.N))
     return CheckOutcome(
         "lemma-local", False,
         "reduction relates %d component(s) to %d, not a bijection"
-        % (len(red.source), len(red.target)))
+        % (len(comp.left), len(comp.prod)))
 
 
 def _check_adjunction(R, stages, guard):
@@ -299,10 +304,10 @@ def _check_adjunction(R, stages, guard):
     return CheckOutcome("adjunction", ok, "; ".join(parts))
 
 
-def _check_cover(X, hs, guard):
+def _check_cover(R, hs, guard):
     try:
-        cert = open_cover_check(X, hs, (1, 2), guard)
-    except (NotCovering, NotLocalBase, EmptyBase) as e:
+        cert = open_cover_check(R, hs, (1, 2), guard)
+    except (NotCovering, NotLocalBase) as e:
         return CheckOutcome("cover", False, str(e))
     parts = ["stage %d: %d point(s), chart counts %r"
              % (st["stage"], st["points"], st["chart_counts"])
@@ -435,11 +440,11 @@ def verify_case(case, guard=SEARCH_GUARD, seed=0):
         if kind == "theorem":
             out = _check_theorem(A, X, comp, comp_error, guard)
         elif kind == "lemma-local":
-            out = _check_lemma_local(R, comp, comp_error, guard)
+            out = _check_lemma_local(comp, comp_error)
         elif kind == "adjunction":
             out = _check_adjunction(R, chk[1], guard)
         elif kind == "cover":
-            out = _check_cover(X, chk[1], guard)
+            out = _check_cover(R, chk[1], guard)
         elif kind == "product":
             out = _check_product(case.product, X, guard)
         elif kind == "empty":

@@ -217,10 +217,6 @@ def _point_label(pt):
     return tuple(x.label() for x in pt)
 
 
-def _alg_point_label(pt):
-    return tuple(c.label() for c in pt)
-
-
 def enumerate_points(field, variables, relations, K, guard=SEARCH_GUARD):
     """All K-solutions by exhaustion, guarded by the search budget.
 
@@ -284,9 +280,17 @@ def zero_dim_solve(B: AlgebraPresentation, K, guard=SEARCH_GUARD):
 
     Runs on per-variable minimal polynomials when the quotient is
     finite over its stage; otherwise falls back to guarded exhaustion.
+    B keeps each stage's list, so later calls get a copy of it.
     """
     if K.p != B.field.p or K.degree % B.field.degree != 0:
         raise MixedFields("cannot solve over %r from %r" % (K, B.field))
+    pts = B.points_by_stage.get(K)
+    if pts is None:
+        pts = B.points_by_stage[K] = _solve_points(B, K, guard)
+    return list(pts)
+
+
+def _solve_points(B, K, guard):
     if B.groebner.is_unit_ideal():
         return []
     if not B.vars:
@@ -313,6 +317,16 @@ def zero_dim_solve(B: AlgebraPresentation, K, guard=SEARCH_GUARD):
             out.append(tuple(combo))
     out.sort(key=_point_label)
     return out
+
+
+def fiber_presentation(X: SchemePresentation, coords, K) -> AlgebraPresentation:
+    """Coordinate ring of X's fiber over the base point coords, at stage K."""
+    yctx = tuple(X.vars)
+    assign = {tv: MPoly.constant(K, yctx, c if c.field == K else embed(c, K))
+              for tv, c in zip(X.base.vars, coords)}
+    assign.update((yv, MPoly.variable(K, yctx, yv)) for yv in yctx)
+    return AlgebraPresentation(
+        K, yctx, [substitute_expand(g, assign) for g in X.relations])
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +436,7 @@ def _algebra_points_smooth(X, AK, guard):
         rho_pts = zero_dim_solve(Bf, Lf, guard)
         assert rho_pts, "a local factor always maps onto its residue stage"
         rho = dict(zip(Bf.vars, rho_pts[0]))
-        yctx = tuple(X.vars)
-        resid = []
-        for g in X.relations:
-            assign = {tv: MPoly.constant(Lf, yctx, rho[tv]) for tv in A.vars}
-            for yv in X.vars:
-                assign[yv] = MPoly.variable(Lf, yctx, yv)
-            resid.append(substitute_expand(g, assign))
-        Bres = AlgebraPresentation(Lf, yctx, [g for g in resid if not g.is_zero()])
-        ybars = zero_dim_solve(Bres, Lf, guard)
+        ybars = zero_dim_solve(fiber_presentation(X, rho_pts[0], Lf), Lf, guard)
 
         fdeg = f.residue_degree
         cols = []
@@ -467,7 +473,7 @@ def _algebra_points_smooth(X, AK, guard):
         assign.update(zip(X.vars, pt))
         for g in X.relations:
             assert substitute_in_algebra(AK, g, assign).is_zero()
-    out.sort(key=_alg_point_label)
+    out.sort(key=_point_label)
     return out
 
 
@@ -488,7 +494,7 @@ def _algebra_points_bruteforce(X, AK, guard):
         assign.update(zip(X.vars, combo))
         if all(substitute_in_algebra(AK, g, assign).is_zero() for g in X.relations):
             out.append(tuple(combo))
-    out.sort(key=_alg_point_label)
+    out.sort(key=_point_label)
     return out
 
 
@@ -531,15 +537,16 @@ def regroup_point(R: RestrictedScheme, values, K=None):
     A = R.algebra
     if K is None:
         K = values[0].field if values else A.field
-    AK = tensor_extend(A, K)
+    # R.basis is reduced modulo A, and A's reduced Groebner basis stays
+    # reduced over K, so a K-combination of the basis is already reduced
     basis = [b if K == A.field else b.map_coefficients(K) for b in R.basis]
     vmap = dict(zip(R.vars, values))
     out = []
     for sv in R.scheme.vars:
-        acc = AK.zero()
+        acc = MPoly.zero(K, A.vars)
         for b in range(len(basis)):
             acc = acc + basis[b] * vmap[R.var_table[(sv, b)]]
-        out.append(AK.nf(acc))
+        out.append(acc)
     return tuple(out)
 
 
@@ -559,8 +566,8 @@ def adjunction_check(R: RestrictedScheme, K=None,
     left = R.points(K, guard)
     right = algebra_points(R.scheme, K, guard)
     pairs = [(pt, regroup_point(R, pt, K)) for pt in left]
-    mapped = sorted(_alg_point_label(q) for _, q in pairs)
-    expected = [_alg_point_label(q) for q in right]
+    mapped = sorted(_point_label(q) for _, q in pairs)
+    expected = [_point_label(q) for q in right]
     ok = mapped == expected and len(set(mapped)) == len(mapped)
     return AdjunctionCertificate(ok, left, right, pairs)
 
@@ -648,18 +655,16 @@ class CoverCertificate:
     per_stage: list
 
 
-def open_cover_check(X: SchemePresentation, hs, stages=(1, 2),
+def open_cover_check(R: RestrictedScheme, hs, stages=(1, 2),
                      guard=SEARCH_GUARD) -> CoverCertificate:
     """Principal opens covering X induce a matching cover downstairs.
 
-    Requires a local base with rational residue.  For each h the scheme
-    where h is inverted is restricted separately; its points must land
-    bijectively on the restriction points whose regrouped coordinates
-    make h a unit, and every point must be caught by some h.
+    R restricts X along the standard basis of a local base with rational
+    residue.  Each chart where an h is inverted is restricted on its own;
+    its points must land bijectively on the points of R whose regrouped
+    coordinates make h a unit, and some h must catch every point.
     """
-    A = X.base
-    if A.dimension == 0:
-        raise EmptyBase("covering over the zero ring")
+    X, A = R.scheme, R.algebra
     factors = decompose_local(A)
     if len(factors) != 1 or factors[0].residue_degree != 1:
         raise NotLocalBase(
@@ -671,7 +676,6 @@ def open_cover_check(X: SchemePresentation, hs, stages=(1, 2),
     if not probe.groebner.is_unit_ideal():
         raise NotCovering("the given elements do not generate the unit ideal")
 
-    R = weil_restrict(A, X)
     zname = "z"
     n = 0
     while zname in set(A.vars) | set(X.vars):

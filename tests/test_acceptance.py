@@ -36,6 +36,8 @@ from resweil import (
 from resweil.versuite import ambient_degree, parse_case, verify_case
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
+GOLDEN_REPORT = (Path(__file__).resolve().parent / "data"
+                 / "corpus-report-seed42.json")
 ALL_NAMES = sorted(p.stem for p in CASES.glob("*.case"))
 
 _parsed = {}
@@ -235,6 +237,8 @@ def test_08_serialized_reports_are_byte_stable(criterion):
         second = subprocess.run(cmd, capture_output=True)
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout
+        # the committed report pins the serialized contract across changes
+        assert first.stdout == GOLDEN_REPORT.read_bytes()
         reports = json.loads(first.stdout)
         assert len(reports) == 15
         assert all(r["seed"] == 42 for r in reports)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from resweil import AlgebraPresentation, MPoly, PrimeField, weil_restrict
+from resweil import weilres
 from resweil.errors import CaseSyntaxError, NonPrime, UndeclaredVariable
 from resweil.versuite import (
     ambient_degree,
@@ -16,6 +17,7 @@ from resweil.versuite import (
     run_suite,
     verify_case,
 )
+from resweil.versuite import verify
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -268,6 +270,44 @@ def test_verify_case_builds_the_restricted_quotient_once(monkeypatch):
     assert built.count(wanted) == 1
 
 
+def test_verify_case_solves_the_quotient_once_per_stage(monkeypatch):
+    # cubic-dual-lift reads the points of R.quotient at stage 1 (components,
+    # lemma-local, adjunction, cover), 2 (adjunction, cover), 3 (adjunction)
+    case = parse_case(Path(corpus("cubic-dual-lift")).read_text())
+    held = []
+    restrict = verify.weil_restrict
+
+    def holding_restrict(A, X):
+        held.append(restrict(A, X))
+        return held[-1]
+
+    quotient_min_polys = []
+    min_poly = AlgebraPresentation.min_poly
+
+    def noting_min_poly(self, f):
+        mu = min_poly(self, f)
+        if held and self is vars(held[0]).get("quotient"):
+            quotient_min_polys.append(mu)
+        return mu
+
+    solved = []
+    roots = weilres.roots_in
+
+    def noting_roots(mu, K):
+        if any(mu is m for m in quotient_min_polys):
+            solved.append(K.degree)
+        return roots(mu, K)
+
+    monkeypatch.setattr(verify, "weil_restrict", holding_restrict)
+    monkeypatch.setattr(AlgebraPresentation, "min_poly", noting_min_poly)
+    monkeypatch.setattr(weilres, "roots_in", noting_roots)
+    rep = verify_case(case)
+    # held[0] is the case's restriction, the cross-check restricts again
+    assert rep.ok()
+    # one root search per coordinate and stage
+    assert sorted(solved) == sorted([1, 2, 3] * len(held[0].vars))
+
+
 # ------------------------------------------------------------- the suite
 
 def test_suite_runs_in_name_order():
@@ -293,22 +333,43 @@ case "infinite-square"
 field p = 5
 algebra A : vars eps ; rels eps^2
 scheme X : vars y, z ; rels y - z, 2*y - 2*z
-checks theorem
+checks %s
 """
 
 
-def test_infinite_coordinate_ring_fails_the_theorem_check(tmp_path):
+@pytest.mark.parametrize("check", ["theorem", "lemma-local"])
+def test_infinite_coordinate_ring_fails_the_theorem_check(tmp_path, check):
     # a square system whose coordinate ring is infinite has no Jacobian
-    # verdict; the check fails with the reason, the run goes on
+    # verdict and no component data; the check fails with the reason,
+    # the run goes on
     fault = tmp_path / "infinite-square.case"
-    fault.write_text(INFINITE_SQUARE)
+    fault.write_text(INFINITE_SQUARE % check)
     result = run_suite([corpus("dual-numbers-etale"), str(fault)])
     assert result.exit_code == 1
     assert [r.case for r in result.reports] == [
         "dual-numbers-etale", "infinite-square"]
     assert result.reports[0].ok()
-    thm = [c for c in result.reports[1].checks if c.name == "theorem"]
-    assert len(thm) == 1 and not thm[0].ok and thm[0].detail
+    out = [c for c in result.reports[1].checks if c.name == check]
+    assert len(out) == 1 and not out[0].ok and out[0].detail
+
+
+ZERO_RING = """\
+case "zero-ring"
+field p = 5
+algebra A : vars t ; rels t, t - 1
+scheme X : vars y ; rels y
+checks theorem
+"""
+
+
+def test_zero_ring_base_is_reported_and_the_run_goes_on(tmp_path):
+    fault = tmp_path / "zero-ring.case"
+    fault.write_text(ZERO_RING)
+    result = run_suite([str(fault), corpus("dual-numbers-etale")])
+    assert result.exit_code == 2
+    assert [r.case for r in result.reports] == ["dual-numbers-etale"]
+    ((path, kind, message),) = result.problems
+    assert path == str(fault) and kind == "input" and "zero ring" in message
 
 
 def test_corrupted_file_exits_2(tmp_path):

@@ -19,7 +19,9 @@ from resweil import (
     product_algebra,
     product_formula_check,
     regroup_point,
+    rename_context,
     stage_field,
+    tensor_extend,
     weil_restrict,
     zero_dim_solve,
 )
@@ -323,7 +325,7 @@ def test_open_cover_dual():
     A, X = dual_case()
     ctx = ("eps", "y")
     y = MPoly.variable(F7, ctx, "y")
-    cert = open_cover_check(X, [y, y - 1])
+    cert = open_cover_check(weil_restrict(A, X), [y, y - 1])
     assert cert.ok
     for row in cert.per_stage:
         assert row["points"] == 2
@@ -340,12 +342,13 @@ def test_open_cover_restricts_each_chart_once(monkeypatch):
         calls.append(X)
         return weil_restrict(A, X, basis)
 
+    R = weil_restrict(case.algebra, case.scheme)
     monkeypatch.setattr("resweil.weilres.weil_restrict", counting_restrict)
     for stages in ((1,), (1, 2, 3)):
         calls.clear()
-        cert = open_cover_check(case.scheme, hs, stages)
+        cert = open_cover_check(R, hs, stages)
         assert cert.ok and len(cert.per_stage) == len(stages)
-        assert len(calls) == len(hs) + 1
+        assert len(calls) == len(hs)
 
 
 def test_open_cover_not_covering():
@@ -353,7 +356,7 @@ def test_open_cover_not_covering():
     ctx = ("eps", "y")
     y = MPoly.variable(F7, ctx, "y")
     with pytest.raises(NotCovering):
-        open_cover_check(X, [y])
+        open_cover_check(weil_restrict(A, X), [y])
 
 
 def test_open_cover_needs_local_rational_base():
@@ -361,11 +364,11 @@ def test_open_cover_needs_local_rational_base():
     X = scheme(A, ["y"], lambda t, y: [y * y - 1])
     y = MPoly.variable(F5, ("t", "y"), "y")
     with pytest.raises(NotLocalBase):
-        open_cover_check(X, [y, y - 1])
+        open_cover_check(weil_restrict(A, X), [y, y - 1])
     A2, X2 = quad_case()
     y2 = MPoly.variable(F5, ("t", "y"), "y")
     with pytest.raises(NotLocalBase):
-        open_cover_check(X2, [y2, y2 - 1])
+        open_cover_check(weil_restrict(A2, X2), [y2, y2 - 1])
 
 
 def test_regroup_point_values():
@@ -376,3 +379,35 @@ def test_regroup_point_values():
     assert [str(c) for c in a1] == ["6*eps"]
     a2 = regroup_point(R, p2)
     assert [str(c) for c in a2] == ["eps + 1"]
+
+
+def test_regroup_point_is_reduced_over_every_stage():
+    # regroup_point takes no normal form over A tensor K: the basis is
+    # reduced modulo A, and K-combinations of reduced elements stay so
+    A, X = quad_case()
+    t = A.var("t")
+    restrictions = [weil_restrict(A, X, basis=[A.one() + t * t * t, 3 + 4 * t])]
+    # the product check's basis, adapted to the idempotent w
+    A1 = algebra(F5, ["t"], lambda t: [t * t - 2])
+    A2 = algebra(F5, ["eps"], lambda e: [e * e])
+    prod = product_algebra(A1, A2)
+    P = prod.presentation
+    w = P.var(prod.idempotent_var)
+    lifted = [P.nf(w * rename_context(m, prod.left_vars, P.vars))
+              for m in A1.basis_elements()]
+    lifted += [P.nf((P.one() - w) * rename_context(m, prod.right_vars, P.vars))
+               for m in A2.basis_elements()]
+    ctx = P.vars + ("y", "z")
+    y, z, tt = (MPoly.variable(F5, ctx, v) for v in ("y", "z", "t"))
+    XP = SchemePresentation(P, ("y", "z"), [y * y - 1 - tt, z * y - 2])
+    restrictions.append(weil_restrict(P, XP, basis=lifted))
+    rng = random.Random(7)
+    for R in restrictions:
+        for m in (1, 2, 3):
+            K = stage_field(5, m)
+            AK = tensor_extend(R.algebra, K)
+            elems = list(K)
+            for _ in range(20):
+                values = [rng.choice(elems) for _ in R.vars]
+                a = regroup_point(R, values, K)
+                assert a == tuple(AK.nf(c) for c in a)

@@ -12,7 +12,7 @@ class ResweilError(Exception):
 
 
 class GuardExceeded(ResweilError):
-    """A configurable resource budget ran out before the computation finished."""
+    """A resource budget ran out before the computation finished."""
 
 
 # field construction and arithmetic

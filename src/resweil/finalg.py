@@ -33,7 +33,7 @@ from .multipoly import (
 class AlgebraPresentation:
     """k[vars]/(relations) with cached Groebner data, immutable once built."""
 
-    def __init__(self, field, variables, relations, step_budget=None):
+    def __init__(self, field, variables, relations):
         self.field = field
         self.vars = tuple(variables)
         rels = []
@@ -42,9 +42,8 @@ class AlgebraPresentation:
             if not r.is_zero():
                 rels.append(r)
         self.relations = tuple(rels)
-        kwargs = {} if step_budget is None else {"step_budget": step_budget}
         self.groebner = buchberger(list(self.relations), field=field,
-                                   variables=self.vars, **kwargs)
+                                   variables=self.vars)
         self.basis_monomials = standard_monomials(self.groebner)
         self._mono_index = None
         self._nilradical_dim = None

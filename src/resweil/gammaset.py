@@ -24,7 +24,6 @@ from .exactfield import embed, frobenius, stage_field
 from .finalg import AlgebraPresentation, decompose_local
 from .multipoly import INFINITE
 from .weilres import (
-    SEARCH_GUARD,
     RestrictedScheme,
     fiber_presentation,
     regroup_point,
@@ -149,7 +148,7 @@ class EquivariantMap:
 # ---------------------------------------------------------------------------
 # builders
 
-def pi0_points(B: AlgebraPresentation, N, guard=SEARCH_GUARD) -> GammaSet:
+def pi0_points(B: AlgebraPresentation, N) -> GammaSet:
     """Component set of a finite presentation at stage N over its field.
 
     The permutation is the relative power map x -> x^(field order).
@@ -165,14 +164,14 @@ def pi0_points(B: AlgebraPresentation, N, guard=SEARCH_GUARD) -> GammaSet:
     if B.basis_monomials is INFINITE:
         raise NotZeroDimensional(
             "the presentation is not finite over its stage")
-    pts = zero_dim_solve(B, K, guard)
+    pts = zero_dim_solve(B, K)
     elements = [GeometricPoint(p) for p in pts]
     e = field.degree
     perm = {el: _power_frob_point(el, e) for el in elements}
     return GammaSet(elements, perm, N // e)
 
 
-def fiber(X, s: GeometricPoint, N, guard=SEARCH_GUARD):
+def fiber(X, s: GeometricPoint, N):
     """Geometric points of X over one base point, as a sorted list.
 
     This is a plain list: a single fiber is only Frobenius stable when
@@ -184,7 +183,7 @@ def fiber(X, s: GeometricPoint, N, guard=SEARCH_GUARD):
     if B.basis_monomials is INFINITE:
         raise PositiveDimensionalFiber(
             "the fiber at %r is not a finite point set" % (s,))
-    return [GeometricPoint(p) for p in zero_dim_solve(B, K, guard)]
+    return [GeometricPoint(p) for p in zero_dim_solve(B, K)]
 
 
 def product_gamma_set(S: GammaSet, fibers: dict, N) -> GammaSet:
@@ -266,7 +265,7 @@ def evaluation_map(R: RestrictedScheme, left: GammaSet, S: GammaSet,
     return em
 
 
-def reduction_map(R: RestrictedScheme, N, guard=SEARCH_GUARD) -> EquivariantMap:
+def reduction_map(R: RestrictedScheme, N) -> EquivariantMap:
     """Evaluate restriction points at the unique rational base point.
 
     Needs a local base algebra with rational residue.  The result is
@@ -280,11 +279,11 @@ def reduction_map(R: RestrictedScheme, N, guard=SEARCH_GUARD) -> EquivariantMap:
             "reduction needs a local base with rational residue")
     k = A.field
     K = stage_field(k.p, N)
-    left = pi0_points(R.quotient, N, guard)
-    (s0_raw,) = zero_dim_solve(A, k, guard)
+    left = pi0_points(R.quotient, N)
+    (s0_raw,) = zero_dim_solve(A, k)
     s0 = GeometricPoint(tuple(x if x.field == K else embed(x, K)
                               for x in s0_raw))
-    target_pts = fiber(R.scheme, s0, N, guard)
+    target_pts = fiber(R.scheme, s0, N)
     e = k.degree
     tperm = {pt: _power_frob_point(pt, e) for pt in target_pts}
     target = GammaSet(target_pts, tperm, N // e)

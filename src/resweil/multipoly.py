@@ -100,17 +100,6 @@ class MPoly:
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def degree_in(self, name):
-        if not self.terms:
-            return -1
-        i = self.vars.index(name)
-        return max(m[i] for m in self.terms)
-
     def variables_used(self):
         used = set()
         for m in self.terms:
@@ -118,9 +107,6 @@ class MPoly:
                 if e:
                     used.add(self.vars[i])
         return used
-
-    def coefficient_of(self, mono):
-        return self.terms.get(mono, self.field.zero)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -369,13 +355,13 @@ class GroebnerBasis:
         return list(self._lms)
 
 
-def buchberger(generators, field=None, variables=None, step_budget=DEFAULT_STEP_BUDGET):
+def buchberger(generators, field=None, variables=None):
     """Reduced Groebner basis of the ideal spanned by the generators.
 
-    The pair loop counts every S-polynomial reduction against the step
-    budget and raises StepGuardExceeded when it runs out.  The final
-    basis is interreduced and monic, so the result depends only on the
-    ideal and not on generator order.
+    The pair loop counts every S-polynomial reduction against
+    DEFAULT_STEP_BUDGET and raises StepGuardExceeded when it runs out.
+    The final basis is interreduced and monic, so the result depends only
+    on the ideal and not on generator order.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -405,8 +391,9 @@ def buchberger(generators, field=None, variables=None, step_budget=DEFAULT_STEP_
         if mono_lcm(lf, lg) == mono_mul(lf, lg):
             continue  # coprime leading terms reduce to zero
         steps += 1
-        if steps > step_budget:
-            raise StepGuardExceeded("S-polynomial budget %d exhausted" % step_budget)
+        if steps > DEFAULT_STEP_BUDGET:
+            raise StepGuardExceeded("buchberger: S-polynomial budget %d exhausted"
+                                    % DEFAULT_STEP_BUDGET)
         r = normal_form(s_polynomial(f, g), basis)
         if r.is_zero():
             continue

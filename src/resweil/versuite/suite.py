@@ -2,16 +2,16 @@
 
 Exit codes: 0 when everything passed, 1 when some check failed, 2 when
 some input could not be read, parsed or verified at all (a zero-ring
-base, say), 3 when a resource guard stopped a case.  A worse category
-wins: input trouble over failed checks over guard stops.  Cases run in
-case-name order regardless of the argument order, so reports come out
-the same for any shuffling of the paths.
+base, say), 3 when a search or Groebner budget ran out (the message
+names the layer; the budgets are module constants, not arguments).  A
+worse category wins: input trouble over failed checks over guard stops.
+Cases run in case-name order regardless of the argument order, so
+reports come out the same for any shuffling of the paths.
 """
 
 from dataclasses import dataclass, field
 
 from ..errors import GuardExceeded, ResweilError
-from ..weilres import SEARCH_GUARD
 from .dsl import parse_case
 from .verify import verify_case
 
@@ -28,7 +28,7 @@ class SuiteResult:
     exit_code: int = EXIT_OK
 
 
-def run_suite(paths, guard=SEARCH_GUARD, seed=0) -> SuiteResult:
+def run_suite(paths, seed=0) -> SuiteResult:
     entries = []
     problems = []
     for path in paths:
@@ -54,7 +54,7 @@ def run_suite(paths, guard=SEARCH_GUARD, seed=0) -> SuiteResult:
     failed = False
     for case, path in entries:
         try:
-            rep = verify_case(case, guard, seed)
+            rep = verify_case(case, seed)
         except GuardExceeded as e:
             problems.append((path, "guard", str(e)))
             continue

@@ -55,7 +55,6 @@ from ..gammaset import (
 )
 from ..multipoly import INFINITE
 from ..weilres import (
-    SEARCH_GUARD,
     SchemePresentation,
     adjunction_check,
     fiber_presentation,
@@ -77,7 +76,7 @@ class CheckOutcome:
     detail: str
 
 
-def ambient_degree(A, X, R, guard=SEARCH_GUARD):
+def ambient_degree(A, X, R):
     """A stage degree splitting base points, fibers, and components.
 
     Assembled as the least common multiple of the residue degrees of
@@ -91,7 +90,7 @@ def ambient_degree(A, X, R, guard=SEARCH_GUARD):
     for fac in decompose_local(A):
         M = math.lcm(M, fac.residue_degree)
     KM = stage_field(p, M)
-    S = pi0_points(A, M, guard)
+    S = pi0_points(A, M)
     N = M
     for s in S.elements:
         B = fiber_presentation(X, s.coords, KM)
@@ -125,17 +124,17 @@ class ComponentData:
     ev: object
 
 
-def compute_components(A, X, R, guard=SEARCH_GUARD) -> ComponentData:
-    N = ambient_degree(A, X, R, guard)
-    S = pi0_points(A, N, guard)
-    fibs = {s: fiber(X, s, N, guard) for s in S.elements}
-    left = pi0_points(R.quotient, N, guard)
+def compute_components(A, X, R) -> ComponentData:
+    N = ambient_degree(A, X, R)
+    S = pi0_points(A, N)
+    fibs = {s: fiber(X, s, N) for s in S.elements}
+    left = pi0_points(R.quotient, N)
     prod = product_gamma_set(S, fibs, N)
     ev = evaluation_map(R, left, S, prod, N)
     return ComponentData(N, S, fibs, left, prod, ev)
 
 
-def _count_via_local_factors(A, X, N, guard):
+def _count_via_local_factors(A, X, N):
     """Component count read off the local factors of the extended base.
 
     Restriction turns products of algebras into products of schemes, so
@@ -151,7 +150,7 @@ def _count_via_local_factors(A, X, N, guard):
                 for r in X.relations]
         Xf = SchemePresentation(Bf, X.vars, rels)
         Rf = weil_restrict(Bf, Xf)
-        total *= len(Rf.points(K, guard))
+        total *= len(Rf.points(K))
     return total
 
 
@@ -162,10 +161,6 @@ class Report:
     null there so serialized reports compare byte for byte between
     runs, while the measured values stay on the object for display.
     """
-
-    FIELDS = ("case", "inputs", "dims", "S", "fibers", "restriction",
-              "pi0_left", "pi0_right", "cycle_types", "psi_witness",
-              "checks", "timings_ms", "seed")
 
     def __init__(self, case_name, seed=0):
         self.case = case_name
@@ -232,7 +227,7 @@ def _expect_outcome(key, vals, comp, comp_error):
                         % (tuple(got), tuple(want)))
 
 
-def _check_theorem(A, X, comp, comp_error, guard):
+def _check_theorem(A, X, comp, comp_error):
     try:
         cert = etale_check(X)
     except (NotSquareSystem, NotFinite) as e:
@@ -260,7 +255,7 @@ def _check_theorem(A, X, comp, comp_error, guard):
     if not comp.ev.is_bijective():
         return CheckOutcome("theorem", False,
                             "the evaluation witness is not a bijection")
-    cross = _count_via_local_factors(A, X, comp.N, guard)
+    cross = _count_via_local_factors(A, X, comp.N)
     if cross != nl:
         return CheckOutcome(
             "theorem", False,
@@ -292,21 +287,21 @@ def _check_lemma_local(comp, comp_error):
         % (len(comp.left), len(comp.prod)))
 
 
-def _check_adjunction(R, stages, guard):
+def _check_adjunction(R, stages):
     parts = []
     ok = True
     for m in stages:
         K = stage_field(R.base_field.p, m)
-        cert = adjunction_check(R, K, guard)
+        cert = adjunction_check(R, K)
         ok = ok and cert.ok
         parts.append("stage %d: %d = %d"
                      % (m, len(cert.left_points), len(cert.right_points)))
     return CheckOutcome("adjunction", ok, "; ".join(parts))
 
 
-def _check_cover(R, hs, guard):
+def _check_cover(R, hs):
     try:
-        cert = open_cover_check(R, hs, (1, 2), guard)
+        cert = open_cover_check(R, hs, (1, 2))
     except (NotCovering, NotLocalBase) as e:
         return CheckOutcome("cover", False, str(e))
     parts = ["stage %d: %d point(s), chart counts %r"
@@ -315,8 +310,8 @@ def _check_cover(R, hs, guard):
     return CheckOutcome("cover", cert.ok, "; ".join(parts))
 
 
-def _check_product(prod, X, guard):
-    cert = product_formula_check(prod, X, (1, 2, 3), guard)
+def _check_product(prod, X):
+    cert = product_formula_check(prod, X, (1, 2, 3))
     parts = ["stage %d: %d = %d * %d" % c for c in cert.counts]
     lead = ("restricted ideals match; " if cert.ideal_match
             else "restricted ideals differ; ")
@@ -356,7 +351,7 @@ def _check_non_smooth(X, comp, comp_error):
         "precheck fails (%s); component counts %d vs %d" % (why, nl, nr))
 
 
-def verify_case(case, guard=SEARCH_GUARD, seed=0):
+def verify_case(case, seed=0):
     """Run every expectation and requested check of one case.
 
     Component data that cannot be assembled (infinite fibers or an
@@ -394,7 +389,7 @@ def verify_case(case, guard=SEARCH_GUARD, seed=0):
     comp = None
     comp_error = None
     try:
-        comp = compute_components(A, X, R, guard)
+        comp = compute_components(A, X, R)
     except (NotZeroDimensional, PositiveDimensionalFiber, NotFinite) as e:
         comp_error = e
     if comp is not None:
@@ -438,15 +433,15 @@ def verify_case(case, guard=SEARCH_GUARD, seed=0):
     for chk in case.checks:
         kind = chk[0]
         if kind == "theorem":
-            out = _check_theorem(A, X, comp, comp_error, guard)
+            out = _check_theorem(A, X, comp, comp_error)
         elif kind == "lemma-local":
             out = _check_lemma_local(comp, comp_error)
         elif kind == "adjunction":
-            out = _check_adjunction(R, chk[1], guard)
+            out = _check_adjunction(R, chk[1])
         elif kind == "cover":
-            out = _check_cover(R, chk[1], guard)
+            out = _check_cover(R, chk[1])
         elif kind == "product":
-            out = _check_product(case.product, X, guard)
+            out = _check_product(case.product, X)
         elif kind == "empty":
             out = _check_empty(R)
         elif kind == "non-smooth":

@@ -44,6 +44,9 @@ from .multipoly import (
     substitute_expand,
 )
 
+# The one budget of every point search: candidate tuples in
+# enumerate_points and _algebra_points_bruteforce, root combinations in
+# _solve_points.  Each reads it when called, so no call can widen it.
 SEARCH_GUARD = 10 ** 6
 
 
@@ -109,8 +112,8 @@ class RestrictedScheme:
     def is_empty(self):
         return self.groebner.is_unit_ideal()
 
-    def points(self, K=None, guard=SEARCH_GUARD):
-        return zero_dim_solve(self.quotient, K or self.base_field, guard)
+    def points(self, K=None):
+        return zero_dim_solve(self.quotient, K or self.base_field)
 
     def __repr__(self):
         return "RestrictedScheme(%d vars, %d relations over %r)" % (
@@ -217,8 +220,8 @@ def _point_label(pt):
     return tuple(x.label() for x in pt)
 
 
-def enumerate_points(field, variables, relations, K, guard=SEARCH_GUARD):
-    """All K-solutions by exhaustion, guarded by the search budget.
+def enumerate_points(field, variables, relations, K):
+    """All K-solutions by exhaustion, guarded by SEARCH_GUARD.
 
     Still a dumb scan over every candidate tuple; the relations are
     just flattened to term lists once, with one shared power table per
@@ -227,9 +230,10 @@ def enumerate_points(field, variables, relations, K, guard=SEARCH_GUARD):
     variables = tuple(variables)
     n = len(variables)
     total = K.order ** n
-    if total > guard:
+    if total > SEARCH_GUARD:
         raise SearchGuardExceeded(
-            "%d candidate tuples exceed the budget %d" % (total, guard))
+            "enumerate_points: %d candidate tuples exceed the budget %d"
+            % (total, SEARCH_GUARD))
     relsK = [r if r.field == K else r.map_coefficients(K) for r in relations]
     maxdeg = [0] * n
     compiled = []
@@ -275,7 +279,7 @@ def enumerate_points(field, variables, relations, K, guard=SEARCH_GUARD):
     return out
 
 
-def zero_dim_solve(B: AlgebraPresentation, K, guard=SEARCH_GUARD):
+def zero_dim_solve(B: AlgebraPresentation, K):
     """K-points of a finite quotient, in label order.
 
     Runs on per-variable minimal polynomials when the quotient is
@@ -286,17 +290,17 @@ def zero_dim_solve(B: AlgebraPresentation, K, guard=SEARCH_GUARD):
         raise MixedFields("cannot solve over %r from %r" % (K, B.field))
     pts = B.points_by_stage.get(K)
     if pts is None:
-        pts = B.points_by_stage[K] = _solve_points(B, K, guard)
+        pts = B.points_by_stage[K] = _solve_points(B, K)
     return list(pts)
 
 
-def _solve_points(B, K, guard):
+def _solve_points(B, K):
     if B.groebner.is_unit_ideal():
         return []
     if not B.vars:
         return [()]
     if B.basis_monomials is INFINITE:
-        return enumerate_points(B.field, B.vars, B.relations, K, guard)
+        return enumerate_points(B.field, B.vars, B.relations, K)
     rootlists = []
     for v in B.vars:
         mu = B.min_poly(B.var(v))
@@ -304,9 +308,10 @@ def _solve_points(B, K, guard):
     total = 1
     for rl in rootlists:
         total *= len(rl)
-    if total > guard:
+    if total > SEARCH_GUARD:
         raise SearchGuardExceeded(
-            "%d root combinations exceed the budget %d" % (total, guard))
+            "zero_dim_solve: %d root combinations exceed the budget %d"
+            % (total, SEARCH_GUARD))
     if total == 0:
         return []
     relsK = [r.map_coefficients(K) for r in B.relations]
@@ -423,7 +428,7 @@ def _newton_lift(X, Bf, dgdy, start):
     raise AssertionError("correction loop failed to terminate")
 
 
-def _algebra_points_smooth(X, AK, guard):
+def _algebra_points_smooth(X, AK):
     A = X.base
     K = AK.field
     factors = decompose_local(AK)
@@ -433,10 +438,10 @@ def _algebra_points_smooth(X, AK, guard):
     for f in factors:
         Bf = f.presentation
         Lf = stage_field(K.p, K.degree * f.residue_degree)
-        rho_pts = zero_dim_solve(Bf, Lf, guard)
+        rho_pts = zero_dim_solve(Bf, Lf)
         assert rho_pts, "a local factor always maps onto its residue stage"
         rho = dict(zip(Bf.vars, rho_pts[0]))
-        ybars = zero_dim_solve(fiber_presentation(X, rho_pts[0], Lf), Lf, guard)
+        ybars = zero_dim_solve(fiber_presentation(X, rho_pts[0], Lf), Lf)
 
         fdeg = f.residue_degree
         cols = []
@@ -477,15 +482,16 @@ def _algebra_points_smooth(X, AK, guard):
     return out
 
 
-def _algebra_points_bruteforce(X, AK, guard):
+def _algebra_points_bruteforce(X, AK):
     A = X.base
     K = AK.field
     d = AK.dimension
     r = len(X.vars)
     total = K.order ** (d * r)
-    if total > guard:
+    if total > SEARCH_GUARD:
         raise SearchGuardExceeded(
-            "%d algebra tuples exceed the budget %d" % (total, guard))
+            "algebra_points: %d algebra tuples exceed the budget %d"
+            % (total, SEARCH_GUARD))
     elements = [AK.from_coords(list(c)) for c in itertools.product(list(K), repeat=d)]
     tassign = {tv: AK.nf(AK.var(tv)) for tv in A.vars}
     out = []
@@ -498,7 +504,7 @@ def _algebra_points_bruteforce(X, AK, guard):
     return out
 
 
-def algebra_points(X: SchemePresentation, K=None, guard=SEARCH_GUARD):
+def algebra_points(X: SchemePresentation, K=None):
     """Solutions of X with coordinates in (base algebra) tensor K.
 
     For a square system that is smooth over the extended base this runs
@@ -525,8 +531,8 @@ def algebra_points(X: SchemePresentation, K=None, guard=SEARCH_GUARD):
         except NotFinite:
             cert = None
         if cert is not None and cert.ok:
-            return _algebra_points_smooth(X, AK, guard)
-    return _algebra_points_bruteforce(X, AK, guard)
+            return _algebra_points_smooth(X, AK)
+    return _algebra_points_bruteforce(X, AK)
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +564,12 @@ class AdjunctionCertificate:
     pairs: list
 
 
-def adjunction_check(R: RestrictedScheme, K=None,
-                     guard=SEARCH_GUARD) -> AdjunctionCertificate:
+def adjunction_check(R: RestrictedScheme, K=None) -> AdjunctionCertificate:
     """Certify that regrouping is a bijection onto the algebra points."""
     A = R.algebra
     K = K or A.field
-    left = R.points(K, guard)
-    right = algebra_points(R.scheme, K, guard)
+    left = R.points(K)
+    right = algebra_points(R.scheme, K)
     pairs = [(pt, regroup_point(R, pt, K)) for pt in left]
     mapped = sorted(_point_label(q) for _, q in pairs)
     expected = [_point_label(q) for q in right]
@@ -592,8 +597,7 @@ def _base_change(X, proj):
 
 
 def product_formula_check(prod: ProductAlgebra, X: SchemePresentation,
-                          stages=(1, 2, 3),
-                          guard=SEARCH_GUARD) -> ProductFormulaCertificate:
+                          stages=(1, 2, 3)) -> ProductFormulaCertificate:
     """Restriction along a product against the product of restrictions.
 
     Expanding against the basis adapted to the idempotent splits the
@@ -640,9 +644,9 @@ def product_formula_check(prod: ProductAlgebra, X: SchemePresentation,
     counts = []
     for m in stages:
         K = stage_field(field.p, m)
-        nP = len(RP.points(K, guard))
-        n1 = len(R1.points(K, guard))
-        n2 = len(R2.points(K, guard))
+        nP = len(RP.points(K))
+        n1 = len(R1.points(K))
+        n2 = len(R2.points(K))
         counts.append((m, nP, n1, n2))
         ok = ok and nP == n1 * n2
     return ProductFormulaCertificate(ok, ideal_match, counts)
@@ -655,8 +659,8 @@ class CoverCertificate:
     per_stage: list
 
 
-def open_cover_check(R: RestrictedScheme, hs, stages=(1, 2),
-                     guard=SEARCH_GUARD) -> CoverCertificate:
+def open_cover_check(R: RestrictedScheme, hs,
+                     stages=(1, 2)) -> CoverCertificate:
     """Principal opens covering X induce a matching cover downstairs.
 
     R restricts X along the standard basis of a local base with rational
@@ -695,7 +699,7 @@ def open_cover_check(R: RestrictedScheme, hs, stages=(1, 2),
     for m in stages:
         K = stage_field(A.field.p, m)
         AK = tensor_extend(A, K)
-        pts = R.points(K, guard)
+        pts = R.points(K)
         tassign = {tv: AK.nf(AK.var(tv)) for tv in A.vars}
         unit_sets = []
         for h in hs:
@@ -710,7 +714,7 @@ def open_cover_check(R: RestrictedScheme, hs, stages=(1, 2),
         stage_ok = all(any(pt in sel for sel in unit_sets) for pt in pts)
         chart_counts = []
         for Rh, sel in zip(charts, unit_sets):
-            hpts = Rh.points(K, guard)
+            hpts = Rh.points(K)
             keep = [Rh.vars.index(v) for v in R.vars]
             proj = {tuple(q[i] for i in keep) for q in hpts}
             stage_ok = stage_ok and len(hpts) == len(proj) and proj == sel

@@ -388,17 +388,21 @@ def test_missing_file_exits_2(tmp_path):
     assert result.problems[0][1] == "input"
 
 
-def test_guard_stop_exits_3():
-    result = run_suite([corpus("quadratic-field-cover")], guard=3)
+def test_guard_stop_exits_3(monkeypatch):
+    monkeypatch.setattr(weilres, "SEARCH_GUARD", 3)
+    result = run_suite([corpus("quadratic-field-cover")])
     assert result.exit_code == 3
     assert result.problems[0][1] == "guard"
+    assert result.problems[0][2] == (
+        "zero_dim_solve: 16 root combinations exceed the budget 3")
     assert not result.reports
 
 
-def test_input_error_outranks_guard(tmp_path):
+def test_input_error_outranks_guard(tmp_path, monkeypatch):
+    monkeypatch.setattr(weilres, "SEARCH_GUARD", 3)
     broken = tmp_path / "broken.case"
     broken.write_text("????")
-    result = run_suite([str(broken), corpus("quadratic-field-cover")], guard=3)
+    result = run_suite([str(broken), corpus("quadratic-field-cover")])
     assert result.exit_code == 2
 
 

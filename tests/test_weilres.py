@@ -31,6 +31,7 @@ from resweil.errors import (
     NotLocalBase,
     SearchGuardExceeded,
 )
+from resweil import weilres
 from resweil.versuite import parse_case
 from resweil.weilres import relative_coords
 
@@ -200,8 +201,17 @@ def test_enumerate_guard():
     K = stage_field(5, 5)
     ctx = ("a", "b")
     a = MPoly.variable(F5, ctx, "a")
-    with pytest.raises(SearchGuardExceeded):
+    with pytest.raises(SearchGuardExceeded, match="^enumerate_points: "):
         enumerate_points(F5, ctx, [a - 1], K)
+
+
+def test_search_guard_is_read_at_call_time(monkeypatch):
+    # stage 2 of dual-numbers-etale takes 4 root combinations
+    case = parse_case((CASES / "dual-numbers-etale.case").read_text())
+    R = weil_restrict(case.algebra, case.scheme)
+    monkeypatch.setattr(weilres, "SEARCH_GUARD", 1)
+    with pytest.raises(SearchGuardExceeded, match="^zero_dim_solve: 4 "):
+        R.points(stage_field(7, 2))
 
 
 def test_presentation_points_underdetermined():
@@ -241,6 +251,15 @@ def test_algebra_points_non_smooth_falls_back():
     assert pts == oracle_algebra_points(X2, F5)
     assert [[str(c) for c in pt] for pt in pts] == \
         [["3*eps + 1"], ["2*eps + 4"]]
+
+
+def test_algebra_points_exhaustion_is_guarded(monkeypatch):
+    A = algebra(F5, ["eps"], lambda e: [e * e])
+    X = scheme(A, ["y"], lambda e, y: [y * y - e])
+    monkeypatch.setattr(weilres, "SEARCH_GUARD", 24)
+    with pytest.raises(SearchGuardExceeded,
+                       match="^algebra_points: 25 algebra tuples"):
+        algebra_points(X)
 
 
 def test_algebra_points_no_unknowns():

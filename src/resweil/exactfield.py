@@ -15,7 +15,6 @@ arithmetic stays exact.
 from __future__ import annotations
 
 import random
-import threading
 
 from .errors import (
     DegreeGuardExceeded,
@@ -419,7 +418,6 @@ class ExtField:
 
 _FIELD_CACHE: dict = {}
 _EMBED_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def make_ext_field(p: int, m: int) -> ExtField:
@@ -427,15 +425,11 @@ def make_ext_field(p: int, m: int) -> ExtField:
     base = PrimeField(p)  # validates p
     if not isinstance(m, int) or m < 1 or m > MAX_DEGREE:
         raise DegreeGuardExceeded("extension degree m = %r outside 1..%d" % (m, MAX_DEGREE))
-    with _CACHE_LOCK:
-        cached = _FIELD_CACHE.get((p, m))
+    cached = _FIELD_CACHE.get((p, m))
     if cached is not None:
         return cached
-    modulus = _search_modulus(p, m)
-    field = ExtField(base, m, modulus)
-    with _CACHE_LOCK:
-        cached = _FIELD_CACHE.setdefault((p, m), field)
-    return cached
+    field = _FIELD_CACHE[(p, m)] = ExtField(base, m, _search_modulus(p, m))
+    return field
 
 
 def _search_modulus(p, m):
@@ -499,15 +493,12 @@ def embed(x: FieldElement, target) -> FieldElement:
     if src.degree == 1:
         return target.from_int(x.coeffs[0])
     key = ((src.p, src.degree, src._mod), (target.p, target.degree, getattr(target, "_mod", None)))
-    with _CACHE_LOCK:
-        gen_img = _EMBED_CACHE.get(key)
+    gen_img = _EMBED_CACHE.get(key)
     if gen_img is None:
         mod_poly = UniPoly(target, [target.from_int(c) for c in src._mod])
         rs = roots_in(mod_poly, target)
         assert rs, "modulus has no root in the larger stage"
-        gen_img = rs[0]
-        with _CACHE_LOCK:
-            gen_img = _EMBED_CACHE.setdefault(key, gen_img)
+        gen_img = _EMBED_CACHE[key] = rs[0]
     acc = target.zero
     for c in reversed(x.coeffs):
         acc = acc * gen_img + target.from_int(c)

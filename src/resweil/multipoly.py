@@ -9,6 +9,8 @@ generator set regardless of input order.
 
 from __future__ import annotations
 
+import heapq
+
 from .errors import MissingAssignment, MixedContexts, StepGuardExceeded
 from .exactfield import FieldElement, embed
 
@@ -358,10 +360,16 @@ class GroebnerBasis:
 def buchberger(generators, field=None, variables=None):
     """Reduced Groebner basis of the ideal spanned by the generators.
 
-    The pair loop counts every S-polynomial reduction against
-    DEFAULT_STEP_BUDGET and raises StepGuardExceeded when it runs out.
-    The final basis is interreduced and monic, so the result depends only
-    on the ideal and not on generator order.
+    Pending S-pairs wait in a heap keyed by the degrevlex key of their
+    lcm, so the pair with the smallest lcm is reduced first.  A pair is
+    dropped without reduction when its leading monomials are coprime
+    (Buchberger's first criterion) or when a third member's leading
+    monomial divides their lcm and neither pair with that member is
+    still pending (the chain criterion, as in Cox, Little and O'Shea).
+    The pair loop counts every S-polynomial it reduces, and only those,
+    against DEFAULT_STEP_BUDGET and raises StepGuardExceeded when it
+    runs out.  The final basis is interreduced and monic, so the result
+    depends only on the ideal and not on generator order.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -378,51 +386,54 @@ def buchberger(generators, field=None, variables=None):
         r = normal_form(g, basis)
         if not r.is_zero():
             basis.append(r.monic())
+    lms = [g.leading_monomial() for g in basis]
 
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    # a pair (i, j) has i > j; `pending` holds the pairs still in the heap
+    heap, pending = [], set()
+
+    def add_pairs(k):
+        for t in range(k):
+            heapq.heappush(heap, (drl_key(mono_lcm(lms[k], lms[t])), k, t))
+            pending.add((k, t))
+
+    def chain_drops(i, j, lcm):
+        return any(k != i and k != j and mono_divides(lm, lcm)
+                   and (max(i, k), min(i, k)) not in pending
+                   and (max(j, k), min(j, k)) not in pending
+                   for k, lm in enumerate(lms))
+
+    for k in range(len(basis)):
+        add_pairs(k)
     steps = 0
-    while pairs:
-        pairs.sort(key=lambda ij: drl_key(mono_lcm(basis[ij[0]].leading_monomial(),
-                                                   basis[ij[1]].leading_monomial())),
-                   reverse=True)
-        i, j = pairs.pop()
-        f, g = basis[i], basis[j]
-        lf, lg = f.leading_monomial(), g.leading_monomial()
-        if mono_lcm(lf, lg) == mono_mul(lf, lg):
-            continue  # coprime leading terms reduce to zero
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        lcm = mono_lcm(lms[i], lms[j])
+        if lcm == mono_mul(lms[i], lms[j]) or chain_drops(i, j, lcm):
+            continue
         steps += 1
         if steps > DEFAULT_STEP_BUDGET:
             raise StepGuardExceeded("buchberger: S-polynomial budget %d exhausted"
                                     % DEFAULT_STEP_BUDGET)
-        r = normal_form(s_polynomial(f, g), basis)
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
-        r = r.monic()
-        basis.append(r)
-        k = len(basis) - 1
-        pairs.extend((k, t) for t in range(k))
+        basis.append(r.monic())
+        lms.append(r.leading_monomial())
+        add_pairs(len(basis) - 1)
 
-    return _reduce_basis(field, variables, basis)
+    return _reduce_basis(field, variables, basis, lms)
 
 
-def _reduce_basis(field, variables, basis):
+def _reduce_basis(field, variables, basis, lms):
     # drop members whose leading monomial is divisible by another's
-    basis = list(basis)
-    lms = [g.leading_monomial() for g in basis]
-    keep = []
-    for i, lm in enumerate(lms):
-        if any(j != i and mono_divides(lms[j], lm)
-               and (lms[j] != lm or j < i) for j in range(len(basis))):
-            continue
-        keep.append(basis[i])
-    # tail-reduce every member against the others
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = normal_form(g, others)
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: drl_key(g.leading_monomial()))
+    keep = [i for i, lm in enumerate(lms)
+            if not any(j != i and mono_divides(lms[j], lm)
+                       and (lms[j] != lm or j < i) for j in range(len(lms)))]
+    # tail-reduce every member against the others: no other leading
+    # monomial divides its own, so the leading monomial stays
+    reduced = [normal_form(basis[i], [basis[j] for j in keep if j != i]).monic()
+               for i in sorted(keep, key=lambda i: drl_key(lms[i]))]
     return GroebnerBasis(field, variables, reduced)
 
 

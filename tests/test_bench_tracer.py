@@ -34,3 +34,35 @@ def test_every_traced_name_resolves():
 def test_noted_parameters_keep_their_names(fn, names):
     params = inspect.signature(fn).parameters
     assert [n for n in names if n not in params] == []
+
+
+# `--trace 1` counts S-pairs by wrapping `multipoly.s_polynomial` and
+# `multipoly.normal_form` as module globals.  The pair loop must call both
+# through those globals and reduce every S-polynomial it builds, so that
+# `multipoly.s_polynomial.calls` is the number of S-pair reductions.
+def test_every_traced_s_polynomial_is_reduced(monkeypatch):
+    F5 = exactfield.PrimeField(5)
+    vars_ = ("x", "y", "z")
+    gens = [multipoly.MPoly(F5, vars_, terms) for terms in (
+        {(2, 0, 0): 1, (0, 1, 0): -1},
+        {(0, 2, 0): 1, (0, 0, 1): -1},
+        {(0, 0, 2): 1, (1, 0, 0): -1},
+        {(1, 1, 1): 1, (0, 0, 0): -1},
+    )]
+    built, reductions = [], []
+    s_polynomial, normal_form = multipoly.s_polynomial, multipoly.normal_form
+
+    def counting_s_polynomial(f, g):
+        built.append(s_polynomial(f, g))
+        return built[-1]
+
+    def counting_normal_form(f, basis):
+        if any(f is s for s in built):
+            reductions.append(f)
+        return normal_form(f, basis)
+
+    monkeypatch.setattr(multipoly, "s_polynomial", counting_s_polynomial)
+    monkeypatch.setattr(multipoly, "normal_form", counting_normal_form)
+    multipoly.buchberger(gens)
+    assert built
+    assert len(reductions) == len(built)

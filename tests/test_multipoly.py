@@ -1,8 +1,10 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from resweil import multipoly
+from resweil import multipoly, weil_restrict
 from resweil.errors import MissingAssignment, MixedContexts, StepGuardExceeded
 from resweil.exactfield import PrimeField, make_ext_field
 from resweil.multipoly import (
@@ -14,6 +16,9 @@ from resweil.multipoly import (
     standard_monomials,
     substitute_expand,
 )
+from resweil.versuite import parse_case
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
 def P(field, variables, termdict):
@@ -117,14 +122,18 @@ def test_buchberger_worked_example():
             assert g.evaluate(vals).is_zero()
 
 
-def test_buchberger_order_independent():
+def _order_independent_gens():
     vars_ = ("x", "y", "z")
-    gens = [
+    return [
         P(F5, vars_, {(2, 0, 0): 1, (0, 1, 0): -1}),
         P(F5, vars_, {(0, 2, 0): 1, (0, 0, 1): -1}),
         P(F5, vars_, {(0, 0, 2): 1, (1, 0, 0): -1}),
         P(F5, vars_, {(1, 1, 1): 1, (0, 0, 0): -1}),
     ]
+
+
+def test_buchberger_order_independent():
+    gens = _order_independent_gens()
     reference = buchberger(gens)
     rng = random.Random(9)
     for _ in range(20):
@@ -135,15 +144,118 @@ def test_buchberger_order_independent():
 
 
 def test_step_guard(monkeypatch):
-    vars_ = ("x", "y", "z")
-    gens = [
-        P(F5, vars_, {(2, 0, 0): 1, (0, 1, 0): -1}),
-        P(F5, vars_, {(0, 2, 0): 1, (0, 0, 1): -1}),
-        P(F5, vars_, {(0, 0, 2): 1, (1, 0, 0): -1}),
-        P(F5, vars_, {(1, 1, 1): 1, (0, 0, 0): -1}),
-    ]
+    gens = _order_independent_gens()
     monkeypatch.setattr(multipoly, "DEFAULT_STEP_BUDGET", 1)
     with pytest.raises(StepGuardExceeded, match="^buchberger: "):
+        buchberger(gens)
+
+
+# The shape of the benchmark's `groebner-scale` cases over F_3[t]/(t^3):
+# its restriction has six coordinates and a reduced basis of nine members.
+T3_CASE = """\
+case "t3-scale"
+field p = 3
+algebra A : vars t ; rels t^3
+scheme X : vars y, z ; rels y^2 - 2 - 1*t, z^2 - 1 - 2*t*y
+checks theorem
+"""
+
+# Its reduced basis, printed by the resorting pair loop that the pair heap
+# and the chain criterion replaced.
+T3_BASIS = [
+    "z0 + 2*z1 + z2", "y1 + 2*y2", "y0 + 2*y2", "z2^2 + 2*y2",
+    "z1*z2 + y2 + 1", "y2*z2 + 2*z1 + 2*z2", "z1^2 + 1",
+    "y2*z1 + z1 + 2*z2", "y2^2 + 1",
+]
+
+
+def _restricted_relations(text):
+    case = parse_case(text)
+    return weil_restrict(case.algebra, case.scheme).relations
+
+
+def test_pair_loop_is_cheap_on_a_scale_restriction(monkeypatch):
+    relations = _restricted_relations(T3_CASE)
+    calls = {"leading_monomial": 0, "s_polynomial": 0}
+    leading_monomial = MPoly.leading_monomial
+    s_polynomial = multipoly.s_polynomial
+
+    def counting_leading_monomial(self):
+        calls["leading_monomial"] += 1
+        return leading_monomial(self)
+
+    def counting_s_polynomial(f, g):
+        calls["s_polynomial"] += 1
+        return s_polynomial(f, g)
+
+    monkeypatch.setattr(MPoly, "leading_monomial", counting_leading_monomial)
+    monkeypatch.setattr(multipoly, "s_polynomial", counting_s_polynomial)
+    buchberger(relations)
+    # the resorting loop made 47,190 and 86 of these calls
+    assert calls["leading_monomial"] < 5000
+    assert calls["s_polynomial"] < 86
+
+
+def _assert_reduced_groebner_basis(gens, gb):
+    members = list(gb)
+    assert members
+    for g in gens:
+        assert normal_form(g, gb).is_zero()
+    # Buchberger's criterion, by brute force over every pair
+    for f, g in itertools.combinations(members, 2):
+        assert normal_form(multipoly.s_polynomial(f, g), members).is_zero()
+    lms = gb.leading_monomials()
+    for k, g in enumerate(members):
+        assert g.leading_coefficient() == g.field.one
+        others = lms[:k] + lms[k + 1:]
+        assert not any(multipoly.mono_divides(lm, mono)
+                       for mono in g.terms for lm in others)
+
+
+@pytest.mark.parametrize("source", [
+    "t3-scale", "order-independent", "tensor-mixed-base", "mixed-local-artin"])
+def test_pair_criteria_keep_a_reduced_groebner_basis(source):
+    if source == "t3-scale":
+        gens = _restricted_relations(T3_CASE)
+    elif source == "order-independent":
+        gens = _order_independent_gens()
+    else:
+        gens = _restricted_relations((CASES / (source + ".case")).read_text())
+    gb = buchberger(gens)
+    _assert_reduced_groebner_basis(gens, gb)
+    if source == "t3-scale":
+        assert [str(g) for g in gb] == T3_BASIS
+
+
+def test_pair_criteria_on_seeded_random_ideals():
+    # small dense systems in three variables meet many more chains of
+    # pairs with a shared divisor than the restrictions above
+    vars_ = ("x", "y", "z")
+    for seed in range(30):
+        rng = random.Random(seed)
+        gens = [P(F5, vars_, {tuple(rng.randrange(3) for _ in vars_): rng.randrange(1, 5)
+                              for _ in range(rng.randrange(2, 4))})
+                for _ in range(rng.randrange(2, 5))]
+        _assert_reduced_groebner_basis(gens, buchberger(gens))
+
+
+def test_step_budget_counts_reduced_s_polynomials(monkeypatch):
+    gens = _restricted_relations(T3_CASE)
+    reduced = []
+    s_polynomial = multipoly.s_polynomial
+
+    def counting_s_polynomial(f, g):
+        reduced.append((f, g))
+        return s_polynomial(f, g)
+
+    monkeypatch.setattr(multipoly, "s_polynomial", counting_s_polynomial)
+    reference = buchberger(gens)
+    steps = len(reduced)
+    # a budget of exactly the reductions made is enough, one less is not
+    monkeypatch.setattr(multipoly, "DEFAULT_STEP_BUDGET", steps)
+    assert buchberger(gens) == reference
+    monkeypatch.setattr(multipoly, "DEFAULT_STEP_BUDGET", steps - 1)
+    with pytest.raises(StepGuardExceeded, match="budget %d exhausted" % (steps - 1)):
         buchberger(gens)
 
 

@@ -11,6 +11,7 @@ presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _linalg
 from .errors import (
@@ -174,7 +175,8 @@ class AlgebraPresentation:
     def min_poly(self, f: MPoly) -> UniPoly:
         """Monic minimal polynomial of f acting on the quotient."""
         d = self.dimension
-        assert d > 0
+        if d == 0:
+            return UniPoly(self.field, [self.field.one])  # the zero ring: 1 = 0
         powers = [self.coords(self.one())]
         current = self.one()
         fn = self.nf(f)
@@ -188,6 +190,11 @@ class AlgebraPresentation:
                 return UniPoly(self.field, coeffs)
             powers.append(w)
         raise AssertionError("no dependency found below the dimension bound")
+
+    @cached_property
+    def min_polys(self):
+        """Minimal polynomial of each coordinate, in variable order, computed once."""
+        return tuple(self.min_poly(self.var(v)) for v in self.vars)
 
     def __repr__(self):
         return "AlgebraPresentation(%r, vars=%r, %d relations)" % (

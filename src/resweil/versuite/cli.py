@@ -18,7 +18,7 @@ from ..errors import GuardExceeded, ResweilError
 from ..exactfield import stage_field
 from ..weilres import weil_restrict
 from .dsl import parse_case
-from .suite import EXIT_GUARD, EXIT_INPUT, EXIT_VERIFY, run_suite
+from .suite import EXIT_GUARD, EXIT_INPUT, run_suite
 from .verify import compute_components
 
 

@@ -62,10 +62,6 @@ class Case:
             return NotImplemented
         return self._key() == other._key()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __repr__(self):
         return "Case(%r, p=%d, %d algebra block(s), %d checks)" % (
             self.name, self.p, len(self.algebra_blocks), len(self.checks))
@@ -244,22 +240,27 @@ def parse_poly(text, field, variables):
     return poly
 
 
-def _parse_block_sections(cur, field):
+def _parse_sections(cur, field, base_vars=()):
     """`vars ... ; rels ...` after a block header; both parts optional.
 
-    Relation expressions are parsed over the block's own variables, so
-    an undeclared name is caught here with its position.
+    Relation expressions are parsed over the base variables and the
+    block's own, so an undeclared name is caught here with its position.
+    Algebra blocks pass no base variables; a scheme's unknowns must not
+    reuse its base's.
     """
     names = []
     rels = []
     seen = set()
     while not cur.at_end():
         head = cur.expect_name("'vars' or 'rels'")
+        if head[1] not in ("vars", "rels"):
+            raise CaseSyntaxError("expected 'vars' or 'rels', got %r"
+                                  % head[1], head[2], head[3])
+        if head[1] in seen:
+            raise CaseSyntaxError("duplicate %s section" % head[1],
+                                  head[2], head[3])
+        seen.add(head[1])
         if head[1] == "vars":
-            if "vars" in seen:
-                raise CaseSyntaxError("duplicate vars section",
-                                      head[2], head[3])
-            seen.add("vars")
             while True:
                 tok = cur.peek()
                 if tok is None or (tok[0] == "op" and tok[1] == ";"):
@@ -268,14 +269,13 @@ def _parse_block_sections(cur, field):
                 if tok[1] in names:
                     raise CaseSyntaxError("variable %r declared twice"
                                           % tok[1], tok[2], tok[3])
+                if tok[1] in base_vars:
+                    raise CaseSyntaxError("variable %r already in use"
+                                          % tok[1], tok[2], tok[3])
                 names.append(tok[1])
                 cur.match_op(",")
-        elif head[1] == "rels":
-            if "rels" in seen:
-                raise CaseSyntaxError("duplicate rels section",
-                                      head[2], head[3])
-            seen.add("rels")
-            ctx = tuple(names)
+        else:
+            ctx = tuple(base_vars) + tuple(names)
             while not cur.at_end():
                 tok = cur.peek()
                 if tok[0] == "op" and tok[1] == ";":
@@ -283,9 +283,6 @@ def _parse_block_sections(cur, field):
                 rels.append(_parse_expr(cur, field, ctx))
                 if not cur.match_op(","):
                     break
-        else:
-            raise CaseSyntaxError("expected 'vars' or 'rels', got %r"
-                                  % head[1], head[2], head[3])
         if not cur.at_end():
             cur.expect_op(";")
     return tuple(names), tuple(rels)
@@ -371,7 +368,7 @@ class _CaseParser:
                                   head[2], head[3])
         label = cur.expect_name("a block label")[1]
         cur.expect_op(":")
-        names, rels = _parse_block_sections(cur, self.field)
+        names, rels = _parse_sections(cur, self.field)
         self.blocks.append((label, names, rels))
 
     def _dir_scheme(self, head, cur):
@@ -393,55 +390,11 @@ class _CaseParser:
                                      list(self.blocks[1][2]))
             self.product = product_algebra(a1, a2)
             self.algebra = self.product.presentation
-        # the scheme sections are parsed over base variables + unknowns
-        names, rels = self._scheme_sections(cur, head)
+        names, rels = _parse_sections(cur, self.field, self.algebra.vars)
         self.scheme_label = label
         self.scheme_vars = names
         self.scheme_rels = rels
         self.scheme = SchemePresentation(self.algebra, names, list(rels))
-
-    def _scheme_sections(self, cur, head):
-        base_vars = self.algebra.vars
-        names = []
-        rels = []
-        seen = set()
-        while not cur.at_end():
-            kw = cur.expect_name("'vars' or 'rels'")
-            if kw[1] == "vars":
-                if "vars" in seen:
-                    raise CaseSyntaxError("duplicate vars section",
-                                          kw[2], kw[3])
-                seen.add("vars")
-                while True:
-                    tok = cur.peek()
-                    if tok is None or (tok[0] == "op" and tok[1] == ";"):
-                        break
-                    tok = cur.expect_name("a variable name")
-                    if tok[1] in names or tok[1] in base_vars:
-                        raise CaseSyntaxError(
-                            "variable %r already in use" % tok[1],
-                            tok[2], tok[3])
-                    names.append(tok[1])
-                    cur.match_op(",")
-            elif kw[1] == "rels":
-                if "rels" in seen:
-                    raise CaseSyntaxError("duplicate rels section",
-                                          kw[2], kw[3])
-                seen.add("rels")
-                ctx = tuple(base_vars) + tuple(names)
-                while not cur.at_end():
-                    tok = cur.peek()
-                    if tok[0] == "op" and tok[1] == ";":
-                        break
-                    rels.append(_parse_expr(cur, self.field, ctx))
-                    if not cur.match_op(","):
-                        break
-            else:
-                raise CaseSyntaxError("expected 'vars' or 'rels', got %r"
-                                      % kw[1], kw[2], kw[3])
-            if not cur.at_end():
-                cur.expect_op(";")
-        return tuple(names), tuple(rels)
 
     def _dir_expect(self, head, cur):
         if self.scheme is None:

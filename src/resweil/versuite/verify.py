@@ -2,13 +2,17 @@
 pipeline, and report assembly.
 
 verify_case drives everything a case asks for.  It restricts X once
-and computes the component data once, at a stage large enough to split
-the base points, every fiber, and the restriction's components
-simultaneously; each check reads those objects.  Verification failures
-are recorded in the report, never raised; only resource guards escape.
+and computes the component data once, at the least stage F_{p^N} where
+the base points, every fiber and the restriction's components are all
+rational; each check reads those objects.  N is read off the minimal
+polynomials of the coordinates of A, of X's total coordinate ring and
+of `R.quotient`: every presentation computes them once (`B.min_polys`),
+and the point solver reads the same ones at every stage.  Verification
+failures are recorded in the report, never raised; only resource guards
+escape.
 
 The restriction owns its coordinate ring (`R.quotient`): the report,
-the stage search and the left component set read it, and since it
+the stage rule and the left component set read it, and since it
 keeps its points per stage, the components, the adjunction check and
 the cover check (which takes R) share one solve per stage.  Lemma-local
 reads the component data: one base point means a local base with
@@ -38,10 +42,10 @@ from ..errors import (
     NotSquareSystem,
     NotZeroDimensional,
     PositiveDimensionalFiber,
-    ZeroRing,
 )
-from ..exactfield import stage_field
+from ..exactfield import factor_univariate, stage_field
 from ..finalg import (
+    coordinate_ring,
     decompose_local,
     etale_check,
     tensor_extend,
@@ -57,7 +61,6 @@ from ..multipoly import INFINITE
 from ..weilres import (
     SchemePresentation,
     adjunction_check,
-    fiber_presentation,
     open_cover_check,
     product_formula_check,
     weil_restrict,
@@ -77,38 +80,24 @@ class CheckOutcome:
 
 
 def ambient_degree(A, X, R):
-    """A stage degree splitting base points, fibers, and components.
+    """The least stage at which every point set of the comparison is rational.
 
-    Assembled as the least common multiple of the residue degrees of
-    the base algebra over the prime field, of each fiber ring over the
-    stage that splits the base, and of the restriction's coordinate
-    ring over the prime field.  Every point set the comparison needs is
-    rational at this stage.
+    A geometric point is rational over F_{p^N} exactly when each of its
+    coordinates is, so N is the lcm of the irreducible factor degrees of
+    every coordinate's minimal polynomial, over the base algebra, the
+    total coordinate ring of X (whose points pair a base point with a
+    point of its fiber) and the restriction's coordinate ring.
     """
-    p = A.field.p
-    M = 1
-    for fac in decompose_local(A):
-        M = math.lcm(M, fac.residue_degree)
-    KM = stage_field(p, M)
-    S = pi0_points(A, M)
-    N = M
-    for s in S.elements:
-        B = fiber_presentation(X, s.coords, KM)
-        if B.basis_monomials is INFINITE:
-            raise PositiveDimensionalFiber(
-                "the fiber at %r is not a finite point set" % (s,))
-        try:
-            for fac in decompose_local(B):
-                N = math.lcm(N, M * fac.residue_degree)
-        except ZeroRing:
-            pass
+    XB = coordinate_ring(X)
+    if XB.basis_monomials is INFINITE:
+        raise PositiveDimensionalFiber("a fiber of X is not a finite point set")
     if R.quotient.basis_monomials is INFINITE:
         raise NotZeroDimensional("the restriction is not a finite point set")
-    try:
-        for fac in decompose_local(R.quotient):
-            N = math.lcm(N, fac.residue_degree)
-    except ZeroRing:
-        pass
+    N = 1
+    for B in (A, XB, R.quotient):
+        for mu in B.min_polys:
+            for g, _ in factor_univariate(mu)[1]:
+                N = math.lcm(N, g.degree)
     return N
 
 

@@ -301,10 +301,7 @@ def _solve_points(B, K):
         return [()]
     if B.basis_monomials is INFINITE:
         return enumerate_points(B.field, B.vars, B.relations, K)
-    rootlists = []
-    for v in B.vars:
-        mu = B.min_poly(B.var(v))
-        rootlists.append(roots_in(mu, K))
+    rootlists = [roots_in(mu, K) for mu in B.min_polys]
     total = 1
     for rl in rootlists:
         total *= len(rl)
@@ -337,9 +334,6 @@ def fiber_presentation(X: SchemePresentation, coords, K) -> AlgebraPresentation:
 # ---------------------------------------------------------------------------
 # algebra-valued points, computed without the restriction
 
-_REL_COORD_CACHE: dict = {}
-
-
 def _stage_basis(K):
     if K.degree == 1:
         return [K.one]
@@ -348,24 +342,20 @@ def _stage_basis(K):
 
 
 def _relative_inverse(K, L):
-    key = (K, L)
-    cached = _REL_COORD_CACHE.get(key)
-    if cached is None:
-        PF = PrimeField(L.p)
-        f = L.degree // K.degree
-        cols = []
-        gp = L.one
-        for _ in range(f):
-            for beta in _stage_basis(K):
-                x = embed(beta, L) * gp
-                cols.append([PF.from_int(c) for c in x.coeffs])
-            gp = gp * L.gen
-        n = L.degree
-        mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-        inv = _linalg.invert(mat, PF)
-        assert inv is not None, "powers of the generator span over the substage"
-        cached = _REL_COORD_CACHE.setdefault(key, (PF, inv))
-    return cached
+    PF = PrimeField(L.p)
+    f = L.degree // K.degree
+    cols = []
+    gp = L.one
+    for _ in range(f):
+        for beta in _stage_basis(K):
+            x = embed(beta, L) * gp
+            cols.append([PF.from_int(c) for c in x.coeffs])
+        gp = gp * L.gen
+    n = L.degree
+    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
+    inv = _linalg.invert(mat, PF)
+    assert inv is not None, "powers of the generator span over the substage"
+    return PF, inv
 
 
 def relative_coords(x, K, L):

@@ -1,6 +1,7 @@
 """Case format, verifier wiring, suite exit codes, and the CLI."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,10 @@ import pytest
 from resweil import AlgebraPresentation, MPoly, PrimeField, weil_restrict
 from resweil import weilres
 from resweil.errors import CaseSyntaxError, NonPrime, UndeclaredVariable
+from resweil.exactfield import stage_field
+from resweil.finalg import decompose_local
+from resweil.gammaset import pi0_points
+from resweil.weilres import fiber_presentation
 from resweil.versuite import (
     ambient_degree,
     main,
@@ -124,6 +129,8 @@ def test_structural_rules():
             "declared twice")
     _reject('case "a"\nfield p = 7\nalgebra A : vars t\n'
             'scheme X : vars t\n', "already in use")
+    _reject('case "a"\nfield p = 7\nalgebra A : vars t\n'
+            'scheme X : vars y, y\n', "declared twice")
     _reject('case "a"\nfield p = 7\nalgebra A :\nscheme X :\n'
             'expect bogus = 1\n', "unknown expectation")
     _reject('case "a"\nfield p = 7\nalgebra A :\nscheme X :\n'
@@ -217,14 +224,63 @@ def test_verify_lemma_local_needs_rational_residue():
     assert "local base" in lem[0].detail
 
 
+def _staged_degree(A, X, R):
+    """The stage the long way: residue degrees of local factors, fiber by fiber.
+
+    M splits the base, each fiber's residue degrees over F_{p^M} scale
+    by M, and the restriction's residue degrees join at the end.
+    """
+    M = 1
+    for fac in decompose_local(A):
+        M = math.lcm(M, fac.residue_degree)
+    KM = stage_field(A.field.p, M)
+    N = M
+    for s in pi0_points(A, M).elements:
+        B = fiber_presentation(X, s.coords, KM)
+        if B.dimension:
+            for fac in decompose_local(B):
+                N = math.lcm(N, M * fac.residue_degree)
+    if R.quotient.dimension:
+        for fac in decompose_local(R.quotient):
+            N = math.lcm(N, fac.residue_degree)
+    return N
+
+
+# F_p[t]/(t^3) with two unknowns, one constant a nonsquare: the
+# groebner-scale shapes, each at stage 2
+T3_SHAPES = {
+    "t3-p3": (3, "y^2 - 2 - t, z^2 - 1 - 2*t*y"),
+    "t3-p5-square-first": (5, "y^2 - 4 - 2*t, z^2 - 2 - 3*t*y"),
+    "t3-p5-nonsquare-first": (5, "y^2 - 3 - t, z^2 - 1 - 4*t*y"),
+}
+
+
+def _ambient_cases():
+    for path in sorted(CASES.glob("*.case")):
+        yield path.stem, path.read_text()
+    for name, (p, rels) in T3_SHAPES.items():
+        yield name, ('case "%s"\nfield p = %d\nalgebra A : vars t ; rels t^3\n'
+                     "scheme X : vars y, z ; rels %s\n" % (name, p, rels))
+
+
 def test_ambient_degree_values():
     expected = {"dual-numbers-etale": 1, "quadratic-field-cover": 4,
                 "cubic-field-pair": 2, "split-pair-cubic": 3,
-                "quartic-tower": 4}
-    for name, deg in expected.items():
-        case = parse_case(Path(corpus(name)).read_text())
+                "quartic-tower": 4, "t3-p3": 2, "t3-p5-square-first": 2,
+                "t3-p5-nonsquare-first": 2}
+    seen = []
+    for name, text in _ambient_cases():
+        case = parse_case(text)
         R = weil_restrict(case.algebra, case.scheme)
-        assert ambient_degree(case.algebra, case.scheme, R) == deg, name
+        deg = ambient_degree(case.algebra, case.scheme, R)
+        # the reference runs on fresh presentations, so no cache is shared
+        ref = parse_case(text)
+        want = _staged_degree(ref.algebra, ref.scheme,
+                              weil_restrict(ref.algebra, ref.scheme))
+        assert deg == want, name
+        assert deg == expected.get(name, deg), name
+        seen.append(name)
+    assert len(seen) == 18 and set(expected) <= set(seen)
 
 
 def test_report_object_shape():
@@ -304,8 +360,33 @@ def test_verify_case_solves_the_quotient_once_per_stage(monkeypatch):
     rep = verify_case(case)
     # held[0] is the case's restriction, the cross-check restricts again
     assert rep.ok()
+    # one minimal polynomial per coordinate, shared by every stage
+    assert len(quotient_min_polys) == len(held[0].vars)
     # one root search per coordinate and stage
     assert sorted(solved) == sorted([1, 2, 3] * len(held[0].vars))
+
+
+@pytest.mark.parametrize("name", [
+    "quadratic-field-cover", "dual-numbers-etale", "split-pair-cubic",
+    "tensor-mixed-base"])
+def test_compute_components_builds_each_fiber_once(monkeypatch, name):
+    # presentations over X's unknowns alone are the fibers: one per base
+    # point, at the comparison stage, and none while choosing that stage
+    case = parse_case(Path(corpus(name)).read_text())
+    A, X = case.algebra, case.scheme
+    R = weil_restrict(A, X)
+    stages = []
+    init = AlgebraPresentation.__init__
+
+    def noting_init(self, field, variables, relations, *args, **kwargs):
+        variables = tuple(variables)
+        if variables == X.vars:
+            stages.append(field.degree)
+        init(self, field, variables, relations, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraPresentation, "__init__", noting_init)
+    comp = verify.compute_components(A, X, R)
+    assert stages == [comp.N] * len(comp.S)
 
 
 # ------------------------------------------------------------- the suite
@@ -351,6 +432,9 @@ def test_infinite_coordinate_ring_fails_the_theorem_check(tmp_path, check):
     assert result.reports[0].ok()
     out = [c for c in result.reports[1].checks if c.name == check]
     assert len(out) == 1 and not out[0].ok and out[0].detail
+    if check == "lemma-local":
+        assert out[0].detail == (
+            "no component data: a fiber of X is not a finite point set")
 
 
 ZERO_RING = """\

@@ -15,6 +15,10 @@ class GuardExceeded(ResweilError):
     """A resource budget ran out before the computation finished."""
 
 
+class CertificateFailure(ResweilError):
+    """A computed witness failed the check that certifies it."""
+
+
 # field construction and arithmetic
 
 class NonPrime(ResweilError):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 
 from .errors import (
+    CertificateFailure,
     DegreeGuardExceeded,
     IncompatibleDegrees,
     NonPrime,
@@ -495,9 +496,9 @@ def embed(x: FieldElement, target) -> FieldElement:
     key = ((src.p, src.degree, src._mod), (target.p, target.degree, getattr(target, "_mod", None)))
     gen_img = _EMBED_CACHE.get(key)
     if gen_img is None:
-        mod_poly = UniPoly(target, [target.from_int(c) for c in src._mod])
-        rs = roots_in(mod_poly, target)
-        assert rs, "modulus has no root in the larger stage"
+        rs = roots_in(UniPoly.from_ints(src.base, src._mod), target)
+        if not rs:
+            raise CertificateFailure("modulus has no root in the larger stage")
         gen_img = _EMBED_CACHE[key] = rs[0]
     acc = target.zero
     for c in reversed(x.coeffs):
@@ -792,19 +793,21 @@ def factor_univariate(f: UniPoly, rng: random.Random | None = None):
 def roots_in(f: UniPoly, field) -> list:
     """Roots of f inside the given stage, in label order.
 
-    Coefficients of f must already live in that stage (use
-    map_coefficients first when they come from a smaller one).
+    The coefficients of f may lie in any subfield stage F of the target
+    stage K.  The gcd g = gcd(f, x^|K| - x) is taken over F: it is
+    squarefree and has exactly the roots of f in K, so after mapping g
+    into K an equal-degree split into linear factors reads them off,
+    without factoring f.
     """
-    if f.field != field:
-        f = f.map_coefficients(field)
     if f.is_zero():
         raise ZeroPolynomial("roots of the zero polynomial")
-    if f.degree == 0:
+    F = f.field
+    x = UniPoly(F, [F.zero, F.one])
+    g = f.gcd(x.pow_mod(field.order, f) - x)
+    if F != field:
+        g = g.map_coefficients(field)
+    if g.degree < 1:
         return []
-    _, factors = factor_univariate(f)
-    out = []
-    for g, _ in factors:
-        if g.degree == 1:
-            out.append(-g.coeffs[0])
+    out = [-h.coeffs[0] for h in _equal_degree_split(g, 1, random.Random(0))]
     out.sort(key=lambda r: r.label())
     return out

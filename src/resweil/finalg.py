@@ -15,6 +15,7 @@ from functools import cached_property
 
 from . import _linalg
 from .errors import (
+    CertificateFailure,
     MixedFields,
     NotFinite,
     NotSquareSystem,
@@ -173,22 +174,35 @@ class AlgebraPresentation:
         return g
 
     def min_poly(self, f: MPoly) -> UniPoly:
-        """Monic minimal polynomial of f acting on the quotient."""
-        d = self.dimension
-        if d == 0:
-            return UniPoly(self.field, [self.field.one])  # the zero ring: 1 = 0
-        powers = [self.coords(self.one())]
-        current = self.one()
+        """Monic minimal polynomial of f acting on the quotient.
+
+        The powers 1, f, f^2, ... are reduced in turn against an echelon
+        form of the earlier ones, each row carrying its combination of
+        powers; the first power that reduces to zero gives the relation.
+        """
+        field = self.field
+        if self.dimension == 0:
+            return UniPoly(field, [field.one])  # the zero ring: 1 = 0
+        rows = []  # (pivot, reduced vector, combination of powers), pivot entry 1
         fn = self.nf(f)
-        for k in range(1, d + 1):
-            current = self.mul(current, fn)
-            w = self.coords(current)
-            mat = [[powers[j][i] for j in range(len(powers))] for i in range(d)]
-            sol = _linalg.solve(mat, w, self.field)
-            if sol is not None:
-                coeffs = [-c for c in sol] + [self.field.one]
-                return UniPoly(self.field, coeffs)
-            powers.append(w)
+        current = self.one()
+        for k in range(self.dimension + 1):
+            if k:
+                current = self.mul(current, fn)
+            vec = self.coords(current)
+            comb = [field.zero] * k + [field.one]
+            for pivot, rvec, rcomb in rows:
+                c = vec[pivot]
+                if c.is_zero():
+                    continue
+                vec = [a - c * b for a, b in zip(vec, rvec)]
+                for j, b in enumerate(rcomb):
+                    comb[j] = comb[j] - c * b
+            pivot = next((i for i, a in enumerate(vec) if not a.is_zero()), None)
+            if pivot is None:
+                return UniPoly(field, comb)
+            inv = vec[pivot].inverse()
+            rows.append((pivot, [a * inv for a in vec], [a * inv for a in comb]))
         raise AssertionError("no dependency found below the dimension bound")
 
     @cached_property
@@ -283,7 +297,8 @@ def decompose_local(A: AlgebraPresentation):
         assert split is not None
         mu = B.min_poly(split)
         cs = roots_in(mu, field)
-        assert len(cs) == mu.degree >= 2, "fixed elements split over the stage"
+        if len(cs) != mu.degree or mu.degree < 2:
+            raise CertificateFailure("a fixed element does not split over the stage")
         eps = []
         for j, cj in enumerate(cs):
             num = B.one()

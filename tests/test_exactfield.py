@@ -1,8 +1,12 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
+from resweil import exactfield
 from resweil.errors import (
+    CertificateFailure,
     DegreeGuardExceeded,
     IncompatibleDegrees,
     NonPrime,
@@ -18,7 +22,10 @@ from resweil.exactfield import (
     is_irreducible,
     make_ext_field,
     roots_in,
+    stage_field,
 )
+
+ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
 
 
 # ----------------------------------------------------------------- oracles
@@ -267,6 +274,94 @@ def test_roots_count_matches_linear_factor_count():
         assert nlin >= ndist
 
 
+def _factor_roots(f, K):
+    """The reference: roots read off the linear factors of f over K."""
+    _, factors = factor_univariate(f.map_coefficients(K))
+    return sorted((-g.coeffs[0] for g, _ in factors if g.degree == 1),
+                  key=lambda r: r.label())
+
+
+def _random_poly(rng, F, deg):
+    coeffs = [F.element(tuple(rng.randrange(F.p) for _ in range(F.degree)))
+              for _ in range(deg)]
+    return UniPoly(F, coeffs + [F.one])
+
+
+def _repeated_factors(rng, F):
+    f = UniPoly(F, [F.one])
+    for _ in range(rng.randrange(1, 4)):
+        g = _random_poly(rng, F, rng.randrange(1, 3))
+        for _ in range(rng.randrange(1, 4)):
+            f = f * g
+    return f
+
+
+def _pth_power_shape(rng, F):
+    # a polynomial in y^p, so f' = 0: y^p - a and its relatives
+    h = _random_poly(rng, F, rng.randrange(1, 3))
+    coeffs = [F.zero] * (F.p * h.degree + 1)
+    for i, c in enumerate(h.coeffs):
+        coeffs[F.p * i] = c
+    return UniPoly(F, coeffs)
+
+
+def _vanishing_at_zero(rng, F):
+    power_of_y = UniPoly(F, [F.zero] * rng.randrange(1, 3) + [F.one])
+    return power_of_y * _random_poly(rng, F, rng.randrange(0, 5))
+
+
+SHAPES = {
+    "repeated-factors": _repeated_factors,
+    "derivative-zero": _pth_power_shape,
+    "zero-constant-term": _vanishing_at_zero,
+    "random": lambda rng, F: _random_poly(rng, F, rng.randrange(1, 9)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("p, base, stages", [
+    (3, 1, (1, 2, 3, 4, 5, 6)),
+    (5, 1, (1, 2, 3)),
+    (3, 2, (2, 4, 6)),
+    (5, 2, (2, 4)),
+], ids=["F3", "F5", "F9", "F25"])
+def test_roots_in_matches_factoring(shape, p, base, stages):
+    rng = random.Random("%s-%d-%d" % (shape, p, base))
+    F = stage_field(p, base)
+    for _ in range(6):
+        f = SHAPES[shape](rng, F)
+        for m in stages:
+            K = stage_field(p, m)
+            assert roots_in(f, K) == _factor_roots(f, K), (f, m)
+
+
+def test_roots_in_counts_match_the_plain_int_oracle():
+    spec = importlib.util.spec_from_file_location("bench_oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    rng = random.Random(8)
+    for p in (3, 5, 7):
+        F = PrimeField(p)
+        for shape in sorted(SHAPES):
+            for _ in range(3):
+                f = SHAPES[shape](rng, F)
+                ints = [c.coeffs[0] for c in f.coeffs]
+                for m in (1, 2, 3, 4):
+                    assert len(roots_in(f, stage_field(p, m))) == \
+                        oracles.roots_count(ints, m, p), (ints, m)
+
+
+def test_roots_in_degenerate_inputs():
+    F9 = make_ext_field(3, 2)
+    F81 = make_ext_field(3, 4)
+    with pytest.raises(ZeroPolynomial):
+        roots_in(UniPoly(F9, []), F81)
+    assert roots_in(UniPoly(F9, [F9.gen]), F81) == []
+    assert roots_in(UniPoly.from_ints(PrimeField(3), [2]), F9) == []
+    with pytest.raises(IncompatibleDegrees):
+        roots_in(UniPoly(F9, [F9.gen]), make_ext_field(3, 3))
+
+
 # --------------------------------------------------------------- embeddings
 
 def test_embed_constants():
@@ -309,3 +404,11 @@ def test_mixed_field_arithmetic_rejected():
     F9 = make_ext_field(3, 2)
     with pytest.raises(IncompatibleDegrees):
         F25.gen + F9.gen
+
+
+def test_embed_raises_when_the_modulus_has_no_root(monkeypatch):
+    # the F_9 modulus loses its roots in F_81
+    monkeypatch.setattr(exactfield, "_EMBED_CACHE", {})
+    monkeypatch.setattr(exactfield, "roots_in", lambda f, field: [])
+    with pytest.raises(CertificateFailure):
+        embed(make_ext_field(3, 2).gen, make_ext_field(3, 4))

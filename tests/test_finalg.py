@@ -2,11 +2,14 @@
 
 import itertools
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from resweil import _linalg, exactfield, finalg
 from resweil import (
+    INFINITE,
     AlgebraHom,
     AlgebraPresentation,
     MPoly,
@@ -17,11 +20,22 @@ from resweil import (
     etale_check,
     make_ext_field,
     product_algebra,
+    roots_in,
     stage_field,
     substitute_in_algebra,
     tensor_extend,
+    weil_restrict,
 )
-from resweil.errors import MixedFields, NotFinite, NotSquareSystem, ZeroRing
+from resweil.errors import (
+    CertificateFailure,
+    MixedFields,
+    NotFinite,
+    NotSquareSystem,
+    ZeroRing,
+)
+from resweil.versuite import parse_case
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -87,6 +101,89 @@ def test_min_poly():
     assert dual.min_poly(dual.one()) == UniPoly.from_ints(F5, [-1, 1])
 
 
+def _solve_rule_min_poly(B, f):
+    """The minimal polynomial the long way: one linear solve per power."""
+    d = B.dimension
+    powers = [B.coords(B.one())]
+    current = B.one()
+    for _ in range(d):
+        current = B.mul(current, B.nf(f))
+        w = B.coords(current)
+        mat = [[powers[j][i] for j in range(len(powers))] for i in range(d)]
+        sol = _linalg.solve(mat, w, B.field)
+        if sol is not None:
+            return UniPoly(B.field, [-c for c in sol] + [B.field.one])
+        powers.append(w)
+    raise AssertionError("no dependency found below the dimension bound")
+
+
+def _annihilates(B, mu, f):
+    acc = B.zero()
+    for c in reversed(mu.coeffs):
+        acc = B.mul(acc, f) + MPoly.constant(B.field, B.vars, c)
+    return B.nf(acc).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CASES.glob("*.case")))
+def test_min_poly_matches_the_solve_rule_on_the_corpus(name):
+    case = parse_case((CASES / (name + ".case")).read_text())
+    presentations = [case.algebra, coordinate_ring(case.scheme),
+                     weil_restrict(case.algebra, case.scheme).quotient]
+    checked = 0
+    for B in presentations:
+        if B.basis_monomials is INFINITE or B.dimension == 0:
+            continue
+        for v in B.vars:
+            mu = B.min_poly(B.var(v))
+            assert mu == _solve_rule_min_poly(B, B.var(v)), (name, B, v)
+            assert _annihilates(B, mu, B.var(v))
+            checked += 1
+    assert checked
+
+
+def _seeded_irreducible(rng, F, d):
+    while True:
+        f = tuple(rng.randrange(F.p) for _ in range(d)) + (1,)
+        if exactfield._zp_is_irreducible(f, F.p):
+            return UniPoly.from_ints(F, f)
+
+
+def test_points_kernel_is_cheap_on_a_points_stage_shape(monkeypatch):
+    # a points-stage request at (p, m) = (3, 4): f over F_3 of degree 64, a
+    # product of distinct irreducibles of these degrees; the factors of
+    # degree 1, 2 and 4 split over F_81, into 7 roots
+    F3 = PrimeField(3)
+    rng = random.Random(34)
+    f = UniPoly(F3, [F3.one])
+    for d in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16):
+        f = f * _seeded_irreducible(rng, F3, d)
+    assert f.degree == 64
+    y = MPoly.variable(F3, ("y",), "y")
+    rel = MPoly(F3, ("y",), {(i,): c for i, c in enumerate(f.coeffs)})
+    B = AlgebraPresentation(F3, ("y",), [rel])
+    calls = {"factor_univariate": 0, "_distinct_degree": 0, "solve": 0}
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(exactfield, "factor_univariate", "factor_univariate")
+    counting(exactfield, "_distinct_degree", "_distinct_degree")
+    counting(_linalg, "solve", "solve")
+    mu = B.min_poly(y)
+    K = make_ext_field(3, 4)
+    roots = roots_in(mu, K)
+    assert mu == f.monic()
+    assert len(roots) == 7
+    assert all(f.map_coefficients(K).evaluate(r).is_zero() for r in roots)
+    # full factoring over F_81 and one solve per power would show here
+    assert calls == {"factor_univariate": 0, "_distinct_degree": 0, "solve": 0}
+
+
 def test_inverse_and_units():
     dual = alg(F5, ["eps"], lambda e: [e * e])
     e = dual.var("eps")
@@ -124,6 +221,13 @@ def test_decompose_two_points():
     assert sorted(str(f.idempotent) for f in fs) == ["4*t + 1", "t"]
     for f in fs:
         assert f.presentation.dimension == 1
+
+
+def test_decompose_raises_when_a_fixed_element_loses_a_root(monkeypatch):
+    real = finalg.roots_in
+    monkeypatch.setattr(finalg, "roots_in", lambda f, field: real(f, field)[:-1])
+    with pytest.raises(CertificateFailure):
+        decompose_local(alg(F5, ["t"], lambda t: [t * t - t]))
 
 
 def test_decompose_field_stays_whole():

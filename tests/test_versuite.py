@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,7 +27,8 @@ from resweil.versuite import (
 )
 from resweil.versuite import verify
 
-CASES = Path(__file__).resolve().parent.parent / "cases"
+ROOT = Path(__file__).resolve().parent.parent
+CASES = ROOT / "cases"
 
 DUAL = """\
 case "dual-numbers-etale"
@@ -560,3 +564,17 @@ def test_cli_requires_subcommand():
     with pytest.raises(SystemExit) as ei:
         main([])
     assert ei.value.code == 2
+
+
+def test_cli_report_survives_optimized_mode():
+    # `python -O` strips every assert, so the verdicts must rest on raises
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    files = sorted(str(p) for p in CASES.glob("*.case"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "resweil.versuite.cli", "verify", "--json",
+         "--seed", "42"] + files, capture_output=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (ROOT / "tests" / "data"
+                           / "corpus-report-seed42.json").read_bytes()

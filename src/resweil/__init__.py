@@ -38,7 +38,6 @@ from .finalg import (  # noqa: F401
     EtaleCertificate,
     LocalFactor,
     ProductAlgebra,
-    coordinate_ring,
     decompose_local,
     etale_check,
     product_algebra,

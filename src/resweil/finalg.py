@@ -429,15 +429,6 @@ class EtaleCertificate:
     obstruction: MPoly | None
 
 
-def coordinate_ring(X) -> AlgebraPresentation:
-    """Total coordinate ring of a relative presentation, over the stage."""
-    base = X.base
-    allvars = tuple(base.vars) + tuple(X.vars)
-    rels = [r.extend_context(allvars) for r in base.relations]
-    rels += [r.extend_context(allvars) if r.vars != allvars else r for r in X.relations]
-    return AlgebraPresentation(base.field, allvars, rels)
-
-
 def _poly_det(rows, field, variables):
     n = len(rows)
     if n == 0:
@@ -455,20 +446,17 @@ def _poly_det(rows, field, variables):
 def etale_check(X) -> EtaleCertificate:
     """Square Jacobian test: the determinant must be a unit of the ring.
 
-    The certificate carries the inverse normal form when it exists and a
+    The ring is X's total coordinate ring, X.coordinate_ring.  The
+    certificate carries the inverse normal form when it exists and a
     nonzero annihilator of the determinant otherwise.
     """
     if len(X.relations) != len(X.vars):
         raise NotSquareSystem(
             "%d relations against %d scheme variables" % (len(X.relations), len(X.vars)))
-    B = coordinate_ring(X)
+    B = X.coordinate_ring
     d = B.dimension  # raises NotFinite when the quotient is infinite
-    allvars = B.vars
-    rows = []
-    for g in X.relations:
-        g = g.extend_context(allvars) if g.vars != allvars else g
-        rows.append([g.derivative(y) for y in X.vars])
-    det = B.nf(_poly_det(rows, B.field, allvars))
+    rows = [[g.derivative(y) for y in X.vars] for g in X.relations]
+    det = B.nf(_poly_det(rows, B.field, B.vars))
     if d == 0:
         return EtaleCertificate(True, det, B.zero(), None)
     inv = B.inverse(det)

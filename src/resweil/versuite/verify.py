@@ -8,13 +8,16 @@ rational; each check reads those objects.  N is read off the minimal
 polynomials of the coordinates of A, of X's total coordinate ring and
 of `R.quotient`: every presentation computes them once (`B.min_polys`),
 and the point solver reads the same ones at every stage.  Verification
-failures are recorded in the report, never raised; only resource guards
-escape.
+failures, a `CertificateFailure` included, are recorded in the report,
+never raised; only resource guards escape.
 
 The restriction owns its coordinate ring (`R.quotient`): the report,
 the stage rule and the left component set read it, and since it
 keeps its points per stage, the components, the adjunction check and
-the cover check (which takes R) share one solve per stage.  Lemma-local
+the cover check (which takes R) share one solve per stage.  X owns its
+total coordinate ring (`X.coordinate_ring`): the stage rule, the cover
+probe and `etale_check` read it, the last for the theorem precheck and
+for the adjunction route's solver at every stage.  Lemma-local
 reads the component data: one base point means a local base with
 rational residue, and the evaluation witness is then the reduction to
 the special fiber.  `reduction_map` stays public as the acceptance
@@ -36,6 +39,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import (
+    CertificateFailure,
     NotCovering,
     NotFinite,
     NotLocalBase,
@@ -44,12 +48,7 @@ from ..errors import (
     PositiveDimensionalFiber,
 )
 from ..exactfield import factor_univariate, stage_field
-from ..finalg import (
-    coordinate_ring,
-    decompose_local,
-    etale_check,
-    tensor_extend,
-)
+from ..finalg import decompose_local, etale_check, tensor_extend
 from ..gammaset import (
     evaluation_map,
     fiber,
@@ -84,11 +83,11 @@ def ambient_degree(A, X, R):
 
     A geometric point is rational over F_{p^N} exactly when each of its
     coordinates is, so N is the lcm of the irreducible factor degrees of
-    every coordinate's minimal polynomial, over the base algebra, the
-    total coordinate ring of X (whose points pair a base point with a
-    point of its fiber) and the restriction's coordinate ring.
+    every coordinate's minimal polynomial, over the base algebra, X's
+    total coordinate ring `X.coordinate_ring` (whose points pair a base
+    point with a point of its fiber) and the restriction's `R.quotient`.
     """
-    XB = coordinate_ring(X)
+    XB = X.coordinate_ring
     if XB.basis_monomials is INFINITE:
         raise PositiveDimensionalFiber("a fiber of X is not a finite point set")
     if R.quotient.basis_monomials is INFINITE:
@@ -379,7 +378,8 @@ def verify_case(case, seed=0):
     comp_error = None
     try:
         comp = compute_components(A, X, R)
-    except (NotZeroDimensional, PositiveDimensionalFiber, NotFinite) as e:
+    except (NotZeroDimensional, PositiveDimensionalFiber, NotFinite,
+            CertificateFailure) as e:
         comp_error = e
     if comp is not None:
         rep.S = {
@@ -421,22 +421,25 @@ def verify_case(case, seed=0):
         rep.checks.append(_expect_outcome(key, vals, comp, comp_error))
     for chk in case.checks:
         kind = chk[0]
-        if kind == "theorem":
-            out = _check_theorem(A, X, comp, comp_error)
-        elif kind == "lemma-local":
-            out = _check_lemma_local(comp, comp_error)
-        elif kind == "adjunction":
-            out = _check_adjunction(R, chk[1])
-        elif kind == "cover":
-            out = _check_cover(R, chk[1])
-        elif kind == "product":
-            out = _check_product(case.product, X)
-        elif kind == "empty":
-            out = _check_empty(R)
-        elif kind == "non-smooth":
-            out = _check_non_smooth(X, comp, comp_error)
-        else:
-            raise AssertionError("unknown check %r" % (chk,))
+        try:
+            if kind == "theorem":
+                out = _check_theorem(A, X, comp, comp_error)
+            elif kind == "lemma-local":
+                out = _check_lemma_local(comp, comp_error)
+            elif kind == "adjunction":
+                out = _check_adjunction(R, chk[1])
+            elif kind == "cover":
+                out = _check_cover(R, chk[1])
+            elif kind == "product":
+                out = _check_product(case.product, X)
+            elif kind == "empty":
+                out = _check_empty(R)
+            elif kind == "non-smooth":
+                out = _check_non_smooth(X, comp, comp_error)
+            else:
+                raise AssertionError("unknown check %r" % (chk,))
+        except CertificateFailure as e:
+            out = CheckOutcome(kind, False, "certificate failure: %s" % e)
         rep.checks.append(out)
     t3 = time.perf_counter()
     rep.timings_ms = {

@@ -18,6 +18,7 @@ from functools import cached_property
 
 from . import _linalg
 from .errors import (
+    CertificateFailure,
     EmptyBase,
     MixedFields,
     NotCovering,
@@ -29,7 +30,6 @@ from .exactfield import PrimeField, embed, roots_in, stage_field
 from .finalg import (
     AlgebraPresentation,
     ProductAlgebra,
-    coordinate_ring,
     decompose_local,
     etale_check,
     substitute_in_algebra,
@@ -79,6 +79,13 @@ class SchemePresentation:
     def field(self):
         return self.base.field
 
+    @cached_property
+    def coordinate_ring(self) -> AlgebraPresentation:
+        """The total coordinate ring over the stage, built once for every reader."""
+        rels = [r.extend_context(self.all_vars) for r in self.base.relations]
+        return AlgebraPresentation(self.field, self.all_vars,
+                                   rels + list(self.relations))
+
     def __repr__(self):
         return "SchemePresentation(vars=%r, %d relations over %r)" % (
             self.vars, len(self.relations), self.base)
@@ -121,17 +128,14 @@ class RestrictedScheme:
 
 
 def _restricted_names(scheme_vars, d, forbidden):
-    for sep in ("", "_"):
-        names = []
-        table = {}
-        for sv in scheme_vars:
-            for b in range(d):
-                name = "%s%s%d" % (sv, sep, b)
-                names.append(name)
-                table[(sv, b)] = name
+    # lengthen the separator until the names are distinct and free; past
+    # the longest variable name no two of them can collide
+    for k in itertools.count():
+        table = {(sv, b): "%s%s%d" % (sv, "_" * k, b)
+                 for sv in scheme_vars for b in range(d)}
+        names = list(table.values())
         if len(set(names)) == len(names) and not (set(names) & set(forbidden)):
             return names, table
-    raise AssertionError("could not pick distinct coordinate names")
 
 
 def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
@@ -387,7 +391,8 @@ def _local_solve(B, M, rhs):
             if inv is not None:
                 piv, pinv = r, inv
                 break
-        assert piv is not None, "no unit pivot available"
+        if piv is None:
+            raise CertificateFailure("no unit pivot available")
         rows[col], rows[piv] = rows[piv], rows[col]
         rows[col] = [B.mul(pinv, e) for e in rows[col]]
         for r in range(n):
@@ -415,7 +420,7 @@ def _newton_lift(X, Bf, dgdy, start):
              for i in range(len(X.relations))]
         delta = _local_solve(Bf, J, vals)
         current = [Bf.nf(c - dlt) for c, dlt in zip(current, delta)]
-    raise AssertionError("correction loop failed to terminate")
+    raise CertificateFailure("correction loop failed to terminate")
 
 
 def _algebra_points_smooth(X, AK):
@@ -429,7 +434,8 @@ def _algebra_points_smooth(X, AK):
         Bf = f.presentation
         Lf = stage_field(K.p, K.degree * f.residue_degree)
         rho_pts = zero_dim_solve(Bf, Lf)
-        assert rho_pts, "a local factor always maps onto its residue stage"
+        if not rho_pts:
+            raise CertificateFailure("a local factor has no residue point")
         rho = dict(zip(Bf.vars, rho_pts[0]))
         ybars = zero_dim_solve(fiber_presentation(X, rho_pts[0], Lf), Lf)
 
@@ -448,7 +454,8 @@ def _algebra_points_smooth(X, AK):
             for val in ybar:
                 target = relative_coords(val, K, Lf)
                 sol = _linalg.solve(sect, target, K)
-                assert sol is not None, "residue map is onto"
+                if sol is None:
+                    raise CertificateFailure("the residue map is not onto")
                 start.append(Bf.from_coords(sol))
             pts_f.append(_newton_lift(X, Bf, dgdy, start))
         per.append(pts_f)
@@ -466,8 +473,9 @@ def _algebra_points_smooth(X, AK):
     for pt in out:
         assign = dict(tassign)
         assign.update(zip(X.vars, pt))
-        for g in X.relations:
-            assert substitute_in_algebra(AK, g, assign).is_zero()
+        if not all(substitute_in_algebra(AK, g, assign).is_zero()
+                   for g in X.relations):
+            raise CertificateFailure("a lifted point does not solve X")
     out.sort(key=_point_label)
     return out
 
@@ -497,8 +505,8 @@ def _algebra_points_bruteforce(X, AK):
 def algebra_points(X: SchemePresentation, K=None):
     """Solutions of X with coordinates in (base algebra) tensor K.
 
-    For a square system that is smooth over the extended base this runs
-    factor by local factor: solve at residue level, correct through the
+    For a square system that is smooth over its base this runs factor
+    by local factor: solve at residue level, correct through the
     nilpotents, recombine along the idempotents.  Anything else falls
     back to guarded exhaustion.  Each point is a tuple of reduced
     algebra elements, in label order.
@@ -514,13 +522,13 @@ def algebra_points(X: SchemePresentation, K=None):
                  for g in X.relations)
         return [()] if ok else []
     if len(X.relations) == len(X.vars):
+        # X is smooth over A tensor K exactly when it is over A: one reduced
+        # Groebner basis, and the unit test is linear over the stage
         try:
-            rels = (X.relations if K == A.field
-                    else [g.map_coefficients(K) for g in X.relations])
-            cert = etale_check(SchemePresentation(AK, X.vars, rels))
+            smooth = etale_check(X).ok
         except NotFinite:
-            cert = None
-        if cert is not None and cert.ok:
+            smooth = False
+        if smooth:
             return _algebra_points_smooth(X, AK)
     return _algebra_points_bruteforce(X, AK)
 
@@ -663,7 +671,7 @@ def open_cover_check(R: RestrictedScheme, hs,
     if len(factors) != 1 or factors[0].residue_degree != 1:
         raise NotLocalBase(
             "the covering comparison needs a local base with rational residue")
-    B = coordinate_ring(X)
+    B = X.coordinate_ring
     ctx = B.vars
     hs = [h if h.vars == ctx else h.extend_context(ctx) for h in hs]
     probe = AlgebraPresentation(A.field, ctx, list(B.relations) + list(hs))

@@ -3,7 +3,6 @@
 import itertools
 import random
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -14,8 +13,8 @@ from resweil import (
     AlgebraPresentation,
     MPoly,
     PrimeField,
+    SchemePresentation,
     UniPoly,
-    coordinate_ring,
     decompose_local,
     etale_check,
     make_ext_field,
@@ -127,7 +126,7 @@ def _annihilates(B, mu, f):
 @pytest.mark.parametrize("name", sorted(p.stem for p in CASES.glob("*.case")))
 def test_min_poly_matches_the_solve_rule_on_the_corpus(name):
     case = parse_case((CASES / (name + ".case")).read_text())
-    presentations = [case.algebra, coordinate_ring(case.scheme),
+    presentations = [case.algebra, case.scheme.coordinate_ring,
                      weil_restrict(case.algebra, case.scheme).quotient]
     checked = 0
     for B in presentations:
@@ -402,10 +401,10 @@ def test_etale_certificate_positive():
     ctx = ("t", "y")
     y = MPoly.variable(F5, ctx, "y")
     t = MPoly.variable(F5, ctx, "t")
-    X = SimpleNamespace(base=quad, vars=("y",), relations=[y * y - t])
+    X = SchemePresentation(quad, ("y",), [y * y - t])
     cert = etale_check(X)
     assert cert.ok and cert.obstruction is None
-    B = coordinate_ring(X)
+    B = X.coordinate_ring
     assert B.mul(cert.jacobian_det, cert.inverse) == B.one()
 
 
@@ -414,10 +413,10 @@ def test_etale_certificate_negative():
     ctx = ("eps", "y")
     y = MPoly.variable(F5, ctx, "y")
     e = MPoly.variable(F5, ctx, "eps")
-    X = SimpleNamespace(base=dual, vars=("y",), relations=[y * y - e])
+    X = SchemePresentation(dual, ("y",), [y * y - e])
     cert = etale_check(X)
     assert not cert.ok and cert.inverse is None
-    B = coordinate_ring(X)
+    B = X.coordinate_ring
     assert not cert.obstruction.is_zero()
     assert B.mul(cert.jacobian_det, cert.obstruction).is_zero()
 
@@ -425,7 +424,7 @@ def test_etale_certificate_negative():
 def test_etale_not_square():
     dual = alg(F5, ["eps"], lambda e: [e * e])
     e = MPoly.variable(F5, ("eps",), "eps")
-    X = SimpleNamespace(base=dual, vars=(), relations=[e])
+    X = SchemePresentation(dual, (), [e])
     with pytest.raises(NotSquareSystem):
         etale_check(X)
 
@@ -435,8 +434,7 @@ def test_etale_not_finite():
     ctx = ("y", "z")
     y = MPoly.variable(F5, ctx, "y")
     z = MPoly.variable(F5, ctx, "z")
-    X = SimpleNamespace(base=base, vars=("y", "z"),
-                        relations=[y * z - 1, MPoly.zero(F5, ctx)])
+    X = SchemePresentation(base, ("y", "z"), [y * z - 1, MPoly.zero(F5, ctx)])
     with pytest.raises(NotFinite):
         etale_check(X)
 
@@ -446,11 +444,10 @@ def test_etale_multivariable():
     ctx = ("y0", "y1")
     a = MPoly.variable(F7, ctx, "y0")
     b = MPoly.variable(F7, ctx, "y1")
-    X = SimpleNamespace(base=base, vars=ctx,
-                        relations=[a * a - 3, b * b * b - a])
+    X = SchemePresentation(base, ctx, [a * a - 3, b * b * b - a])
     cert = etale_check(X)
     assert cert.ok
-    B = coordinate_ring(X)
+    B = X.coordinate_ring
     assert B.mul(cert.jacobian_det, cert.inverse) == B.one()
 
 
@@ -459,8 +456,8 @@ def test_coordinate_ring_merges_contexts():
     ctx = ("eps", "y")
     y = MPoly.variable(F5, ctx, "y")
     e = MPoly.variable(F5, ctx, "eps")
-    X = SimpleNamespace(base=dual, vars=("y",), relations=[y * y - y - e])
-    B = coordinate_ring(X)
+    X = SchemePresentation(dual, ("y",), [y * y - y - e])
+    B = X.coordinate_ring
     assert B.vars == ("eps", "y")
     assert B.dimension == 4
 

@@ -1,10 +1,13 @@
-"""Every name a module imports is read in that module.
+"""Every name a module imports is read in that module, and every private
+module-level function is read somewhere in the package.
 
-Package `__init__` modules import to re-export, so they are left out;
-`from __future__` imports change the compiler, not the namespace.
+Package `__init__` modules import to re-export, so the import check
+leaves them out; `from __future__` imports change the compiler, not the
+namespace.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,23 @@ def test_modules_are_found():
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unread_imports(tree) == []
+
+
+def _names_read(node):
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_function_is_referenced():
+    # module-level `_name` functions only; methods are left out, since
+    # the case parser dispatches its `_dir_*` methods by name
+    trees = [(path, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.rglob("*.py"))]
+    private = [(path, fn) for path, tree in trees for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")]
+    assert len(private) >= 10
+    read = sum((_names_read(tree) for _, tree in trees), Counter())
+    unread = [(str(path.relative_to(SRC)), fn.name) for path, fn in private
+              if read[fn.name] == _names_read(fn)[fn.name]]
+    assert unread == []

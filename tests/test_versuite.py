@@ -11,7 +11,12 @@ import pytest
 
 from resweil import AlgebraPresentation, MPoly, PrimeField, weil_restrict
 from resweil import weilres
-from resweil.errors import CaseSyntaxError, NonPrime, UndeclaredVariable
+from resweil.errors import (
+    CaseSyntaxError,
+    CertificateFailure,
+    NonPrime,
+    UndeclaredVariable,
+)
 from resweil.exactfield import stage_field
 from resweil.finalg import decompose_local
 from resweil.gammaset import pi0_points
@@ -393,6 +398,27 @@ def test_compute_components_builds_each_fiber_once(monkeypatch, name):
     assert stages == [comp.N] * len(comp.S)
 
 
+def test_verify_case_builds_the_total_coordinate_ring_once(monkeypatch):
+    # X's total coordinate ring and the cover probe are the only
+    # presentations over A.vars + X.vars: the adjunction route reads X's
+    # own certificate at every stage and builds no ring over A tensor K
+    case = parse_case(Path(corpus("dual-numbers-etale")).read_text())
+    ctx = tuple(case.algebra.vars) + tuple(case.scheme.vars)
+    stages = []
+    init = AlgebraPresentation.__init__
+
+    def noting_init(self, field, variables, relations, *args, **kwargs):
+        variables = tuple(variables)
+        if variables == ctx:
+            stages.append(field.degree)
+        init(self, field, variables, relations, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraPresentation, "__init__", noting_init)
+    rep = verify_case(case)
+    assert rep.ok()
+    assert stages == [1, 1]
+
+
 # ------------------------------------------------------------- the suite
 
 def test_suite_runs_in_name_order():
@@ -439,6 +465,83 @@ def test_infinite_coordinate_ring_fails_the_theorem_check(tmp_path, check):
     if check == "lemma-local":
         assert out[0].detail == (
             "no component data: a fiber of X is not a finite point set")
+
+
+NAME_CLASH = """\
+case "name-clash"
+field p = 5
+algebra A : vars y0, y_0 ; rels y0, y_0
+scheme X : vars y ; rels y - 1
+checks theorem, adjunction(1, 2), lemma-local
+"""
+
+
+def test_restricted_names_avoid_every_base_variable(tmp_path):
+    # y0 and y_0 are both base variables, so the coordinate of y needs a
+    # longer separator; the case verifies like any other
+    clash = tmp_path / "name-clash.case"
+    clash.write_text(NAME_CLASH)
+    result = run_suite([corpus("dual-numbers-etale"), str(clash)])
+    assert result.exit_code == 0 and not result.problems
+    assert [r.case for r in result.reports] == [
+        "dual-numbers-etale", "name-clash"]
+    assert result.reports[1].restriction["vars"] == ["y__0"]
+    assert [c.name for c in result.reports[1].checks] == [
+        "theorem", "adjunction", "lemma-local"]
+
+
+def test_certificate_failure_in_a_check_fails_that_check(monkeypatch):
+    # a correction step that never moves leaves dual-numbers-etale's
+    # residue points unlifted; quadratic-field-cover's base is a field, so
+    # its points need no correction and its checks still pass
+    monkeypatch.setattr(weilres, "_local_solve",
+                        lambda B, M, rhs: [B.zero() for _ in rhs])
+    result = run_suite([corpus("dual-numbers-etale"),
+                        corpus("quadratic-field-cover")])
+    assert result.exit_code == 1 and not result.problems
+    dual, quad = result.reports
+    assert quad.ok()
+    failed = [c for c in dual.checks if not c.ok]
+    assert [(c.name, c.detail) for c in failed] == [(
+        "adjunction",
+        "certificate failure: correction loop failed to terminate")]
+    assert len(dual.checks) == 8
+
+
+def test_certificate_failure_in_the_components_fails_their_readers(monkeypatch):
+    def failing_evaluation_map(*args):
+        raise CertificateFailure("the evaluation map is not equivariant")
+
+    monkeypatch.setattr(verify, "evaluation_map", failing_evaluation_map)
+    result = run_suite([corpus("dual-numbers-etale")])
+    assert result.exit_code == 1 and not result.problems
+    (rep,) = result.reports
+    assert rep.S is None
+    why = "no component data: the evaluation map is not equivariant"
+    by_name = {c.name: c for c in rep.checks}
+    for name in ("expect S", "theorem", "lemma-local"):
+        assert not by_name[name].ok and by_name[name].detail == why
+    assert by_name["adjunction"].ok and by_name["cover"].ok
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    ("_local_solve", "correction loop failed to terminate"),
+    ("_newton_lift", "a lifted point does not solve X"),
+])
+def test_corrupted_adjunction_route_fails_the_check(monkeypatch, corrupt,
+                                                    reason):
+    # a wrong correction, or residue points passed on unlifted, must
+    # fail the adjunction check with the certificate's reason
+    wrong = {
+        "_local_solve": lambda B, M, rhs: [B.one() for _ in rhs],
+        "_newton_lift": lambda X, Bf, dgdy, start: tuple(start),
+    }
+    monkeypatch.setattr(weilres, corrupt, wrong[corrupt])
+    rep = verify_case(parse_case(DUAL))
+    adj = [c for c in rep.checks if c.name == "adjunction"]
+    assert [(c.ok, c.detail) for c in adj] == [
+        (False, "certificate failure: " + reason)]
+    assert all(c.ok for c in rep.checks if c.name != "adjunction")
 
 
 ZERO_RING = """\

@@ -13,6 +13,7 @@ from resweil import (
     SchemePresentation,
     adjunction_check,
     algebra_points,
+    etale_check,
     enumerate_points,
     make_ext_field,
     open_cover_check,
@@ -26,9 +27,12 @@ from resweil import (
     zero_dim_solve,
 )
 from resweil.errors import (
+    CertificateFailure,
     EmptyBase,
     NotCovering,
+    NotFinite,
     NotLocalBase,
+    NotSquareSystem,
     SearchGuardExceeded,
 )
 from resweil import weilres
@@ -268,6 +272,46 @@ def test_algebra_points_no_unknowns():
     broken = SchemePresentation(A, (), [MPoly.variable(F5, ("eps",), "eps")])
     assert algebra_points(consistent) == [()]
     assert algebra_points(broken) == []
+
+
+def _etale_verdict(X):
+    try:
+        return etale_check(X).ok
+    except (NotFinite, NotSquareSystem) as e:
+        return type(e)
+
+
+# beside the corpus (all smooth but one non-square system): a
+# determinant that is not a unit, and an infinite coordinate ring
+VERDICT_CASES = {p.stem: p.read_text() for p in CASES.glob("*.case")}
+VERDICT_CASES.update({
+    "nilpotent-determinant": 'case "nilpotent-determinant"\nfield p = 5\n'
+    "algebra A : vars eps ; rels eps^2\nscheme X : vars y ; rels y^2 - eps\n",
+    "infinite-square": 'case "infinite-square"\nfield p = 5\n'
+    "algebra A : vars eps ; rels eps^2\n"
+    "scheme X : vars y, z ; rels y - z, 2*y - 2*z\n",
+})
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_CASES))
+def test_etale_verdict_is_the_same_over_every_stage(name):
+    # algebra_points reads X's own certificate at every stage; the verdict
+    # of the extended presentation over A tensor K must be the same
+    case = parse_case(VERDICT_CASES[name])
+    A, X = case.algebra, case.scheme
+    verdict = _etale_verdict(X)
+    for m in (1, 2, 3):
+        K = stage_field(A.field.p, m)
+        rels = [g.map_coefficients(K) for g in X.relations]
+        XK = SchemePresentation(tensor_extend(A, K), X.vars, rels)
+        assert _etale_verdict(XK) == verdict, (name, m)
+
+
+def test_local_solve_needs_a_unit_pivot():
+    A = algebra(F7, ["eps"], lambda e: [e * e])
+    eps = A.nf(A.var("eps"))
+    with pytest.raises(CertificateFailure, match="no unit pivot"):
+        weilres._local_solve(A, [[eps]], [A.one()])
 
 
 def test_adjunction_dual_and_quadratic():

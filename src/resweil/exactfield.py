@@ -10,6 +10,26 @@ lexicographic order on those vectors.
 The characteristic is kept odd and below 2**31 so that equal-degree
 splitting can use the classical quadratic-residue trick and single word
 arithmetic stays exact.
+
+Root finding (`roots_in`), the irreducibility test that picks each
+modulus and the Frobenius image of the generator run on `_Packed`, a
+kernel on plain ints.  A stage element c_0 + ... + c_{m-1} a^(m-1) is one
+int with a k-bit slot per coefficient, so the product of two elements is
+one C-level multiply whose 2m - 1 slots hold the unreduced coefficients
+of their product.  Sums of such products are left unreduced; an element
+is reduced (each slot mod p, then the high slots folded back through
+a^(m+t) mod the modulus) only when it is read: a leading coefficient
+during division, or the end of a product.  k is the bit length of
+(2D + 2) m p^2 for polynomials of degree up to D: no slot of a product of
+two remainders plus a division by a polynomial of degree D reaches it,
+so slots never carry into each other.  The prime stage is m = 1, and the
+same code serves every p < 2**31 and m <= 24.  There are no Zech-log
+tables: stages reach 7^6 elements for a handful of calls, so a table
+would cost more to build in a fresh process than it saves, and stages
+beyond any table size would need a second path.
+`FieldElement` and `UniPoly` stay the API and the reference arithmetic;
+`factor_univariate` on them is the independent route the tests compare
+`roots_in` with.
 """
 
 from __future__ import annotations
@@ -65,16 +85,6 @@ def _trim(c):
     return tuple(c[:i])
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return _trim(out)
-
-
 def _psub(a, b, p):
     n = max(len(a), len(b))
     out = [0] * n
@@ -98,7 +108,8 @@ def _pmul(a, b, p):
 
 
 def _pdivmod(a, b, p):
-    assert b, "division by zero polynomial"
+    if not b:
+        raise ZeroPolynomial("division by the zero polynomial")
     lead = b[-1]
     inv = pow(lead, p - 2, p)
     rem = list(a)
@@ -115,30 +126,6 @@ def _pdivmod(a, b, p):
         for j in range(len(b)):
             rem[i - db + j] = (rem[i - db + j] - q * b[j]) % p
     return _trim(quo), _trim(rem)
-
-
-def _pmulmod(a, b, mod, p):
-    return _pdivmod(_pmul(a, b, p), mod, p)[1]
-
-
-def _ppowmod(a, e, mod, p):
-    result = (1,)
-    base = _pdivmod(a, mod, p)[1]
-    while e > 0:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple(c * inv % p for c in a)
-    return a
 
 
 def _pgcdext(a, b, p):
@@ -161,19 +148,20 @@ def _zp_is_irreducible(f, p):
     m = len(f) - 1
     if m < 1:
         return False
+    # over the prime stage a packed coefficient is the residue itself
+    S = _Packed(p, (0, 1), m)
     x = (0, 1)
     # x^(p^m) == x mod f
     power = x
     for _ in range(m):
-        power = _ppowmod(power, p, f, p)
-    if power != _pdivmod(x, f, p)[1]:
+        power = S.powmod(power, p, f)
+    if power != S.divmod(x, f)[1]:
         return False
     for ell in _prime_divisors(m):
         power = x
         for _ in range(m // ell):
-            power = _ppowmod(power, p, f, p)
-        g = _pgcd(_psub(power, x, p), f, p)
-        if g != (1,):
+            power = S.powmod(power, p, f)
+        if S.gcd(S.sub(power, x), f) != (1,):
             return False
     return True
 
@@ -190,6 +178,157 @@ def _prime_divisors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+# ---------------------------------------------------------------------------
+# packed stage arithmetic: the kernel of root finding
+
+class _Packed:
+    """Polynomials over one stage F_p[a]/(mod), each coefficient one int.
+
+    The coefficient c_0 + c_1 a + ... + c_{m-1} a^(m-1) is packed as
+    sum c_i 2^(k i), so the product of two coefficients is one int
+    multiply whose k-bit slots hold the 2m - 1 coefficients of their
+    product in F_p[a].  Sums of such products are left unreduced, and a
+    coefficient is reduced, each slot mod p and then the slots from m
+    on folded back through a^(m + t) mod the modulus, only where it is
+    read: a leading coefficient during division, a remainder, or a
+    value returned.  Polynomials are tuples of reduced coefficients, low
+    degree first and trimmed, except the unreduced product `mul`
+    returns.  The prime stage is m = 1 with the modulus a.
+    """
+
+    __slots__ = ("p", "m", "mod", "k", "mask", "narrow", "high", "ps", "fold")
+
+    def __init__(self, p, mod, degree):
+        m = len(mod) - 1
+        # An unreduced slot sums at most 2 * degree + 2 products of two
+        # coefficients, each below m p^2 in every slot: a product of two
+        # polynomials of degree below `degree`, then the rows of a
+        # division by one of degree `degree`.  k bits hold that bound, so
+        # no slot carries into the next.
+        self.k = ((2 * degree + 2) * m * p * p).bit_length()
+        self.mask = (1 << self.k) - 1
+        self.p, self.m, self.mod = p, m, mod
+        slots = range(0, (2 * m - 1) * self.k, self.k)
+        self.narrow, self.high = slots[:m], slots[m:]
+        # p in every slot: x + ps - y is x - y without a borrow
+        self.ps = self.pack([p] * m)
+        # fold[t] = a^(m + t) mod the modulus
+        self.fold = []
+        top = [(-c) % p for c in mod[:m]]
+        for _ in range(m - 1):
+            self.fold.append(self.pack(top))
+            lead, top = top[-1], [0] + top[:-1]
+            top = [(c - lead * d) % p for c, d in zip(top, mod)]
+
+    def pack(self, cs):
+        x = 0
+        for c in reversed(cs):
+            x = x << self.k | c
+        return x
+
+    def unpack(self, x):
+        mask = self.mask
+        return tuple(x >> s & mask for s in self.narrow)
+
+    def reduce(self, x):
+        p, mask, k = self.p, self.mask, self.k
+        low = [(x >> t & mask) % p for t in self.narrow]
+        high = [(x >> t & mask) % p for t in self.high]
+        if any(high):
+            x = sum(c * a for c, a in zip(high, self.fold))
+            low = [(c + (x >> t & mask)) % p for c, t in zip(low, self.narrow)]
+        x = 0
+        for c in reversed(low):
+            x = x << k | c
+        return x
+
+    def inverse(self, x):
+        if x <= self.mask:  # an element of F_p
+            return pow(x, self.p - 2, self.p)
+        return self.pack(_pgcdext(_trim(self.unpack(x)), self.mod, self.p)[1])
+
+    def sub(self, a, b):
+        n = max(len(a), len(b))
+        a = tuple(a) + (0,) * (n - len(a))
+        b = tuple(b) + (0,) * (n - len(b))
+        ps, red = self.ps, self.reduce
+        return _trim([red(x + ps - y) for x, y in zip(a, b)])
+
+    def mul(self, a, b):
+        """The product of a and b with unreduced coefficients."""
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return out
+
+    def divmod(self, a, b):
+        """Quotient and remainder of a by b != 0; a may be unreduced."""
+        red, ps = self.reduce, self.ps
+        db = len(b) - 1
+        inv = self.inverse(b[-1])
+        rem = list(a)
+        quo = [0] * max(len(a) - db, 0)
+        low = b[:-1]
+        for i in range(len(a) - 1, db - 1, -1):
+            c = red(rem[i])
+            if c:
+                q = quo[i - db] = c if inv == 1 else red(c * inv)
+                nq = ps - q
+                for j, y in enumerate(low, i - db):
+                    rem[j] += nq * y
+        return _trim(quo), _trim([red(c) for c in rem[:db]])
+
+    def monic(self, a):
+        if not a:
+            return a
+        inv = self.inverse(a[-1])
+        if inv == 1:
+            return a
+        return tuple(self.reduce(c * inv) for c in a)
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a)
+
+    def powmod(self, a, e, f):
+        result = self.divmod((1,), f)[1]
+        base = self.divmod(a, f)[1]
+        while e:
+            if e & 1:
+                result = self.divmod(self.mul(result, base), f)[1]
+            e >>= 1
+            if e:
+                base = self.divmod(self.mul(base, base), f)[1]
+        return result
+
+    def split_linear(self, g, rng):
+        """Cantor-Zassenhaus: the linear factors of a monic g that is a
+        product of distinct linear factors; the draws from rng are those
+        of `_equal_degree_split` on the same g."""
+        d = len(g) - 1
+        if d == 1:
+            return [g]
+        p, m = self.p, self.m
+        half = (p ** m - 1) // 2
+        while True:
+            r = _trim([self.pack([rng.randrange(p) for _ in range(m)])
+                       for _ in range(d)])
+            if len(r) < 2:
+                continue
+            a = self.gcd(r, g)
+            if not 0 < len(a) - 1 < d:
+                a = self.gcd(self.sub(self.powmod(r, half, g), (1,)), g)
+                if not 0 < len(a) - 1 < d:
+                    continue
+            b = self.divmod(g, a)[0]
+            return self.split_linear(a, rng) + self.split_linear(b, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +358,8 @@ class FieldElement:
         if o is None:
             return NotImplemented
         p = self.field.p
-        c = _padd(self.coeffs, o.coeffs, p)
-        return FieldElement(self.field, self.field._pad(c))
+        return FieldElement(self.field, tuple(
+            (a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -228,8 +367,9 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c = _psub(self.coeffs, o.coeffs, self.field.p)
-        return FieldElement(self.field, self.field._pad(c))
+        p = self.field.p
+        return FieldElement(self.field, tuple(
+            (a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -291,7 +431,7 @@ class FieldElement:
         return result
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def label(self):
         """Canonical sortable label: the coefficient vector itself."""
@@ -319,6 +459,7 @@ class PrimeField:
 
     __slots__ = ("p", "zero", "one")
     degree = 1
+    modulus = (0, 1)  # F_p is F_p[x]/(x)
 
     def __init__(self, p):
         if not isinstance(p, int) or not _is_prime(p):
@@ -340,7 +481,9 @@ class PrimeField:
         return FieldElement(self, (a % self.p,))
 
     def element(self, coeffs):
-        assert len(coeffs) == 1
+        if len(coeffs) != 1:
+            raise IncompatibleDegrees(
+                "%d coefficients for an element of F_%d" % (len(coeffs), self.p))
         return FieldElement(self, (coeffs[0] % self.p,))
 
     def __iter__(self):
@@ -373,7 +516,8 @@ class ExtField:
         self.one = FieldElement(self, self._pad((1,)))
         self.gen = FieldElement(self, self._pad((0, 1))) if degree > 1 else self.one
         # image of the generator under x -> x^p, used to apply Frobenius fast
-        self._frob_gen = FieldElement(self, self._pad(_ppowmod((0, 1), self.p, modulus, self.p)))
+        S = _Packed(self.p, PrimeField.modulus, degree)
+        self._frob_gen = FieldElement(self, self._pad(S.powmod((0, 1), self.p, modulus)))
 
     @property
     def order(self):
@@ -392,7 +536,9 @@ class ExtField:
         return FieldElement(self, self._pad((a % self.p,)))
 
     def element(self, coeffs):
-        assert len(coeffs) <= self.degree
+        if len(coeffs) > self.degree:
+            raise IncompatibleDegrees("%d coefficients for an element of %r"
+                                      % (len(coeffs), self))
         return FieldElement(self, self._pad(tuple(c % self.p for c in coeffs)))
 
     def __iter__(self):
@@ -451,7 +597,8 @@ def _search_modulus(p, m):
         return None
 
     f = rec([])
-    assert f is not None, "no irreducible of degree %d over F_%d" % (m, p)
+    if f is None:
+        raise CertificateFailure("no irreducible of degree %d over F_%d" % (m, p))
     return f
 
 
@@ -797,17 +944,23 @@ def roots_in(f: UniPoly, field) -> list:
     stage K.  The gcd g = gcd(f, x^|K| - x) is taken over F: it is
     squarefree and has exactly the roots of f in K, so after mapping g
     into K an equal-degree split into linear factors reads them off,
-    without factoring f.
+    without factoring f.  All of it runs on packed coefficients
+    (`_Packed`); only the roots come back as field elements.
     """
     if f.is_zero():
         raise ZeroPolynomial("roots of the zero polynomial")
     F = f.field
-    x = UniPoly(F, [F.zero, F.one])
-    g = f.gcd(x.pow_mod(field.order, f) - x)
+    S = _Packed(F.p, F.modulus, f.degree)
+    fp = S.monic(tuple(S.pack(c.coeffs) for c in f.coeffs))
+    x = (0, 1)
+    g = S.gcd(fp, S.sub(S.powmod(x, field.order, fp), x))
     if F != field:
-        g = g.map_coefficients(field)
-    if g.degree < 1:
+        T = _Packed(field.p, field.modulus, len(g) - 1)
+        g = tuple(T.pack(embed(FieldElement(F, S.unpack(c)), field).coeffs)
+                  for c in g)
+        S = T
+    if len(g) < 2:
         return []
-    out = [-h.coeffs[0] for h in _equal_degree_split(g, 1, random.Random(0))]
-    out.sort(key=lambda r: r.label())
-    return out
+    roots = sorted(S.unpack(S.reduce(S.ps - h[0]))
+                   for h in S.split_linear(g, random.Random(0)))
+    return [FieldElement(field, r) for r in roots]

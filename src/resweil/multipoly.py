@@ -209,19 +209,21 @@ class MPoly:
 
     def evaluate(self, values):
         """Evaluate with a dict var -> FieldElement over the same field."""
+        # powers[i][e - 1] is the value of vars[i] to the e, one multiply
+        # per exponent step up to the largest exponent of vars[i]
+        powers = []
+        for i, v in enumerate(self.vars):
+            top = max((m[i] for m in self.terms), default=0)
+            row = [values[v]] if top else []
+            while len(row) < top:
+                row.append(row[-1] * row[0])
+            powers.append(row)
         acc = self.field.zero
-        cache = {}
-        for m, c in sorted(self.terms.items(), key=lambda t: drl_key(t[0])):
+        for m, c in self.terms.items():
             term = c
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                key = (i, e)
-                powv = cache.get(key)
-                if powv is None:
-                    powv = values[self.vars[i]] ** e
-                    cache[key] = powv
-                term = term * powv
+            for row, e in zip(powers, m):
+                if e:
+                    term = term * row[e - 1]
             acc = acc + term
         return acc
 

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from resweil.errors import (
 )
 from resweil.exactfield import (
     ExtField,
+    FieldElement,
     PrimeField,
     UniPoly,
     embed,
@@ -25,7 +27,15 @@ from resweil.exactfield import (
     stage_field,
 )
 
-ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+ORACLES = BENCH / "oracles.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ----------------------------------------------------------------- oracles
@@ -85,6 +95,33 @@ def test_more_moduli_match_oracle():
 
 def test_field_memoized():
     assert make_ext_field(5, 2) is make_ext_field(5, 2)
+
+
+@pytest.mark.parametrize("p, degrees", [
+    (3, range(2, 7)), (5, range(2, 5)), (7, range(2, 4)), (65521, (2,)),
+])
+def test_moduli_match_the_plain_int_oracle(p, degrees):
+    oracles = _load("bench_oracles", ORACLES)
+    for m in degrees:
+        assert list(make_ext_field(p, m).modulus) == oracles.ext_modulus(p, m)
+
+
+def test_search_modulus_raises_without_an_irreducible(monkeypatch):
+    monkeypatch.setattr(exactfield, "_zp_is_irreducible", lambda f, p: False)
+    with pytest.raises(CertificateFailure):
+        exactfield._search_modulus(5, 2)
+
+
+def test_element_rejects_too_many_coefficients():
+    with pytest.raises(IncompatibleDegrees):
+        PrimeField(5).element((1, 2))
+    with pytest.raises(IncompatibleDegrees):
+        make_ext_field(5, 2).element((1, 2, 3))
+
+
+def test_plain_division_by_zero_raises():
+    with pytest.raises(ZeroPolynomial):
+        exactfield._pdivmod((1, 2), (), 5)
 
 
 # -------------------------------------------------------------- arithmetic
@@ -336,9 +373,7 @@ def test_roots_in_matches_factoring(shape, p, base, stages):
 
 
 def test_roots_in_counts_match_the_plain_int_oracle():
-    spec = importlib.util.spec_from_file_location("bench_oracles", ORACLES)
-    oracles = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracles)
+    oracles = _load("bench_oracles", ORACLES)
     rng = random.Random(8)
     for p in (3, 5, 7):
         F = PrimeField(p)
@@ -349,6 +384,110 @@ def test_roots_in_counts_match_the_plain_int_oracle():
                 for m in (1, 2, 3, 4):
                     assert len(roots_in(f, stage_field(p, m))) == \
                         oracles.roots_count(ints, m, p), (ints, m)
+
+
+BIG_PRIMES = [2 ** 31 - 1, 1000003, 65521]
+
+
+def _with_repeated_roots(rng, F):
+    # a cubed linear factor, a squared quadratic and a cubic: the
+    # linear factor keeps a root in every stage over F
+    f = _random_poly(rng, F, 1)
+    f = f * f * f
+    quad = _random_poly(rng, F, 2)
+    return f * quad * quad * _random_poly(rng, F, 3)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+@pytest.mark.parametrize("base, stages", [(1, (1, 2, 3)), (2, (4,))],
+                         ids=["F_p", "F_p2"])
+def test_roots_in_at_large_characteristic(p, base, stages):
+    # p^2 sits just below the slot width, so a slot that is one bit too
+    # narrow carries into its neighbour and loses or invents roots
+    rng = random.Random(p + base)
+    F = stage_field(p, base)
+    for _ in range(2):
+        f = _with_repeated_roots(rng, F)
+        for m in stages:
+            K = stage_field(p, m)
+            rs = roots_in(f, K)
+            assert rs == _factor_roots(f, K), (f, m)
+            fK = f.map_coefficients(K)
+            assert rs and all(fK.evaluate(r).is_zero() for r in rs)
+
+
+def test_roots_in_counts_match_the_plain_int_oracle_at_65521():
+    oracles = _load("bench_oracles", ORACLES)
+    rng = random.Random(65521)
+    F = PrimeField(65521)
+    shapes = [_repeated_factors, _vanishing_at_zero, _with_repeated_roots,
+              lambda rng, F: _random_poly(rng, F, rng.randrange(1, 9))]
+    for shape in shapes:
+        for _ in range(2):
+            f = shape(rng, F)
+            ints = [c.coeffs[0] for c in f.coeffs]
+            for m in (1, 2, 3, 4):
+                assert len(roots_in(f, stage_field(65521, m))) == \
+                    oracles.roots_count(ints, m, 65521), (ints, m)
+
+
+def test_roots_in_does_no_field_element_arithmetic(monkeypatch):
+    # the degree-64 polynomial of the first points-stage shape, over
+    # F_3, with its roots in F_81
+    monkeypatch.setitem(sys.modules, "oracles", _load("oracles", ORACLES))
+    workloads = _load("bench_workloads", BENCH / "workloads.py")
+    op = workloads.points_stage(3)[0]
+    assert (op["p"], op["stage"]) == (3, 4)
+    f = UniPoly.from_ints(PrimeField(3), op["oracle"]["f"])
+    K = make_ext_field(3, 4)
+    assert f.degree == 64
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    rs = roots_in(f, K)
+    assert len(rs) == op["oracle"]["count"]
+    assert len(calls) < 50
+
+
+def test_packed_products_at_the_slot_bound():
+    # every slot of every coefficient at p - 1 makes the largest sums the
+    # slot width has to hold; the kernel must agree with UniPoly
+    p, m, d = 2 ** 31 - 1, 3, 8
+    K = make_ext_field(p, m)
+    S = exactfield._Packed(p, K.modulus, d)
+    top = K.element((p - 1,) * m)
+    a = UniPoly(K, [top] * d)
+    f = UniPoly(K, [top] * d + [K.one])
+    packed = [tuple(S.pack(c.coeffs) for c in g.coeffs) for g in (a, f)]
+    got = S.divmod(S.mul(packed[0], packed[0]), packed[1])[1]
+    assert [S.unpack(c) for c in got] == [c.coeffs for c in ((a * a) % f).coeffs]
+    assert [S.unpack(c) for c in S.gcd(*packed)] == \
+        [c.coeffs for c in a.gcd(f).coeffs]
+
+
+@pytest.mark.parametrize("p, m", [(3, 4), (7, 1), (5, 3)])
+def test_packed_split_draws_like_the_equal_degree_split(p, m):
+    # the packed split consumes the random stream exactly as
+    # `_equal_degree_split(g, 1, rng)` does and finds the same factors
+    K = stage_field(p, m)
+    rng = random.Random(p * m)
+    roots = {K.element(tuple(rng.randrange(p) for _ in range(m)))
+             for _ in range(8)}
+    g = UniPoly(K, [K.one])
+    for r in roots:
+        g = g * UniPoly(K, [-r, K.one])
+    S = exactfield._Packed(p, K.modulus, g.degree)
+    ours, theirs = random.Random(1), random.Random(1)
+    split = S.split_linear(tuple(S.pack(c.coeffs) for c in g.coeffs), ours)
+    reference = exactfield._equal_degree_split(g, 1, theirs)
+    assert [[S.unpack(c) for c in h] for h in split] == \
+        [[c.coeffs for c in h.coeffs] for h in reference]
+    assert ours.random() == theirs.random()
 
 
 def test_roots_in_degenerate_inputs():

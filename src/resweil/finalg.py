@@ -5,7 +5,8 @@ reduced Groebner basis and the standard monomial basis of the quotient.
 The first basis element is always the monomial 1.  On top of that sit
 the structural operations: base extension, splitting into local factors,
 binary products, and the Jacobian smoothness certificate for a relative
-presentation.
+presentation.  A presentation computes its Frobenius matrix once; the
+nilradical dimension and the local factors are both read off it.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ class AlgebraPresentation:
         self.groebner = buchberger(list(self.relations), field=field,
                                    variables=self.vars)
         self.basis_monomials = standard_monomials(self.groebner)
-        self._mono_index = None
-        self._nilradical_dim = None
         self.points_by_stage = {}  # filled by weilres.zero_dim_solve
 
     # -- basic structure ----------------------------------------------
@@ -94,15 +93,14 @@ class AlgebraPresentation:
 
     # -- coordinates --------------------------------------------------
 
-    def _index(self):
-        if self._mono_index is None:
-            self._mono_index = {m: i for i, m in enumerate(self.basis_monomials)}
-        return self._mono_index
+    @cached_property
+    def _mono_index(self):
+        return {m: i for i, m in enumerate(self.basis_monomials)}
 
     def coords(self, f: MPoly):
         """Coordinate vector of nf(f) in the standard monomial basis."""
         d = self.dimension
-        idx = self._index()
+        idx = self._mono_index
         vec = [self.field.zero] * d
         for m, c in self.nf(f).terms.items():
             vec[idx[m]] = c
@@ -124,36 +122,38 @@ class AlgebraPresentation:
             cols.append(self.coords(fn * e))
         return [[cols[j][i] for j in range(d)] for i in range(d)]
 
+    @cached_property
     def frobenius_matrix(self):
-        """Matrix of x -> x^q with q the order of the coefficient stage.
+        """Matrix of x -> x^q, q the order of the stage, computed once and shared.
 
         This map is linear over the stage, which is what makes the
-        fixed-space splitting below work.
+        fixed-space splitting in `decompose_local` work.
         """
         q = self.field.order
-        cols = []
-        for m in self.basis_monomials:
-            e = MPoly(self.field, self.vars, {m: self.field.one})
-            cols.append(self.coords(self.pow(e, q)))
+        cols = [self.coords(self.pow(e, q)) for e in self.basis_elements()]
+        return tuple(zip(*cols))
+
+    @cached_property
+    def _nilradical_dim(self):
         d = self.dimension
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
+        if d == 0:
+            return 0
+        q = self.field.order
+        L = 1
+        while q ** L < d + 1:
+            L += 1
+        F = self.frobenius_matrix
+        M = F
+        for _ in range(L - 1):
+            M = _linalg.mat_mul(M, F, self.field)
+        return len(_linalg.kernel_basis(M, self.field))
 
     def nilradical_dimension(self):
-        """Dimension of the nilradical, as the kernel of an iterated Frobenius."""
-        if self._nilradical_dim is None:
-            d = self.dimension
-            if d == 0:
-                self._nilradical_dim = 0
-            else:
-                q = self.field.order
-                L = 1
-                while q ** L < d + 1:
-                    L += 1
-                F = self.frobenius_matrix()
-                M = F
-                for _ in range(L - 1):
-                    M = _linalg.mat_mul(M, F, self.field)
-                self._nilradical_dim = len(_linalg.kernel_basis(M, self.field))
+        """Dimension of the nilradical, as the kernel of an iterated Frobenius.
+
+        A/nil(A) is the product of the residue fields, so A is local with
+        rational residue exactly when this is one less than the dimension.
+        """
         return self._nilradical_dim
 
     def is_unit(self, f: MPoly):
@@ -170,7 +170,8 @@ class AlgebraPresentation:
         if sol is None:
             return None
         g = self.from_coords(sol)
-        assert self.mul(f, g) == self.one()
+        if self.mul(f, g) != self.one():
+            raise CertificateFailure("the solved inverse does not invert")
         return g
 
     def min_poly(self, f: MPoly) -> UniPoly:
@@ -261,72 +262,62 @@ class AlgebraHom:
 
 
 def decompose_local(A: AlgebraPresentation):
-    """Split A into local factors via the Frobenius fixed space.
+    """Split A into local factors by refining 1 along the Frobenius fixed space.
 
-    The q-power map is linear over a stage of order q, its fixed space
-    meets the nilradical trivially and has dimension equal to the number
-    of local factors.  Any fixed element outside the scalars has a
-    squarefree minimal polynomial splitting over the stage, so Lagrange
-    interpolation at its roots yields exact orthogonal idempotents; no
-    lifting through the nilpotents is needed.  Recurse until each piece
-    has a one dimensional fixed space, which certifies it is local.
+    The q-power map is linear over a stage of order q.  Its fixed space
+    meets the nilradical trivially and is spanned by the primitive
+    idempotents, one per local factor, so it has dimension s, the number
+    of factors.  A fixed element is a combination of those idempotents
+    with coefficients in the stage, so its minimal polynomial is
+    squarefree and splits over the stage, and Lagrange interpolation at
+    its roots yields the idempotents cutting out where it takes each
+    value; no lifting through the nilpotents is needed.  Starting from 1,
+    each fixed basis vector refines the current idempotents by its own;
+    once every basis vector is constant on each piece, so is every fixed
+    element, and the s pieces are the primitive idempotents.  All of
+    this runs inside A on A's one Frobenius matrix.  A presentation is
+    built for each factor returned, and none when A is local.
     """
     if A.dimension == 0:
         raise ZeroRing("the zero ring has no local factors")
     field = A.field
-    out = []
-    stack = [(A, A.one())]
-    while stack:
-        B, idem = stack.pop()
-        d = B.dimension
-        F = B.frobenius_matrix()
-        M = [[F[i][j] - (field.one if i == j else field.zero) for j in range(d)]
-             for i in range(d)]
-        V = _linalg.kernel_basis(M, field)
-        assert V, "the fixed space always contains the scalars"
-        if len(V) == 1:
-            f_res = d - B.nilradical_dimension()
-            proj = AlgebraHom(A, B, {v: B.nf(B.var(v)) for v in A.vars})
-            out.append(LocalFactor(A, idem, B, f_res, proj))
-            continue
-        split = None
-        for vec in V:
-            if any(not c.is_zero() for c in vec[1:]):
-                split = B.from_coords(vec)
-                break
-        assert split is not None
-        mu = B.min_poly(split)
+    F = A.frobenius_matrix
+    M = [[a - (field.one if i == j else field.zero) for j, a in enumerate(row)]
+         for i, row in enumerate(F)]
+    V = _linalg.kernel_basis(M, field)
+    idems = [A.one()]
+    for vec in V[1:]:  # V[0] is 1: its column of F - I is zero, so free first
+        if len(idems) == len(V):
+            break
+        v = A.from_coords(vec)
+        mu = A.min_poly(v)
         cs = roots_in(mu, field)
-        if len(cs) != mu.degree or mu.degree < 2:
+        if len(cs) != mu.degree:
             raise CertificateFailure("a fixed element does not split over the stage")
         eps = []
-        for j, cj in enumerate(cs):
-            num = B.one()
-            den = field.one
-            for l, cl in enumerate(cs):
-                if l == j:
-                    continue
-                num = B.mul(num, split - MPoly.constant(field, B.vars, cl))
-                den = den * (cj - cl)
-            eps.append(num * den.inverse())
-        total = B.zero()
-        for e in eps:
-            total = total + e
-        assert B.nf(total) == B.one()
-        for j, e in enumerate(eps):
-            assert B.mul(e, e) == B.nf(e)
-            for l in range(j):
-                assert B.mul(e, eps[l]).is_zero()
-        for e in eps:
-            new_idem = A.nf(idem * e)
-            one_minus = A.one() - new_idem
-            Bj = AlgebraPresentation(field, A.vars, list(A.relations) + [one_minus])
-            stack.append((Bj, new_idem))
-    out.sort(key=lambda f: f.idempotent.label())
-    total = A.zero()
-    for f in out:
-        total = total + f.idempotent
-    assert A.nf(total) == A.one()
+        for c in cs:
+            e = A.one()
+            for other in cs:
+                if other != c:
+                    e = A.mul(e, (v - other) * (c - other).inverse())
+            eps.append(e)
+        idems = [p for e in idems for p in (A.mul(e, x) for x in eps)
+                 if not p.is_zero()]
+    if len(idems) != len(V):
+        raise CertificateFailure("the fixed basis does not separate the local factors")
+    if A.nf(sum(idems, A.zero())) != A.one():
+        raise CertificateFailure("the local idempotents do not sum to 1")
+    for j, e in enumerate(idems):
+        if A.mul(e, e) != e:
+            raise CertificateFailure("a local idempotent is not idempotent")
+        if any(not A.mul(e, other).is_zero() for other in idems[:j]):
+            raise CertificateFailure("two local idempotents are not orthogonal")
+    out = []
+    for e in sorted(idems, key=lambda e: e.label()):
+        B = A if len(idems) == 1 else AlgebraPresentation(
+            field, A.vars, list(A.relations) + [A.one() - e])
+        proj = AlgebraHom(A, B, {v: B.nf(B.var(v)) for v in A.vars})
+        out.append(LocalFactor(A, e, B, B.dimension - B.nilradical_dimension(), proj))
     return out
 
 

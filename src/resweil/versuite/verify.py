@@ -102,7 +102,10 @@ def ambient_degree(A, X, R):
 
 @dataclass
 class ComponentData:
-    """Both sides of the comparison at one shared stage."""
+    """Both sides of the comparison at one shared stage.
+
+    `equivariant` is `ev.check()`, read by the report and the checks.
+    """
 
     N: int
     S: object
@@ -110,6 +113,7 @@ class ComponentData:
     left: object
     prod: object
     ev: object
+    equivariant: bool
 
 
 def compute_components(A, X, R) -> ComponentData:
@@ -119,7 +123,7 @@ def compute_components(A, X, R) -> ComponentData:
     left = pi0_points(R.quotient, N)
     prod = product_gamma_set(S, fibs, N)
     ev = evaluation_map(R, left, S, prod, N)
-    return ComponentData(N, S, fibs, left, prod, ev)
+    return ComponentData(N, S, fibs, left, prod, ev, ev.check())
 
 
 def _count_via_local_factors(A, X, N):
@@ -240,6 +244,9 @@ def _check_theorem(A, X, comp, comp_error):
     if gamma_iso(comp.left, comp.prod) is None:
         return CheckOutcome("theorem", False,
                             "no orbit matching despite equal cycle types")
+    if not comp.equivariant:
+        return CheckOutcome("theorem", False,
+                            "the evaluation witness is not equivariant")
     if not comp.ev.is_bijective():
         return CheckOutcome("theorem", False,
                             "the evaluation witness is not a bijection")
@@ -264,6 +271,9 @@ def _check_lemma_local(comp, comp_error):
         return CheckOutcome(
             "lemma-local", False,
             "reduction needs a local base with rational residue")
+    if not comp.equivariant:
+        return CheckOutcome("lemma-local", False,
+                            "the evaluation witness is not equivariant")
     if comp.ev.is_bijective():
         return CheckOutcome(
             "lemma-local", True,
@@ -410,7 +420,7 @@ def verify_case(case, seed=0):
         }
         rep.psi_witness = {
             "convention": PSI_CONVENTION,
-            "equivariant": True,
+            "equivariant": comp.equivariant,
             "bijective": comp.ev.is_bijective(),
             "pairs": [[el.label(), comp.ev.mapping[el].label()]
                       for el in comp.left.elements],

@@ -162,7 +162,8 @@ def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
     else:
         basis = [A.nf(b) for b in basis]
         assert len(basis) == d, "basis size differs from the algebra dimension"
-        C = [[A.coords(basis[j])[i] for j in range(d)] for i in range(d)]
+        cols = [A.coords(b) for b in basis]
+        C = [[cols[j][i] for j in range(d)] for i in range(d)]
         inv_change = _linalg.invert(C, field)
         assert inv_change is not None, "the given elements do not form a basis"
 
@@ -667,8 +668,7 @@ def open_cover_check(R: RestrictedScheme, hs,
     coordinates make h a unit, and some h must catch every point.
     """
     X, A = R.scheme, R.algebra
-    factors = decompose_local(A)
-    if len(factors) != 1 or factors[0].residue_degree != 1:
+    if A.dimension - A.nilradical_dimension() != 1:
         raise NotLocalBase(
             "the covering comparison needs a local base with rational residue")
     B = X.coordinate_ring

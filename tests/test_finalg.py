@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,15 @@ def test_points_kernel_is_cheap_on_a_points_stage_shape(monkeypatch):
     assert calls == {"factor_univariate": 0, "_distinct_degree": 0, "solve": 0}
 
 
+def test_inverse_raises_when_the_solve_does_not_invert(monkeypatch):
+    dual = alg(F5, ["eps"], lambda e: [e * e])
+    real = _linalg.solve
+    monkeypatch.setattr(_linalg, "solve", lambda M, rhs, field: [
+        c + field.one for c in real(M, rhs, field)])
+    with pytest.raises(CertificateFailure):
+        dual.inverse(1 + dual.var("eps"))
+
+
 def test_inverse_and_units():
     dual = alg(F5, ["eps"], lambda e: [e * e])
     e = dual.var("eps")
@@ -227,6 +237,22 @@ def test_decompose_raises_when_a_fixed_element_loses_a_root(monkeypatch):
     monkeypatch.setattr(finalg, "roots_in", lambda f, field: real(f, field)[:-1])
     with pytest.raises(CertificateFailure):
         decompose_local(alg(F5, ["t"], lambda t: [t * t - t]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: alg(F5, ["t"], lambda t: [t * t - t]),
+    lambda: alg(F5, ["x", "y"], lambda x, y: [x * x - x, y * y - y]),
+], ids=["two-points", "four-points"])
+def test_decompose_raises_when_a_fixed_element_gets_a_wrong_root(monkeypatch, build):
+    # the root count stays right, so only the idempotent laws can notice
+    real = finalg.roots_in
+
+    def shifted(f, field):
+        roots = real(f, field)
+        return roots[:-1] + [roots[-1] + field.one]
+    monkeypatch.setattr(finalg, "roots_in", shifted)
+    with pytest.raises(CertificateFailure):
+        decompose_local(build())
 
 
 def test_decompose_field_stays_whole():
@@ -316,6 +342,123 @@ def test_seeded_random_split_algebras():
         assert len(fs) == len(roots)
         assert sorted(f.presentation.dimension for f in fs) == sorted(mults)
         assert all(f.residue_degree == 1 for f in fs)
+
+
+def _recursive_rule_decompose(A):
+    """Local factors the old way: split by one fixed element, then recurse.
+
+    Each piece gets its own presentation and Frobenius matrix, and a
+    piece is certified local when its own fixed space is the scalars.
+    Returns (idempotent, factor relations, residue degree) in label order.
+    """
+    field = A.field
+    out = []
+    stack = [(A, A.one())]
+    while stack:
+        B, idem = stack.pop()
+        d = B.dimension
+        F = B.frobenius_matrix
+        M = [[F[i][j] - (field.one if i == j else field.zero) for j in range(d)]
+             for i in range(d)]
+        V = _linalg.kernel_basis(M, field)
+        if len(V) == 1:
+            out.append((idem, B.relations, d - B.nilradical_dimension()))
+            continue
+        split = next(B.from_coords(vec) for vec in V
+                     if any(not c.is_zero() for c in vec[1:]))
+        cs = roots_in(B.min_poly(split), field)
+        for j, cj in enumerate(cs):
+            num = B.one()
+            den = field.one
+            for l, cl in enumerate(cs):
+                if l != j:
+                    num = B.mul(num, split - MPoly.constant(field, B.vars, cl))
+                    den = den * (cj - cl)
+            new_idem = A.nf(idem * (num * den.inverse()))
+            Bj = AlgebraPresentation(field, A.vars,
+                                     list(A.relations) + [A.one() - new_idem])
+            stack.append((Bj, new_idem))
+    return sorted(out, key=lambda f: f[0].label())
+
+
+def _factor_data(A):
+    return [(f.idempotent, f.presentation.relations, f.residue_degree)
+            for f in decompose_local(A)]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CASES.glob("*.case")))
+def test_decompose_matches_the_recursive_rule_on_the_corpus(name):
+    case = parse_case((CASES / (name + ".case")).read_text())
+    presentations = [tensor_extend(case.algebra, stage_field(case.p, m))
+                     for m in (1, 2, 3, 4)]
+    presentations.append(case.scheme.coordinate_ring)
+    checked = 0
+    for B in presentations:
+        if B.basis_monomials is INFINITE or B.dimension == 0:
+            continue
+        assert _factor_data(B) == _recursive_rule_decompose(B), (name, B)
+        checked += 1
+    assert checked >= 4
+
+
+def _four_local_factors():
+    # four rational points, each carrying a square-zero nilpotent
+    return alg(F5, ["x", "y", "z"],
+               lambda x, y, z: [x * x - x, y * y - y, z * z])
+
+
+def test_decompose_matches_the_recursive_rule_when_one_vector_does_not_separate():
+    A = _four_local_factors()
+    d = A.dimension
+    F = A.frobenius_matrix
+    V = _linalg.kernel_basis(
+        [[F[i][j] - (F5.one if i == j else F5.zero) for j in range(d)]
+         for i in range(d)], F5)
+    first = next(A.from_coords(v) for v in V if any(not c.is_zero() for c in v[1:]))
+    assert len(roots_in(A.min_poly(first), F5)) < len(V) == 4
+    assert _factor_data(A) == _recursive_rule_decompose(A)
+    assert [f.presentation.dimension for f in decompose_local(A)] == [2, 2, 2, 2]
+
+
+def _counting_builds(monkeypatch):
+    """Record each presentation built and each Frobenius matrix computed."""
+    built = {"presentations": 0, "frobenius": []}
+    real_init = AlgebraPresentation.__init__
+    real_frob = AlgebraPresentation.frobenius_matrix.func
+
+    def init(self, *args):
+        built["presentations"] += 1
+        real_init(self, *args)
+
+    def frob(self):
+        built["frobenius"].append(self)
+        return real_frob(self)
+    prop = cached_property(frob)
+    prop.__set_name__(AlgebraPresentation, "frobenius_matrix")
+    monkeypatch.setattr(AlgebraPresentation, "__init__", init)
+    monkeypatch.setattr(AlgebraPresentation, "frobenius_matrix", prop)
+    return built
+
+
+def test_decompose_builds_one_frobenius_matrix_and_one_presentation_per_factor(
+        monkeypatch):
+    A = _four_local_factors()
+    built = _counting_builds(monkeypatch)
+    fs = decompose_local(A)
+    assert built["presentations"] == len(fs) == 4
+    # A's own matrix once; each factor's, read for its residue degree
+    assert built["frobenius"][0] is A
+    assert len(built["frobenius"]) == 1 + len(fs)
+    assert all(B is f.presentation for B, f in zip(built["frobenius"][1:], fs))
+
+
+def test_decompose_of_a_local_algebra_builds_no_presentation(monkeypatch):
+    A = alg(F7, ["t"], lambda t: [t ** 3])
+    built = _counting_builds(monkeypatch)
+    (f,) = decompose_local(A)
+    assert f.presentation is A and f.residue_degree == 1
+    assert A.nilradical_dimension() == 2
+    assert built == {"presentations": 0, "frobenius": [A]}
 
 
 # -- base extension ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from resweil import finalg, gammaset, weilres
 from resweil import (
     AlgebraPresentation,
     GammaSet,
@@ -266,6 +267,17 @@ def test_reduction_map_dual_frozen():
     got = {k.label(): v.label() for k, v in red.mapping.items()}
     assert got == {((0,), (6,)): ((0,),), ((1,), (1,)): ((1,),)}
     assert red.is_bijective()
+
+
+def test_reduction_map_guard_reads_the_nilradical(monkeypatch):
+    def forbidden(A):
+        raise AssertionError("the guard decomposed the base")
+
+    for module in (finalg, weilres, gammaset):
+        monkeypatch.setattr(module, "decompose_local", forbidden, raising=False)
+    A = algebra(F7, ["eps"], lambda e: [e * e])
+    X = scheme(A, ["y"], lambda e, y: [y * y - y - e])
+    assert reduction_map(weil_restrict(A, X), 1).is_bijective()
 
 
 def test_reduction_map_can_lose_points():

@@ -524,6 +524,32 @@ def test_certificate_failure_in_the_components_fails_their_readers(monkeypatch):
     assert by_name["adjunction"].ok and by_name["cover"].ok
 
 
+def test_a_non_equivariant_witness_fails_its_readers(monkeypatch):
+    # over F_5 the fiber of (y - 1)(y^2 - 2) is a fixed point and a
+    # 2-cycle; swapping two images across the orbits keeps a bijection
+    text = ('case "swap"\nfield p = 5\nalgebra A : vars eps ; rels eps^2\n'
+            'scheme X : vars y ; rels (y - 1)*(y^2 - 2)\n'
+            'checks theorem, lemma-local\n')
+    real = verify.evaluation_map
+
+    def swapped(R, left, S, prod, N):
+        em = real(R, left, S, prod, N)
+        small, large = sorted(left.orbits(), key=len)
+        assert (len(small), len(large)) == (1, 2)
+        a, b = small[0], large[0]
+        em.mapping[a], em.mapping[b] = em.mapping[b], em.mapping[a]
+        return em
+
+    assert verify_case(parse_case(text)).ok()
+    monkeypatch.setattr(verify, "evaluation_map", swapped)
+    rep = verify_case(parse_case(text))
+    assert rep.psi_witness["equivariant"] is False
+    assert rep.psi_witness["bijective"] is True
+    assert [(c.name, c.ok, c.detail) for c in rep.checks] == [
+        ("theorem", False, "the evaluation witness is not equivariant"),
+        ("lemma-local", False, "the evaluation witness is not equivariant")]
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     ("_local_solve", "correction loop failed to terminate"),
     ("_newton_lift", "a lifted point does not solve X"),

@@ -396,6 +396,16 @@ def test_open_cover_dual():
         assert row["chart_counts"] == [1, 1]
 
 
+def test_open_cover_guard_reads_the_nilradical(monkeypatch):
+    def forbidden(A):
+        raise AssertionError("the guard decomposed the base")
+
+    monkeypatch.setattr(weilres, "decompose_local", forbidden)
+    A, X = dual_case()
+    y = MPoly.variable(F7, ("eps", "y"), "y")
+    assert open_cover_check(weil_restrict(A, X), [y, y - 1]).ok
+
+
 def test_open_cover_restricts_each_chart_once(monkeypatch):
     case = parse_case((CASES / "cubic-dual-lift.case").read_text())
     (hs,) = [c[1] for c in case.checks if c[0] == "cover"]

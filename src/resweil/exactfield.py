@@ -23,10 +23,12 @@ during division, or the end of a product.  k is the bit length of
 (2D + 2) m p^2 for polynomials of degree up to D: no slot of a product of
 two remainders plus a division by a polynomial of degree D reaches it,
 so slots never carry into each other.  The prime stage is m = 1, and the
-same code serves every p < 2**31 and m <= 24.  There are no Zech-log
-tables: stages reach 7^6 elements for a handful of calls, so a table
-would cost more to build in a fresh process than it saves, and stages
-beyond any table size would need a second path.
+same code serves every p < 2**31 and m <= 24; at m = 1 a reduction is
+one `x % p`, the fold's value there at a twentieth of its cost.
+`mat_vec` serves `finalg`'s linear models, inside the same bound.  There
+are no Zech-log tables: stages reach 7^6 elements for a handful of calls,
+so a table would cost more to build in a fresh process than it saves, and
+stages beyond any table size would need a second path.
 `FieldElement` and `UniPoly` stay the API and the reference arithmetic;
 `factor_univariate` on them is the independent route the tests compare
 `roots_in` with.
@@ -233,6 +235,8 @@ class _Packed:
         return tuple(x >> s & mask for s in self.narrow)
 
     def reduce(self, x):
+        if self.m == 1:
+            return x % self.p
         p, mask, k = self.p, self.mask, self.k
         low = [(x >> t & mask) % p for t in self.narrow]
         high = [(x >> t & mask) % p for t in self.high]
@@ -266,6 +270,16 @@ class _Packed:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
         return out
+
+    def mat_vec(self, cols, vec):
+        """Square matrix (cols[j] is column j) times vector, all sparse
+        (index, entry) pairs; an entry sums len(vec) <= degree products."""
+        out = [0] * len(cols)
+        for j, c in vec:
+            for i, a in cols[j]:
+                out[i] += a * c
+        red = self.reduce
+        return [(i, r) for i, x in enumerate(out) if x and (r := red(x))]
 
     def divmod(self, a, b):
         """Quotient and remainder of a by b != 0; a may be unreduced."""

@@ -6,11 +6,16 @@ The first basis element is always the monomial 1.  On top of that sit
 the structural operations: base extension, splitting into local factors,
 binary products, and the Jacobian smoothness certificate for a relative
 presentation.  A presentation computes its Frobenius matrix once; the
-nilradical dimension and the local factors are both read off it.
+nilradical dimension and the local factors are both read off it.  It also
+keeps one linear model on packed ints (`exactfield._Packed`): per variable
+v, the columns nf(v m) over the basis, a normal form only where v m leaves
+the staircase.  Multiplication by any f is walked up the staircase from
+them, and `min_poly` and `mult_matrix` read it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,7 +27,7 @@ from .errors import (
     NotSquareSystem,
     ZeroRing,
 )
-from .exactfield import UniPoly, roots_in
+from .exactfield import FieldElement, UniPoly, _Packed, roots_in
 from .multipoly import (
     INFINITE,
     MPoly,
@@ -112,15 +117,46 @@ class AlgebraPresentation:
             terms[m] = c
         return MPoly(self.field, self.vars, terms)
 
+    @cached_property
+    def _stage(self):
+        return _Packed(self.field.p, self.field.modulus, self.dimension)
+
+    def _packed_coords(self, f: MPoly):
+        """nf(f) as sparse (index, packed entry) pairs; on the staircase f is nf(f)."""
+        idx = self._mono_index
+        own = f.vars == self.vars and f.field == self.field and idx.keys() >= f.terms.keys()
+        terms = f.terms if own else self.nf(f).terms
+        return [(idx[m], self._stage.pack(c.coeffs)) for m, c in terms.items()]
+
+    @cached_property
+    def _tables(self):
+        """Per variable v, the sparse packed columns nf(v m), m over the basis:
+        a unit vector, or for a border monomial v m, one normal form."""
+        idx = self._mono_index
+        shifts = [[m[:i] + (m[i] + 1,) + m[i + 1:] for m in self.basis_monomials]
+                  for i in range(len(self.vars))]
+        border = {w: self._packed_coords(MPoly(self.field, self.vars, {w: self.field.one}))
+                  for w in set(itertools.chain(*shifts)) - idx.keys()}
+        return [[[(idx[w], 1)] if w in idx else border[w] for w in ws] for ws in shifts]
+
+    def _columns(self, f: MPoly):
+        """Sparse packed columns of multiplication by f along the staircase:
+        f m = v (f m') is one table product, v the first variable of m."""
+        cols = [self._packed_coords(f)]
+        for m in self.basis_monomials[1:]:
+            i = next(i for i, e in enumerate(m) if e)
+            below = cols[self._mono_index[m[:i] + (m[i] - 1,) + m[i + 1:]]]
+            cols.append(self._stage.mat_vec(self._tables[i], below))
+        return cols
+
     def mult_matrix(self, f: MPoly):
-        """Matrix of multiplication by f; columns follow the basis."""
-        d = self.dimension
-        cols = []
-        fn = self.nf(f)
-        for m in self.basis_monomials:
-            e = MPoly(self.field, self.vars, {m: self.field.one})
-            cols.append(self.coords(fn * e))
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
+        """Matrix of multiplication by f: `_columns` unpacked into field elements."""
+        field, d, unpack = self.field, self.dimension, self._stage.unpack
+        rows = [[field.zero] * d for _ in range(d)]
+        for j, col in enumerate(self._columns(f)):
+            for i, a in col:
+                rows[i][j] = FieldElement(field, unpack(a))
+        return rows
 
     @cached_property
     def frobenius_matrix(self):
@@ -177,34 +213,37 @@ class AlgebraPresentation:
     def min_poly(self, f: MPoly) -> UniPoly:
         """Monic minimal polynomial of f acting on the quotient.
 
-        The powers 1, f, f^2, ... are reduced in turn against an echelon
+        A Krylov iteration on the packed columns of multiplication by f:
+        the powers 1, f, f^2, ... are reduced in turn against an echelon
         form of the earlier ones, each row carrying its combination of
         powers; the first power that reduces to zero gives the relation.
+        An entry is reduced only where it is read, so it sums at most d
+        products besides itself: inside the slot bound of `_stage`.
         """
-        field = self.field
-        if self.dimension == 0:
-            return UniPoly(field, [field.one])  # the zero ring: 1 = 0
-        rows = []  # (pivot, reduced vector, combination of powers), pivot entry 1
-        fn = self.nf(f)
-        current = self.one()
-        for k in range(self.dimension + 1):
+        field, d = self.field, self.dimension  # the zero ring, d = 0, gives 1
+        S, cols = self._stage, self._columns(f)
+        red, ps = S.reduce, S.ps
+        power = [(0, 1)]  # f^0 = 1, the first basis element
+        rows = []  # (pivot, [coordinates | combination of powers]), pivot entry 1
+        for k in range(d + 1):
             if k:
-                current = self.mul(current, fn)
-            vec = self.coords(current)
-            comb = [field.zero] * k + [field.one]
-            for pivot, rvec, rcomb in rows:
+                power = S.mat_vec(cols, power)
+            vec = [0] * (2 * d + 1)
+            for i, a in power + [(d + k, 1)]:
+                vec[i] = a
+            for pivot, row in rows:
                 c = vec[pivot]
-                if c.is_zero():
-                    continue
-                vec = [a - c * b for a, b in zip(vec, rvec)]
-                for j, b in enumerate(rcomb):
-                    comb[j] = comb[j] - c * b
-            pivot = next((i for i, a in enumerate(vec) if not a.is_zero()), None)
+                if c and (c := red(c)):
+                    c = ps - c  # -c, slot by slot
+                    for i, b in row:
+                        vec[i] += c * b
+            vec = [red(a) if a else 0 for a in vec]
+            pivot = next((i for i in range(d) if vec[i]), None)
             if pivot is None:
-                return UniPoly(field, comb)
-            inv = vec[pivot].inverse()
-            rows.append((pivot, [a * inv for a in vec], [a * inv for a in comb]))
-        raise AssertionError("no dependency found below the dimension bound")
+                return UniPoly(field, [FieldElement(field, S.unpack(c)) for c in vec[d:]])
+            inv = S.inverse(vec[pivot])
+            rows.append((pivot, [(i, red(a * inv)) for i, a in enumerate(vec) if a]))
+        raise CertificateFailure("no dependency found below the dimension bound")
 
     @cached_property
     def min_polys(self):
@@ -386,7 +425,8 @@ def product_algebra(A1: AlgebraPresentation, A2: AlgebraPresentation) -> Product
         c = r.constant_value()
         rels.append(to_prod(r, right) - w * c)
     pres = AlgebraPresentation(field, pvars, rels)
-    assert pres.dimension == A1.dimension + A2.dimension
+    if pres.dimension != A1.dimension + A2.dimension:
+        raise CertificateFailure("the product's dimension is not the factors' sum")
 
     img_left = {left[v]: A1.nf(A1.var(v)) for v in A1.vars}
     img_left.update({right[v]: A1.zero() for v in A2.vars})
@@ -396,7 +436,8 @@ def product_algebra(A1: AlgebraPresentation, A2: AlgebraPresentation) -> Product
     img_right[wname] = A2.zero()
     proj_left = AlgebraHom(pres, A1, img_left)
     proj_right = AlgebraHom(pres, A2, img_right)
-    assert proj_left.check() and proj_right.check()
+    if not (proj_left.check() and proj_right.check()):
+        raise CertificateFailure("a product projection is not an algebra map")
     return ProductAlgebra(
         presentation=pres,
         idempotent_var=wname,
@@ -453,9 +494,9 @@ def etale_check(X) -> EtaleCertificate:
     inv = B.inverse(det)
     if inv is not None:
         return EtaleCertificate(True, det, inv, None)
-    M = B.mult_matrix(det)
-    ker = _linalg.kernel_basis(M, B.field)
-    assert ker
-    obstruction = B.from_coords(ker[0])
-    assert B.mul(det, obstruction).is_zero() and not obstruction.is_zero()
+    ker = _linalg.kernel_basis(B.mult_matrix(det), B.field)
+    obstruction = B.from_coords(ker[0]) if ker else B.zero()
+    if obstruction.is_zero() or not B.mul(det, obstruction).is_zero():
+        raise CertificateFailure(
+            "the obstruction is not a nonzero annihilator of the determinant")
     return EtaleCertificate(False, det, None, obstruction)

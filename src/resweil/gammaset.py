@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (
     AmbientMismatch,
+    CertificateFailure,
     MissingFiber,
     NotLocalBase,
     NotZeroDimensional,
@@ -231,11 +232,13 @@ def gamma_iso(G1: GammaSet, G2: GammaSet):
         return None
     mapping = {}
     for o1, o2 in zip(G1.canonical_orbits(), G2.canonical_orbits()):
-        assert len(o1) == len(o2)
+        if len(o1) != len(o2):
+            raise CertificateFailure("paired canonical orbits differ in size")
         for a, b in zip(o1, o2):
             mapping[a] = b
     em = EquivariantMap(G1, G2, mapping)
-    assert em.check() and em.is_bijective()
+    if not (em.check() and em.is_bijective()):
+        raise CertificateFailure("the orbit matching is not an isomorphism")
     return em
 
 
@@ -290,5 +293,6 @@ def reduction_map(R: RestrictedScheme, N) -> EquivariantMap:
         a = regroup_point(R, el.coords, K)
         mapping[el] = GeometricPoint(tuple(c.evaluate(values0) for c in a))
     em = EquivariantMap(left, target, mapping)
-    assert em.check(), "reduction is not a map of Frobenius sets"
+    if not em.check():
+        raise CertificateFailure("reduction is not a map of Frobenius sets")
     return em

@@ -470,6 +470,20 @@ def test_packed_products_at_the_slot_bound():
         [c.coeffs for c in a.gcd(f).coeffs]
 
 
+def test_packed_mat_vec_at_the_slot_bound():
+    # the Krylov step of a linear model: a dense table and a vector with
+    # every slot at p - 1 make the largest sums d products can reach
+    p, m, d = 2 ** 31 - 1, 3, 8
+    K = make_ext_field(p, m)
+    S = exactfield._Packed(p, K.modulus, d)
+    top = K.element((p - 1,) * m)
+    cols = [[(i, S.pack(top.coeffs)) for i in range(d)] for _ in range(d)]
+    vec = [(j, S.pack(top.coeffs)) for j in range(d)]
+    entry = sum([top * top] * d, K.zero)
+    assert [(i, S.unpack(a)) for i, a in S.mat_vec(cols, vec)] == \
+        [(i, entry.coeffs) for i in range(d)]
+
+
 @pytest.mark.parametrize("p, m", [(3, 4), (7, 1), (5, 3)])
 def test_packed_split_draws_like_the_equal_degree_split(p, m):
     # the packed split consumes the random stream exactly as

@@ -31,9 +31,13 @@ from resweil.errors import (
     MixedFields,
     NotFinite,
     NotSquareSystem,
+    NotZeroDimensional,
+    PositiveDimensionalFiber,
     ZeroRing,
 )
-from resweil.versuite import parse_case
+from resweil.gammaset import pi0_points
+from resweil.versuite import parse_case, verify
+from resweil.weilres import fiber_presentation
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -102,7 +106,10 @@ def test_min_poly():
 
 
 def _solve_rule_min_poly(B, f):
-    """The minimal polynomial the long way: one linear solve per power."""
+    """The minimal polynomial the long way: one linear solve per power.
+
+    Powers are MPoly products reduced by normal forms, and the solves run
+    on field elements, so nothing here reads the packed tables."""
     d = B.dimension
     powers = [B.coords(B.one())]
     current = B.one()
@@ -117,6 +124,16 @@ def _solve_rule_min_poly(B, f):
     raise AssertionError("no dependency found below the dimension bound")
 
 
+def _per_column_mult_matrix(B, f):
+    """Multiplication by f the long way: an MPoly product and a normal form
+    per basis monomial."""
+    d = B.dimension
+    fn = B.nf(f)
+    cols = [B.coords(fn * MPoly(B.field, B.vars, {m: B.field.one}))
+            for m in B.basis_monomials]
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
 def _annihilates(B, mu, f):
     acc = B.zero()
     for c in reversed(mu.coeffs):
@@ -124,19 +141,73 @@ def _annihilates(B, mu, f):
     return B.nf(acc).is_zero()
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in CASES.glob("*.case")))
-def test_min_poly_matches_the_solve_rule_on_the_corpus(name):
+CORPUS = sorted(p.stem for p in CASES.glob("*.case"))
+
+
+def _corpus_presentations(name):
+    """Every finite, nonzero quotient a corpus case builds: A, X's total
+    coordinate ring and R.quotient; A over F_{p^2}, F_{p^3} and F_{p^4};
+    and each fiber presentation at the comparison stage N."""
     case = parse_case((CASES / (name + ".case")).read_text())
-    presentations = [case.algebra, case.scheme.coordinate_ring,
-                     weil_restrict(case.algebra, case.scheme).quotient]
+    A, X = case.algebra, case.scheme
+    R = weil_restrict(A, X)
+    out = [A, X.coordinate_ring, R.quotient]
+    out += [tensor_extend(A, stage_field(case.p, n)) for n in (2, 3, 4)
+            if n % A.field.degree == 0]
+    try:
+        N = verify.ambient_degree(A, X, R)
+    except (NotZeroDimensional, PositiveDimensionalFiber):
+        N = None
+    if N is not None:
+        K = stage_field(case.p, N)
+        out += [fiber_presentation(X, s.coords, K)
+                for s in pi0_points(A, N).elements]
+    return [B for B in out if B.basis_monomials is not INFINITE and B.dimension]
+
+
+def _fixed_vectors(B):
+    """The Frobenius fixed basis that `decompose_local` feeds to min_poly."""
+    d, F, field = B.dimension, B.frobenius_matrix, B.field
+    M = [[F[i][j] - (field.one if i == j else field.zero) for j in range(d)]
+         for i in range(d)]
+    return [B.from_coords(v) for v in _linalg.kernel_basis(M, field)]
+
+
+def _random_elements(B, rng):
+    """A random element on the staircase, and one with a term off it."""
+    field = B.field
+
+    def coeff():
+        return field.element(tuple(rng.randrange(field.p) for _ in range(field.degree)))
+    on = B.from_coords([coeff() for _ in range(B.dimension)])
+    off = on + MPoly(field, B.vars, {tuple(B.dimension for _ in B.vars): coeff()})
+    return [on, off]
+
+
+def _test_elements(B, rng):
+    return [B.var(v) for v in B.vars] + _fixed_vectors(B) + _random_elements(B, rng)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_min_poly_matches_the_solve_rule_on_the_corpus(name):
+    rng = random.Random(name)
     checked = 0
-    for B in presentations:
-        if B.basis_monomials is INFINITE or B.dimension == 0:
-            continue
-        for v in B.vars:
-            mu = B.min_poly(B.var(v))
-            assert mu == _solve_rule_min_poly(B, B.var(v)), (name, B, v)
-            assert _annihilates(B, mu, B.var(v))
+    for B in _corpus_presentations(name):
+        for f in _test_elements(B, rng):
+            mu = B.min_poly(f)
+            assert mu == _solve_rule_min_poly(B, f), (name, B, f)
+            assert _annihilates(B, mu, f)
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_mult_matrix_matches_the_per_column_rule_on_the_corpus(name):
+    rng = random.Random(name)
+    checked = 0
+    for B in _corpus_presentations(name):
+        for f in _test_elements(B, rng):
+            assert B.mult_matrix(f) == _per_column_mult_matrix(B, f), (name, B, f)
             checked += 1
     assert checked
 
@@ -148,19 +219,22 @@ def _seeded_irreducible(rng, F, d):
             return UniPoly.from_ints(F, f)
 
 
-def test_points_kernel_is_cheap_on_a_points_stage_shape(monkeypatch):
-    # a points-stage request at (p, m) = (3, 4): f over F_3 of degree 64, a
-    # product of distinct irreducibles of these degrees; the factors of
-    # degree 1, 2 and 4 split over F_81, into 7 roots
+def _points_stage_shape():
+    """A points-stage request at (p, m) = (3, 4): y over F_3 with one relation
+    f of degree 64, a product of distinct irreducibles of these degrees."""
     F3 = PrimeField(3)
     rng = random.Random(34)
     f = UniPoly(F3, [F3.one])
     for d in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16):
         f = f * _seeded_irreducible(rng, F3, d)
     assert f.degree == 64
-    y = MPoly.variable(F3, ("y",), "y")
     rel = MPoly(F3, ("y",), {(i,): c for i, c in enumerate(f.coeffs)})
-    B = AlgebraPresentation(F3, ("y",), [rel])
+    return f, AlgebraPresentation(F3, ("y",), [rel])
+
+
+def test_points_kernel_is_cheap_on_a_points_stage_shape(monkeypatch):
+    # the factors of degree 1, 2 and 4 split over F_81, into 7 roots
+    f, B = _points_stage_shape()
     calls = {"factor_univariate": 0, "_distinct_degree": 0, "solve": 0}
 
     def counting(module, name, key):
@@ -174,7 +248,7 @@ def test_points_kernel_is_cheap_on_a_points_stage_shape(monkeypatch):
     counting(exactfield, "factor_univariate", "factor_univariate")
     counting(exactfield, "_distinct_degree", "_distinct_degree")
     counting(_linalg, "solve", "solve")
-    mu = B.min_poly(y)
+    mu = B.min_poly(B.var("y"))
     K = make_ext_field(3, 4)
     roots = roots_in(mu, K)
     assert mu == f.monic()
@@ -182,6 +256,55 @@ def test_points_kernel_is_cheap_on_a_points_stage_shape(monkeypatch):
     assert all(f.map_coefficients(K).evaluate(r).is_zero() for r in roots)
     # full factoring over F_81 and one solve per power would show here
     assert calls == {"factor_univariate": 0, "_distinct_degree": 0, "solve": 0}
+
+
+def test_min_poly_reads_the_tables_on_a_points_stage_shape(monkeypatch):
+    # the only border monomial is y^64: its normal form is the one the
+    # minimal polynomial needs, and the Krylov iteration multiplies no
+    # field elements outside it
+    f, B = _points_stage_shape()
+    expected = f.monic()
+    border = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in B.basis_monomials
+              for i in range(len(B.vars))} - set(B.basis_monomials)
+    assert border == {(64,)}
+    calls = {"normal_form": 0, "mul": 0}
+    inside = []
+    real_nf, real_mul = finalg.normal_form, exactfield.FieldElement.__mul__
+
+    def normal_form(*args):
+        calls["normal_form"] += 1
+        inside.append(True)
+        try:
+            return real_nf(*args)
+        finally:
+            inside.pop()
+
+    def mul(self, other):
+        calls["mul"] += not inside
+        return real_mul(self, other)
+    monkeypatch.setattr(finalg, "normal_form", normal_form)
+    monkeypatch.setattr(exactfield.FieldElement, "__mul__", mul)
+    monkeypatch.setattr(exactfield.FieldElement, "__rmul__", mul)
+    mu = B.min_poly(B.var("y"))
+    assert calls == {"normal_form": len(border), "mul": 0}
+    monkeypatch.undo()
+    assert mu == expected
+
+
+def test_min_poly_at_the_slot_bound():
+    # y^d = top (1 + y + ... + y^(d-1)) with every slot of top at p - 1:
+    # the border column holds top in every entry, and the Krylov
+    # iteration reaches it at the last power
+    p, m, d = 2 ** 31 - 1, 3, 8
+    K = make_ext_field(p, m)
+    top = K.element((p - 1,) * m)
+    g = UniPoly(K, [-top] * d + [K.one])
+    rel = MPoly(K, ("y",), {(i,): c for i, c in enumerate(g.coeffs)})
+    B = AlgebraPresentation(K, ("y",), [rel])
+    assert [row[d - 1] for row in B.mult_matrix(B.var("y"))] == [top] * d
+    assert B.min_poly(B.var("y")) == g
+    f = B.var("y") * B.var("y") + top
+    assert B.min_poly(f) == _solve_rule_min_poly(B, f)
 
 
 def test_inverse_raises_when_the_solve_does_not_invert(monkeypatch):
@@ -562,6 +685,61 @@ def test_etale_certificate_negative():
     B = X.coordinate_ring
     assert not cert.obstruction.is_zero()
     assert B.mul(cert.jacobian_det, cert.obstruction).is_zero()
+
+
+def _etale_failing_obstruction(monkeypatch, kernel):
+    """etale_check on y^2 = eps over the dual numbers, with the kernel of
+    multiplication by the determinant replaced by kernel(field, d)."""
+    dual = alg(F5, ["eps"], lambda e: [e * e])
+    ctx = ("eps", "y")
+    y = MPoly.variable(F5, ctx, "y")
+    e = MPoly.variable(F5, ctx, "eps")
+    X = SchemePresentation(dual, ("y",), [y * y - e])
+    B = X.coordinate_ring
+    M = B.mult_matrix(etale_check(X).jacobian_det)
+    real = _linalg.kernel_basis
+    monkeypatch.setattr(_linalg, "kernel_basis", lambda N, field: (
+        kernel(field, len(N)) if N == M else real(N, field)))
+    return X
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda field, d: [],
+    lambda field, d: [[field.one] + [field.zero] * (d - 1)],
+    lambda field, d: [[field.zero] * d],
+], ids=["no-kernel", "not-annihilating", "zero"])
+def test_etale_check_certifies_its_obstruction(monkeypatch, kernel):
+    X = _etale_failing_obstruction(monkeypatch, kernel)
+    with pytest.raises(CertificateFailure,
+                       match="not a nonzero annihilator of the determinant"):
+        etale_check(X)
+
+
+def test_product_raises_when_its_dimension_is_not_the_sum(monkeypatch):
+    quad = alg(F5, ["t"], lambda t: [t * t - 2])
+    dual = alg(F5, ["u"], lambda u: [u * u])
+
+    class KillsTheLeftFactor(AlgebraPresentation):
+        def __init__(self, field, variables, relations):
+            w = MPoly.variable(field, variables, variables[-1])
+            super().__init__(field, variables, list(relations) + [w])
+    monkeypatch.setattr(finalg, "AlgebraPresentation", KillsTheLeftFactor)
+    with pytest.raises(CertificateFailure, match="dimension"):
+        product_algebra(quad, dual)
+
+
+def test_product_raises_when_a_projection_is_not_a_map(monkeypatch):
+    quad = alg(F5, ["t"], lambda t: [t * t - 2])
+    dual = alg(F5, ["u"], lambda u: [u * u])
+
+    class ShiftedHom(AlgebraHom):
+        def __init__(self, source, target, images):
+            images = dict(images)
+            images["t"] = images["t"] + target.one()
+            super().__init__(source, target, images)
+    monkeypatch.setattr(finalg, "AlgebraHom", ShiftedHom)
+    with pytest.raises(CertificateFailure, match="projection"):
+        product_algebra(quad, dual)
 
 
 def test_etale_not_square():

@@ -24,6 +24,7 @@ from resweil import (
 )
 from resweil.errors import (
     AmbientMismatch,
+    CertificateFailure,
     MissingFiber,
     NotLocalBase,
     NotZeroDimensional,
@@ -227,6 +228,28 @@ def test_gamma_iso_success_and_failure():
     assert gamma_iso(swap, fixed) is None
 
 
+def test_gamma_iso_raises_when_an_orbit_is_walked_backwards(monkeypatch):
+    pts = points_of(F5, [[0], [1], [2], [3], [4], [5]])
+    G1, G2 = [GammaSet(pts[k:k + 3], {pts[k + i]: pts[k + (i + 1) % 3]
+                                      for i in range(3)}, 3) for k in (0, 3)]
+    real = GammaSet.canonical_orbits
+    monkeypatch.setattr(GammaSet, "canonical_orbits", lambda G: [
+        o if G is G1 else o[:1] + o[:0:-1] for o in real(G)])
+    with pytest.raises(CertificateFailure, match="not an isomorphism"):
+        gamma_iso(G1, G2)
+
+
+def test_gamma_iso_raises_when_orbits_of_different_sizes_are_paired(monkeypatch):
+    pts = points_of(F5, [[0], [1], [2], [3], [4], [5]])
+    G1 = GammaSet(pts[:3], {pts[0]: pts[0], pts[1]: pts[2], pts[2]: pts[1]}, 2)
+    G2 = GammaSet(pts[3:], {pts[3]: pts[4], pts[4]: pts[3], pts[5]: pts[5]}, 2)
+    real = GammaSet.canonical_orbits
+    monkeypatch.setattr(GammaSet, "canonical_orbits",
+                        lambda G: real(G)[::-1] if G is G2 else real(G))
+    with pytest.raises(CertificateFailure, match="differ in size"):
+        gamma_iso(G1, G2)
+
+
 def test_gamma_iso_anchors_are_least_labels():
     _, _, R = quad_setup()
     left = pi0_points(R.quotient, 4)
@@ -278,6 +301,25 @@ def test_reduction_map_guard_reads_the_nilradical(monkeypatch):
     A = algebra(F7, ["eps"], lambda e: [e * e])
     X = scheme(A, ["y"], lambda e, y: [y * y - y - e])
     assert reduction_map(weil_restrict(A, X), 1).is_bijective()
+
+
+def test_reduction_map_raises_when_it_is_not_equivariant(monkeypatch):
+    # over F_5 the fiber of (y - 1)(y^2 - 2) is a fixed point and a
+    # 2-cycle; swapping two images across the orbits breaks equivariance
+    A = algebra(F5, ["eps"], lambda e: [e * e])
+    X = scheme(A, ["y"], lambda e, y: [(y - 1) * (y * y - 2)])
+    R = weil_restrict(A, X)
+    assert reduction_map(R, 2).is_bijective()
+
+    class Swapped(gammaset.EquivariantMap):
+        def __init__(self, source, target, mapping):
+            small, large = sorted(source.orbits(), key=len)
+            a, b = small[0], large[0]
+            mapping[a], mapping[b] = mapping[b], mapping[a]
+            super().__init__(source, target, mapping)
+    monkeypatch.setattr(gammaset, "EquivariantMap", Swapped)
+    with pytest.raises(CertificateFailure, match="not a map of Frobenius sets"):
+        reduction_map(R, 2)
 
 
 def test_reduction_map_can_lose_points():

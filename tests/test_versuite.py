@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from resweil import AlgebraPresentation, MPoly, PrimeField, weil_restrict
-from resweil import weilres
+from resweil import _linalg, weilres
 from resweil.errors import (
     CaseSyntaxError,
     CertificateFailure,
@@ -18,8 +18,8 @@ from resweil.errors import (
     UndeclaredVariable,
 )
 from resweil.exactfield import stage_field
-from resweil.finalg import decompose_local
-from resweil.gammaset import pi0_points
+from resweil.finalg import decompose_local, etale_check
+from resweil.gammaset import GammaSet, ProductPoint, pi0_points
 from resweil.weilres import fiber_presentation
 from resweil.versuite import (
     ambient_degree,
@@ -548,6 +548,42 @@ def test_a_non_equivariant_witness_fails_its_readers(monkeypatch):
     assert [(c.name, c.ok, c.detail) for c in rep.checks] == [
         ("theorem", False, "the evaluation witness is not equivariant"),
         ("lemma-local", False, "the evaluation witness is not equivariant")]
+
+
+def test_misaligned_canonical_orbits_fail_the_theorem(monkeypatch):
+    # the same fixed point and 2-cycle: pairing the right side's orbits in
+    # the reverse order pairs orbits of different sizes
+    text = ('case "swap"\nfield p = 5\nalgebra A : vars eps ; rels eps^2\n'
+            'scheme X : vars y ; rels (y - 1)*(y^2 - 2)\n'
+            'checks theorem, lemma-local\n')
+    real = GammaSet.canonical_orbits
+
+    def misaligned(G):
+        out = real(G)
+        return out[::-1] if isinstance(G.elements[0], ProductPoint) else out
+    monkeypatch.setattr(GammaSet, "canonical_orbits", misaligned)
+    rep = verify_case(parse_case(text))
+    assert [(c.name, c.ok, c.detail) for c in rep.checks] == [
+        ("theorem", False,
+         "certificate failure: paired canonical orbits differ in size"),
+        ("lemma-local", True, rep.checks[1].detail)]
+
+
+def test_a_non_annihilating_obstruction_fails_its_readers(monkeypatch):
+    # y^2 = eps over the dual numbers is not etale; a kernel vector that
+    # does not annihilate the determinant must not pass as its obstruction
+    text = ('case "root-of-eps"\nfield p = 5\nalgebra A : vars eps ; rels eps^2\n'
+            'scheme X : vars y ; rels y^2 - eps\nchecks theorem, non-smooth\n')
+    case = parse_case(text)
+    B = case.scheme.coordinate_ring
+    M = B.mult_matrix(etale_check(case.scheme).jacobian_det)
+    real = _linalg.kernel_basis
+    monkeypatch.setattr(_linalg, "kernel_basis", lambda N, field: (
+        [[field.one] + [field.zero] * (len(N) - 1)] if N == M else real(N, field)))
+    why = ("certificate failure: the obstruction is not a nonzero annihilator "
+           "of the determinant")
+    assert [(c.name, c.ok, c.detail) for c in verify_case(case).checks] == [
+        ("theorem", False, why), ("non-smooth", False, why)]
 
 
 @pytest.mark.parametrize("corrupt, reason", [

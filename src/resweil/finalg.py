@@ -5,12 +5,14 @@ reduced Groebner basis and the standard monomial basis of the quotient.
 The first basis element is always the monomial 1.  On top of that sit
 the structural operations: base extension, splitting into local factors,
 binary products, and the Jacobian smoothness certificate for a relative
-presentation.  A presentation computes its Frobenius matrix once; the
-nilradical dimension and the local factors are both read off it.  It also
-keeps one linear model on packed ints (`exactfield._Packed`): per variable
-v, the columns nf(v m) over the basis, a normal form only where v m leaves
-the staircase.  Multiplication by any f is walked up the staircase from
-them, and `min_poly` and `mult_matrix` read it.
+presentation.  A presentation keeps one linear model on packed ints
+(`exactfield._Packed`): per variable v, the columns nf(v m) over the
+basis, a normal form only where v m leaves the staircase.  A map T with
+T(v m) = T(v) T(m) is walked up the staircase from it: multiplication by
+any f, which `min_poly` and `mult_matrix` read, and the Frobenius map
+x -> x^q, computed once with each v^q by square-and-multiply on the
+tables.  The Frobenius matrix, the nilradical dimension and the local
+factors are all read off that one map.
 """
 
 from __future__ import annotations
@@ -86,17 +88,7 @@ class AlgebraPresentation:
     def mul(self, f, g):
         return self.nf(f * g)
 
-    def pow(self, f, e):
-        result = self.one()
-        base = self.nf(f)
-        while e > 0:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    # -- coordinates --------------------------------------------------
+    # -- coordinates and the linear model ------------------------------
 
     @cached_property
     def _mono_index(self):
@@ -104,18 +96,10 @@ class AlgebraPresentation:
 
     def coords(self, f: MPoly):
         """Coordinate vector of nf(f) in the standard monomial basis."""
-        d = self.dimension
-        idx = self._mono_index
-        vec = [self.field.zero] * d
-        for m, c in self.nf(f).terms.items():
-            vec[idx[m]] = c
-        return vec
+        return [row[0] for row in self._unpacked([self._packed_coords(f)])]
 
     def from_coords(self, vec) -> MPoly:
-        terms = {}
-        for m, c in zip(self.basis_monomials, vec):
-            terms[m] = c
-        return MPoly(self.field, self.vars, terms)
+        return MPoly(self.field, self.vars, dict(zip(self.basis_monomials, vec)))
 
     @cached_property
     def _stage(self):
@@ -128,6 +112,15 @@ class AlgebraPresentation:
         terms = f.terms if own else self.nf(f).terms
         return [(idx[m], self._stage.pack(c.coeffs)) for m, c in terms.items()]
 
+    def _unpacked(self, cols):
+        """Sparse packed columns as a matrix of field elements, rows first."""
+        field, unpack = self.field, self._stage.unpack
+        rows = [[field.zero] * len(cols) for _ in range(self.dimension)]
+        for j, col in enumerate(cols):
+            for i, a in col:
+                rows[i][j] = FieldElement(field, unpack(a))
+        return rows
+
     @cached_property
     def _tables(self):
         """Per variable v, the sparse packed columns nf(v m), m over the basis:
@@ -139,50 +132,59 @@ class AlgebraPresentation:
                   for w in set(itertools.chain(*shifts)) - idx.keys()}
         return [[[(idx[w], 1)] if w in idx else border[w] for w in ws] for ws in shifts]
 
-    def _columns(self, f: MPoly):
-        """Sparse packed columns of multiplication by f along the staircase:
-        f m = v (f m') is one table product, v the first variable of m."""
-        cols = [self._packed_coords(f)]
+    def _walk(self, first, tables):
+        """Sparse packed columns of a map T up the staircase, from T(1) = first
+        and T(m) = tables[i] T(m / v), v = vars[i] the first variable of m."""
+        cols = [first]
         for m in self.basis_monomials[1:]:
             i = next(i for i, e in enumerate(m) if e)
             below = cols[self._mono_index[m[:i] + (m[i] - 1,) + m[i + 1:]]]
-            cols.append(self._stage.mat_vec(self._tables[i], below))
+            cols.append(self._stage.mat_vec(tables[i], below))
         return cols
+
+    def _columns(self, f: MPoly):
+        """Sparse packed columns of multiplication by f: f m = v (f m')."""
+        return self._walk(self._packed_coords(f), self._tables)
 
     def mult_matrix(self, f: MPoly):
         """Matrix of multiplication by f: `_columns` unpacked into field elements."""
-        field, d, unpack = self.field, self.dimension, self._stage.unpack
-        rows = [[field.zero] * d for _ in range(d)]
-        for j, col in enumerate(self._columns(f)):
-            for i, a in col:
-                rows[i][j] = FieldElement(field, unpack(a))
-        return rows
+        return self._unpacked(self._columns(f))
+
+    @cached_property
+    def _frobenius(self):
+        """Sparse packed columns of F(x) = x^q, q the order of the stage.
+
+        F is a ring map, linear over the stage: F(m) = F(v) F(m / v) walks
+        the staircase with multiplication by v^q for the table of v, and
+        v^q is square-and-multiply from v's column nf(v 1) in that table.
+        """
+        if not self.dimension:
+            return []
+        S, one, tables = self._stage, [(0, 1)], []
+        for table in self._tables:
+            power, base, e = one, table[0], self.field.order
+            while e:
+                times_base = self._walk(base, self._tables)
+                if e & 1:
+                    power = S.mat_vec(times_base, power)
+                e >>= 1
+                base = S.mat_vec(times_base, base)
+            tables.append(self._walk(power, self._tables))
+        return self._walk(one, tables)
 
     @cached_property
     def frobenius_matrix(self):
-        """Matrix of x -> x^q, q the order of the stage, computed once and shared.
-
-        This map is linear over the stage, which is what makes the
-        fixed-space splitting in `decompose_local` work.
-        """
-        q = self.field.order
-        cols = [self.coords(self.pow(e, q)) for e in self.basis_elements()]
-        return tuple(zip(*cols))
+        """Matrix of x -> x^q: `_frobenius` unpacked into field elements, once.
+        Linear over the stage, it gives `decompose_local` its fixed space."""
+        return self._unpacked(self._frobenius)
 
     @cached_property
     def _nilradical_dim(self):
-        d = self.dimension
-        if d == 0:
-            return 0
-        q = self.field.order
-        L = 1
-        while q ** L < d + 1:
-            L += 1
-        F = self.frobenius_matrix
-        M = F
-        for _ in range(L - 1):
-            M = _linalg.mat_mul(M, F, self.field)
-        return len(_linalg.kernel_basis(M, self.field))
+        F, q = self._frobenius, self.field.order
+        cols, power = F, q
+        while power <= self.dimension:  # F^L with q^L above the dimension
+            cols, power = [self._stage.mat_vec(F, c) for c in cols], power * q
+        return len(_linalg.kernel_basis(self._unpacked(cols), self.field))
 
     def nilradical_dimension(self):
         """Dimension of the nilradical, as the kernel of an iterated Frobenius.
@@ -197,12 +199,9 @@ class AlgebraPresentation:
 
     def inverse(self, f: MPoly):
         """Multiplicative inverse as a normal form, or None."""
-        d = self.dimension
-        if d == 0:
+        if not self.dimension:
             return self.zero()  # zero ring: 1 = 0 and everything inverts
-        M = self.mult_matrix(f)
-        one = self.coords(self.one())
-        sol = _linalg.solve(M, one, self.field)
+        sol = _linalg.solve(self.mult_matrix(f), self.coords(self.one()), self.field)
         if sol is None:
             return None
         g = self.from_coords(sol)

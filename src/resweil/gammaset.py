@@ -56,10 +56,6 @@ class ProductPoint:
         return "ProductPoint%r" % (self.label(),)
 
 
-def _arith_frob_point(pt: GeometricPoint) -> GeometricPoint:
-    return GeometricPoint(tuple(frobenius(x) for x in pt.coords))
-
-
 def _power_frob_point(pt: GeometricPoint, e: int) -> GeometricPoint:
     coords = pt.coords
     for _ in range(e):
@@ -68,21 +64,22 @@ def _power_frob_point(pt: GeometricPoint, e: int) -> GeometricPoint:
 
 
 class GammaSet:
-    """A finite set with one permutation whose given period is verified."""
+    """A finite set with one permutation whose given period is verified;
+    a solver that duplicates or drops points fails with CertificateFailure."""
 
     def __init__(self, elements, perm, period):
         self.elements = tuple(sorted(elements, key=lambda e: e.label()))
         eset = set(self.elements)
-        assert len(eset) == len(self.elements), "duplicate elements"
-        assert set(perm) == eset, "permutation domain mismatch"
-        assert set(perm.values()) == eset, "not a permutation of the set"
+        if len(eset) != len(self.elements):
+            raise CertificateFailure("duplicate elements")
+        if set(perm) != eset:
+            raise CertificateFailure("permutation domain mismatch")
+        if set(perm.values()) != eset:
+            raise CertificateFailure("not a permutation of the set")
         self.perm = dict(perm)
         self.period = period
-        current = {e: e for e in self.elements}
-        for _ in range(period):
-            current = {e: self.perm[v] for e, v in current.items()}
-        assert all(current[e] == e for e in self.elements), \
-            "permutation period exceeds the ambient bound"
+        if any(period % len(orbit) for orbit in self.orbits()):
+            raise CertificateFailure("permutation period exceeds the ambient bound")
 
     def __len__(self):
         return len(self.elements)
@@ -216,7 +213,7 @@ def product_gamma_set(S: GammaSet, fibers: dict, N) -> GammaSet:
     for el in elements:
         v = [None] * len(S.elements)
         for i, s in enumerate(S.elements):
-            v[sindex[S.perm[s]]] = _arith_frob_point(el.components[i])
+            v[sindex[S.perm[s]]] = _power_frob_point(el.components[i], 1)
         perm[el] = ProductPoint(tuple(v))
     return GammaSet(elements, perm, N)
 

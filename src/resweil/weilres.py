@@ -359,7 +359,8 @@ def _relative_inverse(K, L):
     n = L.degree
     mat = [[cols[j][i] for j in range(n)] for i in range(n)]
     inv = _linalg.invert(mat, PF)
-    assert inv is not None, "powers of the generator span over the substage"
+    if inv is None:
+        raise CertificateFailure("powers of the generator do not span over the substage")
     return PF, inv
 
 

@@ -134,6 +134,34 @@ def _per_column_mult_matrix(B, f):
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
+def _power_rule_frobenius_matrix(B):
+    """The q-power map the long way: each basis element raised to the q-th
+    power by square-and-multiply on MPoly products and normal forms."""
+    d = B.dimension
+    cols = []
+    for power in B.basis_elements():
+        result, e = B.one(), B.field.order
+        while e:
+            if e & 1:
+                result = B.mul(result, power)
+            power = B.mul(power, power)
+            e >>= 1
+        cols.append(B.coords(result))
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
+def _mat_mul_rule_nilradical_dimension(B, F):
+    """The kernel of F^L, q^L > dim B, with F^L by products of field-element
+    matrices."""
+    L = 1
+    while B.field.order ** L < B.dimension + 1:
+        L += 1
+    M = F
+    for _ in range(L - 1):
+        M = _linalg.mat_mul(M, F, B.field)
+    return len(_linalg.kernel_basis(M, B.field))
+
+
 def _annihilates(B, mu, f):
     acc = B.zero()
     for c in reversed(mu.coeffs):
@@ -210,6 +238,57 @@ def test_mult_matrix_matches_the_per_column_rule_on_the_corpus(name):
             assert B.mult_matrix(f) == _per_column_mult_matrix(B, f), (name, B, f)
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_frobenius_matrix_matches_the_power_rule_on_the_corpus(name):
+    checked = 0
+    for B in _corpus_presentations(name):
+        F = _power_rule_frobenius_matrix(B)
+        assert B.frobenius_matrix == F, (name, B)
+        assert B.nilradical_dimension() == _mat_mul_rule_nilradical_dimension(B, F)
+        checked += 1
+    assert checked
+
+
+def _border(B):
+    return {m[:i] + (m[i] + 1,) + m[i + 1:] for m in B.basis_monomials
+            for i in range(len(B.vars))} - set(B.basis_monomials)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: alg(F7, ["t", "u"], lambda t, u: [t ** 3 - 2, u * u - t]),
+    lambda: alg(F5, ["x", "y"], lambda x, y: [x - 2, (y * y - x) * y ** 2]),
+    lambda: _four_local_factors(),
+    # q = 3 below the dimension: the nilradical needs F^L, L > 1
+    lambda: alg(PrimeField(3), ["t"], lambda t: [t ** 5]),
+    lambda: alg(PrimeField(3), ["x", "y"], lambda x, y: [x ** 4, y * y - x * y]),
+])
+def test_frobenius_matrix_makes_a_normal_form_per_border_monomial_only(
+        monkeypatch, build):
+    # v^q and the walk run on the packed tables: the normal forms are the
+    # tables' own, and no field-element matrix is multiplied
+    B = build()
+    expected = _power_rule_frobenius_matrix(build())
+    calls = {"normal_form": 0, "mat_mul": 0}
+    real_nf = finalg.normal_form
+
+    def normal_form(*args):
+        calls["normal_form"] += 1
+        return real_nf(*args)
+
+    def mat_mul(*args):
+        calls["mat_mul"] += 1
+    monkeypatch.setattr(finalg, "normal_form", normal_form)
+    monkeypatch.setattr(_linalg, "mat_mul", mat_mul)
+    F = B.frobenius_matrix
+    B.nilradical_dimension()
+    assert calls == {"normal_form": len(_border(B)), "mat_mul": 0}
+    monkeypatch.undo()
+    assert F == expected
+    assert B.nilradical_dimension() == _mat_mul_rule_nilradical_dimension(B, F)
+    assert B.nilradical_dimension() == B.dimension - sum(
+        f.residue_degree for f in decompose_local(B))
 
 
 def _seeded_irreducible(rng, F, d):
@@ -305,6 +384,36 @@ def test_min_poly_at_the_slot_bound():
     assert B.min_poly(B.var("y")) == g
     f = B.var("y") * B.var("y") + top
     assert B.min_poly(f) == _solve_rule_min_poly(B, f)
+
+
+def test_frobenius_matrix_at_the_slot_bound():
+    # the same extreme border column, and a nilpotent y - top of order d
+    # whose powers carry every slot high: x^q is squared some 93 times
+    p, m, d = 2 ** 31 - 1, 3, 4
+    K = make_ext_field(p, m)
+    top = K.element((p - 1,) * m)
+    y = MPoly.variable(K, ("y",), "y")
+    g = y ** d - MPoly(K, ("y",), {(i,): top for i in range(d)})
+    for B, nil in [(AlgebraPresentation(K, ("y",), [g]), None),
+                   (AlgebraPresentation(K, ("y",), [(y - top) ** d]), d - 1)]:
+        F = _power_rule_frobenius_matrix(B)
+        assert B.frobenius_matrix == F
+        assert B.nilradical_dimension() == _mat_mul_rule_nilradical_dimension(B, F)
+        assert nil is None or B.nilradical_dimension() == nil
+
+
+def test_coords_reduce_only_off_the_staircase(monkeypatch):
+    A = alg(F7, ["t", "u"], lambda t, u: [t ** 3 - 2, u * u - t])
+    t, u = A.var("t"), A.var("u")
+    calls = []
+    real_nf = finalg.normal_form
+    monkeypatch.setattr(finalg, "normal_form",
+                        lambda *args: calls.append(args) or real_nf(*args))
+    assert A.coords(A.one()) == [F7.one] + [F7.zero] * 5
+    assert A.coords(3 * t * u + 1) == A.coords(A.from_coords(A.coords(3 * t * u + 1)))
+    assert calls == []
+    assert A.coords(t ** 3) == A.coords(A.one() * 2)
+    assert len(calls) == 1
 
 
 def test_inverse_raises_when_the_solve_does_not_invert(monkeypatch):
@@ -544,10 +653,11 @@ def test_decompose_matches_the_recursive_rule_when_one_vector_does_not_separate(
 
 
 def _counting_builds(monkeypatch):
-    """Record each presentation built and each Frobenius matrix computed."""
+    """Record each presentation built and each packed Frobenius map computed,
+    which `frobenius_matrix` and `nilradical_dimension` both read."""
     built = {"presentations": 0, "frobenius": []}
     real_init = AlgebraPresentation.__init__
-    real_frob = AlgebraPresentation.frobenius_matrix.func
+    real_frob = AlgebraPresentation._frobenius.func
 
     def init(self, *args):
         built["presentations"] += 1
@@ -557,9 +667,9 @@ def _counting_builds(monkeypatch):
         built["frobenius"].append(self)
         return real_frob(self)
     prop = cached_property(frob)
-    prop.__set_name__(AlgebraPresentation, "frobenius_matrix")
+    prop.__set_name__(AlgebraPresentation, "_frobenius")
     monkeypatch.setattr(AlgebraPresentation, "__init__", init)
-    monkeypatch.setattr(AlgebraPresentation, "frobenius_matrix", prop)
+    monkeypatch.setattr(AlgebraPresentation, "_frobenius", prop)
     return built
 
 
@@ -569,7 +679,7 @@ def test_decompose_builds_one_frobenius_matrix_and_one_presentation_per_factor(
     built = _counting_builds(monkeypatch)
     fs = decompose_local(A)
     assert built["presentations"] == len(fs) == 4
-    # A's own matrix once; each factor's, read for its residue degree
+    # A's own map once; each factor's, read for its residue degree
     assert built["frobenius"][0] is A
     assert len(built["frobenius"]) == 1 + len(fs)
     assert all(B is f.presentation for B, f in zip(built["frobenius"][1:], fs))

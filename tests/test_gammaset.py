@@ -75,15 +75,28 @@ def test_gamma_set_basics():
 def test_gamma_set_rejects_bad_period():
     pts = points_of(F5, [[1], [2]])
     perm = {pts[0]: pts[1], pts[1]: pts[0]}
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateFailure, match="period exceeds"):
         GammaSet(pts, perm, 1)
 
 
 def test_gamma_set_rejects_non_permutation():
     pts = points_of(F5, [[1], [2]])
     perm = {pts[0]: pts[0], pts[1]: pts[0]}
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateFailure, match="not a permutation"):
         GammaSet(pts, perm, 1)
+
+
+def test_gamma_set_rejects_duplicate_elements():
+    pts = points_of(F5, [[1], [2]])
+    perm = {pts[0]: pts[0], pts[1]: pts[1]}
+    with pytest.raises(CertificateFailure, match="duplicate elements"):
+        GammaSet(pts + pts[:1], perm, 1)
+
+
+def test_gamma_set_rejects_a_permutation_of_another_domain():
+    pts = points_of(F5, [[1], [2], [3]])
+    with pytest.raises(CertificateFailure, match="domain mismatch"):
+        GammaSet(pts[:2], {pt: pt for pt in pts}, 1)
 
 
 # -- component sets of presentations ----------------------------------

@@ -606,6 +606,53 @@ def test_corrupted_adjunction_route_fails_the_check(monkeypatch, corrupt,
     assert all(c.ok for c in rep.checks if c.name != "adjunction")
 
 
+def test_a_degenerate_stage_basis_fails_the_adjunction_check(monkeypatch):
+    # quadratic-field-cover's residue field is F_25 over the stage F_5, so
+    # the adjunction route reads relative coordinates; the theorem does not
+    monkeypatch.setattr(weilres, "_stage_basis", lambda K: [K.one] * K.degree)
+    rep = verify_case(parse_case(Path(corpus("quadratic-field-cover")).read_text()))
+    assert [(c.name, c.detail) for c in rep.checks if not c.ok] == [(
+        "adjunction", "certificate failure: powers of the generator do not "
+        "span over the substage")]
+
+
+SOLVER_FAULTS = {
+    "duplicates": ("lambda pts: list(pts) + list(pts[:1])", "duplicate elements"),
+    "drops": ("lambda pts: list(pts)[1:]", "not a permutation of the set"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SOLVER_FAULTS))
+def test_a_solver_that_miscounts_points_fails_the_component_checks(fault):
+    # the base of quadratic-field-cover is one 2-cycle: a repeated point,
+    # or one dropped so that its partner's Frobenius image is missing,
+    # fails every reader of the component data, also under `python -O`
+    corrupt, reason = SOLVER_FAULTS[fault]
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from resweil import gammaset\n"
+        "from resweil.versuite import parse_case, verify_case\n"
+        "real = gammaset.zero_dim_solve\n"
+        "gammaset.zero_dim_solve = lambda B, K: (%s)(real(B, K))\n"
+        "rep = verify_case(parse_case(Path(sys.argv[1]).read_text()))\n"
+        "for c in rep.checks:\n"
+        "    print(c.name, c.ok, c.detail, sep='|')\n" % corrupt)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, corpus("quadratic-field-cover")],
+        capture_output=True, env=env, text=True)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split("|") for line in done.stdout.splitlines()]
+    assert [(name, why) for name, ok, why in rows if ok == "False"] == [
+        (name, "no component data: " + reason) for name in (
+            "expect S", "expect pi0_res", "expect fibers", "expect cycle_type",
+            "theorem")]
+    assert [name for name, ok, _ in rows if ok == "True"] == ["adjunction"]
+
+
 ZERO_RING = """\
 case "zero-ring"
 field p = 5

@@ -356,6 +356,16 @@ def test_relative_coords_round_trip():
         assert back == x
 
 
+def test_relative_coords_raises_when_the_powers_do_not_span(monkeypatch):
+    # a stage basis of K with a repeated vector leaves the powers of L's
+    # generator short of a basis over K
+    K = make_ext_field(5, 2)
+    L = make_ext_field(5, 4)
+    monkeypatch.setattr(weilres, "_stage_basis", lambda K: [K.one] * K.degree)
+    with pytest.raises(CertificateFailure, match="do not span over the substage"):
+        relative_coords(L.gen, K, L)
+
+
 # -- product and covering comparisons ---------------------------------
 
 def test_product_formula_split_stage():

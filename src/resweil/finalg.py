@@ -9,10 +9,10 @@ presentation.  A presentation keeps one linear model on packed ints
 (`exactfield._Packed`): per variable v, the columns nf(v m) over the
 basis, a normal form only where v m leaves the staircase.  A map T with
 T(v m) = T(v) T(m) is walked up the staircase from it: multiplication by
-any f, which `min_poly` and `mult_matrix` read, and the Frobenius map
-x -> x^q, computed once with each v^q by square-and-multiply on the
-tables.  The Frobenius matrix, the nilradical dimension and the local
-factors are all read off that one map.
+any f, and the Frobenius map x -> x^q, computed once with each v^q by
+square-and-multiply on the tables.  The Frobenius matrix, the nilradical
+dimension and the local factors are all read off that one map; inverses,
+annihilators and idempotents off minimal polynomials, by Horner's rule.
 """
 
 from __future__ import annotations
@@ -85,9 +85,6 @@ class AlgebraPresentation:
     def nf(self, f: MPoly) -> MPoly:
         return normal_form(f, self.groebner)
 
-    def mul(self, f, g):
-        return self.nf(f * g)
-
     # -- coordinates and the linear model ------------------------------
 
     @cached_property
@@ -100,6 +97,10 @@ class AlgebraPresentation:
 
     def from_coords(self, vec) -> MPoly:
         return MPoly(self.field, self.vars, dict(zip(self.basis_monomials, vec)))
+
+    def _element(self, vec) -> MPoly:
+        """The normal form with sparse packed coordinates vec."""
+        return self.from_coords([row[0] for row in self._unpacked([vec])])
 
     @cached_property
     def _stage(self):
@@ -146,9 +147,16 @@ class AlgebraPresentation:
         """Sparse packed columns of multiplication by f: f m = v (f m')."""
         return self._walk(self._packed_coords(f), self._tables)
 
-    def mult_matrix(self, f: MPoly):
-        """Matrix of multiplication by f: `_columns` unpacked into field elements."""
-        return self._unpacked(self._columns(f))
+    def _horner(self, g: UniPoly, cols, vec):
+        """g(f) vec, cols the packed columns of multiplication by f: from the
+        top, acc <- f acc + c vec, one `mat_vec` with c vec as an extra
+        column, so an entry sums d + 1 products, inside the slot bound."""
+        S, d = self._stage, self.dimension
+        acc = []
+        for c in reversed(g.coeffs):
+            c = S.pack(c.coeffs)
+            acc = S.mat_vec(cols + [[(i, c * a) for i, a in vec]], acc + [(d, 1)])
+        return acc
 
     @cached_property
     def _frobenius(self):
@@ -198,29 +206,36 @@ class AlgebraPresentation:
         return self.inverse(f) is not None
 
     def inverse(self, f: MPoly):
-        """Multiplicative inverse as a normal form, or None."""
+        """Multiplicative inverse as a normal form, or None: with c_0 + x h(x)
+        the minimal polynomial of f, f h(f) = -c_0, so f is a unit exactly
+        when c_0 != 0, and then -h(f) / c_0 inverts it."""
         if not self.dimension:
             return self.zero()  # zero ring: 1 = 0 and everything inverts
-        sol = _linalg.solve(self.mult_matrix(f), self.coords(self.one()), self.field)
-        if sol is None:
+        cols = self._columns(f)
+        c0, *h = self._min_poly(cols).coeffs
+        if c0.is_zero():
             return None
-        g = self.from_coords(sol)
-        if self.mul(f, g) != self.one():
+        g = self._horner(UniPoly(self.field, h) * -c0.inverse(), cols, [(0, 1)])
+        if self._stage.mat_vec(cols, g) != [(0, 1)]:
             raise CertificateFailure("the solved inverse does not invert")
-        return g
+        return self._element(g)
 
     def min_poly(self, f: MPoly) -> UniPoly:
-        """Monic minimal polynomial of f acting on the quotient.
+        """Monic minimal polynomial of f acting on the quotient."""
+        return self._min_poly(self._columns(f))
 
-        A Krylov iteration on the packed columns of multiplication by f:
-        the powers 1, f, f^2, ... are reduced in turn against an echelon
-        form of the earlier ones, each row carrying its combination of
-        powers; the first power that reduces to zero gives the relation.
-        An entry is reduced only where it is read, so it sums at most d
-        products besides itself: inside the slot bound of `_stage`.
+    def _min_poly(self, cols) -> UniPoly:
+        """Monic minimal polynomial of the map with sparse packed columns cols.
+
+        A Krylov iteration: the powers 1, f, f^2, ... are reduced in turn
+        against an echelon form of the earlier ones, each row carrying its
+        combination of powers; the first power that reduces to zero gives
+        the relation.  An entry is reduced only where it is read, so it
+        sums at most d products besides itself: inside the slot bound of
+        `_stage`.
         """
         field, d = self.field, self.dimension  # the zero ring, d = 0, gives 1
-        S, cols = self._stage, self._columns(f)
+        S = self._stage
         red, ps = S.reduce, S.ps
         power = [(0, 1)]  # f^0 = 1, the first basis element
         rows = []  # (pivot, [coordinates | combination of powers]), pivot entry 1
@@ -274,11 +289,9 @@ def tensor_extend(A: AlgebraPresentation, K) -> AlgebraPresentation:
 
 @dataclass
 class LocalFactor:
-    parent: AlgebraPresentation
     idempotent: MPoly            # normal form in the parent
     presentation: AlgebraPresentation
     residue_degree: int          # over the parent's coefficient stage
-    projection: "AlgebraHom"
 
 
 @dataclass
@@ -310,52 +323,51 @@ def decompose_local(A: AlgebraPresentation):
     squarefree and splits over the stage, and Lagrange interpolation at
     its roots yields the idempotents cutting out where it takes each
     value; no lifting through the nilpotents is needed.  Starting from 1,
-    each fixed basis vector refines the current idempotents by its own;
-    once every basis vector is constant on each piece, so is every fixed
-    element, and the s pieces are the primitive idempotents.  All of
-    this runs inside A on A's one Frobenius matrix.  A presentation is
+    each fixed basis vector v refines the current idempotents e by its
+    own, e -> L_c(v) e with L_c = (mu / (x - c)) / (mu / (x - c))(c) at
+    each root c of its minimal polynomial mu; once every basis vector is
+    constant on each piece, so is every fixed element, and the s pieces
+    are the primitive idempotents.  All of this runs inside A, on A's one
+    Frobenius matrix and packed multiplication tables.  A presentation is
     built for each factor returned, and none when A is local.
     """
     if A.dimension == 0:
         raise ZeroRing("the zero ring has no local factors")
-    field = A.field
+    field, S = A.field, A._stage
     F = A.frobenius_matrix
     M = [[a - (field.one if i == j else field.zero) for j, a in enumerate(row)]
          for i, row in enumerate(F)]
     V = _linalg.kernel_basis(M, field)
-    idems = [A.one()]
+    idems = [[(0, 1)]]  # the packed 1
     for vec in V[1:]:  # V[0] is 1: its column of F - I is zero, so free first
         if len(idems) == len(V):
             break
-        v = A.from_coords(vec)
-        mu = A.min_poly(v)
+        cols = A._columns(A.from_coords(vec))
+        mu = A._min_poly(cols)
         cs = roots_in(mu, field)
         if len(cs) != mu.degree:
             raise CertificateFailure("a fixed element does not split over the stage")
-        eps = []
+        lagrange = []
         for c in cs:
-            e = A.one()
-            for other in cs:
-                if other != c:
-                    e = A.mul(e, (v - other) * (c - other).inverse())
-            eps.append(e)
-        idems = [p for e in idems for p in (A.mul(e, x) for x in eps)
-                 if not p.is_zero()]
+            q = mu // UniPoly(field, [-c, field.one])
+            lagrange.append(q * q.evaluate(c).inverse())
+        idems = [p for e in idems for p in (A._horner(L, cols, e) for L in lagrange) if p]
     if len(idems) != len(V):
         raise CertificateFailure("the fixed basis does not separate the local factors")
-    if A.nf(sum(idems, A.zero())) != A.one():
+    elems = [A._element(e) for e in idems]
+    if sum(elems, A.zero()) != A.one():  # normal forms sum to a normal form
         raise CertificateFailure("the local idempotents do not sum to 1")
     for j, e in enumerate(idems):
-        if A.mul(e, e) != e:
+        times_e = A._walk(e, A._tables)
+        if S.mat_vec(times_e, e) != e:
             raise CertificateFailure("a local idempotent is not idempotent")
-        if any(not A.mul(e, other).is_zero() for other in idems[:j]):
+        if any(S.mat_vec(times_e, other) for other in idems[:j]):
             raise CertificateFailure("two local idempotents are not orthogonal")
     out = []
-    for e in sorted(idems, key=lambda e: e.label()):
+    for e in sorted(elems, key=lambda e: e.label()):
         B = A if len(idems) == 1 else AlgebraPresentation(
             field, A.vars, list(A.relations) + [A.one() - e])
-        proj = AlgebraHom(A, B, {v: B.nf(B.var(v)) for v in A.vars})
-        out.append(LocalFactor(A, e, B, B.dimension - B.nilradical_dimension(), proj))
+        out.append(LocalFactor(e, B, B.dimension - B.nilradical_dimension()))
     return out
 
 
@@ -479,23 +491,22 @@ def etale_check(X) -> EtaleCertificate:
 
     The ring is X's total coordinate ring, X.coordinate_ring.  The
     certificate carries the inverse normal form when it exists and a
-    nonzero annihilator of the determinant otherwise.
+    nonzero annihilator of the determinant otherwise: h(det), where x h(x)
+    is the minimal polynomial of det.
     """
     if len(X.relations) != len(X.vars):
         raise NotSquareSystem(
             "%d relations against %d scheme variables" % (len(X.relations), len(X.vars)))
     B = X.coordinate_ring
-    d = B.dimension  # raises NotFinite when the quotient is infinite
     rows = [[g.derivative(y) for y in X.vars] for g in X.relations]
     det = B.nf(_poly_det(rows, B.field, B.vars))
-    if d == 0:
-        return EtaleCertificate(True, det, B.zero(), None)
-    inv = B.inverse(det)
+    inv = B.inverse(det)  # raises NotFinite when the quotient is infinite
     if inv is not None:
         return EtaleCertificate(True, det, inv, None)
-    ker = _linalg.kernel_basis(B.mult_matrix(det), B.field)
-    obstruction = B.from_coords(ker[0]) if ker else B.zero()
-    if obstruction.is_zero() or not B.mul(det, obstruction).is_zero():
+    cols = B._columns(det)
+    ann = B._horner(UniPoly(B.field, B._min_poly(cols).coeffs[1:]), cols, [(0, 1)])
+    obstruction = B._element(ann)
+    if obstruction.is_zero() or B._stage.mat_vec(cols, ann):
         raise CertificateFailure(
             "the obstruction is not a nonzero annihilator of the determinant")
     return EtaleCertificate(False, det, None, obstruction)

@@ -30,6 +30,7 @@ from .exactfield import PrimeField, embed, roots_in, stage_field
 from .finalg import (
     AlgebraPresentation,
     ProductAlgebra,
+    _poly_det,
     decompose_local,
     etale_check,
     substitute_in_algebra,
@@ -212,7 +213,8 @@ def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
         for b in range(d):
             acc = acc + relations[i * d + b] * basis_ctx[b]
         acc = normal_form(acc, ext_gb) if ext_gb else acc
-        assert acc == reduced_list[i], "basis recombination failed"
+        if acc != reduced_list[i]:
+            raise CertificateFailure("basis recombination failed")
 
     rels_y = [r.restrict_context(tuple(yvars)) for r in relations]
     return RestrictedScheme(X, A, basis, yvars, rels_y, table)
@@ -379,32 +381,15 @@ def relative_coords(x, K, L):
 
 
 def _local_solve(B, M, rhs):
-    """Solve M x = rhs over a local quotient; needs a unit determinant.
-
-    In a local ring a matrix with unit determinant always offers a unit
-    pivot in the current column, so plain elimination goes through.
-    """
-    n = len(M)
-    rows = [list(M[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = pinv = None
-        for r in range(col, n):
-            inv = B.inverse(rows[r][col])
-            if inv is not None:
-                piv, pinv = r, inv
-                break
-        if piv is None:
-            raise CertificateFailure("no unit pivot available")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rows[col] = [B.mul(pinv, e) for e in rows[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = rows[r][col]
-            if factor.is_zero():
-                continue
-            rows[r] = [a - B.mul(factor, b) for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
+    """Solve M x = rhs over a quotient by Cramer's rule, one inverse for
+    every unknown: x_j = det(M, column j replaced by rhs) / det(M)."""
+    field, variables = B.field, B.vars
+    inv = B.inverse(B.nf(_poly_det(M, field, variables)))
+    if inv is None:
+        raise CertificateFailure("no unit pivot available")
+    return [B.nf(_poly_det([row[:j] + [r] + row[j + 1:] for row, r in zip(M, rhs)],
+                           field, variables) * inv)
+            for j in range(len(M))]
 
 
 def _newton_lift(X, Bf, dgdy, start):

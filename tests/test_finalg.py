@@ -114,7 +114,7 @@ def _solve_rule_min_poly(B, f):
     powers = [B.coords(B.one())]
     current = B.one()
     for _ in range(d):
-        current = B.mul(current, B.nf(f))
+        current = B.nf(current * B.nf(f))
         w = B.coords(current)
         mat = [[powers[j][i] for j in range(len(powers))] for i in range(d)]
         sol = _linalg.solve(mat, w, B.field)
@@ -134,6 +134,13 @@ def _per_column_mult_matrix(B, f):
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
+def _solve_rule_inverse(B, f):
+    """The inverse the long way: `_linalg.solve` on the per-column matrix of
+    multiplication by f, against the coordinates of 1."""
+    sol = _linalg.solve(_per_column_mult_matrix(B, f), B.coords(B.one()), B.field)
+    return None if sol is None else B.from_coords(sol)
+
+
 def _power_rule_frobenius_matrix(B):
     """The q-power map the long way: each basis element raised to the q-th
     power by square-and-multiply on MPoly products and normal forms."""
@@ -143,8 +150,8 @@ def _power_rule_frobenius_matrix(B):
         result, e = B.one(), B.field.order
         while e:
             if e & 1:
-                result = B.mul(result, power)
-            power = B.mul(power, power)
+                result = B.nf(result * power)
+            power = B.nf(power * power)
             e >>= 1
         cols.append(B.coords(result))
     return [[cols[j][i] for j in range(d)] for i in range(d)]
@@ -165,7 +172,7 @@ def _mat_mul_rule_nilradical_dimension(B, F):
 def _annihilates(B, mu, f):
     acc = B.zero()
     for c in reversed(mu.coeffs):
-        acc = B.mul(acc, f) + MPoly.constant(B.field, B.vars, c)
+        acc = B.nf(acc * f) + MPoly.constant(B.field, B.vars, c)
     return B.nf(acc).is_zero()
 
 
@@ -235,9 +242,57 @@ def test_mult_matrix_matches_the_per_column_rule_on_the_corpus(name):
     checked = 0
     for B in _corpus_presentations(name):
         for f in _test_elements(B, rng):
-            assert B.mult_matrix(f) == _per_column_mult_matrix(B, f), (name, B, f)
+            assert B._unpacked(B._columns(f)) == _per_column_mult_matrix(B, f), (name, B, f)
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_inverse_matches_the_solve_rule_on_the_corpus(name):
+    rng = random.Random(name)
+    seen = {True: 0, False: 0}
+    for B in _corpus_presentations(name):
+        for f in _test_elements(B, rng):
+            inv = B.inverse(f)
+            assert inv == _solve_rule_inverse(B, f), (name, B, f)
+            assert inv is None or B.nf(f * inv) == B.one()
+            seen[inv is not None] += 1
+    assert seen[True] and seen[False], seen
+
+
+def _non_etale_schemes():
+    """Schemes whose Jacobian determinant is no unit: nilpotent over the
+    dual numbers, and a zero divisor that is not nilpotent over two points."""
+    def scheme(base, names, build):
+        ctx = base.vars + tuple(names)
+        gens = [MPoly.variable(base.field, ctx, v) for v in ctx]
+        return SchemePresentation(base, tuple(names), build(*gens))
+    dual = alg(F5, ["eps"], lambda e: [e * e])
+    pts = alg(F5, ["t"], lambda t: [t * t - t])
+    return [scheme(dual, ["y"], lambda e, y: [y * y - e]),
+            scheme(pts, ["y"], lambda t, y: [y * y - t]),
+            scheme(pts, ["y", "z"], lambda t, y, z: [y * y - t, z ** 3 - y])]
+
+
+def test_etale_certificate_holds_in_the_reference_arithmetic():
+    cases = [parse_case((CASES / (name + ".case")).read_text()) for name in CORPUS]
+    seen = {True: 0, False: 0}
+    for X in [case.scheme for case in cases] + _non_etale_schemes():
+        try:
+            cert = etale_check(X)
+        except (NotSquareSystem, NotFinite):
+            continue
+        B, det = X.coordinate_ring, cert.jacobian_det
+        if cert.ok:
+            assert B.nf(det * cert.inverse) == B.one(), X
+            assert cert.inverse == _solve_rule_inverse(B, det), X
+        else:
+            # h(det), for the minimal polynomial x h(x) of det
+            assert not cert.obstruction.is_zero(), X
+            assert B.nf(det * cert.obstruction).is_zero(), X
+            assert _solve_rule_inverse(B, det) is None, X
+        seen[cert.ok] += 1
+    assert seen == {True: 14, False: 3}
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -380,10 +435,31 @@ def test_min_poly_at_the_slot_bound():
     g = UniPoly(K, [-top] * d + [K.one])
     rel = MPoly(K, ("y",), {(i,): c for i, c in enumerate(g.coeffs)})
     B = AlgebraPresentation(K, ("y",), [rel])
-    assert [row[d - 1] for row in B.mult_matrix(B.var("y"))] == [top] * d
+    assert [row[d - 1] for row in B._unpacked(B._columns(B.var("y")))] == [top] * d
     assert B.min_poly(B.var("y")) == g
     f = B.var("y") * B.var("y") + top
     assert B.min_poly(f) == _solve_rule_min_poly(B, f)
+
+
+def test_horner_at_the_slot_bound():
+    # every slot at p - 1 in the polynomial, the element, the vector and
+    # the border column: each entry sums d + 1 products at the bound
+    p, m, d = 2 ** 31 - 1, 3, 6
+    K = make_ext_field(p, m)
+    top = K.element((p - 1,) * m)
+    y = MPoly.variable(K, ("y",), "y")
+    B = AlgebraPresentation(K, ("y",), [
+        y ** d - MPoly(K, ("y",), {(i,): top for i in range(d)})])
+    f = B.from_coords([top] * d)
+    g = UniPoly(K, [top] * (d + 1))
+    vec = B._packed_coords(f)
+    got = B._element(B._horner(g, B._columns(f), vec))
+    power, expected = B.one(), B.zero()
+    for c in g.coeffs:
+        expected = expected + B.nf(power * f) * c
+        power = B.nf(power * f)
+    assert got == expected
+    assert B.inverse(f) == _solve_rule_inverse(B, f)
 
 
 def test_frobenius_matrix_at_the_slot_bound():
@@ -417,11 +493,12 @@ def test_coords_reduce_only_off_the_staircase(monkeypatch):
 
 
 def test_inverse_raises_when_the_solve_does_not_invert(monkeypatch):
+    # the Horner evaluation of -h / c_0 at f returns its value plus one
     dual = alg(F5, ["eps"], lambda e: [e * e])
-    real = _linalg.solve
-    monkeypatch.setattr(_linalg, "solve", lambda M, rhs, field: [
-        c + field.one for c in real(M, rhs, field)])
-    with pytest.raises(CertificateFailure):
+    real = AlgebraPresentation._horner
+    monkeypatch.setattr(AlgebraPresentation, "_horner", lambda self, g, cols, vec: real(
+        self, g + UniPoly(g.field, [g.field.one]), cols, vec))
+    with pytest.raises(CertificateFailure, match="does not invert"):
         dual.inverse(1 + dual.var("eps"))
 
 
@@ -429,7 +506,7 @@ def test_inverse_and_units():
     dual = alg(F5, ["eps"], lambda e: [e * e])
     e = dual.var("eps")
     inv = dual.inverse(1 + e)
-    assert inv is not None and dual.mul(1 + e, inv) == dual.one()
+    assert inv is not None and dual.nf((1 + e) * inv) == dual.one()
     assert str(inv) == "4*eps + 1"
     assert dual.inverse(e) is None
     assert not dual.is_unit(dual.zero())
@@ -508,11 +585,11 @@ def test_decompose_idempotent_laws():
     assert sum(f.presentation.dimension for f in fs) == 5
     total = A.zero()
     for f in fs:
-        assert A.mul(f.idempotent, f.idempotent) == f.idempotent
+        assert A.nf(f.idempotent * f.idempotent) == f.idempotent
         total = total + f.idempotent
     assert A.nf(total) == A.one()
     for f, g in itertools.combinations(fs, 2):
-        assert A.mul(f.idempotent, g.idempotent).is_zero()
+        assert A.nf(f.idempotent * g.idempotent).is_zero()
 
 
 def test_decompose_two_isomorphic_quadratic_factors():
@@ -521,14 +598,6 @@ def test_decompose_two_isomorphic_quadratic_factors():
     A = alg(F7, ["t"], lambda t: [(t * t - 3) * (t * t - 3 * t + 1)])
     fs = decompose_local(A)
     assert [f.residue_degree for f in fs] == [2, 2]
-
-
-def test_decompose_projections():
-    pts = alg(F5, ["t"], lambda t: [t * t - t])
-    for f in decompose_local(pts):
-        assert f.projection.check()
-        img = f.projection.apply(pts.var("t"))
-        assert img.is_constant()
 
 
 def test_hom_counts_add_over_factors():
@@ -604,7 +673,7 @@ def _recursive_rule_decompose(A):
             den = field.one
             for l, cl in enumerate(cs):
                 if l != j:
-                    num = B.mul(num, split - MPoly.constant(field, B.vars, cl))
+                    num = B.nf(num * (split - MPoly.constant(field, B.vars, cl)))
                     den = den * (cj - cl)
             new_idem = A.nf(idem * (num * den.inverse()))
             Bj = AlgebraPresentation(field, A.vars,
@@ -685,6 +754,30 @@ def test_decompose_builds_one_frobenius_matrix_and_one_presentation_per_factor(
     assert all(B is f.presentation for B, f in zip(built["frobenius"][1:], fs))
 
 
+@pytest.mark.parametrize("build", [
+    _four_local_factors,
+    lambda: alg(F7, ["t"], lambda t: [(t * t - 3) * t * (t - 1) * (t - 1)]),
+    lambda: alg(F7, ["t"], lambda t: [t ** 3]),
+])
+def test_decompose_makes_a_normal_form_per_border_monomial_only(monkeypatch, build):
+    # idempotents are refined and checked on A's packed tables: the only
+    # normal forms are the tables' own, A's and each factor's, whose
+    # Frobenius map gives its residue degree
+    A = build()
+    calls = {}
+    real_nf = AlgebraPresentation.nf
+
+    def nf(self, f):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return real_nf(self, f)
+    monkeypatch.setattr(AlgebraPresentation, "nf", nf)
+    fs = decompose_local(A)
+    monkeypatch.undo()
+    expected = {id(A): len(_border(A))}
+    expected.update((id(f.presentation), len(_border(f.presentation))) for f in fs)
+    assert calls == {k: v for k, v in expected.items() if v}
+
+
 def test_decompose_of_a_local_algebra_builds_no_presentation(monkeypatch):
     A = alg(F7, ["t"], lambda t: [t ** 3])
     built = _counting_builds(monkeypatch)
@@ -719,7 +812,7 @@ def test_product_of_prime_stages():
     assert prod.presentation.vars == ("w",)
     assert prod.presentation.dimension == 2
     w = prod.idempotent_left
-    assert prod.presentation.mul(w, w) == w
+    assert prod.presentation.nf(w * w) == w
     assert prod.idempotent_right == prod.presentation.one() - w
 
 
@@ -781,7 +874,7 @@ def test_etale_certificate_positive():
     cert = etale_check(X)
     assert cert.ok and cert.obstruction is None
     B = X.coordinate_ring
-    assert B.mul(cert.jacobian_det, cert.inverse) == B.one()
+    assert B.nf(cert.jacobian_det * cert.inverse) == B.one()
 
 
 def test_etale_certificate_negative():
@@ -794,29 +887,30 @@ def test_etale_certificate_negative():
     assert not cert.ok and cert.inverse is None
     B = X.coordinate_ring
     assert not cert.obstruction.is_zero()
-    assert B.mul(cert.jacobian_det, cert.obstruction).is_zero()
+    assert B.nf(cert.jacobian_det * cert.obstruction).is_zero()
 
 
 def _etale_failing_obstruction(monkeypatch, kernel):
-    """etale_check on y^2 = eps over the dual numbers, with the kernel of
-    multiplication by the determinant replaced by kernel(field, d)."""
+    """etale_check on y^2 = eps over the dual numbers, with the Horner
+    evaluation h(det) on the columns of the determinant replaced by the
+    packed vector kernel(d)."""
     dual = alg(F5, ["eps"], lambda e: [e * e])
     ctx = ("eps", "y")
     y = MPoly.variable(F5, ctx, "y")
     e = MPoly.variable(F5, ctx, "eps")
     X = SchemePresentation(dual, ("y",), [y * y - e])
     B = X.coordinate_ring
-    M = B.mult_matrix(etale_check(X).jacobian_det)
-    real = _linalg.kernel_basis
-    monkeypatch.setattr(_linalg, "kernel_basis", lambda N, field: (
-        kernel(field, len(N)) if N == M else real(N, field)))
+    M = B._columns(etale_check(X).jacobian_det)
+    real = AlgebraPresentation._horner
+    monkeypatch.setattr(AlgebraPresentation, "_horner", lambda self, g, cols, vec: (
+        kernel(len(cols)) if cols == M else real(self, g, cols, vec)))
     return X
 
 
 @pytest.mark.parametrize("kernel", [
-    lambda field, d: [],
-    lambda field, d: [[field.one] + [field.zero] * (d - 1)],
-    lambda field, d: [[field.zero] * d],
+    lambda d: [],
+    lambda d: [(0, 1)],
+    lambda d: [(i, 0) for i in range(d)],
 ], ids=["no-kernel", "not-annihilating", "zero"])
 def test_etale_check_certifies_its_obstruction(monkeypatch, kernel):
     X = _etale_failing_obstruction(monkeypatch, kernel)
@@ -879,7 +973,7 @@ def test_etale_multivariable():
     cert = etale_check(X)
     assert cert.ok
     B = X.coordinate_ring
-    assert B.mul(cert.jacobian_det, cert.inverse) == B.one()
+    assert B.nf(cert.jacobian_det * cert.inverse) == B.one()
 
 
 def test_coordinate_ring_merges_contexts():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from resweil import AlgebraPresentation, MPoly, PrimeField, weil_restrict
-from resweil import _linalg, weilres
+from resweil import weilres
 from resweil.errors import (
     CaseSyntaxError,
     CertificateFailure,
@@ -576,10 +576,10 @@ def test_a_non_annihilating_obstruction_fails_its_readers(monkeypatch):
             'scheme X : vars y ; rels y^2 - eps\nchecks theorem, non-smooth\n')
     case = parse_case(text)
     B = case.scheme.coordinate_ring
-    M = B.mult_matrix(etale_check(case.scheme).jacobian_det)
-    real = _linalg.kernel_basis
-    monkeypatch.setattr(_linalg, "kernel_basis", lambda N, field: (
-        [[field.one] + [field.zero] * (len(N) - 1)] if N == M else real(N, field)))
+    M = B._columns(etale_check(case.scheme).jacobian_det)
+    real = AlgebraPresentation._horner
+    monkeypatch.setattr(AlgebraPresentation, "_horner", lambda self, g, cols, vec: (
+        [(0, 1)] if cols == M else real(self, g, cols, vec)))
     why = ("certificate failure: the obstruction is not a nonzero annihilator "
            "of the determinant")
     assert [(c.name, c.ok, c.detail) for c in verify_case(case).checks] == [
@@ -651,6 +651,40 @@ def test_a_solver_that_miscounts_points_fails_the_component_checks(fault):
             "expect S", "expect pi0_res", "expect fibers", "expect cycle_type",
             "theorem")]
     assert [name for name, ok, _ in rows if ok == "True"] == ["adjunction"]
+
+
+def test_a_failed_basis_recombination_is_reported_and_the_run_goes_on():
+    # the first basis weil_restrict reads comes back reversed, so the
+    # coordinate relations of dual-numbers-etale do not recombine into its
+    # expansion; under `python -O` that must still fail, for that case only
+    script = (
+        "import sys\n"
+        "from resweil import AlgebraPresentation\n"
+        "from resweil.versuite import run_suite\n"
+        "real = AlgebraPresentation.basis_elements\n"
+        "calls = []\n"
+        "def reversed_once(self):\n"
+        "    calls.append(self)\n"
+        "    out = real(self)\n"
+        "    return out[::-1] if len(calls) == 1 else out\n"
+        "AlgebraPresentation.basis_elements = reversed_once\n"
+        "result = run_suite(sys.argv[1:])\n"
+        "for path, kind, message in result.problems:\n"
+        "    print('problem', path, kind, message, sep='|')\n"
+        "for rep in result.reports:\n"
+        "    print('report', rep.case, rep.ok(), sep='|')\n"
+        "print('exit', result.exit_code, sep='|')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    dual, quad = corpus("dual-numbers-etale"), corpus("quadratic-field-cover")
+    done = subprocess.run([sys.executable, "-O", "-c", script, quad, dual],
+                          capture_output=True, env=env, text=True)
+    assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+    assert [line.split("|") for line in done.stdout.splitlines()] == [
+        ["problem", dual, "input", "basis recombination failed"],
+        ["report", "quadratic-field-cover", "True"],
+        ["exit", "2"]]
 
 
 ZERO_RING = """\

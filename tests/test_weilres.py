@@ -36,7 +36,7 @@ from resweil.errors import (
     SearchGuardExceeded,
 )
 from resweil import weilres
-from resweil.versuite import parse_case
+from resweil.versuite import parse_case, verify_case
 from resweil.weilres import relative_coords
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -494,3 +494,60 @@ def test_regroup_point_is_reduced_over_every_stage():
                 values = [rng.choice(elems) for _ in R.vars]
                 a = regroup_point(R, values, K)
                 assert a == tuple(AK.nf(c) for c in a)
+
+
+def _pivoting_local_solve(B, M, rhs):
+    """The Newton step the old way: elimination over a local quotient, with
+    a unit pivot searched in each column by one inverse per candidate."""
+    n = len(M)
+    rows = [list(M[i]) + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        piv = pinv = None
+        for r in range(col, n):
+            inv = B.inverse(rows[r][col])
+            if inv is not None:
+                piv, pinv = r, inv
+                break
+        if piv is None:
+            raise CertificateFailure("no unit pivot available")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [B.nf(pinv * e) for e in rows[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = rows[r][col]
+            if factor.is_zero():
+                continue
+            rows[r] = [a - B.nf(factor * b) for a, b in zip(rows[r], rows[col])]
+    return [rows[i][n] for i in range(n)]
+
+
+def test_local_solve_matches_the_pivoting_rule_on_the_corpus_newton_systems(monkeypatch):
+    systems = []
+    real = weilres._local_solve
+
+    def recording(B, M, rhs):
+        x = real(B, M, rhs)
+        systems.append((B, M, rhs, x))
+        return x
+    monkeypatch.setattr(weilres, "_local_solve", recording)
+    for path in sorted(CASES.glob("*.case")):
+        verify_case(parse_case(path.read_text()))
+    monkeypatch.undo()
+    assert systems  # all 1 x 1 in the corpus; the 2 x 2 test below swaps rows
+    for B, M, rhs, x in systems:
+        assert x == _pivoting_local_solve(B, M, rhs), (B, M, rhs)
+
+
+def test_local_solve_matches_the_pivoting_rule_on_a_two_by_two_local_system():
+    # the first column's top entry is no unit, so the pivot search swaps rows
+    A = algebra(F7, ["eps"], lambda e: [e * e])
+    eps = A.var("eps")
+
+    def c(a):
+        return MPoly.constant(F7, A.vars, a)
+    M = [[eps, c(1) + eps], [c(3), c(2) * eps]]
+    rhs = [c(1) + c(2) * eps, c(5) * eps]
+    x = weilres._local_solve(A, M, rhs)
+    assert x == _pivoting_local_solve(A, M, rhs)
+    assert [A.nf(row[0] * x[0] + row[1] * x[1]) for row in M] == rhs

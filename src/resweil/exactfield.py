@@ -13,19 +13,29 @@ arithmetic stays exact.
 
 Root finding (`roots_in`), the irreducibility test that picks each
 modulus and the Frobenius image of the generator run on `_Packed`, a
-kernel on plain ints.  A stage element c_0 + ... + c_{m-1} a^(m-1) is one
-int with a k-bit slot per coefficient, so the product of two elements is
-one C-level multiply whose 2m - 1 slots hold the unreduced coefficients
-of their product.  Sums of such products are left unreduced; an element
-is reduced (each slot mod p, then the high slots folded back through
-a^(m+t) mod the modulus) only when it is read: a leading coefficient
-during division, or the end of a product.  k is the bit length of
-(2D + 2) m p^2 for polynomials of degree up to D: no slot of a product of
-two remainders plus a division by a polynomial of degree D reaches it,
-so slots never carry into each other.  The prime stage is m = 1, and the
-same code serves every p < 2**31 and m <= 24; at m = 1 a reduction is
-one `x % p`, the fold's value there at a twentieth of its cost.
-`mat_vec` serves `finalg`'s linear models, inside the same bound.  There
+kernel on plain ints.  The roots of f in a stage K come in Frobenius
+orbits: g = gcd(f, x^|K| - x) is split over f's own coefficient field F,
+by degrees and then within each degree, and an irreducible factor of
+degree d is split over K only down to one root r, whose orbit
+r, r^|F|, ..., r^(|F|^(d-1)) gives the rest.  At F = F_p everything but
+that last split runs on one-slot ints.  Each orbit must close after d
+steps on d distinct roots, and the roots must number deg g, or
+`roots_in` raises `CertificateFailure`.
+
+A stage element c_0 + ... + c_{m-1} a^(m-1) is one int with a k-bit slot
+per coefficient, so the product of two elements is one C-level multiply
+whose 2m - 1 slots hold the unreduced coefficients of their product.
+Sums of such products are left unreduced; an element is reduced (each
+slot mod p, then the high slots folded back through a^(m+t) mod the
+modulus) only when it is read: a leading coefficient during division, or
+the end of a product.  k is the bit length of (2D + 2) m p^2 for
+polynomials of degree up to D: no slot of a product of two remainders
+plus a division by a polynomial of degree D reaches it, so slots never
+carry into each other.  The prime stage is m = 1, and the same code
+serves every p < 2**31 and m <= 24; at m = 1 a reduction is one `x % p`,
+the fold's value there at a twentieth of its cost.
+`mat_vec` serves `finalg`'s linear models and `weilres` checks points
+against their relations on the packing, inside the same bound.  There
 are no Zech-log tables: stages reach 7^6 elements for a handful of calls,
 so a table would cost more to build in a fresh process than it saves, and
 stages beyond any table size would need a second path.
@@ -322,27 +332,41 @@ class _Packed:
                 base = self.divmod(self.mul(base, base), f)[1]
         return result
 
-    def split_linear(self, g, rng):
-        """Cantor-Zassenhaus: the linear factors of a monic g that is a
-        product of distinct linear factors; the draws from rng are those
-        of `_equal_degree_split` on the same g."""
-        d = len(g) - 1
-        if d == 1:
+    def power(self, x, e):
+        """x^e for one reduced coefficient x."""
+        result = 1
+        while e:
+            if e & 1:
+                result = self.reduce(result * x)
+            e >>= 1
+            if e:
+                x = self.reduce(x * x)
+        return result
+
+    def split(self, g, d, rng, first=False):
+        """Cantor-Zassenhaus: the monic irreducible factors of a monic g
+        that is a product of distinct ones of degree d.  With first, only
+        the factor reached by following the smaller half of every split.
+        The draws from rng are those of `_equal_degree_split(g, d, rng)`."""
+        n = len(g) - 1
+        if n == d:
             return [g]
         p, m = self.p, self.m
-        half = (p ** m - 1) // 2
+        half = (p ** (m * d) - 1) // 2
         while True:
             r = _trim([self.pack([rng.randrange(p) for _ in range(m)])
-                       for _ in range(d)])
+                       for _ in range(n)])
             if len(r) < 2:
                 continue
             a = self.gcd(r, g)
-            if not 0 < len(a) - 1 < d:
+            if not 0 < len(a) - 1 < n:
                 a = self.gcd(self.sub(self.powmod(r, half, g), (1,)), g)
-                if not 0 < len(a) - 1 < d:
+                if not 0 < len(a) - 1 < n:
                     continue
             b = self.divmod(g, a)[0]
-            return self.split_linear(a, rng) + self.split_linear(b, rng)
+            if first:
+                return self.split(min(a, b, key=len), d, rng, True)
+            return self.split(a, d, rng) + self.split(b, d, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -956,25 +980,90 @@ def roots_in(f: UniPoly, field) -> list:
 
     The coefficients of f may lie in any subfield stage F of the target
     stage K.  The gcd g = gcd(f, x^|K| - x) is taken over F: it is
-    squarefree and has exactly the roots of f in K, so after mapping g
-    into K an equal-degree split into linear factors reads them off,
-    without factoring f.  All of it runs on packed coefficients
-    (`_Packed`); only the roots come back as field elements.
+    squarefree and has exactly the roots of f in K, without factoring f.
+    When F = K an equal-degree split of g into linear factors reads them
+    off.  Otherwise the roots come in Frobenius orbits, one per
+    irreducible factor of g over F (`_orbit_roots`).  All of it runs on
+    packed coefficients (`_Packed`); only the roots come back as field
+    elements.
     """
     if f.is_zero():
         raise ZeroPolynomial("roots of the zero polynomial")
     F = f.field
+    if F.p != field.p or field.degree % F.degree:
+        raise IncompatibleDegrees("roots in %r of a polynomial over %r"
+                                  % (field, F))
     S = _Packed(F.p, F.modulus, f.degree)
     fp = S.monic(tuple(S.pack(c.coeffs) for c in f.coeffs))
     x = (0, 1)
     g = S.gcd(fp, S.sub(S.powmod(x, field.order, fp), x))
-    if F != field:
-        T = _Packed(field.p, field.modulus, len(g) - 1)
-        g = tuple(T.pack(embed(FieldElement(F, S.unpack(c)), field).coeffs)
-                  for c in g)
-        S = T
     if len(g) < 2:
         return []
-    roots = sorted(S.unpack(S.reduce(S.ps - h[0]))
-                   for h in S.split_linear(g, random.Random(0)))
-    return [FieldElement(field, r) for r in roots]
+    rng = random.Random(0)
+    if F == field:
+        roots = [S.unpack(S.reduce(S.ps - h[0])) for h in S.split(g, 1, rng)]
+    else:
+        roots = _orbit_roots(S, g, F, field, rng)
+    if len(set(roots)) != len(g) - 1:
+        raise CertificateFailure("%d distinct roots for a gcd of degree %d"
+                                 % (len(set(roots)), len(g) - 1))
+    return [FieldElement(field, r) for r in sorted(roots)]
+
+
+def _orbit_roots(S, g, F, K, rng):
+    """The roots in K, as coefficient tuples, of g, a squarefree product
+    over the proper subfield F packed in S.
+
+    Every irreducible factor of g over F has a degree d dividing
+    n = [K:F].  A distinct-degree pass over those d, on F's packing,
+    gives the product of the factors of each degree, and an equal-degree
+    split of it the factors.  A linear factor is its root.  A factor h of
+    degree d > 1 is split over K only along the smaller half of every
+    split, down to one root r; its other roots are the orbit r^|F|,
+    r^(|F|^2), ..., which must close after d steps on d distinct roots.
+    """
+    n, q = K.degree // F.degree, F.order
+    T = _Packed(K.p, K.modulus, n)
+    if F.degree == 1:
+        def into(c):  # an F_p residue is the same int in every packing
+            return c
+    else:
+        image = T.pack(embed(F.gen, K).coeffs)
+
+        def into(c):
+            acc = 0
+            for a in reversed(S.unpack(c)):
+                acc = T.reduce(acc * image + a)
+            return acc
+    roots = []
+    x = (0, 1)
+    rest, power, done = g, x, 0
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        if len(rest) < 2:
+            break
+        if d == n:
+            block = rest
+        else:
+            for _ in range(d - done):
+                power = S.powmod(power, q, rest)
+            done = d
+            block = S.gcd(S.sub(power, x), rest)
+            if len(block) < 2:
+                continue
+            rest = S.divmod(rest, block)[0]
+            power = S.divmod(power, rest)[1]
+        for h in S.split(block, d, rng):
+            if d == 1:
+                roots.append(into(S.reduce(S.ps - h[0])))
+                continue
+            lin = T.split(tuple(map(into, h)), 1, rng, first=True)[0]
+            orbit = [T.reduce(T.ps - lin[0])]
+            for _ in range(d - 1):
+                orbit.append(T.power(orbit[-1], q))
+            if T.power(orbit[-1], q) != orbit[0]:
+                raise CertificateFailure(
+                    "a Frobenius orbit does not close after %d steps" % d)
+            if len(set(orbit)) != d:
+                raise CertificateFailure("a Frobenius orbit repeats a root")
+            roots += orbit
+    return [T.unpack(r) for r in roots]

@@ -26,7 +26,7 @@ from .errors import (
     NotLocalBase,
     SearchGuardExceeded,
 )
-from .exactfield import PrimeField, embed, roots_in, stage_field
+from .exactfield import PrimeField, _Packed, embed, roots_in, stage_field
 from .finalg import (
     AlgebraPresentation,
     ProductAlgebra,
@@ -318,14 +318,57 @@ def _solve_points(B, K):
             % (total, SEARCH_GUARD))
     if total == 0:
         return []
-    relsK = [r.map_coefficients(K) for r in B.relations]
-    out = []
-    for combo in itertools.product(*rootlists):
-        values = dict(zip(B.vars, combo))
-        if all(r.evaluate(values).is_zero() for r in relsK):
-            out.append(tuple(combo))
+    holds = _relation_check(B.relations, rootlists, K)
+    out = [tuple(rl[j] for rl, j in zip(rootlists, idx))
+           for idx in itertools.product(*(range(len(rl)) for rl in rootlists))
+           if holds(idx)]
     out.sort(key=_point_label)
     return out
+
+
+def _relation_check(relations, rootlists, K):
+    """Whether a root combination solves every relation, on packed ints of K.
+
+    Returns a predicate on index tuples into rootlists.  Each root gets a
+    table of its powers; a term is its coefficient times table entries,
+    reduced before every further factor but the last, so it adds at most
+    one product of two reduced coefficients to the relation's sum.  The
+    packing is wide enough for the sum of the longest relation, which is
+    reduced once and compared with zero.
+    """
+    terms = [list(r.map_coefficients(K).terms.items()) for r in relations]
+    S = _Packed(K.p, K.modulus, max(map(len, terms), default=0) // 2)
+    red = S.reduce
+    top = [max((m[i] for t in terms for m, _ in t), default=0)
+           for i in range(len(rootlists))]
+    tables = []
+    for rl, e in zip(rootlists, top):
+        rows = []
+        for r in rl:
+            row = [1, S.pack(r.coeffs)]
+            while len(row) <= e:
+                row.append(red(row[-1] * row[1]))
+            rows.append(row)
+        tables.append(rows)
+    compiled = [[(S.pack(c.coeffs), [(i, e) for i, e in enumerate(m) if e])
+                 for m, c in t] for t in terms]
+
+    def holds(idx):
+        rows = [tab[j] for tab, j in zip(tables, idx)]
+        for rel in compiled:
+            acc = 0
+            for c, factors in rel:
+                for i, e in factors[:-1]:
+                    c = red(c * rows[i][e])
+                if factors:
+                    i, e = factors[-1]
+                    c *= rows[i][e]
+                acc += c
+            if red(acc):
+                return False
+        return True
+
+    return holds
 
 
 def fiber_presentation(X: SchemePresentation, coords, K) -> AlgebraPresentation:
@@ -348,7 +391,15 @@ def _stage_basis(K):
             for l in range(K.degree)]
 
 
+# (K, L) -> (F_p, the inverse of the change of basis from L's power
+# basis to the K-basis 1, g, .., g^(f-1)); built and checked once per pair
+_RELATIVE_INVERSE_CACHE: dict = {}
+
+
 def _relative_inverse(K, L):
+    cached = _RELATIVE_INVERSE_CACHE.get((K, L))
+    if cached is not None:
+        return cached
     PF = PrimeField(L.p)
     f = L.degree // K.degree
     cols = []
@@ -363,6 +414,7 @@ def _relative_inverse(K, L):
     inv = _linalg.invert(mat, PF)
     if inv is None:
         raise CertificateFailure("powers of the generator do not span over the substage")
+    _RELATIVE_INVERSE_CACHE[(K, L)] = PF, inv
     return PF, inv
 
 

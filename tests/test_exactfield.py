@@ -1,5 +1,7 @@
 import importlib.util
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,7 +29,8 @@ from resweil.exactfield import (
     stage_field,
 )
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 ORACLES = BENCH / "oracles.py"
 
 
@@ -361,7 +364,8 @@ SHAPES = {
     (5, 1, (1, 2, 3)),
     (3, 2, (2, 4, 6)),
     (5, 2, (2, 4)),
-], ids=["F3", "F5", "F9", "F25"])
+    (5, 1, (6,)),
+], ids=["F3", "F5", "F9", "F25", "F5-in-F5^6"])
 def test_roots_in_matches_factoring(shape, p, base, stages):
     rng = random.Random("%s-%d-%d" % (shape, p, base))
     F = stage_field(p, base)
@@ -484,24 +488,127 @@ def test_packed_mat_vec_at_the_slot_bound():
         [(i, entry.coeffs) for i in range(d)]
 
 
-@pytest.mark.parametrize("p, m", [(3, 4), (7, 1), (5, 3)])
-def test_packed_split_draws_like_the_equal_degree_split(p, m):
+def _irreducibles(rng, K, d, count):
+    """count distinct monic irreducibles of degree d over K."""
+    found = set()
+    while len(found) < count:
+        h = _random_poly(rng, K, d)
+        if is_irreducible(h):
+            found.add(h)
+    return sorted(found, key=lambda h: [c.label() for c in h.coeffs])
+
+
+@pytest.mark.parametrize("p, m, d, count", [
+    (3, 4, 1, 8), (7, 1, 1, 6), (5, 3, 1, 8),
+    (3, 1, 2, 3), (5, 1, 3, 3), (3, 2, 2, 4), (7, 1, 6, 2),
+], ids=["3-4", "7-1", "5-3", "3-1-d2", "5-1-d3", "3-2-d2", "7-1-d6"])
+def test_packed_split_draws_like_the_equal_degree_split(p, m, d, count):
     # the packed split consumes the random stream exactly as
-    # `_equal_degree_split(g, 1, rng)` does and finds the same factors
+    # `_equal_degree_split(g, d, rng)` does and finds the same factors
     K = stage_field(p, m)
-    rng = random.Random(p * m)
-    roots = {K.element(tuple(rng.randrange(p) for _ in range(m)))
-             for _ in range(8)}
     g = UniPoly(K, [K.one])
-    for r in roots:
-        g = g * UniPoly(K, [-r, K.one])
+    for h in _irreducibles(random.Random(p * m + d), K, d, count):
+        g = g * h
     S = exactfield._Packed(p, K.modulus, g.degree)
     ours, theirs = random.Random(1), random.Random(1)
-    split = S.split_linear(tuple(S.pack(c.coeffs) for c in g.coeffs), ours)
-    reference = exactfield._equal_degree_split(g, 1, theirs)
+    split = S.split(tuple(S.pack(c.coeffs) for c in g.coeffs), d, ours)
+    reference = exactfield._equal_degree_split(g, d, theirs)
     assert [[S.unpack(c) for c in h] for h in split] == \
         [[c.coeffs for c in h.coeffs] for h in reference]
     assert ours.random() == theirs.random()
+
+
+def test_packed_split_first_follows_one_branch():
+    # with first, one factor comes back, and it is one of the full split's
+    K = make_ext_field(5, 2)
+    g = UniPoly(K, [K.one])
+    for h in _irreducibles(random.Random(9), K, 1, 9):
+        g = g * h
+    S = exactfield._Packed(5, K.modulus, g.degree)
+    gp = tuple(S.pack(c.coeffs) for c in g.coeffs)
+    whole = S.split(gp, 1, random.Random(2))
+    (one,) = S.split(gp, 1, random.Random(3), first=True)
+    assert len(whole) == 9 and one in whole
+
+
+def _orbit_polynomial():
+    # over F_5, irreducible factors of degrees 1, 2, 3 and 6: one Frobenius
+    # orbit of each size in F_{5^6}, twelve roots in all
+    F5 = PrimeField(5)
+    f = UniPoly(F5, [F5.one])
+    for d in (1, 2, 3, 6):
+        f = f * _irreducibles(random.Random(d), F5, d, 1)[0]
+    return f
+
+
+def test_roots_in_reads_every_orbit_size():
+    f = _orbit_polynomial()
+    K = make_ext_field(5, 6)
+    rs = roots_in(f, K)
+    assert len(rs) == 12 and rs == _factor_roots(f, K)
+    assert [len(roots_in(f, make_ext_field(5, m))) for m in (2, 3)] == [3, 4]
+
+
+def _identity_frobenius(self, x, e):
+    return x
+
+
+def _shifted_frobenius(self, x, e):
+    return self.reduce(x + 1)
+
+
+def _split_losing_cubics(split):
+    def wrapped(self, g, d, rng, first=False):
+        return [] if d == 3 else split(self, g, d, rng, first)
+    return wrapped
+
+
+ORBIT_FAULTS = {
+    "identity": (lambda: _identity_frobenius, "a Frobenius orbit repeats a root"),
+    "shifted": (lambda: _shifted_frobenius,
+                "a Frobenius orbit does not close after 2 steps"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ORBIT_FAULTS))
+def test_roots_in_raises_when_an_orbit_fails(monkeypatch, fault):
+    corrupt, reason = ORBIT_FAULTS[fault]
+    monkeypatch.setattr(exactfield._Packed, "power", corrupt())
+    f = _irreducibles(random.Random(4), PrimeField(5), 2, 1)[0]
+    with pytest.raises(CertificateFailure, match=reason):
+        roots_in(f, make_ext_field(5, 2))
+
+
+def test_roots_in_raises_when_roots_go_missing(monkeypatch):
+    # a split that loses the cubic factor leaves fewer roots than the
+    # gcd's degree
+    monkeypatch.setattr(exactfield._Packed, "split",
+                        _split_losing_cubics(exactfield._Packed.split))
+    with pytest.raises(CertificateFailure,
+                       match="^9 distinct roots for a gcd of degree 12$"):
+        roots_in(_orbit_polynomial(), make_ext_field(5, 6))
+
+
+def test_orbit_certificate_survives_optimized_mode():
+    # `python -O` strips every assert: the identity Frobenius must still
+    # be caught by a raise
+    script = (
+        "from resweil import exactfield\n"
+        "from resweil.errors import CertificateFailure\n"
+        "from resweil.exactfield import PrimeField, UniPoly, make_ext_field\n"
+        "exactfield._Packed.power = lambda self, x, e: x\n"
+        "f = UniPoly.from_ints(PrimeField(5), [2, 0, 1])\n"
+        "try:\n"
+        "    exactfield.roots_in(f, make_ext_field(5, 2))\n"
+        "except CertificateFailure as e:\n"
+        "    print(e)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "a Frobenius orbit repeats a root\n"
 
 
 def test_roots_in_degenerate_inputs():
@@ -513,6 +620,10 @@ def test_roots_in_degenerate_inputs():
     assert roots_in(UniPoly.from_ints(PrimeField(3), [2]), F9) == []
     with pytest.raises(IncompatibleDegrees):
         roots_in(UniPoly(F9, [F9.gen]), make_ext_field(3, 3))
+    with pytest.raises(IncompatibleDegrees):
+        roots_in(UniPoly(F9, [F9.gen, F9.one]), make_ext_field(3, 3))
+    with pytest.raises(IncompatibleDegrees):
+        roots_in(UniPoly.from_ints(PrimeField(3), [1, 1]), PrimeField(5))
 
 
 # --------------------------------------------------------------- embeddings

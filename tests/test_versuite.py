@@ -609,6 +609,7 @@ def test_corrupted_adjunction_route_fails_the_check(monkeypatch, corrupt,
 def test_a_degenerate_stage_basis_fails_the_adjunction_check(monkeypatch):
     # quadratic-field-cover's residue field is F_25 over the stage F_5, so
     # the adjunction route reads relative coordinates; the theorem does not
+    monkeypatch.setattr(weilres, "_RELATIVE_INVERSE_CACHE", {})
     monkeypatch.setattr(weilres, "_stage_basis", lambda K: [K.one] * K.degree)
     rep = verify_case(parse_case(Path(corpus("quadratic-field-cover")).read_text()))
     assert [(c.name, c.detail) for c in rep.checks if not c.ok] == [(

@@ -361,9 +361,96 @@ def test_relative_coords_raises_when_the_powers_do_not_span(monkeypatch):
     # generator short of a basis over K
     K = make_ext_field(5, 2)
     L = make_ext_field(5, 4)
+    monkeypatch.setattr(weilres, "_RELATIVE_INVERSE_CACHE", {})
     monkeypatch.setattr(weilres, "_stage_basis", lambda K: [K.one] * K.degree)
     with pytest.raises(CertificateFailure, match="do not span over the substage"):
         relative_coords(L.gen, K, L)
+    # the failed build is not kept: the next call checks again
+    with pytest.raises(CertificateFailure, match="do not span over the substage"):
+        relative_coords(L.gen, K, L)
+
+
+def test_relative_inverse_is_built_once_per_pair(monkeypatch):
+    monkeypatch.setattr(weilres, "_RELATIVE_INVERSE_CACHE", {})
+    calls = []
+    invert = weilres._linalg.invert
+
+    def counted(mat, field):
+        calls.append(field)
+        return invert(mat, field)
+
+    monkeypatch.setattr(weilres._linalg, "invert", counted)
+    K, L = make_ext_field(5, 2), make_ext_field(5, 4)
+    for x in itertools.islice(L, 20):
+        relative_coords(x, K, L)
+    assert len(calls) == 1
+    relative_coords(L.gen, F5, L)
+    assert len(calls) == 2
+
+
+# -- the packed relation check of the point solver --------------------
+
+def _evaluate_verdicts(relations, rootlists, K):
+    """The reference: MPoly.evaluate at every root combination."""
+    relsK = [r.map_coefficients(K) for r in relations]
+    variables = relations[0].vars
+    out = {}
+    for idx in itertools.product(*(range(len(rl)) for rl in rootlists)):
+        values = dict(zip(variables, (rl[j] for rl, j in zip(rootlists, idx))))
+        out[idx] = all(r.evaluate(values).is_zero() for r in relsK)
+    return out
+
+
+def test_packed_relation_check_matches_evaluate_on_the_corpus(monkeypatch):
+    # every quotient the verifier solves on the corpus, at every stage it
+    # asks for: the packed check and MPoly.evaluate agree on every root
+    # combination, the rejected ones included
+    seen = []
+    solve = weilres._solve_points
+
+    def recording(B, K):
+        seen.append((B, K))
+        return solve(B, K)
+
+    monkeypatch.setattr(weilres, "_solve_points", recording)
+    for path in sorted(CASES.glob("*.case")):
+        verify_case(parse_case(path.read_text()))
+    accepted = rejected = 0
+    for B, K in seen:
+        if (B.groebner.is_unit_ideal() or not B.vars
+                or B.basis_monomials is weilres.INFINITE):
+            continue
+        rootlists = [weilres.roots_in(mu, K) for mu in B.min_polys]
+        holds = weilres._relation_check(B.relations, rootlists, K)
+        for idx, verdict in _evaluate_verdicts(B.relations, rootlists, K).items():
+            assert holds(idx) == verdict, (B, K, idx)
+            accepted += verdict
+            rejected += not verdict
+    assert accepted and rejected
+
+
+def test_packed_relation_check_at_the_slot_bound():
+    # every coefficient and every root with all slots at p - 1: each term
+    # adds the largest product two reduced coefficients make, and the
+    # longest relation's sum has to fit the slot width
+    p, m, n = 2 ** 31 - 1, 3, 8
+    K = make_ext_field(p, m)
+    top = K.element((p - 1,) * m)
+    names = tuple("x%d" % i for i in range(n))
+    xs = [MPoly.variable(K, names, v) for v in names]
+    linear = MPoly.constant(K, names, top)
+    for x in xs:
+        linear = linear + x * top
+    # zero exactly where every unknown is top
+    value = top + top * top * n
+    rels = [linear - MPoly.constant(K, names, value), linear * linear]
+    rootlists = [[K.one, top]] * n
+    for relations in (rels[:1], rels):
+        holds = weilres._relation_check(relations, rootlists, K)
+        verdicts = _evaluate_verdicts(relations, rootlists, K)
+        assert all(holds(idx) == v for idx, v in verdicts.items())
+    assert weilres._relation_check(rels[:1], rootlists, K)((1,) * n)
+    assert not weilres._relation_check(rels[:1], rootlists, K)((0,) * n)
 
 
 # -- product and covering comparisons ---------------------------------

@@ -5,14 +5,27 @@ tuples against that variable order.  The term order is fixed to
 degree-reverse-lexicographic throughout, which makes reduced bases,
 normal forms and standard monomial staircases canonical for a given
 generator set regardless of input order.
+
+`MPoly.terms` keeps `FieldElement` coefficients; division runs on the
+stage's packed ints (`exactfield._Packed`, one per stage), derived once
+per polynomial, with each divisor's leading monomial and negated monic
+tail derived once per divisor.  The kernel keys a monomial m as
+(-deg m, e_n, ..., e_1): keys multiply by adding and the smallest key is
+the largest monomial, so pending monomials wait in a heap of keys.  A
+pending coefficient sums products of two reduced coefficients, each
+below m p^2 < 2^(k-1) in every k-bit slot.  A sum is reduced on write
+once the top bit of one of its slots is set, so a slot below 2^(k-1)
+takes one more product and stays below 2^k: no slot carries.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from operator import add, le, sub
 
-from .errors import MissingAssignment, MixedContexts, StepGuardExceeded
-from .exactfield import FieldElement, embed
+from .errors import MissingAssignment, MixedContexts, StepGuardExceeded, ZeroPolynomial
+from .exactfield import FieldElement, _Packed, embed
 
 DEFAULT_STEP_BUDGET = 10 ** 6
 
@@ -23,25 +36,33 @@ def drl_key(mono):
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+_PACKINGS: dict = {}
+
+
+def _packing(field):
+    """The stage's packing and the mask of the top bit of each product slot."""
+    key = (field.p, field.modulus)
+    if key not in _PACKINGS:
+        S = _Packed(field.p, field.modulus, 7)  # room for 2 * 7 + 2 products
+        _PACKINGS[key] = S, sum(1 << (s + S.k - 1) for s in [*S.narrow, *S.high])
+    return _PACKINGS[key]
 
 
 class MPoly:
     """Immutable sparse polynomial: dict from exponent tuple to nonzero coefficient."""
 
-    __slots__ = ("field", "vars", "terms")
+    __slots__ = ("field", "vars", "terms", "_packed", "_lead")
 
     def __init__(self, field, variables, terms):
         self.field = field
@@ -53,6 +74,36 @@ class MPoly:
             if not c.is_zero():
                 clean[mono] = c
         self.terms = clean
+        self._packed = self._lead = None
+
+    @classmethod
+    def _from_packed(cls, field, variables, packed):
+        """The polynomial with packed terms {key: reduced nonzero int}."""
+        f = cls.__new__(cls)
+        f.field, f.vars, f._packed, f._lead = field, variables, packed, None
+        unpack = _packing(field)[0].unpack
+        f.terms = {k[:0:-1]: FieldElement(field, unpack(x)) for k, x in packed.items()}
+        return f
+
+    def _packed_terms(self):
+        """The terms as {key: packed coefficient}, derived once."""
+        if self._packed is None:
+            pack = _packing(self.field)[0].pack
+            self._packed = {(-sum(m),) + m[::-1]: pack(c.coeffs)
+                            for m, c in self.terms.items()}
+        return self._packed
+
+    def _reducer(self):
+        """As a divisor, derived once: the leading monomial's (e_n, ..., e_1),
+        and per tail term its key minus the leading one and -c / lc."""
+        if self._lead is None:
+            S = _packing(self.field)[0]
+            packed = self._packed_terms()
+            lead = min(packed)
+            inv, ps, red = S.inverse(packed[lead]), S.ps, S.reduce
+            self._lead = (lead[1:], [(tuple(map(sub, k, lead)), red((ps - x) * inv))
+                                     for k, x in packed.items() if k != lead])
+        return self._lead
 
     # -- constructors -------------------------------------------------
 
@@ -96,7 +147,8 @@ class MPoly:
         return self.terms.get(z, self.field.zero)
 
     def leading_monomial(self):
-        assert self.terms, "leading monomial of zero"
+        if not self.terms:
+            raise ZeroPolynomial("leading monomial of the zero polynomial")
         return max(self.terms, key=drl_key)
 
     def leading_coefficient(self):
@@ -152,20 +204,19 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        assert e >= 0
-        result = MPoly.constant(self.field, self.vars, self.field.one)
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if e < 0:
+            raise ValueError("negative exponent %d" % e)
+        if e == 0:
+            return MPoly.constant(self.field, self.vars, self.field.one)
+        return _cached_power({1: self}, e)
 
     def monic(self):
-        assert self.terms
-        inv = self.leading_coefficient().inverse()
-        return self * inv
+        if not self.terms:
+            raise ZeroPolynomial("monic of the zero polynomial")
+        S, packed = _packing(self.field)[0], self._packed_terms()
+        inv = S.inverse(packed[min(packed)])
+        return self if inv == 1 else MPoly._from_packed(
+            self.field, self.vars, {k: S.reduce(x * inv) for k, x in packed.items()})
 
     def derivative(self, name):
         i = self.vars.index(name)
@@ -181,50 +232,21 @@ class MPoly:
         return MPoly(target_field, self.vars,
                      {m: embed(c, target_field) for m, c in self.terms.items()})
 
-    def restrict_context(self, variables):
-        """Reinterpret over a sub-tuple of variables; unused ones must be absent."""
-        idx = []
-        for v in variables:
-            idx.append(self.vars.index(v))
-        keep = set(idx)
-        out = {}
-        for m, c in self.terms.items():
-            for i, e in enumerate(m):
-                if e and i not in keep:
-                    raise MixedContexts("variable %s still present" % self.vars[i])
-            out[tuple(m[i] for i in idx)] = c
-        return MPoly(self.field, variables, out)
-
     def extend_context(self, variables):
-        """Reinterpret over a larger variable tuple containing the current one."""
-        pos = [variables.index(v) for v in self.vars]
-        n = len(variables)
-        out = {}
-        for m, c in self.terms.items():
-            big = [0] * n
-            for i, e in enumerate(m):
-                big[pos[i]] = e
-            out[tuple(big)] = c
-        return MPoly(self.field, tuple(variables), out)
+        """Reinterpret over another variable tuple holding every variable used."""
+        return rename_context(self, {}, variables)
+
+    restrict_context = extend_context
 
     def evaluate(self, values):
         """Evaluate with a dict var -> FieldElement over the same field."""
-        # powers[i][e - 1] is the value of vars[i] to the e, one multiply
-        # per exponent step up to the largest exponent of vars[i]
-        powers = []
-        for i, v in enumerate(self.vars):
-            top = max((m[i] for m in self.terms), default=0)
-            row = [values[v]] if top else []
-            while len(row) < top:
-                row.append(row[-1] * row[0])
-            powers.append(row)
+        powers = _powers(self, values)
         acc = self.field.zero
         for m, c in self.terms.items():
-            term = c
-            for row, e in zip(powers, m):
+            for cache, e in zip(powers, m):
                 if e:
-                    term = term * row[e - 1]
-            acc = acc + term
+                    c = c * cache[e]
+            acc = acc + c
         return acc
 
     # -- comparisons, printing ---------------------------------------
@@ -280,64 +302,80 @@ def normal_form(f: MPoly, basis) -> MPoly:
     """Fully reduced remainder of f against the given polynomials.
 
     No monomial of the output is divisible by any leading monomial of the
-    basis.  For a Groebner basis this is the canonical normal form.
+    basis.  For a Groebner basis this is the canonical normal form.  The
+    largest pending monomial, popped from a heap, is reduced by the first
+    member whose leading monomial divides it, or joins the remainder.
+    Coefficients are the stage's packed ints, a pending sum reduced on
+    write before a slot can carry (see the module docstring).
     """
-    if isinstance(basis, GroebnerBasis):
-        gens = basis.polys
-        lms = basis._lms
-    else:
-        gens = [g for g in basis if not g.is_zero()]
-        lms = [g.leading_monomial() for g in gens]
-    for g in gens:
-        f._need_context(g)
+    if not isinstance(basis, GroebnerBasis):
+        basis = [g for g in basis if g.terms]
+        for g in basis:
+            f._need_context(g)
+        basis = GroebnerBasis(f.field, f.vars, basis)
+    elif basis.polys:
+        f._need_context(basis.polys[0])
+    reducers = basis._reducers
+    S, top = _packing(f.field)
+    red = S.reduce
+    work = dict(f._packed_terms())
+    heap = list(work)
+    heapq.heapify(heap)
     rem = {}
-    work = dict(f.terms)
-    while work:
-        mono = max(work, key=drl_key)
-        c = work.pop(mono)
-        if c.is_zero():
+    while heap:
+        k = heapq.heappop(heap)
+        c = red(work.pop(k))
+        if not c:
             continue
-        hit = None
-        for i, lm in enumerate(lms):
-            if mono_divides(lm, mono):
-                hit = i
+        exps = k[1:]
+        for lead, tail in reducers:
+            if all(map(le, lead, exps)):
                 break
-        if hit is None:
-            rem[mono] = rem.get(mono, f.field.zero) + c
+        else:
+            rem[k] = c
             continue
-        g = gens[hit]
-        shift = mono_div(mono, lms[hit])
-        scale = c * g.terms[lms[hit]].inverse()
-        for m2, c2 in g.terms.items():
-            if m2 == lms[hit]:
-                continue
-            m = mono_mul(shift, m2)
-            prev = work.get(m, f.field.zero)
-            work[m] = prev - scale * c2
-    return MPoly(f.field, f.vars, rem)
+        for step, t in tail:
+            k2 = tuple(map(add, k, step))
+            x = work.get(k2)
+            if x is None:
+                work[k2] = c * t
+                heapq.heappush(heap, k2)
+            else:
+                x += c * t  # every slot stays below 2^k: see the module docstring
+                work[k2] = red(x) if x & top else x
+    return MPoly._from_packed(f.field, f.vars, rem)
 
 
 def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
-    lf = f.leading_monomial()
-    lg = g.leading_monomial()
-    lcm = mono_lcm(lf, lg)
-    mf = mono_div(lcm, lf)
-    mg = mono_div(lcm, lg)
-    tf = MPoly(f.field, f.vars, {mf: f.terms[lf].inverse()})
-    tg = MPoly(g.field, g.vars, {mg: g.terms[lg].inverse()})
-    return tf * f - tg * g
+    f._need_context(g)
+    (lf, tf), (lg, tg) = f._reducer(), g._reducer()
+    lcm = tuple(map(max, lf, lg))
+    key = (-sum(lcm),) + lcm
+    S = _packing(f.field)[0]
+    # (lcm / lg) (g / lc g) - (lcm / lf) (f / lc f): the leading terms cancel
+    out = {tuple(map(add, key, step)): t for step, t in tg}
+    for step, t in tf:
+        k = tuple(map(add, key, step))
+        out[k] = out.get(k, 0) + S.ps - t
+    return MPoly._from_packed(f.field, f.vars,
+                              {k: r for k, x in out.items() if (r := S.reduce(x))})
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis, canonical for (ideal, degrevlex)."""
+    """A reduced Groebner basis, canonical for (ideal, degrevlex), with its
+    members' divisor data; `buchberger` also grows an unreduced one."""
 
-    __slots__ = ("field", "vars", "polys", "_lms")
+    __slots__ = ("field", "vars", "polys", "_reducers")
 
     def __init__(self, field, variables, polys):
         self.field = field
         self.vars = tuple(variables)
         self.polys = tuple(polys)
-        self._lms = [g.leading_monomial() for g in self.polys]
+        self._reducers = [g._reducer() for g in self.polys]
+
+    def _append(self, g):
+        self.polys += (g,)
+        self._reducers.append(g._reducer())
 
     def __iter__(self):
         return iter(self.polys)
@@ -356,7 +394,7 @@ class GroebnerBasis:
         return len(self.polys) == 1 and self.polys[0].is_constant() and not self.polys[0].is_zero()
 
     def leading_monomials(self):
-        return list(self._lms)
+        return [lead[::-1] for lead, _ in self._reducers]
 
 
 def buchberger(generators, field=None, variables=None):
@@ -370,25 +408,27 @@ def buchberger(generators, field=None, variables=None):
     still pending (the chain criterion, as in Cox, Little and O'Shea).
     The pair loop counts every S-polynomial it reduces, and only those,
     against DEFAULT_STEP_BUDGET and raises StepGuardExceeded when it
-    runs out.  The final basis is interreduced and monic, so the result
-    depends only on the ideal and not on generator order.
+    runs out.  The basis grows as a `GroebnerBasis`, so each member's
+    divisor data is derived once.  The final basis is interreduced and
+    monic, so the result depends only on the ideal and not on generator
+    order.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        assert field is not None and variables is not None, \
-            "empty generator list needs an explicit context"
+        if field is None or variables is None:
+            raise MixedContexts("an empty generator list needs an explicit context")
         return GroebnerBasis(field, variables, [])
     field = gens[0].field
     variables = gens[0].vars
     for g in gens[1:]:
         gens[0]._need_context(g)
 
-    basis = []
+    basis = GroebnerBasis(field, variables, [])
     for g in gens:
         r = normal_form(g, basis)
         if not r.is_zero():
-            basis.append(r.monic())
-    lms = [g.leading_monomial() for g in basis]
+            basis._append(r.monic())
+    lms = basis.leading_monomials()
 
     # a pair (i, j) has i > j; `pending` holds the pairs still in the heap
     heap, pending = [], set()
@@ -417,26 +457,28 @@ def buchberger(generators, field=None, variables=None):
         if steps > DEFAULT_STEP_BUDGET:
             raise StepGuardExceeded("buchberger: S-polynomial budget %d exhausted"
                                     % DEFAULT_STEP_BUDGET)
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        r = normal_form(s_polynomial(basis.polys[i], basis.polys[j]), basis)
         if r.is_zero():
             continue
-        basis.append(r.monic())
+        basis._append(r.monic())
         lms.append(r.leading_monomial())
         add_pairs(len(basis) - 1)
 
-    return _reduce_basis(field, variables, basis, lms)
+    return _reduce_basis(basis, lms)
 
 
-def _reduce_basis(field, variables, basis, lms):
+def _reduce_basis(basis, lms):
     # drop members whose leading monomial is divisible by another's
     keep = [i for i, lm in enumerate(lms)
             if not any(j != i and mono_divides(lms[j], lm)
                        and (lms[j] != lm or j < i) for j in range(len(lms)))]
     # tail-reduce every member against the others: no other leading
     # monomial divides its own, so the leading monomial stays
-    reduced = [normal_form(basis[i], [basis[j] for j in keep if j != i]).monic()
+    polys = basis.polys
+    reduced = [normal_form(polys[i], GroebnerBasis(
+                   basis.field, basis.vars, [polys[j] for j in keep if j != i])).monic()
                for i in sorted(keep, key=lambda i: drl_key(lms[i]))]
-    return GroebnerBasis(field, variables, reduced)
+    return GroebnerBasis(basis.field, basis.vars, reduced)
 
 
 INFINITE = "infinite"
@@ -450,12 +492,9 @@ def standard_monomials(gb: GroebnerBasis):
     """
     if gb.is_unit_ideal():
         return []
-    n = len(gb.vars)
-    if n == 0:
-        return [()]
     lms = gb.leading_monomials()
     bounds = []
-    for i in range(n):
+    for i in range(len(gb.vars)):
         cap = None
         for lm in lms:
             if lm[i] > 0 and all(e == 0 for j, e in enumerate(lm) if j != i):
@@ -463,20 +502,8 @@ def standard_monomials(gb: GroebnerBasis):
         if cap is None:
             return INFINITE
         bounds.append(cap)
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            mono = tuple(prefix)
-            if not any(mono_divides(lm, mono) for lm in lms):
-                out.append(mono)
-            return
-        for e in range(bounds[len(prefix)]):
-            rec(prefix + [e])
-
-    rec([])
-    out.sort(key=drl_key)
-    return out
+    return sorted((m for m in itertools.product(*map(range, bounds))
+                   if not any(mono_divides(lm, m) for lm in lms)), key=drl_key)
 
 
 def rename_context(f: MPoly, mapping: dict, new_vars) -> MPoly:
@@ -497,8 +524,10 @@ def rename_context(f: MPoly, mapping: dict, new_vars) -> MPoly:
             v = f.vars[i]
             j = pos.get(v)
             if j is None:
-                j = new_vars.index(mapping.get(v, v))
-                pos[v] = j
+                w = mapping.get(v, v)
+                if w not in new_vars:
+                    raise MixedContexts("variable %s still present" % w)
+                j = pos[v] = new_vars.index(w)
             big[j] = e
         out[tuple(big)] = c
     return MPoly(f.field, new_vars, out)
@@ -528,21 +557,44 @@ def substitute_expand(f: MPoly, assignment: dict) -> MPoly:
             target_field.degree % f.field.degree != 0:
         raise MixedContexts("source stage does not embed in the target stage")
 
+    powers = _powers(f, assignment)
     acc = MPoly.zero(target_field, target_vars)
-    pow_cache = {}
     for mono, c in f.sorted_terms():
-        if f.field == target_field:
-            term = MPoly.constant(target_field, target_vars, c)
-        else:
-            term = MPoly.constant(target_field, target_vars, embed(c, target_field))
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            key = (f.vars[i], e)
-            img_pow = pow_cache.get(key)
-            if img_pow is None:
-                img_pow = assignment[f.vars[i]] ** e
-                pow_cache[key] = img_pow
-            term = term * img_pow
+        if f.field != target_field:
+            c = embed(c, target_field)
+        term = MPoly.constant(target_field, target_vars, c)
+        for cache, e in zip(powers, mono):
+            if e:
+                term = term * cache[e]
         acc = acc + term
     return acc
+
+
+def _powers(f, images):
+    """Per variable v of f, {e: images[v]^e} for the exponents e of v in f,
+    smallest first, each from the powers before it."""
+    out = []
+    for i, v in enumerate(f.vars):
+        cache = {}
+        for e in sorted({m[i] for m in f.terms} - {0}):
+            cache.setdefault(1, images[v])
+            _cached_power(cache, e)
+        out.append(cache)
+    return out
+
+
+def _cached_power(cache, e):
+    """x^e into cache, which holds x^1: the largest cached power x^b below e
+    times x^(e - b) when that is cached too (one product per step for
+    consecutive exponents), else the square of x^(e // 2), times x if e is
+    odd (no more products than square-and-multiply)."""
+    got = cache.get(e)
+    if got is None:
+        below = max(b for b in cache if b < e)
+        if e - below in cache:
+            got = cache[below] * cache[e - below]
+        else:
+            half = _cached_power(cache, e // 2)
+            got = half * half if e % 2 == 0 else half * half * cache[1]
+        cache[e] = got
+    return got

@@ -1,24 +1,34 @@
+import heapq
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from resweil import multipoly, weil_restrict
+from resweil import finalg, multipoly, weil_restrict, weilres
 from resweil.errors import MissingAssignment, MixedContexts, StepGuardExceeded
-from resweil.exactfield import PrimeField, make_ext_field
+from resweil.exactfield import FieldElement, PrimeField, make_ext_field
 from resweil.multipoly import (
     INFINITE,
+    GroebnerBasis,
     MPoly,
     buchberger,
     drl_key,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
     normal_form,
     standard_monomials,
     substitute_expand,
 )
-from resweil.versuite import parse_case
+from resweil.versuite import parse_case, verify_case
 
-CASES = Path(__file__).resolve().parent.parent / "cases"
+ROOT = Path(__file__).resolve().parent.parent
+CASES = ROOT / "cases"
+CORPUS = sorted(p.stem for p in CASES.glob("*.case"))
 
 
 def P(field, variables, termdict):
@@ -318,3 +328,271 @@ def test_evaluate_matches_terms():
 def test_str_is_deterministic():
     f = P(F7, ("y0", "y1"), {(1, 1): 2, (0, 1): 6, (0, 0): 6})
     assert str(f) == "2*y0*y1 + 6*y1 + 6"
+
+
+def test_substitute_expand_builds_consecutive_powers_one_product_each(monkeypatch):
+    # a dense relation of degree 12 in y, y mapped to a two-term image
+    vars_ = ("u", "v")
+    img = P(F7, vars_, {(1, 0): 1, (0, 1): 3})
+    f = P(F7, ("y",), {(e,): 1 for e in range(13)})
+    products = []
+    mul = MPoly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, MPoly) and not other.is_constant() \
+                and not self.is_constant():
+            products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", counted)
+    got = substitute_expand(f, {"y": img})
+    assert len(products) == 11
+    monkeypatch.undo()
+    assert got == sum((img ** e for e in range(1, 13)), MPoly.constant(F7, vars_, 1))
+
+
+@pytest.mark.parametrize("exponents", [(64,), (63,), (5, 40), (3, 17, 18, 100)])
+def test_substitute_expand_sparse_powers_cost_no_more_than_squaring(monkeypatch, exponents):
+    vars_ = ("u", "v")
+    img = P(F7, vars_, {(1, 0): 1, (0, 1): 3})
+    f = P(F7, ("y",), {(e,): 1 for e in exponents})
+    products = []
+    mul = MPoly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, MPoly) and not other.is_constant() \
+                and not self.is_constant():
+            products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", counted)
+    substitute_expand(f, {"y": img})
+    # square-and-multiply from 1: a squaring per bit below the top one and
+    # a product per further set bit, for each exponent on its own
+    bound = sum(e.bit_length() - 1 + bin(e).count("1") - 1 for e in exponents)
+    assert len(products) <= bound
+
+
+# -- typed errors that survive `python -O` ------------------------------
+
+@pytest.mark.parametrize("statement, error", [
+    ("MPoly.zero(F, ('x',)).leading_monomial()", "ZeroPolynomial"),
+    ("MPoly.zero(F, ('x',)).monic()", "ZeroPolynomial"),
+    ("MPoly.variable(F, ('x',), 'x') ** -1", "ValueError"),
+    ("buchberger([])", "MixedContexts"),
+], ids=["leading_monomial", "monic", "pow", "buchberger"])
+def test_typed_errors_survive_optimized_mode(statement, error):
+    script = (
+        "from resweil.exactfield import PrimeField\n"
+        "from resweil.multipoly import MPoly, buchberger\n"
+        "F = PrimeField(5)\n"
+        "try:\n"
+        "    %s\n"
+        "except Exception as e:\n"
+        "    print(type(e).__name__)\n" % statement)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == error + "\n"
+
+
+# -- the FieldElement rule the packed kernel replaced ---------------------
+
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _field_element_rule_normal_form(f, basis):
+    """Division on FieldElement coefficients, the largest pending
+    monomial found by a scan of the work dict."""
+    gens = [g for g in basis if not g.is_zero()]
+    lms = [g.leading_monomial() for g in gens]
+    rem, work = {}, dict(f.terms)
+    while work:
+        mono = max(work, key=drl_key)
+        c = work.pop(mono)
+        if c.is_zero():
+            continue
+        hit = next((i for i, lm in enumerate(lms) if mono_divides(lm, mono)), None)
+        if hit is None:
+            rem[mono] = c
+            continue
+        g, lm = gens[hit], lms[hit]
+        shift = mono_div(mono, lm)
+        scale = c * g.terms[lm].inverse()
+        for m2, c2 in g.terms.items():
+            if m2 != lm:
+                m = mono_mul(shift, m2)
+                work[m] = work.get(m, f.field.zero) - scale * c2
+    return MPoly(f.field, f.vars, rem)
+
+
+def _field_element_rule_s_polynomial(f, g):
+    lf, lg = f.leading_monomial(), g.leading_monomial()
+    lcm = mono_lcm(lf, lg)
+    tf = MPoly(f.field, f.vars, {mono_div(lcm, lf): f.terms[lf].inverse()})
+    tg = MPoly(g.field, g.vars, {mono_div(lcm, lg): g.terms[lg].inverse()})
+    return tf * f - tg * g
+
+
+def _field_element_rule_buchberger(gens):
+    """`buchberger`'s pair loop and interreduction on the rules above: the
+    members of the reduced basis."""
+    nf = _field_element_rule_normal_form
+
+    def monic(r):
+        return r * r.leading_coefficient().inverse()
+
+    basis = []
+    for g in gens:
+        r = nf(g, basis)
+        if not r.is_zero():
+            basis.append(monic(r))
+    lms = [g.leading_monomial() for g in basis]
+    heap, pending = [], set()
+
+    def add_pairs(k):
+        for t in range(k):
+            heapq.heappush(heap, (drl_key(mono_lcm(lms[k], lms[t])), k, t))
+            pending.add((k, t))
+
+    for k in range(len(basis)):
+        add_pairs(k)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        lcm = mono_lcm(lms[i], lms[j])
+        if lcm == mono_mul(lms[i], lms[j]) or any(
+                k not in (i, j) and mono_divides(lm, lcm)
+                and (max(i, k), min(i, k)) not in pending
+                and (max(j, k), min(j, k)) not in pending
+                for k, lm in enumerate(lms)):
+            continue
+        r = nf(_field_element_rule_s_polynomial(basis[i], basis[j]), basis)
+        if not r.is_zero():
+            basis.append(monic(r))
+            lms.append(r.leading_monomial())
+            add_pairs(len(basis) - 1)
+    keep = [i for i, lm in enumerate(lms)
+            if not any(j != i and mono_divides(lms[j], lm)
+                       and (lms[j] != lm or j < i) for j in range(len(lms)))]
+    return [monic(nf(basis[i], [basis[j] for j in keep if j != i]))
+            for i in sorted(keep, key=lambda i: drl_key(lms[i]))]
+
+
+def _probes(gens, gb, rng):
+    """Polynomials to take normal forms of: each generator times each
+    variable and times another generator, and a few random ones."""
+    field, vars_ = gens[0].field, gens[0].vars
+    xs = [MPoly.variable(field, vars_, v) for v in vars_]
+    out = [g * x for g in gens for x in xs] + [g * h for g, h in zip(gens, gens[1:])]
+    top = max(sum(m) for g in gb for m in g.terms) + 1
+    for _ in range(3):
+        out.append(MPoly(field, vars_, {
+            tuple(rng.randrange(top) for _ in vars_):
+                field.element(tuple(rng.randrange(field.p) for _ in range(field.degree)))
+            for _ in range(6)}))
+    return out
+
+
+def _assert_matches_the_field_element_rule(gens, rng):
+    gb = buchberger(gens)
+    assert list(gb) == _field_element_rule_buchberger(gens)
+    for f in _probes(gens, gb, rng):
+        assert normal_form(f, gb) == _field_element_rule_normal_form(f, list(gb))
+        assert normal_form(f, gens) == _field_element_rule_normal_form(f, gens)
+
+
+def _built_generator_lists(name, monkeypatch):
+    """The generators of every Groebner basis verify_case builds on a case."""
+    seen = {}
+
+    def recording(home):
+        inner = home.buchberger
+
+        def record(generators, field=None, variables=None):
+            gens = [g for g in generators if not g.is_zero()]
+            if gens:
+                seen.setdefault((gens[0].field, gens[0].vars, tuple(gens)), gens)
+            return inner(generators, field, variables)
+        return record
+
+    for home in (finalg, weilres):
+        monkeypatch.setattr(home, "buchberger", recording(home))
+    verify_case(parse_case((CASES / (name + ".case")).read_text()))
+    monkeypatch.undo()
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_groebner_matches_the_field_element_rule_on_the_corpus(name, monkeypatch):
+    rng = random.Random(name)
+    built = _built_generator_lists(name, monkeypatch)
+    assert built
+    for gens in built:
+        _assert_matches_the_field_element_rule(gens, rng)
+
+
+def test_the_corpus_builds_bases_up_to_the_sixth_stage(monkeypatch):
+    degrees = {gens[0].field.degree for name in CORPUS
+               for gens in _built_generator_lists(name, monkeypatch)}
+    assert {1, 6} <= degrees
+
+
+def test_groebner_matches_the_field_element_rule_on_the_scale_restriction():
+    _assert_matches_the_field_element_rule(_restricted_relations(T3_CASE), random.Random(3))
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (5, 2), (7, 3)])
+def test_groebner_matches_the_field_element_rule_on_random_ideals(p, m):
+    field = make_ext_field(p, m) if m > 1 else PrimeField(p)
+    vars_ = ("x", "y", "z")
+    for seed in range(30):
+        rng = random.Random(seed)
+
+        def coeff():
+            return field.element(tuple(rng.randrange(p) for _ in range(m)))
+        gens = [P(field, vars_, {tuple(rng.randrange(3) for _ in vars_): coeff()
+                                 for _ in range(rng.randrange(2, 4))})
+                for _ in range(rng.randrange(2, 5))]
+        gens = [g for g in gens if not g.is_zero()] or [P(field, vars_, {(1, 0, 0): 1})]
+        _assert_matches_the_field_element_rule(gens, rng)
+
+
+def test_normal_form_at_the_slot_bound():
+    # 100 members x^i y^(99 - i) - c z^99 all reduce onto z^99, and every
+    # slot of c and of f's coefficients is p - 1: the sum on z^99 far
+    # exceeds a slot unless it is reduced on the way
+    p, n = 2 ** 31 - 1, 99
+    K = make_ext_field(p, 3)
+    c = K.element((p - 1,) * 3)
+    vars_ = ("x", "y", "z")
+    members = [P(K, vars_, {(i, n - i, 0): K.one, (0, 0, n): -c}) for i in range(n + 1)]
+    f = P(K, vars_, {(i, n - i, 0): c for i in range(n + 1)})
+    got = normal_form(f, GroebnerBasis(K, vars_, members))
+    assert got == _field_element_rule_normal_form(f, members)
+    assert got == P(K, vars_, {(0, 0, n): c * c * K.from_int(n + 1)})
+
+
+def test_normal_form_does_no_field_element_arithmetic(monkeypatch):
+    gb = buchberger(_restricted_relations(T3_CASE))
+    members = list(gb)
+    f = MPoly(gb.field, gb.vars, dict((members[0] * members[-1] * members[3]).terms))
+    calls = {"mul": 0, "drl_key": 0}
+    mul, key = FieldElement.__mul__, multipoly.drl_key
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_key(mono):
+        calls["drl_key"] += 1
+        return key(mono)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted_mul)
+    monkeypatch.setattr(multipoly, "drl_key", counted_key)
+    assert normal_form(f, gb).is_zero()
+    assert calls == {"mul": 0, "drl_key": 0}

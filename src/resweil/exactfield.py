@@ -11,16 +11,20 @@ The characteristic is kept odd and below 2**31 so that equal-degree
 splitting can use the classical quadratic-residue trick and single word
 arithmetic stays exact.
 
-Root finding (`roots_in`), the irreducibility test that picks each
-modulus and the Frobenius image of the generator run on `_Packed`, a
-kernel on plain ints.  The roots of f in a stage K come in Frobenius
-orbits: g = gcd(f, x^|K| - x) is split over f's own coefficient field F,
-by degrees and then within each degree, and an irreducible factor of
-degree d is split over K only down to one root r, whose orbit
-r, r^|F|, ..., r^(|F|^(d-1)) gives the rest.  At F = F_p everything but
-that last split runs on one-slot ints.  Each orbit must close after d
-steps on d distinct roots, and the roots must number deg g, or
-`roots_in` raises `CertificateFailure`.
+Root finding (`roots_in`), factoring (`factor_univariate`), Rabin's
+irreducibility test (`is_irreducible`, which also picks each modulus)
+and the Frobenius image of the generator run on `_Packed`, a kernel on
+plain ints.  There is one distinct-degree pass (`_Packed.degree_blocks`)
+and one Cantor-Zassenhaus split (`_Packed.split`); factoring runs them
+on each squarefree part of f (Yun's gcds, and a p-th root where f' = 0).
+The roots of f in a stage K come in Frobenius orbits: g =
+gcd(f, x^|K| - x) is split over f's own coefficient field F, read as
+F_p when every coefficient is a residue, by degrees and then within each
+degree, and an irreducible factor of degree d is split over K only down
+to one root r, whose orbit r, r^|F|, ..., r^(|F|^(d-1)) gives the rest.
+At F = F_p everything but that last split runs on one-slot ints.  Each
+orbit must close after d steps on d distinct roots, and the roots must
+number deg g, or `roots_in` raises `CertificateFailure`.
 
 A stage element c_0 + ... + c_{m-1} a^(m-1) is one int with a k-bit slot
 per coefficient, so the product of two elements is one C-level multiply
@@ -39,9 +43,10 @@ against their relations on the packing, inside the same bound.  There
 are no Zech-log tables: stages reach 7^6 elements for a handful of calls,
 so a table would cost more to build in a fresh process than it saves, and
 stages beyond any table size would need a second path.
-`FieldElement` and `UniPoly` stay the API and the reference arithmetic;
-`factor_univariate` on them is the independent route the tests compare
-`roots_in` with.
+`FieldElement` and `UniPoly` stay the API and the reference arithmetic:
+`tests/test_exactfield.py` factors on them (`_field_element_rule_*`),
+the independent route the tests compare `factor_univariate`,
+`is_irreducible` and `roots_in` with.
 """
 
 from __future__ import annotations
@@ -153,29 +158,6 @@ def _pgcdext(a, b, p):
         r0 = tuple(c * inv % p for c in r0)
         u0 = tuple(c * inv % p for c in u0)
     return r0, u0
-
-
-def _zp_is_irreducible(f, p):
-    """Rabin's test for a monic polynomial over F_p, fully deterministic."""
-    m = len(f) - 1
-    if m < 1:
-        return False
-    # over the prime stage a packed coefficient is the residue itself
-    S = _Packed(p, (0, 1), m)
-    x = (0, 1)
-    # x^(p^m) == x mod f
-    power = x
-    for _ in range(m):
-        power = S.powmod(power, p, f)
-    if power != S.divmod(x, f)[1]:
-        return False
-    for ell in _prime_divisors(m):
-        power = x
-        for _ in range(m // ell):
-            power = S.powmod(power, p, f)
-        if S.gcd(S.sub(power, x), f) != (1,):
-            return False
-    return True
 
 
 def _prime_divisors(n):
@@ -343,11 +325,82 @@ class _Packed:
                 x = self.reduce(x * x)
         return result
 
+    def squarefree(self, g, mult=1):
+        """(part, multiplicity) pairs of a monic g, each part squarefree
+        and monic, every irreducible factor of g in exactly one part:
+        Yun's gcds with g', and where g' = 0 the p-th root c^(p^(m-1)) of
+        each coefficient of g, a polynomial in x^p."""
+        if len(g) < 2:
+            return []
+        p, e = self.p, self.p ** (self.m - 1)
+
+        def root(h):
+            return tuple(self.power(c, e) for c in h[::p])
+        dg = _trim([self.reduce(i % p * c) for i, c in enumerate(g)][1:])
+        if not dg:
+            return self.squarefree(root(g), mult * p)
+        w = self.gcd(g, dg)
+        v = self.divmod(g, w)[0]
+        parts, i = [], mult
+        while len(v) > 1:
+            y = self.gcd(v, w)
+            z = self.divmod(v, y)[0]
+            if len(z) > 1:
+                parts.append((z, i))
+            v, w = y, self.divmod(w, y)[0]
+            i += mult
+        return parts + self.squarefree(root(w), mult * p)
+
+    def degree_blocks(self, g, n=None):
+        """Distinct degrees: (block, d) pairs for a squarefree monic g,
+        block the product of g's irreducible factors of degree d, read
+        off x^(q^d) for q the order of the stage.  With n, the degree of
+        every factor divides n: only those d are tried, and at d = n the
+        rest is the last block."""
+        q, x = self.p ** self.m, (0, 1)
+        blocks = []
+        rest, power, done, d = g, x, 0, 0
+        while len(rest) > 1:
+            d += 1
+            if len(rest) - 1 < 2 * d:  # every factor has degree >= d
+                blocks.append((rest, len(rest) - 1))
+                break
+            if n and n % d:
+                continue
+            if d == n:
+                blocks.append((rest, n))
+                break
+            for _ in range(d - done):
+                power = self.powmod(power, q, rest)
+            done = d
+            block = self.gcd(self.sub(power, x), rest)
+            if len(block) > 1:
+                blocks.append((block, d))
+                rest = self.divmod(rest, block)[0]
+                power = self.divmod(power, rest)[1]
+        return blocks
+
+    def irreducible(self, f):
+        """Rabin's test for a monic f of degree n over this stage:
+        x^(q^n) = x mod f, and x^(q^(n/l)) - x is prime to f for each
+        prime l dividing n, q the order of the stage."""
+        n = len(f) - 1
+        if n < 1:
+            return False
+        q = self.p ** self.m
+        powers = [self.divmod((0, 1), f)[1]]
+        for _ in range(n):
+            powers.append(self.powmod(powers[-1], q, f))
+        return powers[n] == powers[0] and all(
+            self.gcd(self.sub(powers[n // ell], powers[0]), f) == (1,)
+            for ell in _prime_divisors(n))
+
     def split(self, g, d, rng, first=False):
         """Cantor-Zassenhaus: the monic irreducible factors of a monic g
         that is a product of distinct ones of degree d.  With first, only
         the factor reached by following the smaller half of every split.
-        The draws from rng are those of `_equal_degree_split(g, d, rng)`."""
+        Each try draws deg g coefficients from rng, each as m residues,
+        low degree and low slot first."""
         n = len(g) - 1
         if n == d:
             return [g]
@@ -621,10 +674,12 @@ def _search_modulus(p, m):
     # enumerate coefficient vectors (c_0, ..., c_{m-1}) lexicographically;
     # for m > 1 a zero constant term forces the factor x, so that whole
     # block is skipped without changing which vector comes first
+    S = _Packed(p, PrimeField.modulus, m)
+
     def rec(prefix):
         if len(prefix) == m:
             f = tuple(prefix) + (1,)
-            if _zp_is_irreducible(f, p):
+            if S.irreducible(f):
                 return f
             return None
         start = 1 if (not prefix and m > 1) else 0
@@ -785,37 +840,11 @@ class UniPoly:
         inv = self.coeffs[-1].inverse()
         return UniPoly(self.field, [c * inv for c in self.coeffs])
 
-    def derivative(self):
-        f = self.field
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(c * f.from_int(i))
-        return UniPoly(f, out)
-
     def evaluate(self, x: FieldElement) -> FieldElement:
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
-
-    def pow_mod(self, e, mod):
-        f = self.field
-        result = UniPoly(f, [f.one])
-        base = self % mod
-        while e > 0:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
 
     def map_coefficients(self, target):
         """Push coefficients into a larger stage via the canonical embedding."""
@@ -832,123 +861,19 @@ class UniPoly:
         return "UniPoly(%s)" % " + ".join(bits)
 
 
+def _packed(f: UniPoly, F):
+    """The packing of the stage F, which holds f's coefficients, and f
+    made monic on it."""
+    S = _Packed(F.p, F.modulus, f.degree)
+    return S, S.monic(tuple(S.pack(c.coeffs[:F.degree]) for c in f.coeffs))
+
+
 def is_irreducible(f: UniPoly) -> bool:
     """Rabin's deterministic criterion over the coefficient stage."""
     if f.is_zero():
         raise ZeroPolynomial("irreducibility of zero")
-    m = f.degree
-    if m == 0:
-        return False
-    field = f.field
-    q = field.order
-    g = f.monic()
-    x = UniPoly(field, [field.zero, field.one])
-    power = x
-    for _ in range(m):
-        power = power.pow_mod(q, g)
-    if (power - x) % g != UniPoly(field, []):
-        return False
-    for ell in _prime_divisors(m):
-        power = x
-        for _ in range(m // ell):
-            power = power.pow_mod(q, g)
-        if (power - x).gcd(g).degree != 0:
-            return False
-    return True
-
-
-def _pth_root(f: UniPoly) -> UniPoly:
-    """Inverse of c -> c^p on coefficients, for polynomials in x^p."""
-    field = f.field
-    p = field.p
-    m = field.degree
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        c = f.coeffs[i]
-        # c^(p^(m-1)) is the p-th root in F_{p^m}
-        r = c
-        for _ in range(m - 1):
-            r = r ** p
-        out.append(r)
-    return UniPoly(field, out)
-
-
-def _squarefree_parts(f: UniPoly):
-    """Yield (squarefree factor, multiplicity) pairs for monic f, char p aware."""
-    field = f.field
-    p = field.p
-    one = UniPoly(field, [field.one])
-
-    def rec(g, mult):
-        if g.degree < 1:
-            return
-        d = g.derivative()
-        if d.is_zero():
-            yield from rec(_pth_root(g), mult * p)
-            return
-        w = g.gcd(d)
-        v = (g // w).monic()
-        i = 1
-        while v.degree > 0:
-            y = v.gcd(w)
-            z = (v // y).monic()
-            if z.degree > 0:
-                yield z, i * mult
-            v = y
-            w = (w // y).monic()
-            i += 1
-        if w.degree > 0:
-            yield from rec(_pth_root(w), mult * p)
-
-    yield from rec(f.monic(), 1)
-
-
-def _distinct_degree(f: UniPoly):
-    """Split squarefree monic f into products of factors of equal degree."""
-    field = f.field
-    q = field.order
-    x = UniPoly(field, [field.zero, field.one])
-    out = []
-    h = x
-    rest = f
-    d = 0
-    while rest.degree > 2 * (d + 1) - 1 and rest.degree > 0:
-        d += 1
-        h = h.pow_mod(q, rest)
-        g = (h - x).gcd(rest)
-        if g.degree > 0:
-            out.append((g, d))
-            rest = (rest // g).monic()
-            h = h % rest
-    if rest.degree > 0:
-        out.append((rest, rest.degree))
-    return out
-
-
-def _equal_degree_split(f: UniPoly, d: int, rng: random.Random):
-    """Cantor-Zassenhaus splitting; the characteristic is odd by construction."""
-    field = f.field
-    q = field.order
-    if f.degree == d:
-        return [f]
-    exponent = (q ** d - 1) // 2
-    one = UniPoly(field, [field.one])
-    while True:
-        r = UniPoly(field, [field.element(tuple(rng.randrange(field.p)
-                                                for _ in range(field.degree)))
-                            for _ in range(f.degree)])
-        if r.degree < 1:
-            continue
-        g = r.gcd(f)
-        if 0 < g.degree < f.degree:
-            a, b = g, (f // g).monic()
-        else:
-            h = r.pow_mod(exponent, f) - one
-            g = h.gcd(f)
-            if not (0 < g.degree < f.degree):
-                continue
-            a, b = g.monic(), (f // g).monic()
-        return _equal_degree_split(a, d, rng) + _equal_degree_split(b, d, rng)
+    S, fp = _packed(f, f.field)
+    return S.irreducible(fp)
 
 
 def factor_univariate(f: UniPoly, rng: random.Random | None = None):
@@ -956,23 +881,24 @@ def factor_univariate(f: UniPoly, rng: random.Random | None = None):
 
     Returns (unit, [(factor, multiplicity), ...]) with factors sorted by
     degree then coefficient labels, so the output does not depend on the
-    random stream used for equal-degree splitting.
+    random stream used for equal-degree splitting.  f is factored on its
+    coefficient stage's packing: squarefree parts, then the distinct-degree
+    pass and the equal-degree split that `roots_in` runs.
     """
     if f.is_zero():
         raise ZeroPolynomial("factor of zero")
     if rng is None:
         rng = random.Random(0)
-    unit = f.coeffs[-1]
-    work = f.monic()
+    F = f.field
+    S, fp = _packed(f, F)
     found = []
-    if work.degree == 0:
-        return unit, []
-    for sqf, mult in _squarefree_parts(work):
-        for block, d in _distinct_degree(sqf):
-            for irr in _equal_degree_split(block, d, rng):
-                found.append((irr, mult))
+    for part, mult in S.squarefree(fp):
+        for block, d in S.degree_blocks(part):
+            for h in S.split(block, d, rng):
+                coeffs = [FieldElement(F, S.unpack(c)) for c in h]
+                found.append((UniPoly(F, coeffs), mult))
     found.sort(key=lambda fm: (fm[0].degree, tuple(c.label() for c in fm[0].coeffs)))
-    return unit, found
+    return f.coeffs[-1], found
 
 
 def roots_in(f: UniPoly, field) -> list:
@@ -981,11 +907,13 @@ def roots_in(f: UniPoly, field) -> list:
     The coefficients of f may lie in any subfield stage F of the target
     stage K.  The gcd g = gcd(f, x^|K| - x) is taken over F: it is
     squarefree and has exactly the roots of f in K, without factoring f.
-    When F = K an equal-degree split of g into linear factors reads them
-    off.  Otherwise the roots come in Frobenius orbits, one per
-    irreducible factor of g over F (`_orbit_roots`).  All of it runs on
-    packed coefficients (`_Packed`); only the roots come back as field
-    elements.
+    F is read as F_p when every coefficient of f is a residue.  When
+    F = K an equal-degree split of g into linear factors reads off the
+    roots.  Otherwise they come in Frobenius orbits, one per irreducible
+    factor of g over F (`_orbit_roots`), found by the distinct-degree
+    pass and the equal-degree split that `factor_univariate` runs.  All
+    of it runs on packed coefficients (`_Packed`); only the roots come
+    back as field elements.
     """
     if f.is_zero():
         raise ZeroPolynomial("roots of the zero polynomial")
@@ -993,8 +921,9 @@ def roots_in(f: UniPoly, field) -> list:
     if F.p != field.p or field.degree % F.degree:
         raise IncompatibleDegrees("roots in %r of a polynomial over %r"
                                   % (field, F))
-    S = _Packed(F.p, F.modulus, f.degree)
-    fp = S.monic(tuple(S.pack(c.coeffs) for c in f.coeffs))
+    if F.degree > 1 and not any(any(c.coeffs[1:]) for c in f.coeffs):
+        F = F.base  # residue coefficients: the orbit route over F_p
+    S, fp = _packed(f, F)
     x = (0, 1)
     g = S.gcd(fp, S.sub(S.powmod(x, field.order, fp), x))
     if len(g) < 2:
@@ -1015,9 +944,10 @@ def _orbit_roots(S, g, F, K, rng):
     over the proper subfield F packed in S.
 
     Every irreducible factor of g over F has a degree d dividing
-    n = [K:F].  A distinct-degree pass over those d, on F's packing,
-    gives the product of the factors of each degree, and an equal-degree
-    split of it the factors.  A linear factor is its root.  A factor h of
+    n = [K:F].  `_Packed.degree_blocks(g, n)`, the distinct-degree pass
+    of `factor_univariate` tried at those d only, gives the product of
+    the factors of each degree on F's packing, and `_Packed.split` the
+    factors.  A linear factor is its root.  A factor h of
     degree d > 1 is split over K only along the smaller half of every
     split, down to one root r; its other roots are the orbit r^|F|,
     r^(|F|^2), ..., which must close after d steps on d distinct roots.
@@ -1036,22 +966,7 @@ def _orbit_roots(S, g, F, K, rng):
                 acc = T.reduce(acc * image + a)
             return acc
     roots = []
-    x = (0, 1)
-    rest, power, done = g, x, 0
-    for d in (d for d in range(1, n + 1) if n % d == 0):
-        if len(rest) < 2:
-            break
-        if d == n:
-            block = rest
-        else:
-            for _ in range(d - done):
-                power = S.powmod(power, q, rest)
-            done = d
-            block = S.gcd(S.sub(power, x), rest)
-            if len(block) < 2:
-                continue
-            rest = S.divmod(rest, block)[0]
-            power = S.divmod(power, rest)[1]
+    for block, d in S.degree_blocks(g, n):
         for h in S.split(block, d, rng):
             if d == 1:
                 roots.append(into(S.reduce(S.ps - h[0])))

@@ -110,7 +110,7 @@ def test_moduli_match_the_plain_int_oracle(p, degrees):
 
 
 def test_search_modulus_raises_without_an_irreducible(monkeypatch):
-    monkeypatch.setattr(exactfield, "_zp_is_irreducible", lambda f, p: False)
+    monkeypatch.setattr(exactfield._Packed, "irreducible", lambda self, f: False)
     with pytest.raises(CertificateFailure):
         exactfield._search_modulus(5, 2)
 
@@ -200,6 +200,179 @@ def test_frobenius_order_divides_degree():
         for _ in range(4):
             y = frobenius(y)
         assert y == x
+
+
+# ------------------------------------------------- the field-element rule
+# Factoring on `UniPoly` and `FieldElement` arithmetic alone, sharing no
+# code with the packed kernel: the reference `factor_univariate`,
+# `is_irreducible`, `roots_in` and `_Packed.split` are compared with.
+
+def _field_element_rule_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, a % b
+    if a.is_zero():
+        return a
+    return a.monic()
+
+
+def _field_element_rule_pow_mod(a, e, mod):
+    f = a.field
+    result = UniPoly(f, [f.one])
+    base = a % mod
+    while e > 0:
+        if e & 1:
+            result = (result * base) % mod
+        base = (base * base) % mod
+        e >>= 1
+    return result
+
+
+def _field_element_rule_derivative(a):
+    f = a.field
+    out = []
+    for i, c in enumerate(a.coeffs[1:], start=1):
+        out.append(c * f.from_int(i))
+    return UniPoly(f, out)
+
+
+def _field_element_rule_is_irreducible(f):
+    """Rabin's deterministic criterion over the coefficient stage."""
+    if f.is_zero():
+        raise ZeroPolynomial("irreducibility of zero")
+    m = f.degree
+    if m == 0:
+        return False
+    field = f.field
+    q = field.order
+    g = f.monic()
+    x = UniPoly(field, [field.zero, field.one])
+    power = x
+    for _ in range(m):
+        power = _field_element_rule_pow_mod(power, q, g)
+    if (power - x) % g != UniPoly(field, []):
+        return False
+    for ell in exactfield._prime_divisors(m):
+        power = x
+        for _ in range(m // ell):
+            power = _field_element_rule_pow_mod(power, q, g)
+        if _field_element_rule_gcd(power - x, g).degree != 0:
+            return False
+    return True
+
+
+def _field_element_rule_pth_root(f):
+    """Inverse of c -> c^p on coefficients, for polynomials in x^p."""
+    field = f.field
+    p = field.p
+    m = field.degree
+    out = []
+    for i in range(0, len(f.coeffs), p):
+        c = f.coeffs[i]
+        # c^(p^(m-1)) is the p-th root in F_{p^m}
+        r = c
+        for _ in range(m - 1):
+            r = r ** p
+        out.append(r)
+    return UniPoly(field, out)
+
+
+def _field_element_rule_squarefree_parts(f):
+    """Yield (squarefree factor, multiplicity) pairs for monic f, char p aware."""
+    field = f.field
+    p = field.p
+    gcd, root = _field_element_rule_gcd, _field_element_rule_pth_root
+
+    def rec(g, mult):
+        if g.degree < 1:
+            return
+        d = _field_element_rule_derivative(g)
+        if d.is_zero():
+            yield from rec(root(g), mult * p)
+            return
+        w = gcd(g, d)
+        v = (g // w).monic()
+        i = 1
+        while v.degree > 0:
+            y = gcd(v, w)
+            z = (v // y).monic()
+            if z.degree > 0:
+                yield z, i * mult
+            v = y
+            w = (w // y).monic()
+            i += 1
+        if w.degree > 0:
+            yield from rec(root(w), mult * p)
+
+    yield from rec(f.monic(), 1)
+
+
+def _field_element_rule_distinct_degree(f):
+    """Split squarefree monic f into products of factors of equal degree."""
+    field = f.field
+    q = field.order
+    x = UniPoly(field, [field.zero, field.one])
+    out = []
+    h = x
+    rest = f
+    d = 0
+    while rest.degree > 2 * (d + 1) - 1 and rest.degree > 0:
+        d += 1
+        h = _field_element_rule_pow_mod(h, q, rest)
+        g = _field_element_rule_gcd(h - x, rest)
+        if g.degree > 0:
+            out.append((g, d))
+            rest = (rest // g).monic()
+            h = h % rest
+    if rest.degree > 0:
+        out.append((rest, rest.degree))
+    return out
+
+
+def _field_element_rule_equal_degree_split(f, d, rng):
+    """Cantor-Zassenhaus splitting; the characteristic is odd by construction."""
+    field = f.field
+    q = field.order
+    if f.degree == d:
+        return [f]
+    exponent = (q ** d - 1) // 2
+    one = UniPoly(field, [field.one])
+    gcd, split = _field_element_rule_gcd, _field_element_rule_equal_degree_split
+    while True:
+        r = UniPoly(field, [field.element(tuple(rng.randrange(field.p)
+                                                for _ in range(field.degree)))
+                            for _ in range(f.degree)])
+        if r.degree < 1:
+            continue
+        g = gcd(r, f)
+        if 0 < g.degree < f.degree:
+            a, b = g, (f // g).monic()
+        else:
+            h = _field_element_rule_pow_mod(r, exponent, f) - one
+            g = gcd(h, f)
+            if not (0 < g.degree < f.degree):
+                continue
+            a, b = g.monic(), (f // g).monic()
+        return split(a, d, rng) + split(b, d, rng)
+
+
+def _field_element_rule_factor(f, rng=None):
+    """Full factorization into monic irreducibles with multiplicities,
+    sorted by degree then coefficient labels."""
+    if f.is_zero():
+        raise ZeroPolynomial("factor of zero")
+    if rng is None:
+        rng = random.Random(0)
+    unit = f.coeffs[-1]
+    work = f.monic()
+    found = []
+    if work.degree == 0:
+        return unit, []
+    for sqf, mult in _field_element_rule_squarefree_parts(work):
+        for block, d in _field_element_rule_distinct_degree(sqf):
+            for irr in _field_element_rule_equal_degree_split(block, d, rng):
+                found.append((irr, mult))
+    found.sort(key=lambda fm: (fm[0].degree, tuple(c.label() for c in fm[0].coeffs)))
+    return unit, found
 
 
 # ------------------------------------------------------------ factorization
@@ -316,7 +489,7 @@ def test_roots_count_matches_linear_factor_count():
 
 def _factor_roots(f, K):
     """The reference: roots read off the linear factors of f over K."""
-    _, factors = factor_univariate(f.map_coefficients(K))
+    _, factors = _field_element_rule_factor(f.map_coefficients(K))
     return sorted((-g.coeffs[0] for g, _ in factors if g.degree == 1),
                   key=lambda r: r.label())
 
@@ -471,7 +644,7 @@ def test_packed_products_at_the_slot_bound():
     got = S.divmod(S.mul(packed[0], packed[0]), packed[1])[1]
     assert [S.unpack(c) for c in got] == [c.coeffs for c in ((a * a) % f).coeffs]
     assert [S.unpack(c) for c in S.gcd(*packed)] == \
-        [c.coeffs for c in a.gcd(f).coeffs]
+        [c.coeffs for c in _field_element_rule_gcd(a, f).coeffs]
 
 
 def test_packed_mat_vec_at_the_slot_bound():
@@ -503,8 +676,9 @@ def _irreducibles(rng, K, d, count):
     (3, 1, 2, 3), (5, 1, 3, 3), (3, 2, 2, 4), (7, 1, 6, 2),
 ], ids=["3-4", "7-1", "5-3", "3-1-d2", "5-1-d3", "3-2-d2", "7-1-d6"])
 def test_packed_split_draws_like_the_equal_degree_split(p, m, d, count):
-    # the packed split consumes the random stream exactly as
-    # `_equal_degree_split(g, d, rng)` does and finds the same factors
+    # the packed split consumes the random stream exactly as the
+    # field-element rule's equal-degree split does and finds the same
+    # factors
     K = stage_field(p, m)
     g = UniPoly(K, [K.one])
     for h in _irreducibles(random.Random(p * m + d), K, d, count):
@@ -512,7 +686,7 @@ def test_packed_split_draws_like_the_equal_degree_split(p, m, d, count):
     S = exactfield._Packed(p, K.modulus, g.degree)
     ours, theirs = random.Random(1), random.Random(1)
     split = S.split(tuple(S.pack(c.coeffs) for c in g.coeffs), d, ours)
-    reference = exactfield._equal_degree_split(g, d, theirs)
+    reference = _field_element_rule_equal_degree_split(g, d, theirs)
     assert [[S.unpack(c) for c in h] for h in split] == \
         [[c.coeffs for c in h.coeffs] for h in reference]
     assert ours.random() == theirs.random()
@@ -609,6 +783,98 @@ def test_orbit_certificate_survives_optimized_mode():
                           capture_output=True, env=env, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "a Frobenius orbit repeats a root\n"
+
+
+def _nonzero(rng, F):
+    while True:
+        c = F.element(tuple(rng.randrange(F.p) for _ in range(F.degree)))
+        if not c.is_zero():
+            return c
+
+
+@pytest.mark.parametrize("shape, p, m", [
+    (shape, p, m) for shape in sorted(SHAPES)
+    for p, m in [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)] + [(p, 1) for p in BIG_PRIMES]
+    # a polynomial in y^p has degree at least p
+    if shape != "derivative-zero" or p < 100])
+def test_factoring_matches_the_field_element_rule(shape, p, m):
+    rng = random.Random("%s-%d-%d" % (shape, p, m))
+    F = stage_field(p, m)
+    for _ in range(4 if p < 100 else 2):
+        f = SHAPES[shape](rng, F) * _nonzero(rng, F)
+        expected = _field_element_rule_factor(f)
+        assert factor_univariate(f, random.Random(rng.randrange(10 ** 6))) == expected
+        others = [h for h, _ in expected[1]] + [
+            _random_poly(rng, F, rng.randrange(1, 5)) for _ in range(3)]
+        for g in [f] + others:
+            assert is_irreducible(g) == _field_element_rule_is_irreducible(g), g
+
+
+@pytest.mark.parametrize("p, m, n, degrees", [
+    (5, 1, 6, (1, 2, 2, 3, 3, 6)), (3, 1, 3, (3, 3)), (7, 1, 6, (6, 6)),
+    (3, 2, 4, (1, 2, 4, 4)),
+], ids=["5-1-n6", "3-1-n3", "7-1-n6", "3-2-n4"])
+def test_degree_blocks_at_the_divisors_of_n(p, m, n, degrees):
+    # the orbit route tries only the d dividing n, and the rest at d = n
+    # may hold several factors of degree n: one block of degree n
+    K = stage_field(p, m)
+    g = UniPoly(K, [K.one])
+    for d in sorted(set(degrees)):
+        for h in _irreducibles(random.Random(p * m + d), K, d, degrees.count(d)):
+            g = g * h
+    S = exactfield._Packed(p, K.modulus, g.degree)
+    gp = tuple(S.pack(c.coeffs) for c in g.coeffs)
+    reference = [(tuple(c.coeffs for c in b.coeffs), d)
+                 for b, d in _field_element_rule_distinct_degree(g)]
+    for blocks in (S.degree_blocks(gp, n), S.degree_blocks(gp)):
+        assert [(tuple(map(S.unpack, b)), d) for b, d in blocks] == reference
+
+
+def test_factor_univariate_does_no_field_element_arithmetic(monkeypatch):
+    # the degree-64 polynomial of the first points-stage shape over F_3:
+    # its factors of degree dividing 4 hold its roots in F_81
+    monkeypatch.setitem(sys.modules, "oracles", _load("oracles", ORACLES))
+    workloads = _load("bench_workloads", BENCH / "workloads.py")
+    op = workloads.points_stage(3)[0]
+    f = UniPoly.from_ints(PrimeField(3), op["oracle"]["f"])
+    assert f.degree == 64
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    unit, factors = factor_univariate(f)
+    assert calls == []
+    monkeypatch.undo()
+    product = UniPoly(f.field, [unit])
+    for g, mult in factors:
+        for _ in range(mult):
+            product = product * g
+    assert product == f
+    assert sum(g.degree for g, _ in factors if 4 % g.degree == 0) == \
+        op["oracle"]["count"]
+
+
+def test_roots_in_reads_residue_coefficients_over_f_p(monkeypatch):
+    # f over F_{5^6} with F_5 coefficients takes the orbit route: no
+    # split of g into linear factors runs on F_{5^6}'s packing
+    K = make_ext_field(5, 6)
+    f = _orbit_polynomial().map_coefficients(K)
+    splits = []
+    split = exactfield._Packed.split
+
+    def recorded(self, g, d, rng, first=False):
+        splits.append((self.m, d, first))
+        return split(self, g, d, rng, first)
+
+    monkeypatch.setattr(exactfield._Packed, "split", recorded)
+    rs = roots_in(f, K)
+    monkeypatch.undo()
+    assert (6, 1, False) not in splits and (1, 1, False) in splits
+    assert len(rs) == 12 and rs == _factor_roots(f, K)
 
 
 def test_roots_in_degenerate_inputs():

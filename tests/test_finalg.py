@@ -348,9 +348,9 @@ def test_frobenius_matrix_makes_a_normal_form_per_border_monomial_only(
 
 def _seeded_irreducible(rng, F, d):
     while True:
-        f = tuple(rng.randrange(F.p) for _ in range(d)) + (1,)
-        if exactfield._zp_is_irreducible(f, F.p):
-            return UniPoly.from_ints(F, f)
+        f = UniPoly.from_ints(F, [rng.randrange(F.p) for _ in range(d)] + [1])
+        if exactfield.is_irreducible(f):
+            return f
 
 
 def _points_stage_shape():
@@ -369,7 +369,7 @@ def _points_stage_shape():
 def test_points_kernel_is_cheap_on_a_points_stage_shape(monkeypatch):
     # the factors of degree 1, 2 and 4 split over F_81, into 7 roots
     f, B = _points_stage_shape()
-    calls = {"factor_univariate": 0, "_distinct_degree": 0, "solve": 0}
+    calls = {"factor_univariate": 0, "degree_blocks over K": 0, "solve": 0}
 
     def counting(module, name, key):
         real = getattr(module, name)
@@ -380,8 +380,13 @@ def test_points_kernel_is_cheap_on_a_points_stage_shape(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(exactfield, "factor_univariate", "factor_univariate")
-    counting(exactfield, "_distinct_degree", "_distinct_degree")
     counting(_linalg, "solve", "solve")
+    blocks = exactfield._Packed.degree_blocks
+
+    def degree_blocks(self, *args):
+        calls["degree_blocks over K"] += self.m == 4
+        return blocks(self, *args)
+    monkeypatch.setattr(exactfield._Packed, "degree_blocks", degree_blocks)
     mu = B.min_poly(B.var("y"))
     K = make_ext_field(3, 4)
     roots = roots_in(mu, K)
@@ -389,7 +394,7 @@ def test_points_kernel_is_cheap_on_a_points_stage_shape(monkeypatch):
     assert len(roots) == 7
     assert all(f.map_coefficients(K).evaluate(r).is_zero() for r in roots)
     # full factoring over F_81 and one solve per power would show here
-    assert calls == {"factor_univariate": 0, "_distinct_degree": 0, "solve": 0}
+    assert calls == {"factor_univariate": 0, "degree_blocks over K": 0, "solve": 0}
 
 
 def test_min_poly_reads_the_tables_on_a_points_stage_shape(monkeypatch):

@@ -24,7 +24,11 @@ degree, and an irreducible factor of degree d is split over K only down
 to one root r, whose orbit r, r^|F|, ..., r^(|F|^(d-1)) gives the rest.
 At F = F_p everything but that last split runs on one-slot ints.  Each
 orbit must close after d steps on d distinct roots, and the roots must
-number deg g, or `roots_in` raises `CertificateFailure`.
+number deg g, or `roots_in` raises `CertificateFailure`; so does a split
+that finds no factor in `_SPLIT_TRIES` tries, as on an input that is no
+product of distinct irreducibles of one degree.  Root sets are kept for
+the life of the process per (F, monic f, K), like fields and
+embeddings, and only a computation that passed its certificates is kept.
 
 A stage element c_0 + ... + c_{m-1} a^(m-1) is one int with a k-bit slot
 per coefficient, so the product of two elements is one C-level multiply
@@ -65,6 +69,11 @@ MAX_DEGREE = 24
 MAX_CHAR = 2 ** 31
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# A try of `_Packed.split` on a product of distinct irreducibles of
+# degree d fails with probability at most 1/2, so this many all fail
+# with probability below 10^-38; any other input may never split.
+_SPLIT_TRIES = 128
 
 
 def _is_prime(n: int) -> bool:
@@ -400,13 +409,14 @@ class _Packed:
         that is a product of distinct ones of degree d.  With first, only
         the factor reached by following the smaller half of every split.
         Each try draws deg g coefficients from rng, each as m residues,
-        low degree and low slot first."""
+        low degree and low slot first; `_SPLIT_TRIES` tries without a
+        factor raise `CertificateFailure`."""
         n = len(g) - 1
         if n == d:
             return [g]
         p, m = self.p, self.m
         half = (p ** (m * d) - 1) // 2
-        while True:
+        for _ in range(_SPLIT_TRIES):
             r = _trim([self.pack([rng.randrange(p) for _ in range(m)])
                        for _ in range(n)])
             if len(r) < 2:
@@ -420,6 +430,9 @@ class _Packed:
             if first:
                 return self.split(min(a, b, key=len), d, rng, True)
             return self.split(a, d, rng) + self.split(b, d, rng)
+        raise CertificateFailure("no split of a polynomial of degree %d into "
+                                 "factors of degree %d in %d tries"
+                                 % (n, d, _SPLIT_TRIES))
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +669,7 @@ class ExtField:
 
 _FIELD_CACHE: dict = {}
 _EMBED_CACHE: dict = {}
+_ROOTS_CACHE: dict = {}
 
 
 def make_ext_field(p: int, m: int) -> ExtField:
@@ -914,6 +928,14 @@ def roots_in(f: UniPoly, field) -> list:
     pass and the equal-degree split that `factor_univariate` runs.  All
     of it runs on packed coefficients (`_Packed`); only the roots come
     back as field elements.
+
+    The sorted root coefficient tuples are memoized for the life of the
+    process, like fields and embeddings, per (F, f made monic on F's
+    packing, target stage): c f, and f over a larger stage with residue
+    coefficients, share an entry.  The computation is deterministic, so
+    a second call reads what it would recompute; the certificates run on
+    the call that fills an entry, and a raise stores nothing.  Every
+    call builds fresh field elements.
     """
     if f.is_zero():
         raise ZeroPolynomial("roots of the zero polynomial")
@@ -924,19 +946,28 @@ def roots_in(f: UniPoly, field) -> list:
     if F.degree > 1 and not any(any(c.coeffs[1:]) for c in f.coeffs):
         F = F.base  # residue coefficients: the orbit route over F_p
     S, fp = _packed(f, F)
+    key = (F, fp, field)
+    if key not in _ROOTS_CACHE:
+        _ROOTS_CACHE[key] = _roots(S, fp, F, field)
+    return [FieldElement(field, r) for r in _ROOTS_CACHE[key]]
+
+
+def _roots(S, fp, F, K):
+    """The sorted roots in K, as coefficient tuples, of the monic fp over
+    F packed in S."""
     x = (0, 1)
-    g = S.gcd(fp, S.sub(S.powmod(x, field.order, fp), x))
+    g = S.gcd(fp, S.sub(S.powmod(x, K.order, fp), x))
     if len(g) < 2:
-        return []
+        return ()
     rng = random.Random(0)
-    if F == field:
+    if F == K:
         roots = [S.unpack(S.reduce(S.ps - h[0])) for h in S.split(g, 1, rng)]
     else:
-        roots = _orbit_roots(S, g, F, field, rng)
+        roots = _orbit_roots(S, g, F, K, rng)
     if len(set(roots)) != len(g) - 1:
         raise CertificateFailure("%d distinct roots for a gcd of degree %d"
                                  % (len(set(roots)), len(g) - 1))
-    return [FieldElement(field, r) for r in sorted(roots)]
+    return tuple(sorted(roots))
 
 
 def _orbit_roots(S, g, F, K, rng):

@@ -15,15 +15,16 @@ The restriction owns its coordinate ring (`R.quotient`): the report,
 the stage rule and the left component set read it, and since it
 keeps its points per stage, the components, the adjunction check and
 the cover check (which takes R) share one solve per stage.  X owns its
-total coordinate ring (`X.coordinate_ring`): the stage rule, the cover
-probe and `etale_check` read it, the last for the theorem precheck and
-for the adjunction route's solver at every stage.  Lemma-local
-reads the component data: one base point means a local base with
-rational residue, and the evaluation witness is then the reduction to
-the special fiber.  `reduction_map` stays public as the acceptance
-tests' independent route over local factors.  Four routes stay apart
-on purpose, since each cross-checks the shared data and would certify
-nothing by reading it:
+total coordinate ring (`X.coordinate_ring`), which the stage rule, the
+cover probe and `etale_check` read, and its etale certificate
+(`X.etale_certificate`, one `etale_check` run), which the theorem and
+non-smooth prechecks and the adjunction route's solver at every stage
+read.  Lemma-local reads the component data: one base point means a
+local base with rational residue, and the evaluation witness is then
+the reduction to the special fiber.  `reduction_map` stays public as
+the acceptance tests' independent route over local factors.  Four
+routes stay apart on purpose, since each cross-checks the shared data
+and would certify nothing by reading it:
 
 * the per-factor count in `_count_via_local_factors`, which restricts X
   again over each local factor of A tensor K;
@@ -48,7 +49,7 @@ from ..errors import (
     PositiveDimensionalFiber,
 )
 from ..exactfield import factor_univariate, stage_field
-from ..finalg import decompose_local, etale_check, tensor_extend
+from ..finalg import decompose_local, tensor_extend
 from ..gammaset import (
     evaluation_map,
     fiber,
@@ -221,7 +222,7 @@ def _expect_outcome(key, vals, comp, comp_error):
 
 def _check_theorem(A, X, comp, comp_error):
     try:
-        cert = etale_check(X)
+        cert = X.etale_certificate
     except (NotSquareSystem, NotFinite) as e:
         return CheckOutcome("theorem", False,
                             "smoothness precheck: %s" % e)
@@ -326,7 +327,7 @@ def _check_empty(R):
 
 def _check_non_smooth(X, comp, comp_error):
     try:
-        cert = etale_check(X)
+        cert = X.etale_certificate
         if cert.ok:
             return CheckOutcome("non-smooth", False,
                                 "smoothness precheck passes unexpectedly")

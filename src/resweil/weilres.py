@@ -29,6 +29,7 @@ from .errors import (
 from .exactfield import PrimeField, _Packed, embed, roots_in, stage_field
 from .finalg import (
     AlgebraPresentation,
+    EtaleCertificate,
     ProductAlgebra,
     _poly_det,
     decompose_local,
@@ -86,6 +87,12 @@ class SchemePresentation:
         rels = [r.extend_context(self.all_vars) for r in self.base.relations]
         return AlgebraPresentation(self.field, self.all_vars,
                                    rels + list(self.relations))
+
+    @cached_property
+    def etale_certificate(self) -> EtaleCertificate:
+        """`etale_check(self)`, run once for every reader; a raise is
+        not kept, so the next read raises again."""
+        return etale_check(self)
 
     def __repr__(self):
         return "SchemePresentation(vars=%r, %d relations over %r)" % (
@@ -564,7 +571,7 @@ def algebra_points(X: SchemePresentation, K=None):
         # X is smooth over A tensor K exactly when it is over A: one reduced
         # Groebner basis, and the unit test is linear over the stage
         try:
-            smooth = etale_check(X).ok
+            smooth = X.etale_certificate.ok
         except NotFinite:
             smooth = False
         if smooth:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -705,6 +706,27 @@ def test_packed_split_first_follows_one_branch():
     assert len(whole) == 9 and one in whole
 
 
+class _DrawLimit(random.Random):
+    """A stream that stops a split which never gives up."""
+
+    def randrange(self, *args):
+        self.draws = getattr(self, "draws", 0) + 1
+        if self.draws > 10 ** 5:
+            raise RuntimeError("the split keeps drawing")
+        return super().randrange(*args)
+
+
+def test_packed_split_gives_up_on_an_irreducible():
+    # x^2 + 2 is irreducible over F_5: no try splits it into linear factors
+    S = exactfield._Packed(5, (0, 1), 2)
+    start = time.perf_counter()
+    with pytest.raises(CertificateFailure,
+                       match="^no split of a polynomial of degree 2 into "
+                             "factors of degree 1 in 128 tries$"):
+        S.split((2, 0, 1), 1, _DrawLimit(0))
+    assert time.perf_counter() - start < 1
+
+
 def _orbit_polynomial():
     # over F_5, irreducible factors of degrees 1, 2, 3 and 6: one Frobenius
     # orbit of each size in F_{5^6}, twelve roots in all
@@ -747,6 +769,7 @@ ORBIT_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(ORBIT_FAULTS))
 def test_roots_in_raises_when_an_orbit_fails(monkeypatch, fault):
     corrupt, reason = ORBIT_FAULTS[fault]
+    monkeypatch.setattr(exactfield, "_ROOTS_CACHE", {})
     monkeypatch.setattr(exactfield._Packed, "power", corrupt())
     f = _irreducibles(random.Random(4), PrimeField(5), 2, 1)[0]
     with pytest.raises(CertificateFailure, match=reason):
@@ -756,11 +779,52 @@ def test_roots_in_raises_when_an_orbit_fails(monkeypatch, fault):
 def test_roots_in_raises_when_roots_go_missing(monkeypatch):
     # a split that loses the cubic factor leaves fewer roots than the
     # gcd's degree
+    monkeypatch.setattr(exactfield, "_ROOTS_CACHE", {})
     monkeypatch.setattr(exactfield._Packed, "split",
                         _split_losing_cubics(exactfield._Packed.split))
     with pytest.raises(CertificateFailure,
                        match="^9 distinct roots for a gcd of degree 12$"):
         roots_in(_orbit_polynomial(), make_ext_field(5, 6))
+
+
+def test_roots_in_serves_a_repeated_key_from_the_memo(monkeypatch):
+    # f, 3 f and f read over F_{5^6} share one entry: the kernel runs
+    # once, and every call gets fresh elements in a list of its own
+    monkeypatch.setattr(exactfield, "_ROOTS_CACHE", {})
+    f = _orbit_polynomial()
+    K = make_ext_field(5, 6)
+    first = roots_in(f, K)
+    expected = _factor_roots(f, K)
+    assert first == expected
+    calls = []
+    for name in ("split", "powmod"):
+        monkeypatch.setattr(exactfield._Packed, name,
+                            lambda self, *args, name=name, **kw: calls.append(name))
+    first.append(K.zero)
+    for g in (f, f * f.field.from_int(3), f.map_coefficients(K)):
+        again = roots_in(g, K)
+        assert again == expected and again is not first
+        assert all(a is not b for a, b in zip(again, first))
+        again.clear()
+    assert calls == []
+
+
+@pytest.mark.parametrize("fault", ["missing", "identity"])
+def test_roots_in_stores_nothing_when_a_certificate_fails(monkeypatch, fault):
+    # a corrupted kernel raises and leaves no entry, so the healthy kernel
+    # computes the same key afresh
+    monkeypatch.setattr(exactfield, "_ROOTS_CACHE", {})
+    f, K = _orbit_polynomial(), make_ext_field(5, 6)
+    with monkeypatch.context() as m:
+        if fault == "missing":
+            m.setattr(exactfield._Packed, "split",
+                      _split_losing_cubics(exactfield._Packed.split))
+        else:
+            m.setattr(exactfield._Packed, "power", _identity_frobenius)
+        with pytest.raises(CertificateFailure):
+            roots_in(f, K)
+    assert exactfield._ROOTS_CACHE == {}
+    assert roots_in(f, K) == _factor_roots(f, K)
 
 
 def test_orbit_certificate_survives_optimized_mode():
@@ -861,6 +925,7 @@ def test_factor_univariate_does_no_field_element_arithmetic(monkeypatch):
 def test_roots_in_reads_residue_coefficients_over_f_p(monkeypatch):
     # f over F_{5^6} with F_5 coefficients takes the orbit route: no
     # split of g into linear factors runs on F_{5^6}'s packing
+    monkeypatch.setattr(exactfield, "_ROOTS_CACHE", {})
     K = make_ext_field(5, 6)
     f = _orbit_polynomial().map_coefficients(K)
     splits = []

@@ -813,6 +813,24 @@ def test_cli_requires_subcommand():
     assert ei.value.code == 2
 
 
+def test_cli_report_is_the_same_on_a_second_run_in_one_process():
+    # the second run reads root sets and certificates the first one kept
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    files = sorted(str(p) for p in CASES.glob("*.case"))
+    script = ("import sys\n"
+              "from resweil.versuite.cli import main\n"
+              "for _ in range(2):\n"
+              "    if main(['verify', '--json', '--seed', '42'] + sys.argv[1:]):\n"
+              "        sys.exit(1)\n")
+    done = subprocess.run([sys.executable, "-c", script] + files,
+                          capture_output=True, env=env)
+    assert done.returncode == 0, done.stderr
+    golden = (ROOT / "tests" / "data" / "corpus-report-seed42.json").read_bytes()
+    assert done.stdout == golden + golden
+
+
 def test_cli_report_survives_optimized_mode():
     # `python -O` strips every assert, so the verdicts must rest on raises
     env = dict(os.environ)

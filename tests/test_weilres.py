@@ -307,6 +307,39 @@ def test_etale_verdict_is_the_same_over_every_stage(name):
         assert _etale_verdict(XK) == verdict, (name, m)
 
 
+def _counted_etale_check(monkeypatch):
+    calls = []
+    check = weilres.etale_check
+
+    def counted(X):
+        calls.append(X)
+        return check(X)
+
+    monkeypatch.setattr(weilres, "etale_check", counted)
+    return calls
+
+
+def test_each_scheme_runs_its_etale_check_once(monkeypatch):
+    # the theorem and non-smooth prechecks and the adjunction route at
+    # every stage read X.etale_certificate: one etale_check per case's
+    # scheme
+    calls = _counted_etale_check(monkeypatch)
+    for path in sorted(CASES.glob("*.case")):
+        verify_case(parse_case(path.read_text()))
+    assert len(calls) == 15 and len(set(map(id, calls))) == 15
+
+
+@pytest.mark.parametrize("name, error", [
+    ("nilpotent-collapse", NotSquareSystem), ("infinite-square", NotFinite)])
+def test_etale_certificate_keeps_no_raise(monkeypatch, name, error):
+    calls = _counted_etale_check(monkeypatch)
+    X = parse_case(VERDICT_CASES[name]).scheme
+    for _ in range(2):
+        with pytest.raises(error):
+            X.etale_certificate
+    assert len(calls) == 2
+
+
 def test_local_solve_needs_a_unit_pivot():
     A = algebra(F7, ["eps"], lambda e: [e * e])
     eps = A.nf(A.var("eps"))

@@ -83,6 +83,10 @@ class NotLocalBase(ResweilError):
     pass
 
 
+class NotABasis(ResweilError):
+    """The elements given as a basis of an algebra do not form one."""
+
+
 class NotCovering(ResweilError):
     """The proposed principal opens do not generate the unit ideal."""
 

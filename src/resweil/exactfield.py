@@ -36,12 +36,19 @@ whose 2m - 1 slots hold the unreduced coefficients of their product.
 Sums of such products are left unreduced; an element is reduced (each
 slot mod p, then the high slots folded back through a^(m+t) mod the
 modulus) only when it is read: a leading coefficient during division, or
-the end of a product.  k is the bit length of (2D + 2) m p^2 for
-polynomials of degree up to D: no slot of a product of two remainders
-plus a division by a polynomial of degree D reaches it, so slots never
-carry into each other.  The prime stage is m = 1, and the same code
-serves every p < 2**31 and m <= 24; at m = 1 a reduction is one `x % p`,
-the fold's value there at a twentieth of its cost.
+the end of a product.  The value bound b is the bit length of
+(2D + 2) m p^2 for polynomials of degree up to D: no slot of a product
+of two remainders plus a division by a polynomial of degree D reaches
+2^b.  A slot is k = 2b + 1 bits, room for a slot value times a
+(b + 1)-bit magic constant, so every slot is reduced at once by
+division by an invariant integer (Granlund and Montgomery):
+x * magic >> shift, masked to each slot's quotient bits, is x // p slot
+by slot, in a constant number of int operations for any m, and folding
+the m - 1 high slots back takes one more such pass.  Past 2^b a slot
+gets a wrong residue instead of carrying, so every caller keeps its sums
+inside the degree it declares.  The prime stage is m = 1, and the same
+code serves every p < 2**31 and m <= 24; at m = 1 a reduction is one
+`x % p`.
 `mat_vec` serves `finalg`'s linear models and `weilres` checks points
 against their relations on the packing, inside the same bound.  There
 are no Zech-log tables: stages reach 7^6 elements for a handful of calls,
@@ -196,25 +203,39 @@ class _Packed:
     coefficient is reduced, each slot mod p and then the slots from m
     on folded back through a^(m + t) mod the modulus, only where it is
     read: a leading coefficient during division, a remainder, or a
-    value returned.  Polynomials are tuples of reduced coefficients, low
-    degree first and trimmed, except the unreduced product `mul`
-    returns.  The prime stage is m = 1 with the modulus a.
+    value returned.  A slot value must stay below 2^b, b the value bound
+    of `degree`; k = 2b + 1 leaves room to reduce every slot at once by
+    one multiply by `magic`, a shift and a mask.  Polynomials are tuples
+    of reduced coefficients, low degree first and trimmed, except the
+    unreduced product `mul` returns.  The prime stage is m = 1 with the
+    modulus a.
     """
 
-    __slots__ = ("p", "m", "mod", "k", "mask", "narrow", "high", "ps", "fold")
+    __slots__ = ("p", "m", "mod", "b", "k", "mask", "narrow", "high",
+                 "ps", "fold", "shift", "magic", "qmask")
 
     def __init__(self, p, mod, degree):
         m = len(mod) - 1
         # An unreduced slot sums at most 2 * degree + 2 products of two
         # coefficients, each below m p^2 in every slot: a product of two
         # polynomials of degree below `degree`, then the rows of a
-        # division by one of degree `degree`.  k bits hold that bound, so
-        # no slot carries into the next.
-        self.k = ((2 * degree + 2) * m * p * p).bit_length()
+        # division by one of degree `degree`.  That stays below 2^b, and
+        # a slot of k = 2b + 1 bits holds it times `magic` without a carry.
+        self.b = ((2 * degree + 2) * m * p * p).bit_length()
+        self.k = 2 * self.b + 1
         self.mask = (1 << self.k) - 1
         self.p, self.m, self.mod = p, m, mod
         slots = range(0, (2 * m - 1) * self.k, self.k)
         self.narrow, self.high = slots[:m], slots[m:]
+        # x // p = x * magic >> shift for every x < 2^b (Granlund and
+        # Montgomery): magic = ceil(2^shift / p) with shift = b + ceil(log2 p)
+        # misses 2^shift / p by less than 2^(shift - b) / p.  The quotient
+        # of a slot is below 2^(b + 1 - ceil(log2 p)), the bits qmask keeps;
+        # the low bits of the slot above land just over them.
+        log_p = (p - 1).bit_length()
+        self.shift = self.b + log_p
+        self.magic = -(-(1 << self.shift) // p)
+        self.qmask = self.pack([(1 << (self.b + 1 - log_p)) - 1] * (2 * m - 1))
         # p in every slot: x + ps - y is x - y without a borrow
         self.ps = self.pack([p] * m)
         # fold[t] = a^(m + t) mod the modulus
@@ -236,17 +257,21 @@ class _Packed:
         return tuple(x >> s & mask for s in self.narrow)
 
     def reduce(self, x):
+        """x with every slot mod p and the slots from m on folded back;
+        each slot of x must be below 2^b."""
         if self.m == 1:
             return x % self.p
-        p, mask, k = self.p, self.mask, self.k
-        low = [(x >> t & mask) % p for t in self.narrow]
-        high = [(x >> t & mask) % p for t in self.high]
-        if any(high):
-            x = sum(c * a for c, a in zip(high, self.fold))
-            low = [(c + (x >> t & mask)) % p for c, t in zip(low, self.narrow)]
-        x = 0
-        for c in reversed(low):
-            x = x << k | c
+        p, magic, shift, qmask = self.p, self.magic, self.shift, self.qmask
+        x -= (x * magic >> shift & qmask) * p
+        low = self.high[0]
+        high = x >> low
+        if high:  # each high slot is below p, each folded slot below m p^2
+            k, mask = self.k, self.mask
+            x ^= high << low
+            for a in self.fold:
+                x += (high & mask) * a
+                high >>= k
+            x -= (x * magic >> shift & qmask) * p
         return x
 
     def inverse(self, x):

@@ -24,6 +24,7 @@ from functools import cached_property
 from . import _linalg
 from .errors import (
     CertificateFailure,
+    MixedContexts,
     MixedFields,
     NotFinite,
     NotSquareSystem,
@@ -48,7 +49,8 @@ class AlgebraPresentation:
         self.vars = tuple(variables)
         rels = []
         for r in relations:
-            assert r.vars == self.vars and r.field == field, "relation context mismatch"
+            if r.vars != self.vars or r.field != field:
+                raise MixedContexts("relation context mismatch")
             if not r.is_zero():
                 rels.append(r)
         self.relations = tuple(rels)
@@ -150,7 +152,7 @@ class AlgebraPresentation:
     def _horner(self, g: UniPoly, cols, vec):
         """g(f) vec, cols the packed columns of multiplication by f: from the
         top, acc <- f acc + c vec, one `mat_vec` with c vec as an extra
-        column, so an entry sums d + 1 products, inside the slot bound."""
+        column, so an entry sums d + 1 products, inside the value bound."""
         S, d = self._stage, self.dimension
         acc = []
         for c in reversed(g.coeffs):
@@ -231,7 +233,7 @@ class AlgebraPresentation:
         against an echelon form of the earlier ones, each row carrying its
         combination of powers; the first power that reduces to zero gives
         the relation.  An entry is reduced only where it is read, so it
-        sums at most d products besides itself: inside the slot bound of
+        sums at most d products besides itself: inside the value bound of
         `_stage`.
         """
         field, d = self.field, self.dimension  # the zero ring, d = 0, gives 1

@@ -13,9 +13,10 @@ tail derived once per divisor.  The kernel keys a monomial m as
 (-deg m, e_n, ..., e_1): keys multiply by adding and the smallest key is
 the largest monomial, so pending monomials wait in a heap of keys.  A
 pending coefficient sums products of two reduced coefficients, each
-below m p^2 < 2^(k-1) in every k-bit slot.  A sum is reduced on write
-once the top bit of one of its slots is set, so a slot below 2^(k-1)
-takes one more product and stays below 2^k: no slot carries.
+below m p^2 < 2^(b-1) in every slot, b the packing's value bound.  A sum
+is reduced on write once bit b - 1 of one of its slots is set, so a slot
+below 2^(b-1) takes one more product and stays below 2^b, where the
+kernel's reduction is exact.
 """
 
 from __future__ import annotations
@@ -51,11 +52,12 @@ _PACKINGS: dict = {}
 
 
 def _packing(field):
-    """The stage's packing and the mask of the top bit of each product slot."""
+    """The stage's packing and the mask of bit b - 1 of each product slot,
+    b its value bound."""
     key = (field.p, field.modulus)
     if key not in _PACKINGS:
         S = _Packed(field.p, field.modulus, 7)  # room for 2 * 7 + 2 products
-        _PACKINGS[key] = S, sum(1 << (s + S.k - 1) for s in [*S.narrow, *S.high])
+        _PACKINGS[key] = S, sum(1 << (s + S.b - 1) for s in [*S.narrow, *S.high])
     return _PACKINGS[key]
 
 
@@ -341,7 +343,7 @@ def normal_form(f: MPoly, basis) -> MPoly:
                 work[k2] = c * t
                 heapq.heappush(heap, k2)
             else:
-                x += c * t  # every slot stays below 2^k: see the module docstring
+                x += c * t  # every slot stays below 2^b: see the module docstring
                 work[k2] = red(x) if x & top else x
     return MPoly._from_packed(f.field, f.vars, rem)
 

@@ -47,6 +47,7 @@ from ..errors import (
     NotSquareSystem,
     NotZeroDimensional,
     PositiveDimensionalFiber,
+    ResweilError,
 )
 from ..exactfield import factor_univariate, stage_field
 from ..finalg import decompose_local, tensor_extend
@@ -448,7 +449,7 @@ def verify_case(case, seed=0):
             elif kind == "non-smooth":
                 out = _check_non_smooth(X, comp, comp_error)
             else:
-                raise AssertionError("unknown check %r" % (chk,))
+                raise ResweilError("unknown check %r" % (chk,))
         except CertificateFailure as e:
             out = CheckOutcome(kind, False, "certificate failure: %s" % e)
         rep.checks.append(out)

@@ -20,7 +20,9 @@ from . import _linalg
 from .errors import (
     CertificateFailure,
     EmptyBase,
+    MixedContexts,
     MixedFields,
+    NotABasis,
     NotCovering,
     NotFinite,
     NotLocalBase,
@@ -65,7 +67,8 @@ class SchemePresentation:
         self.base = base
         self.vars = tuple(variables)
         shared = set(self.vars) & set(base.vars)
-        assert not shared, "unknowns shadow base variables: %r" % sorted(shared)
+        if shared:
+            raise MixedContexts("unknowns shadow base variables: %r" % sorted(shared))
         ctx = tuple(base.vars) + self.vars
         self.all_vars = ctx
         ext_gb = [g.extend_context(ctx) for g in base.groebner.polys]
@@ -73,7 +76,8 @@ class SchemePresentation:
         for r in relations:
             if r.vars != ctx:
                 r = r.extend_context(ctx)
-            assert r.field == base.field, "relation stage differs from the base"
+            if r.field != base.field:
+                raise MixedFields("relation stage differs from the base")
             rels.append(normal_form(r, ext_gb) if ext_gb else r)
         self.relations = tuple(rels)
 
@@ -157,9 +161,9 @@ def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
     any other basis of A may be passed to exercise independence of the
     choice.
     """
-    assert X.base is A or (X.base.field == A.field and X.base.vars == A.vars
-                           and X.base.relations == A.relations), \
-        "scheme is presented over a different base"
+    if not (X.base is A or (X.base.field == A.field and X.base.vars == A.vars
+                            and X.base.relations == A.relations)):
+        raise MixedContexts("scheme is presented over a different base")
     d = A.dimension
     if d == 0:
         raise EmptyBase("restriction along the zero ring")
@@ -169,11 +173,13 @@ def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
         inv_change = None
     else:
         basis = [A.nf(b) for b in basis]
-        assert len(basis) == d, "basis size differs from the algebra dimension"
+        if len(basis) != d:
+            raise NotABasis("basis size differs from the algebra dimension")
         cols = [A.coords(b) for b in basis]
         C = [[cols[j][i] for j in range(d)] for i in range(d)]
         inv_change = _linalg.invert(C, field)
-        assert inv_change is not None, "the given elements do not form a basis"
+        if inv_change is None:
+            raise NotABasis("the given elements do not form a basis")
 
     yvars, table = _restricted_names(X.vars, d, A.vars)
     ctx = tuple(A.vars) + tuple(yvars)
@@ -340,8 +346,8 @@ def _relation_check(relations, rootlists, K):
     table of its powers; a term is its coefficient times table entries,
     reduced before every further factor but the last, so it adds at most
     one product of two reduced coefficients to the relation's sum.  The
-    packing is wide enough for the sum of the longest relation, which is
-    reduced once and compared with zero.
+    packing's value bound covers the sum of the longest relation, which
+    is reduced once and compared with zero.
     """
     terms = [list(r.map_coefficients(K).terms.items()) for r in relations]
     S = _Packed(K.p, K.modulus, max(map(len, terms), default=0) // 2)
@@ -631,7 +637,8 @@ class ProductFormulaCertificate:
 def _base_change(X, proj):
     target = proj.target
     shared = set(target.vars) & set(X.vars)
-    assert not shared, "cannot base change, unknowns collide: %r" % sorted(shared)
+    if shared:
+        raise MixedContexts("cannot base change, unknowns collide: %r" % sorted(shared))
     ctx = tuple(target.vars) + tuple(X.vars)
     assign = {pv: proj.images[pv].extend_context(ctx) for pv in proj.source.vars}
     for yv in X.vars:
@@ -651,9 +658,9 @@ def product_formula_check(prod: ProductAlgebra, X: SchemePresentation,
     count multiplicativity over the requested stages.
     """
     P = prod.presentation
-    assert X.base is P or (X.base.vars == P.vars
-                           and X.base.relations == P.relations), \
-        "scheme is not presented over the product"
+    if not (X.base is P or (X.base.vars == P.vars
+                            and X.base.relations == P.relations)):
+        raise MixedContexts("scheme is not presented over the product")
     A1 = prod.proj_left.target
     A2 = prod.proj_right.target
     field = P.field

@@ -632,9 +632,9 @@ def test_roots_in_does_no_field_element_arithmetic(monkeypatch):
     assert len(calls) < 50
 
 
-def test_packed_products_at_the_slot_bound():
+def test_packed_products_at_the_slot_bound(slot_peaks):
     # every slot of every coefficient at p - 1 makes the largest sums the
-    # slot width has to hold; the kernel must agree with UniPoly
+    # value bound has to hold; the kernel must agree with UniPoly
     p, m, d = 2 ** 31 - 1, 3, 8
     K = make_ext_field(p, m)
     S = exactfield._Packed(p, K.modulus, d)
@@ -646,9 +646,10 @@ def test_packed_products_at_the_slot_bound():
     assert [S.unpack(c) for c in got] == [c.coeffs for c in ((a * a) % f).coeffs]
     assert [S.unpack(c) for c in S.gcd(*packed)] == \
         [c.coeffs for c in _field_element_rule_gcd(a, f).coeffs]
+    assert (p, m) in slot_peaks
 
 
-def test_packed_mat_vec_at_the_slot_bound():
+def test_packed_mat_vec_at_the_slot_bound(slot_peaks):
     # the Krylov step of a linear model: a dense table and a vector with
     # every slot at p - 1 make the largest sums d products can reach
     p, m, d = 2 ** 31 - 1, 3, 8
@@ -660,6 +661,50 @@ def test_packed_mat_vec_at_the_slot_bound():
     entry = sum([top * top] * d, K.zero)
     assert [(i, S.unpack(a)) for i, a in S.mat_vec(cols, vec)] == \
         [(i, entry.coeffs) for i in range(d)]
+    assert (p, m) in slot_peaks
+
+
+def _slotwise_rule_reduce(S, x):
+    """The per-slot reduction the multiply-and-shift one replaced: each of
+    the 2m - 1 slots mod p, the high ones folded back through a^(m + t)
+    mod the modulus, and the m low slots packed again."""
+    p, mask = S.p, S.mask
+    low = [(x >> t & mask) % p for t in S.narrow]
+    high = [(x >> t & mask) % p for t in S.high]
+    if any(high):
+        x = sum(c * a for c, a in zip(high, S.fold))
+        low = [(c + (x >> t & mask)) % p for c, t in zip(low, S.narrow)]
+    return S.pack(low)
+
+
+def _slot_values(S, rng):
+    """Slot vectors for a reduction: random below 2^b, every slot at
+    2^b - 1, at the largest multiple of p below 2^b and at p, only the
+    low slots at 2^b - 1, and zero."""
+    n, top = 2 * S.m - 1, (1 << S.b) - 1
+    yield from ([rng.randrange(top + 1) for _ in range(n)] for _ in range(20))
+    yield [top] * n
+    yield [top - top % S.p] * n
+    yield [S.p] * n
+    yield [top] * S.m + [0] * (S.m - 1)
+    yield [0] * n
+
+
+@pytest.mark.parametrize("p, m", [
+    (p, m) for p in (3, 5, 7, 11, 2 ** 31 - 1)
+    for m in (2, 3, 4, 5, 6) + ((12, exactfield.MAX_DEGREE) if p < 12 else ())])
+def test_packed_reduce_matches_the_slotwise_rule(p, m):
+    # every slot value below the bound 2^b, for a product-sized packing
+    # (degree 0), the Groebner one (degree 7) and a wide one (degree 64)
+    K = make_ext_field(p, m)
+    rng = random.Random(p * 100 + m)
+    for degree in (0, 7, 64):
+        S = exactfield._Packed(p, K.modulus, degree)
+        for slots in _slot_values(S, rng):
+            x = S.pack(slots)
+            got = S.reduce(x)
+            assert got == _slotwise_rule_reduce(S, x), (degree, slots)
+            assert all(c < p for c in S.unpack(got)) and got >> S.high[0] == 0
 
 
 def _irreducibles(rng, K, d, count):

@@ -1,7 +1,10 @@
 """Quotient algebra structure: bases, local factors, products, smoothness."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 
@@ -430,41 +433,48 @@ def test_min_poly_reads_the_tables_on_a_points_stage_shape(monkeypatch):
     assert mu == expected
 
 
-def test_min_poly_at_the_slot_bound():
+SLOT_BOUND_PACKINGS = ((2 ** 31 - 1, 3), (2 ** 31 - 1, 6), (7, 6))
+
+
+def test_min_poly_at_the_slot_bound(slot_peaks):
     # y^d = top (1 + y + ... + y^(d-1)) with every slot of top at p - 1:
     # the border column holds top in every entry, and the Krylov
     # iteration reaches it at the last power
-    p, m, d = 2 ** 31 - 1, 3, 8
-    K = make_ext_field(p, m)
-    top = K.element((p - 1,) * m)
-    g = UniPoly(K, [-top] * d + [K.one])
-    rel = MPoly(K, ("y",), {(i,): c for i, c in enumerate(g.coeffs)})
-    B = AlgebraPresentation(K, ("y",), [rel])
-    assert [row[d - 1] for row in B._unpacked(B._columns(B.var("y")))] == [top] * d
-    assert B.min_poly(B.var("y")) == g
-    f = B.var("y") * B.var("y") + top
-    assert B.min_poly(f) == _solve_rule_min_poly(B, f)
+    d = 8
+    for p, m in SLOT_BOUND_PACKINGS:
+        K = make_ext_field(p, m)
+        top = K.element((p - 1,) * m)
+        g = UniPoly(K, [-top] * d + [K.one])
+        rel = MPoly(K, ("y",), {(i,): c for i, c in enumerate(g.coeffs)})
+        B = AlgebraPresentation(K, ("y",), [rel])
+        assert [row[d - 1] for row in B._unpacked(B._columns(B.var("y")))] == [top] * d
+        assert B.min_poly(B.var("y")) == g
+        f = B.var("y") * B.var("y") + top
+        assert B.min_poly(f) == _solve_rule_min_poly(B, f), (p, m)
+    assert slot_peaks.keys() >= set(SLOT_BOUND_PACKINGS)
 
 
-def test_horner_at_the_slot_bound():
+def test_horner_at_the_slot_bound(slot_peaks):
     # every slot at p - 1 in the polynomial, the element, the vector and
     # the border column: each entry sums d + 1 products at the bound
-    p, m, d = 2 ** 31 - 1, 3, 6
-    K = make_ext_field(p, m)
-    top = K.element((p - 1,) * m)
-    y = MPoly.variable(K, ("y",), "y")
-    B = AlgebraPresentation(K, ("y",), [
-        y ** d - MPoly(K, ("y",), {(i,): top for i in range(d)})])
-    f = B.from_coords([top] * d)
-    g = UniPoly(K, [top] * (d + 1))
-    vec = B._packed_coords(f)
-    got = B._element(B._horner(g, B._columns(f), vec))
-    power, expected = B.one(), B.zero()
-    for c in g.coeffs:
-        expected = expected + B.nf(power * f) * c
-        power = B.nf(power * f)
-    assert got == expected
-    assert B.inverse(f) == _solve_rule_inverse(B, f)
+    d = 6
+    for p, m in SLOT_BOUND_PACKINGS:
+        K = make_ext_field(p, m)
+        top = K.element((p - 1,) * m)
+        y = MPoly.variable(K, ("y",), "y")
+        B = AlgebraPresentation(K, ("y",), [
+            y ** d - MPoly(K, ("y",), {(i,): top for i in range(d)})])
+        f = B.from_coords([top] * d)
+        g = UniPoly(K, [top] * (d + 1))
+        vec = B._packed_coords(f)
+        got = B._element(B._horner(g, B._columns(f), vec))
+        power, expected = B.one(), B.zero()
+        for c in g.coeffs:
+            expected = expected + B.nf(power * f) * c
+            power = B.nf(power * f)
+        assert got == expected, (p, m)
+        assert B.inverse(f) == _solve_rule_inverse(B, f), (p, m)
+    assert slot_peaks.keys() >= set(SLOT_BOUND_PACKINGS)
 
 
 def test_frobenius_matrix_at_the_slot_bound():
@@ -996,3 +1006,20 @@ def test_algebra_hom_check_rejects_nonmap():
     quad = alg(F5, ["t"], lambda t: [t * t - 2])
     bad = AlgebraHom(quad, quad, {"t": quad.one()})
     assert not bad.check()
+
+
+def test_relation_context_mismatch_survives_optimized_mode():
+    script = (
+        "from resweil import AlgebraPresentation, MPoly, PrimeField\n"
+        "F = PrimeField(5)\n"
+        "try:\n"
+        "    AlgebraPresentation(F, ('t',), [MPoly.variable(F, ('s',), 's')])\n"
+        "except Exception as e:\n"
+        "    print(type(e).__name__)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(CASES.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "MixedContexts\n"

@@ -562,7 +562,7 @@ def test_groebner_matches_the_field_element_rule_on_random_ideals(p, m):
         _assert_matches_the_field_element_rule(gens, rng)
 
 
-def test_normal_form_at_the_slot_bound():
+def test_normal_form_at_the_slot_bound(slot_peaks):
     # 100 members x^i y^(99 - i) - c z^99 all reduce onto z^99, and every
     # slot of c and of f's coefficients is p - 1: the sum on z^99 far
     # exceeds a slot unless it is reduced on the way
@@ -575,6 +575,7 @@ def test_normal_form_at_the_slot_bound():
     got = normal_form(f, GroebnerBasis(K, vars_, members))
     assert got == _field_element_rule_normal_form(f, members)
     assert got == P(K, vars_, {(0, 0, n): c * c * K.from_int(n + 1)})
+    assert (p, 3) in slot_peaks
 
 
 def test_normal_form_does_no_field_element_arithmetic(monkeypatch):

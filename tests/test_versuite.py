@@ -654,6 +654,30 @@ def test_a_solver_that_miscounts_points_fails_the_component_checks(fault):
     assert [name for name, ok, _ in rows if ok == "True"] == ["adjunction"]
 
 
+def test_an_unknown_check_is_an_input_error_under_optimized_mode():
+    # the case language rejects unknown check names, so a Case built in
+    # Python carries one here; the CLI must still report it and exit 2
+    script = (
+        "import sys\n"
+        "from resweil.versuite import cli, suite\n"
+        "real = suite.parse_case\n"
+        "def with_unknown_check(text):\n"
+        "    case = real(text)\n"
+        "    case.checks = case.checks + (('bogus',),)\n"
+        "    return case\n"
+        "suite.parse_case = with_unknown_check\n"
+        "print('exit', cli.main(['verify', sys.argv[1]]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, corpus("quadratic-field-cover")],
+        capture_output=True, env=env, text=True)
+    assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+    assert done.stdout.splitlines()[-1] == "exit 2"
+    assert "unknown check ('bogus',)" in done.stdout + done.stderr
+
+
 def test_a_failed_basis_recombination_is_reported_and_the_run_goes_on():
     # the first basis weil_restrict reads comes back reversed, so the
     # coordinate relations of dual-numbers-etale do not recombine into its

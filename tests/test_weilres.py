@@ -1,7 +1,10 @@
 """Coordinate expansion, point solvers, and the comparison certificates."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -462,28 +465,33 @@ def test_packed_relation_check_matches_evaluate_on_the_corpus(monkeypatch):
     assert accepted and rejected
 
 
-def test_packed_relation_check_at_the_slot_bound():
+SLOT_BOUND_PACKINGS = ((2 ** 31 - 1, 3), (2 ** 31 - 1, 6), (7, 6))
+
+
+def test_packed_relation_check_at_the_slot_bound(slot_peaks):
     # every coefficient and every root with all slots at p - 1: each term
     # adds the largest product two reduced coefficients make, and the
-    # longest relation's sum has to fit the slot width
-    p, m, n = 2 ** 31 - 1, 3, 8
-    K = make_ext_field(p, m)
-    top = K.element((p - 1,) * m)
-    names = tuple("x%d" % i for i in range(n))
-    xs = [MPoly.variable(K, names, v) for v in names]
-    linear = MPoly.constant(K, names, top)
-    for x in xs:
-        linear = linear + x * top
-    # zero exactly where every unknown is top
-    value = top + top * top * n
-    rels = [linear - MPoly.constant(K, names, value), linear * linear]
-    rootlists = [[K.one, top]] * n
-    for relations in (rels[:1], rels):
-        holds = weilres._relation_check(relations, rootlists, K)
-        verdicts = _evaluate_verdicts(relations, rootlists, K)
-        assert all(holds(idx) == v for idx, v in verdicts.items())
-    assert weilres._relation_check(rels[:1], rootlists, K)((1,) * n)
-    assert not weilres._relation_check(rels[:1], rootlists, K)((0,) * n)
+    # longest relation's sum has to fit below the packing's value bound
+    n = 8
+    for p, m in SLOT_BOUND_PACKINGS:
+        K = make_ext_field(p, m)
+        top = K.element((p - 1,) * m)
+        names = tuple("x%d" % i for i in range(n))
+        xs = [MPoly.variable(K, names, v) for v in names]
+        linear = MPoly.constant(K, names, top)
+        for x in xs:
+            linear = linear + x * top
+        # zero exactly where every unknown is top
+        value = top + top * top * n
+        rels = [linear - MPoly.constant(K, names, value), linear * linear]
+        rootlists = [[K.one, top]] * n
+        for relations in (rels[:1], rels):
+            holds = weilres._relation_check(relations, rootlists, K)
+            verdicts = _evaluate_verdicts(relations, rootlists, K)
+            assert all(holds(idx) == v for idx, v in verdicts.items()), (p, m)
+        assert weilres._relation_check(rels[:1], rootlists, K)((1,) * n)
+        assert not weilres._relation_check(rels[:1], rootlists, K)((0,) * n)
+    assert slot_peaks.keys() >= set(SLOT_BOUND_PACKINGS)
 
 
 # -- product and covering comparisons ---------------------------------
@@ -671,3 +679,47 @@ def test_local_solve_matches_the_pivoting_rule_on_a_two_by_two_local_system():
     x = weilres._local_solve(A, M, rhs)
     assert x == _pivoting_local_solve(A, M, rhs)
     assert [A.nf(row[0] * x[0] + row[1] * x[1]) for row in M] == rhs
+
+
+# -- typed input errors that survive `python -O` --------------------------
+
+@pytest.mark.parametrize("statement, error", [
+    ("SchemePresentation(A, ('t',), [])", "MixedContexts"),
+    ("SchemePresentation(A, ('y',), [MPoly.variable(make_ext_field(5, 2), ty, 'y')])",
+     "MixedFields"),
+    ("weil_restrict(AlgebraPresentation(F, ('t',), [t * t - 3]), X)", "MixedContexts"),
+    ("weil_restrict(A, X, basis=[t])", "NotABasis"),
+    ("weil_restrict(A, X, basis=[t, t + t])", "NotABasis"),
+    ("product_formula_check(prod, SchemePresentation(P, ('t',), [pt * pt - 1]))",
+     "MixedContexts"),
+    ("product_formula_check(prod, X)", "MixedContexts"),
+], ids=["shadowing-unknowns", "relation-stage", "restriction-base", "basis-size",
+        "not-a-basis", "base-change-collision", "product-base"])
+def test_typed_input_errors_survive_optimized_mode(statement, error):
+    # A = F_5[t]/(t^2 - 2), X: y^2 = t over A, prod = A x A with product
+    # variables t1, t2, w, so an unknown t is free over the product but
+    # collides with each factor's t on base change
+    script = (
+        "from resweil import (AlgebraPresentation, MPoly, PrimeField,\n"
+        "    SchemePresentation, make_ext_field, product_algebra,\n"
+        "    product_formula_check, weil_restrict)\n"
+        "F = PrimeField(5)\n"
+        "t = MPoly.variable(F, ('t',), 't')\n"
+        "A = AlgebraPresentation(F, ('t',), [t * t - 2])\n"
+        "ty = ('t', 'y')\n"
+        "X = SchemePresentation(A, ('y',), [MPoly.variable(F, ty, 'y') ** 2\n"
+        "                                   - MPoly.variable(F, ty, 't')])\n"
+        "prod = product_algebra(A, A)\n"
+        "P = prod.presentation\n"
+        "pt = MPoly.variable(F, P.vars + ('t',), 't')\n"
+        "try:\n"
+        "    %s\n"
+        "except Exception as e:\n"
+        "    print(type(e).__name__)\n" % statement)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(CASES.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=env, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == error + "\n"

@@ -11,12 +11,26 @@ The characteristic is kept odd and below 2**31 so that equal-degree
 splitting can use the classical quadratic-residue trick and single word
 arithmetic stays exact.
 
-Root finding (`roots_in`), factoring (`factor_univariate`), Rabin's
+Products, and everything built on them, run on `_Packed`, a kernel on
+plain ints.  Each stage has one packing (`_stage_packing`, memoized per (p, modulus) and held
+by the field as `packing`).  `FieldElement` multiplies on it: pack both
+factors, one int multiply, `reduce`, unpack (`a * b % p` at F_p).  It
+inverts by `_Packed.inverse`, the extended Euclid of the coefficients
+and the modulus on the prime stage's packing.  `frobenius` and `embed`
+send an element where the generator goes, by one Horner step per
+coefficient at the generator's packed image (`_at_image`): a^p, found
+once per stage by square-and-multiply on the prime packing, and for
+`embed` the label-smallest root of the parent modulus in the target,
+found once per pair of stages; `_orbit_roots` carries coefficients into
+K the same way.  `multipoly` runs its polynomial arithmetic on the same
+packing.
+
+Root finding (`roots_in`), factoring (`factor_univariate`) and Rabin's
 irreducibility test (`is_irreducible`, which also picks each modulus)
-and the Frobenius image of the generator run on `_Packed`, a kernel on
-plain ints.  There is one distinct-degree pass (`_Packed.degree_blocks`)
-and one Cantor-Zassenhaus split (`_Packed.split`); factoring runs them
-on each squarefree part of f (Yun's gcds, and a p-th root where f' = 0).
+run on packings sized to the polynomial's degree.  There is one
+distinct-degree pass (`_Packed.degree_blocks`) and one Cantor-Zassenhaus
+split (`_Packed.split`); factoring runs them on each squarefree part of
+f (Yun's gcds, and a p-th root where f' = 0).
 The roots of f in a stage K come in Frobenius orbits: g =
 gcd(f, x^|K| - x) is split over f's own coefficient field F, read as
 F_p when every coefficient is a residue, by degrees and then within each
@@ -54,10 +68,12 @@ against their relations on the packing, inside the same bound.  There
 are no Zech-log tables: stages reach 7^6 elements for a handful of calls,
 so a table would cost more to build in a fresh process than it saves, and
 stages beyond any table size would need a second path.
-`FieldElement` and `UniPoly` stay the API and the reference arithmetic:
-`tests/test_exactfield.py` factors on them (`_field_element_rule_*`),
-the independent route the tests compare `factor_univariate`,
-`is_irreducible` and `roots_in` with.
+`FieldElement` and `UniPoly` stay the public value types: labels,
+hashing and reports read their coefficient vectors.  The reference
+arithmetic lives in `tests/test_exactfield.py`: element arithmetic on
+plain residue lists (`_list_rule_*`), and factoring on `UniPoly`
+(`_field_element_rule_*`), the route the tests compare
+`factor_univariate`, `is_irreducible` and `roots_in` with.
 """
 
 from __future__ import annotations
@@ -108,72 +124,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# dense univariate arithmetic over Z/p on plain int tuples (low degree first)
-
 def _trim(c):
     i = len(c)
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return tuple(c[:i])
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] - x) % p
-    return _trim(out)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroPolynomial("division by the zero polynomial")
-    lead = b[-1]
-    inv = pow(lead, p - 2, p)
-    rem = list(a)
-    db = len(b) - 1
-    if len(a) < len(b):
-        return (), _trim(rem)
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = rem[i] % p
-        if c == 0:
-            continue
-        q = c * inv % p
-        quo[i - db] = q
-        for j in range(len(b)):
-            rem[i - db + j] = (rem[i - db + j] - q * b[j]) % p
-    return _trim(quo), _trim(rem)
-
-
-def _pgcdext(a, b, p):
-    # returns (g, u) with u*a = g mod b, g the monic gcd
-    r0, r1 = a, b
-    u0, u1 = (1,), ()
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _psub(u0, _pmul(q, u1, p), p)
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = tuple(c * inv % p for c in r0)
-        u0 = tuple(c * inv % p for c in u0)
-    return r0, u0
 
 
 def _prime_divisors(n):
@@ -191,7 +146,7 @@ def _prime_divisors(n):
 
 
 # ---------------------------------------------------------------------------
-# packed stage arithmetic: the kernel of root finding
+# packed stage arithmetic: the one kernel
 
 class _Packed:
     """Polynomials over one stage F_p[a]/(mod), each coefficient one int.
@@ -275,9 +230,23 @@ class _Packed:
         return x
 
     def inverse(self, x):
+        """1 / x for a reduced x != 0: by Fermat in F_p, else by the
+        extended Euclid of x's coefficients and the modulus, run on the
+        prime stage's packing, where every slot is one residue."""
+        p = self.p
         if x <= self.mask:  # an element of F_p
-            return pow(x, self.p - 2, self.p)
-        return self.pack(_pgcdext(_trim(self.unpack(x)), self.mod, self.p)[1])
+            return pow(x, p - 2, p)
+        P = _stage_packing(p, PrimeField.modulus)
+        red = P.reduce
+        # u0 x = r0 and u1 x = r1 mod the modulus, r1 down to a constant
+        r0, r1 = self.mod, _trim(self.unpack(x))
+        u0, u1 = (), (1,)
+        while len(r1) > 1:
+            q, r = P.divmod(r0, r1)
+            r0, r1 = r1, r
+            u0, u1 = u1, P.sub(u0, [red(c) for c in P.mul(q, u1)])
+        inv = pow(r1[0], p - 2, p)
+        return self.pack([red(c * inv) for c in u1])
 
     def sub(self, a, b):
         n = max(len(a), len(b))
@@ -515,12 +484,10 @@ class FieldElement:
         if o is None:
             return NotImplemented
         f = self.field
-        c = _pmul(self.coeffs, o.coeffs, f.p)
-        if f.degree > 1:
-            c = _pdivmod(c, f._mod, f.p)[1]
-        else:
-            c = _trim(c)
-        return FieldElement(f, f._pad(c))
+        if f.degree == 1:
+            return FieldElement(f, (self.coeffs[0] * o.coeffs[0] % f.p,))
+        S = f.packing
+        return FieldElement(f, S.unpack(S.reduce(S.pack(self.coeffs) * S.pack(o.coeffs))))
 
     __rmul__ = __mul__
 
@@ -529,10 +496,9 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero in %r" % (self.field,))
         f = self.field
         if f.degree == 1:
-            a = self.coeffs[0]
-            return FieldElement(f, (pow(a, f.p - 2, f.p),))
-        _, u = _pgcdext(_trim(self.coeffs), f._mod, f.p)
-        return FieldElement(f, f._pad(u))
+            return FieldElement(f, (pow(self.coeffs[0], f.p - 2, f.p),))
+        S = f.packing
+        return FieldElement(f, S.unpack(S.inverse(S.pack(self.coeffs))))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -547,17 +513,13 @@ class FieldElement:
         return o * self.inverse()
 
     def __pow__(self, e):
-        f = self.field
         if e < 0:
             return self.inverse() ** (-e)
-        base = self
-        result = f.one
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        f = self.field
+        if f.degree == 1:
+            return FieldElement(f, (pow(self.coeffs[0], e, f.p),))
+        S = f.packing
+        return FieldElement(f, S.unpack(S.power(S.pack(self.coeffs), e)))
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -586,7 +548,7 @@ class FieldElement:
 class PrimeField:
     """The prime field F_p for an odd prime p below 2**31."""
 
-    __slots__ = ("p", "zero", "one")
+    __slots__ = ("p", "zero", "one", "packing")
     degree = 1
     modulus = (0, 1)  # F_p is F_p[x]/(x)
 
@@ -598,6 +560,7 @@ class PrimeField:
         self.p = p
         self.zero = FieldElement(self, (0,))
         self.one = FieldElement(self, (1,))
+        self.packing = _stage_packing(p, self.modulus)
 
     @property
     def order(self):
@@ -634,19 +597,21 @@ class PrimeField:
 class ExtField:
     """The stage F_{p^m} presented as F_p[x]/(modulus)."""
 
-    __slots__ = ("base", "p", "degree", "_mod", "zero", "one", "gen", "_frob_gen")
+    __slots__ = ("base", "p", "degree", "_mod", "packing", "zero", "one", "gen",
+                 "_frob_gen")
 
     def __init__(self, base: PrimeField, degree: int, modulus):
         self.base = base
         self.p = base.p
         self.degree = degree
         self._mod = modulus  # int tuple, monic, low degree first
+        self.packing = _stage_packing(self.p, modulus)
         self.zero = FieldElement(self, (0,) * degree)
         self.one = FieldElement(self, self._pad((1,)))
         self.gen = FieldElement(self, self._pad((0, 1))) if degree > 1 else self.one
-        # image of the generator under x -> x^p, used to apply Frobenius fast
-        S = _Packed(self.p, PrimeField.modulus, degree)
-        self._frob_gen = FieldElement(self, self._pad(S.powmod((0, 1), self.p, modulus)))
+        # a^p for the generator a, packed: `frobenius` evaluates at it
+        self._frob_gen = self.packing.pack(
+            base.packing.powmod((0, 1), self.p, modulus))
 
     @property
     def order(self):
@@ -695,6 +660,20 @@ class ExtField:
 _FIELD_CACHE: dict = {}
 _EMBED_CACHE: dict = {}
 _ROOTS_CACHE: dict = {}
+_PACKING_CACHE: dict = {}
+
+
+def _stage_packing(p, mod):
+    """The one packing of the stage F_p[a]/(mod), memoized per (p, mod):
+    `FieldElement` products and inverses, `frobenius`, `embed` and
+    `multipoly`'s polynomial arithmetic all run on it.  Its value bound
+    holds a division by a polynomial of degree `MAX_DEGREE`, so on the
+    prime stage the extended Euclid of `_Packed.inverse` divides by the
+    modulus of any stage."""
+    S = _PACKING_CACHE.get((p, mod))
+    if S is None:
+        S = _PACKING_CACHE[(p, mod)] = _Packed(p, mod, MAX_DEGREE)
+    return S
 
 
 def make_ext_field(p: int, m: int) -> ExtField:
@@ -713,7 +692,7 @@ def _search_modulus(p, m):
     # enumerate coefficient vectors (c_0, ..., c_{m-1}) lexicographically;
     # for m > 1 a zero constant term forces the factor x, so that whole
     # block is skipped without changing which vector comes first
-    S = _Packed(p, PrimeField.modulus, m)
+    S = _stage_packing(p, PrimeField.modulus)
 
     def rec(prefix):
         if len(prefix) == m:
@@ -741,17 +720,24 @@ def stage_field(p: int, n: int):
     return make_ext_field(p, n)
 
 
+def _at_image(S, cs, image):
+    """c_0 + c_1 a + ... at a = image, for residues cs and image packed
+    in S: Horner's rule, one reduction a step.  `frobenius`, `embed` and
+    `_orbit_roots` map an element this way, by where it sends the
+    generator."""
+    acc = 0
+    for c in reversed(cs):
+        acc = S.reduce(acc * image + c)
+    return acc
+
+
 def frobenius(x: FieldElement) -> FieldElement:
     """The arithmetic Frobenius a -> a^p."""
     f = x.field
     if f.degree == 1:
         return x
-    # evaluate the coefficient polynomial at gen^p
-    acc = f.zero
-    g = f._frob_gen
-    for c in reversed(x.coeffs):
-        acc = acc * g + f.from_int(c)
-    return acc
+    S = f.packing
+    return FieldElement(f, S.unpack(_at_image(S, x.coeffs, f._frob_gen)))
 
 
 def embed(x: FieldElement, target) -> FieldElement:
@@ -772,17 +758,15 @@ def embed(x: FieldElement, target) -> FieldElement:
         raise IncompatibleDegrees("different characteristics %d and %d" % (src.p, target.p))
     if src.degree == 1:
         return target.from_int(x.coeffs[0])
-    key = ((src.p, src.degree, src._mod), (target.p, target.degree, getattr(target, "_mod", None)))
-    gen_img = _EMBED_CACHE.get(key)
-    if gen_img is None:
+    T = target.packing
+    key = (src.p, src._mod, target.modulus)
+    image = _EMBED_CACHE.get(key)
+    if image is None:
         rs = roots_in(UniPoly.from_ints(src.base, src._mod), target)
         if not rs:
             raise CertificateFailure("modulus has no root in the larger stage")
-        gen_img = _EMBED_CACHE[key] = rs[0]
-    acc = target.zero
-    for c in reversed(x.coeffs):
-        acc = acc * gen_img + target.from_int(c)
-    return acc
+        image = _EMBED_CACHE[key] = T.pack(rs[0].coeffs)
+    return FieldElement(target, T.unpack(_at_image(T, x.coeffs, image)))
 
 
 # ---------------------------------------------------------------------------
@@ -1017,10 +1001,7 @@ def _orbit_roots(S, g, F, K, rng):
         image = T.pack(embed(F.gen, K).coeffs)
 
         def into(c):
-            acc = 0
-            for a in reversed(S.unpack(c)):
-                acc = T.reduce(acc * image + a)
-            return acc
+            return _at_image(T, S.unpack(c), image)
     roots = []
     for block, d in S.degree_blocks(g, n):
         for h in S.split(block, d, rng):

@@ -58,6 +58,8 @@ class AlgebraPresentation:
                                    variables=self.vars)
         self.basis_monomials = standard_monomials(self.groebner)
         self.points_by_stage = {}  # filled by weilres.zero_dim_solve
+        self.extensions = {}  # filled by tensor_extend, per stage
+        self.local_factors = None  # filled by decompose_local
 
     # -- basic structure ----------------------------------------------
 
@@ -277,13 +279,17 @@ def substitute_in_algebra(A: AlgebraPresentation, f: MPoly, assignment: dict) ->
 
 
 def tensor_extend(A: AlgebraPresentation, K) -> AlgebraPresentation:
-    """The same presentation read over a larger stage."""
+    """The same presentation read over a larger stage, built once per
+    stage and kept on A."""
     if K == A.field:
         return A
     if K.p != A.field.p or K.degree % A.field.degree != 0:
         raise MixedFields("cannot extend %r to %r" % (A.field, K))
-    rels = [r.map_coefficients(K) for r in A.relations]
-    return AlgebraPresentation(K, A.vars, rels)
+    AK = A.extensions.get(K)
+    if AK is None:
+        rels = [r.map_coefficients(K) for r in A.relations]
+        AK = A.extensions[K] = AlgebraPresentation(K, A.vars, rels)
+    return AK
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +337,11 @@ def decompose_local(A: AlgebraPresentation):
     constant on each piece, so is every fixed element, and the s pieces
     are the primitive idempotents.  All of this runs inside A, on A's one
     Frobenius matrix and packed multiplication tables.  A presentation is
-    built for each factor returned, and none when A is local.
+    built for each factor returned, and none when A is local.  The
+    factors are found once and kept on A; each call returns a new list.
     """
+    if A.local_factors is not None:
+        return list(A.local_factors)
     if A.dimension == 0:
         raise ZeroRing("the zero ring has no local factors")
     field, S = A.field, A._stage
@@ -370,7 +379,8 @@ def decompose_local(A: AlgebraPresentation):
         B = A if len(idems) == 1 else AlgebraPresentation(
             field, A.vars, list(A.relations) + [A.one() - e])
         out.append(LocalFactor(e, B, B.dimension - B.nilradical_dimension()))
-    return out
+    A.local_factors = out
+    return list(out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ degree-reverse-lexicographic throughout, which makes reduced bases,
 normal forms and standard monomial staircases canonical for a given
 generator set regardless of input order.
 
-`MPoly.terms` keeps `FieldElement` coefficients; division runs on the
-stage's packed ints (`exactfield._Packed`, one per stage), derived once
-per polynomial, with each divisor's leading monomial and negated monic
-tail derived once per divisor.  The kernel keys a monomial m as
+`MPoly.terms` keeps `FieldElement` coefficients; division runs on
+packed ints on the stage's one packing (`field.packing`, the
+`exactfield._Packed` its elements multiply on), derived once per
+polynomial, with each divisor's leading monomial and negated monic tail
+derived once per divisor.  The kernel keys a monomial m as
 (-deg m, e_n, ..., e_1): keys multiply by adding and the smallest key is
 the largest monomial, so pending monomials wait in a heap of keys.  A
 pending coefficient sums products of two reduced coefficients, each
@@ -26,7 +27,7 @@ import itertools
 from operator import add, le, sub
 
 from .errors import MissingAssignment, MixedContexts, StepGuardExceeded, ZeroPolynomial
-from .exactfield import FieldElement, _Packed, embed
+from .exactfield import FieldElement, embed
 
 DEFAULT_STEP_BUDGET = 10 ** 6
 
@@ -46,19 +47,6 @@ def mono_divides(a, b):
 
 def mono_lcm(a, b):
     return tuple(map(max, a, b))
-
-
-_PACKINGS: dict = {}
-
-
-def _packing(field):
-    """The stage's packing and the mask of bit b - 1 of each product slot,
-    b its value bound."""
-    key = (field.p, field.modulus)
-    if key not in _PACKINGS:
-        S = _Packed(field.p, field.modulus, 7)  # room for 2 * 7 + 2 products
-        _PACKINGS[key] = S, sum(1 << (s + S.b - 1) for s in [*S.narrow, *S.high])
-    return _PACKINGS[key]
 
 
 class MPoly:
@@ -83,14 +71,14 @@ class MPoly:
         """The polynomial with packed terms {key: reduced nonzero int}."""
         f = cls.__new__(cls)
         f.field, f.vars, f._packed, f._lead = field, variables, packed, None
-        unpack = _packing(field)[0].unpack
+        unpack = field.packing.unpack
         f.terms = {k[:0:-1]: FieldElement(field, unpack(x)) for k, x in packed.items()}
         return f
 
     def _packed_terms(self):
         """The terms as {key: packed coefficient}, derived once."""
         if self._packed is None:
-            pack = _packing(self.field)[0].pack
+            pack = self.field.packing.pack
             self._packed = {(-sum(m),) + m[::-1]: pack(c.coeffs)
                             for m, c in self.terms.items()}
         return self._packed
@@ -99,7 +87,7 @@ class MPoly:
         """As a divisor, derived once: the leading monomial's (e_n, ..., e_1),
         and per tail term its key minus the leading one and -c / lc."""
         if self._lead is None:
-            S = _packing(self.field)[0]
+            S = self.field.packing
             packed = self._packed_terms()
             lead = min(packed)
             inv, ps, red = S.inverse(packed[lead]), S.ps, S.reduce
@@ -215,7 +203,7 @@ class MPoly:
     def monic(self):
         if not self.terms:
             raise ZeroPolynomial("monic of the zero polynomial")
-        S, packed = _packing(self.field)[0], self._packed_terms()
+        S, packed = self.field.packing, self._packed_terms()
         inv = S.inverse(packed[min(packed)])
         return self if inv == 1 else MPoly._from_packed(
             self.field, self.vars, {k: S.reduce(x * inv) for k, x in packed.items()})
@@ -318,8 +306,9 @@ def normal_form(f: MPoly, basis) -> MPoly:
     elif basis.polys:
         f._need_context(basis.polys[0])
     reducers = basis._reducers
-    S, top = _packing(f.field)
+    S = f.field.packing
     red = S.reduce
+    top = S.pack([1 << (S.b - 1)] * (2 * S.m - 1))  # bit b - 1 of each product slot
     work = dict(f._packed_terms())
     heap = list(work)
     heapq.heapify(heap)
@@ -353,7 +342,7 @@ def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
     (lf, tf), (lg, tg) = f._reducer(), g._reducer()
     lcm = tuple(map(max, lf, lg))
     key = (-sum(lcm),) + lcm
-    S = _packing(f.field)[0]
+    S = f.field.packing
     # (lcm / lg) (g / lc g) - (lcm / lf) (f / lc f): the leading terms cancel
     out = {tuple(map(add, key, step)): t for step, t in tg}
     for step, t in tf:

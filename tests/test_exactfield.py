@@ -124,8 +124,9 @@ def test_element_rejects_too_many_coefficients():
 
 
 def test_plain_division_by_zero_raises():
+    F = PrimeField(5)
     with pytest.raises(ZeroPolynomial):
-        exactfield._pdivmod((1, 2), (), 5)
+        UniPoly.from_ints(F, (1, 2)).divmod(UniPoly(F, []))
 
 
 # -------------------------------------------------------------- arithmetic
@@ -154,6 +155,183 @@ def test_ext_field_arithmetic_against_modulus():
             continue
         assert (a * a.inverse()).coeffs == F.one.coeffs
         assert (a ** F.order) == a
+
+
+# ---------------------------------------------------------- the list rule
+# Element arithmetic on plain residue lists, low degree first, sharing
+# no code with `_Packed`: the reference `FieldElement` multiplication,
+# inverse, powers, `frobenius` and `embed` are compared with.  The
+# `_field_element_rule_*` factoring references below multiply through
+# `FieldElement`, hence through `_Packed.reduce`; this comparison and
+# `_slotwise_rule_reduce`, the slot loop `reduce` is checked against,
+# are what keep them independent of the kernel they check.
+
+def _list_rule_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _list_rule_sub(a, b, p):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, x in enumerate(b):
+        out[i] = (out[i] - x) % p
+    return _list_rule_trim(out)
+
+
+def _list_rule_mul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _list_rule_trim(out)
+
+
+def _list_rule_divmod(a, b, p):
+    if not b:
+        raise ZeroPolynomial("division by the zero polynomial")
+    lead = b[-1]
+    inv = pow(lead, p - 2, p)
+    rem = list(a)
+    db = len(b) - 1
+    if len(a) < len(b):
+        return (), _list_rule_trim(rem)
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i] % p
+        if c == 0:
+            continue
+        q = c * inv % p
+        quo[i - db] = q
+        for j in range(len(b)):
+            rem[i - db + j] = (rem[i - db + j] - q * b[j]) % p
+    return _list_rule_trim(quo), _list_rule_trim(rem)
+
+
+def _list_rule_gcdext(a, b, p):
+    # returns (g, u) with u*a = g mod b, g the monic gcd
+    r0, r1 = a, b
+    u0, u1 = (1,), ()
+    while r1:
+        q, r = _list_rule_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        u0, u1 = u1, _list_rule_sub(u0, _list_rule_mul(q, u1, p), p)
+    if r0:
+        inv = pow(r0[-1], p - 2, p)
+        r0 = tuple(c * inv % p for c in r0)
+        u0 = tuple(c * inv % p for c in u0)
+    return r0, u0
+
+
+def _pad(F, c):
+    return tuple(c) + (0,) * (F.degree - len(c))
+
+
+def _list_rule_times(F, a, b):
+    """The product of two coefficient vectors of F."""
+    return _pad(F, _list_rule_divmod(_list_rule_mul(a, b, F.p), F.modulus, F.p)[1])
+
+
+def _list_rule_inverse(F, a):
+    return _pad(F, _list_rule_gcdext(_list_rule_trim(a), F.modulus, F.p)[1])
+
+
+def _list_rule_power(F, a, e):
+    if e < 0:
+        a, e = _list_rule_inverse(F, a), -e
+    result = _pad(F, (1,))
+    while e:
+        if e & 1:
+            result = _list_rule_times(F, result, a)
+        a = _list_rule_times(F, a, a)
+        e >>= 1
+    return result
+
+
+def _list_rule_at(K, cs, image):
+    """c_0 + c_1 a + ... in K at a = image, by Horner's rule."""
+    acc = _pad(K, ())
+    for c in reversed(cs):
+        acc = _list_rule_times(K, acc, image)
+        acc = (acc[0] + c) % K.p, *acc[1:]
+    return acc
+
+
+def _check_elements(F, pairs, exponents):
+    """`FieldElement` *, inverse, ** and frobenius against the list rule."""
+    for a, b in pairs:
+        x, y = F.element(a), F.element(b)
+        assert (x * y).coeffs == _list_rule_times(F, a, b)
+    for a in {a for pair in pairs for a in pair}:
+        x = F.element(a)
+        assert frobenius(x).coeffs == _list_rule_power(F, a, F.p)
+        if not any(a):
+            continue
+        assert x.inverse().coeffs == _list_rule_inverse(F, a)
+        for e in exponents:
+            assert (x ** e).coeffs == _list_rule_power(F, a, e)
+
+
+def _check_embedding(F, K, elements):
+    """`embed` against Horner's rule at the image of F's generator, a root
+    of F's modulus in K, and a ring map on the elements."""
+    image = embed(F.gen, K).coeffs
+    assert _list_rule_at(K, F.modulus, image) == _pad(K, ())
+    for a in elements:
+        assert embed(F.element(a), K).coeffs == _list_rule_at(K, a, image)
+    return image
+
+
+@pytest.mark.parametrize("p, m, n", [(7, 1, 2), (7, 2, 4), (3, 4, 8), (5, 3, 6)])
+def test_element_arithmetic_matches_the_list_rule(p, m, n):
+    # every pair in F_7, F_49, F_81 and F_125; every element embedded
+    # into the stage of degree n, at the label-smallest root of the modulus
+    F, K = stage_field(p, m), make_ext_field(p, n)
+    q = F.order
+    elements = [x.coeffs for x in F]
+    _check_elements(F, [(a, b) for a in elements for b in elements],
+                    (-3, -1, 0, 1, 2, p, q - 2, q - 1, q, 2 * q + 5))
+    if m == 1:
+        assert [embed(F.element(a), K).coeffs for a in elements] == \
+            [_pad(K, a) for a in elements]
+        return
+    image = _check_embedding(F, K, elements)
+    smallest = next(x.coeffs for x in K
+                    if _list_rule_at(K, F.modulus, x.coeffs) == _pad(K, ()))
+    assert image == smallest
+
+
+# The degree-24 modulus over F_101 is searched for in seconds; its
+# irreducibility is checked here instead.
+F101_24 = (1,) + (0,) * 21 + (2, 6, 1)
+
+
+@pytest.mark.parametrize("p, m", [(2 ** 31 - 1, 2), (2 ** 31 - 1, 3),
+                                  (2 ** 31 - 1, 24), (101, 24)])
+def test_element_arithmetic_matches_the_list_rule_at_large_stages(p, m, slot_peaks):
+    # seeded pairs, every coefficient at p - 1 among them, where the
+    # packed products and the prime stage's extended Euclid are widest
+    if (p, m) == (101, 24):
+        assert exactfield._stage_packing(p, PrimeField.modulus).irreducible(F101_24)
+        F = ExtField(PrimeField(p), m, F101_24)
+    else:
+        F = make_ext_field(p, m)
+    rng = random.Random(p + m)
+    vectors = [(p - 1,) * m, (1,) + (0,) * (m - 1), (0,) * (m - 1) + (1,)]
+    vectors += [tuple(rng.randrange(p) for _ in range(m)) for _ in range(8)]
+    pairs = [(a, b) for a in vectors for b in vectors[:4]]
+    _check_elements(F, pairs, (-1, 0, 2, 3, rng.randrange(1 << 20)))
+    if m < 24:
+        _check_embedding(F, make_ext_field(p, 24), vectors)
+    assert (p, 1) in slot_peaks and (p, m) in slot_peaks
 
 
 def test_element_label_order_is_lex_on_coeff_vectors():
@@ -204,9 +382,11 @@ def test_frobenius_order_divides_degree():
 
 
 # ------------------------------------------------- the field-element rule
-# Factoring on `UniPoly` and `FieldElement` arithmetic alone, sharing no
-# code with the packed kernel: the reference `factor_univariate`,
-# `is_irreducible`, `roots_in` and `_Packed.split` are compared with.
+# Factoring on `UniPoly` and `FieldElement` arithmetic, sharing none of
+# the packed kernel's polynomial routines: the reference
+# `factor_univariate`, `is_irreducible`, `roots_in` and `_Packed.split`
+# are compared with.  Its element products do run on the stage packing;
+# the list rule above checks those.
 
 def _field_element_rule_gcd(a, b):
     while not b.is_zero():
@@ -695,10 +875,10 @@ def _slot_values(S, rng):
     for m in (2, 3, 4, 5, 6) + ((12, exactfield.MAX_DEGREE) if p < 12 else ())])
 def test_packed_reduce_matches_the_slotwise_rule(p, m):
     # every slot value below the bound 2^b, for a product-sized packing
-    # (degree 0), the Groebner one (degree 7) and a wide one (degree 64)
+    # (degree 0), the stage's own (`MAX_DEGREE`) and a wide one (degree 64)
     K = make_ext_field(p, m)
     rng = random.Random(p * 100 + m)
-    for degree in (0, 7, 64):
+    for degree in (0, 7, exactfield.MAX_DEGREE, 64):
         S = exactfield._Packed(p, K.modulus, degree)
         for slots in _slot_values(S, rng):
             x = S.pack(slots)

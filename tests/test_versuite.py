@@ -18,7 +18,7 @@ from resweil.errors import (
     UndeclaredVariable,
 )
 from resweil.exactfield import stage_field
-from resweil.finalg import decompose_local, etale_check
+from resweil.finalg import decompose_local, etale_check, tensor_extend
 from resweil.gammaset import GammaSet, ProductPoint, pi0_points
 from resweil.weilres import fiber_presentation
 from resweil.versuite import (
@@ -417,6 +417,35 @@ def test_verify_case_builds_the_total_coordinate_ring_once(monkeypatch):
     rep = verify_case(case)
     assert rep.ok()
     assert stages == [1, 1]
+
+
+def test_base_extension_and_its_local_factors_are_built_once(monkeypatch):
+    # over F_49, A = F_7[t, e]/(t^2 - 3, e^2) splits into two local
+    # factors; the adjunction route and the per-factor count share A
+    # tensor K and its factors
+    case = parse_case(Path(corpus("tensor-mixed-base")).read_text())
+    A, X = case.algebra, case.scheme
+    K = stage_field(7, 2)
+    built = []
+    init = AlgebraPresentation.__init__
+
+    def noting_init(self, field, variables, relations, *args, **kwargs):
+        relations = tuple(relations)
+        if tuple(variables) == A.vars:
+            built.append((field.degree, len(relations)))
+        init(self, field, variables, relations, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraPresentation, "__init__", noting_init)
+    first = weilres.algebra_points(X, K)
+    assert weilres.algebra_points(X, K) == first
+    assert verify._count_via_local_factors(A, X, 2) == 4
+    # A tensor K once, then one presentation per local factor, once
+    assert built == [(2, 2), (2, 3), (2, 3)]
+    factors = decompose_local(tensor_extend(A, K))
+    assert factors is not decompose_local(tensor_extend(A, K))
+    factors.clear()
+    assert len(decompose_local(tensor_extend(A, K))) == 2
+    assert len(built) == 3
 
 
 # ------------------------------------------------------------- the suite

@@ -78,18 +78,9 @@ class GammaSet:
             raise CertificateFailure("not a permutation of the set")
         self.perm = dict(perm)
         self.period = period
-        if any(period % len(orbit) for orbit in self.orbits()):
-            raise CertificateFailure("permutation period exceeds the ambient bound")
-
-    def __len__(self):
-        return len(self.elements)
-
-    def cycle_type(self):
-        return tuple(sorted(len(o) for o in self.orbits()))
-
-    def orbits(self):
+        # the set never changes, so its orbits are walked here, once
         seen = set()
-        out = []
+        self._orbits = []
         for e in self.elements:
             if e in seen:
                 continue
@@ -100,13 +91,23 @@ class GammaSet:
                 orbit.append(cur)
                 seen.add(cur)
                 cur = self.perm[cur]
-            out.append(orbit)
-        return out
+            self._orbits.append(tuple(orbit))
+        if any(period % len(orbit) for orbit in self._orbits):
+            raise CertificateFailure("permutation period exceeds the ambient bound")
+
+    def __len__(self):
+        return len(self.elements)
+
+    def cycle_type(self):
+        return tuple(sorted(map(len, self._orbits)))
+
+    def orbits(self):
+        return list(self._orbits)
 
     def canonical_orbits(self):
         """Orbits anchored at their label-least element, sorted by size then anchor."""
         out = []
-        for orbit in self.orbits():
+        for orbit in self._orbits:
             k = min(range(len(orbit)), key=lambda i: orbit[i].label())
             anchored = orbit[k:] + orbit[:k]
             out.append(tuple(anchored))

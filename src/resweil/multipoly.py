@@ -198,6 +198,10 @@ class MPoly:
             raise ValueError("negative exponent %d" % e)
         if e == 0:
             return MPoly.constant(self.field, self.vars, self.field.one)
+        if len(self.terms) == 1:
+            # a single term c m: c^e m^e in one step
+            (m, c), = self.terms.items()
+            return MPoly(self.field, self.vars, {tuple(x * e for x in m): c ** e})
         return _cached_power({1: self}, e)
 
     def monic(self):
@@ -392,17 +396,20 @@ def buchberger(generators, field=None, variables=None):
     """Reduced Groebner basis of the ideal spanned by the generators.
 
     Pending S-pairs wait in a heap keyed by the degrevlex key of their
-    lcm, so the pair with the smallest lcm is reduced first.  A pair is
-    dropped without reduction when its leading monomials are coprime
-    (Buchberger's first criterion) or when a third member's leading
-    monomial divides their lcm and neither pair with that member is
-    still pending (the chain criterion, as in Cox, Little and O'Shea).
-    The pair loop counts every S-polynomial it reduces, and only those,
-    against DEFAULT_STEP_BUDGET and raises StepGuardExceeded when it
-    runs out.  The basis grows as a `GroebnerBasis`, so each member's
-    divisor data is derived once.  The final basis is interreduced and
-    monic, so the result depends only on the ideal and not on generator
-    order.
+    lcm, so the pair with the smallest lcm is reduced first.  Each time a
+    member h joins the basis, the pairs are updated as in Gebauer and
+    Moller, "On an installation of Buchberger's algorithm" (1988):
+    a new pair (i, h) is dropped when another new pair's lcm properly
+    divides its lcm (M); of the new pairs with one lcm only one is kept,
+    and none when one of them has coprime leading monomials (F); a
+    pending pair (i, j) is dropped when lm(h) divides its lcm and neither
+    lcm(i, h) nor lcm(j, h) equals it (B); and a member whose leading
+    monomial lm(h) divides takes no new pairs after h.  The pair loop
+    counts every S-polynomial it reduces, and only those, against
+    DEFAULT_STEP_BUDGET and raises StepGuardExceeded when it runs out.
+    The basis grows as a `GroebnerBasis`, so each member's divisor data
+    is derived once.  The final basis is interreduced and monic, so the
+    result depends only on the ideal and not on generator order.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -421,29 +428,33 @@ def buchberger(generators, field=None, variables=None):
             basis._append(r.monic())
     lms = basis.leading_monomials()
 
-    # a pair (i, j) has i > j; `pending` holds the pairs still in the heap
-    heap, pending = [], set()
+    # pending pairs as (drl_key(lcm), i, j, lcm) with i > j, and the
+    # members that still take new pairs
+    heap, live = [], []
 
-    def add_pairs(k):
-        for t in range(k):
-            heapq.heappush(heap, (drl_key(mono_lcm(lms[k], lms[t])), k, t))
-            pending.add((k, t))
+    def update(h):
+        lm = lms[h]
+        # (F): one new pair per lcm.  No live leading monomial divides
+        # another, so a coprime pair is alone in its lcm class.
+        first = {}
+        for i in live:
+            first.setdefault(mono_lcm(lms[i], lm), i)
+        # (B)
+        heap[:] = [pair for pair in heap if not mono_divides(lm, pair[3])
+                   or mono_lcm(lms[pair[1]], lm) == pair[3]
+                   or mono_lcm(lms[pair[2]], lm) == pair[3]]
+        # (F) drops coprime pairs, (M) pairs with a proper divisor lcm
+        heap.extend((drl_key(lcm), h, i, lcm) for lcm, i in first.items()
+                    if any(map(min, lms[i], lm))
+                    and not any(o != lcm and mono_divides(o, lcm) for o in first))
+        heapq.heapify(heap)
+        live[:] = [i for i in live if not mono_divides(lm, lms[i])] + [h]
 
-    def chain_drops(i, j, lcm):
-        return any(k != i and k != j and mono_divides(lm, lcm)
-                   and (max(i, k), min(i, k)) not in pending
-                   and (max(j, k), min(j, k)) not in pending
-                   for k, lm in enumerate(lms))
-
-    for k in range(len(basis)):
-        add_pairs(k)
+    for h in range(len(basis)):
+        update(h)
     steps = 0
     while heap:
-        _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        lcm = mono_lcm(lms[i], lms[j])
-        if lcm == mono_mul(lms[i], lms[j]) or chain_drops(i, j, lcm):
-            continue
+        _, i, j, _ = heapq.heappop(heap)
         steps += 1
         if steps > DEFAULT_STEP_BUDGET:
             raise StepGuardExceeded("buchberger: S-polynomial budget %d exhausted"
@@ -453,7 +464,7 @@ def buchberger(generators, field=None, variables=None):
             continue
         basis._append(r.monic())
         lms.append(r.leading_monomial())
-        add_pairs(len(basis) - 1)
+        update(len(basis) - 1)
 
     return _reduce_basis(basis, lms)
 

@@ -72,6 +72,18 @@ def test_gamma_set_basics():
     assert orbits[1][0].label() == ((1,),)
 
 
+def test_gamma_set_walks_its_orbits_once():
+    pts = points_of(F5, [[0], [1], [2], [3]])
+    perm = {pts[0]: pts[0], pts[1]: pts[2], pts[2]: pts[3], pts[3]: pts[1]}
+    G = GammaSet(pts, perm, 3)
+    # the orbits were walked in the constructor: later reads need no perm
+    G.perm = None
+    assert G.cycle_type() == (1, 3)
+    assert [[e.label() for e in o] for o in G.canonical_orbits()] == [
+        [((0,),)], [((1,),), ((2,),), ((3,),)]]
+    assert sorted(map(len, G.orbits())) == [1, 3]
+
+
 def test_gamma_set_rejects_bad_period():
     pts = points_of(F5, [[1], [2]])
     perm = {pts[0]: pts[1], pts[1]: pts[0]}

@@ -201,9 +201,10 @@ def test_pair_loop_is_cheap_on_a_scale_restriction(monkeypatch):
     monkeypatch.setattr(MPoly, "leading_monomial", counting_leading_monomial)
     monkeypatch.setattr(multipoly, "s_polynomial", counting_s_polynomial)
     buchberger(relations)
-    # the resorting loop made 47,190 and 86 of these calls
+    # the resorting loop made 47,190 and 86 of these calls; the chain
+    # criterion alone left 52 S-polynomials to reduce
     assert calls["leading_monomial"] < 5000
-    assert calls["s_polynomial"] < 86
+    assert calls["s_polynomial"] <= 40
 
 
 def _assert_reduced_groebner_basis(gens, gb):
@@ -247,6 +248,26 @@ def test_pair_criteria_on_seeded_random_ideals():
                               for _ in range(rng.randrange(2, 4))})
                 for _ in range(rng.randrange(2, 5))]
         _assert_reduced_groebner_basis(gens, buchberger(gens))
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (5, 2)])
+def test_pair_criteria_on_denser_seeded_random_ideals(p, m):
+    # 3-5 generators of 2-4 terms in four variables; bases reach 23
+    # members.  Exponents stay below 3 and terms of degree at most 4,
+    # which keeps the reference rule's run short.
+    field = make_ext_field(p, m) if m > 1 else PrimeField(p)
+    vars_ = ("w", "x", "y", "z")
+    monos = [e for e in itertools.product(range(3), repeat=4) if sum(e) <= 4]
+    for seed in range(30):
+        rng = random.Random(seed)
+        gens = [P(field, vars_, {rng.choice(monos): field.element(
+                    tuple(rng.randrange(p) for _ in range(m)))
+                    for _ in range(rng.randrange(2, 5))})
+                for _ in range(rng.randrange(3, 6))]
+        gens = [g for g in gens if not g.is_zero()]
+        gb = buchberger(gens)
+        _assert_reduced_groebner_basis(gens, gb)
+        assert list(gb) == _field_element_rule_buchberger(gens)
 
 
 def test_step_budget_counts_reduced_s_polynomials(monkeypatch):
@@ -373,6 +394,25 @@ def test_substitute_expand_sparse_powers_cost_no_more_than_squaring(monkeypatch,
     assert len(products) <= bound
 
 
+@pytest.mark.parametrize("p, m", [(5, 1), (7, 3)])
+def test_power_of_a_single_term_matches_square_and_multiply(p, m, monkeypatch):
+    field = make_ext_field(p, m) if m > 1 else PrimeField(p)
+    vars_ = ("x", "y", "z")
+    rng = random.Random(p)
+    terms = []
+    for mono in [(0, 0, 0), (1, 0, 0), (0, 2, 1), (3, 1, 2)]:
+        c = field.zero
+        while c.is_zero():
+            c = field.element(tuple(rng.randrange(p) for _ in range(m)))
+        terms.append(P(field, vars_, {mono: c}))
+    expected = {(t, e): multipoly._cached_power({1: t}, e)
+                for t in terms for e in (1, 2, 7, 64)}
+    # a single term never goes through square-and-multiply
+    monkeypatch.setattr(multipoly, "_cached_power", None)
+    for (t, e), power in expected.items():
+        assert t ** e == power
+
+
 # -- typed errors that survive `python -O` ------------------------------
 
 @pytest.mark.parametrize("statement, error", [
@@ -439,8 +479,9 @@ def _field_element_rule_s_polynomial(f, g):
 
 
 def _field_element_rule_buchberger(gens):
-    """`buchberger`'s pair loop and interreduction on the rules above: the
-    members of the reduced basis."""
+    """The reduced basis by the rules above: a pair heap that drops pairs
+    by the coprime test and the chain criterion, as `buchberger` did before
+    it took Gebauer and Moller's pair update, then the same interreduction."""
     nf = _field_element_rule_normal_form
 
     def monic(r):

@@ -18,7 +18,6 @@ annihilators and idempotents off minimal polynomials, by Horner's rule.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import _linalg
@@ -295,20 +294,26 @@ def tensor_extend(A: AlgebraPresentation, K) -> AlgebraPresentation:
 # ---------------------------------------------------------------------------
 # local decomposition
 
-@dataclass
 class LocalFactor:
-    idempotent: MPoly            # normal form in the parent
-    presentation: AlgebraPresentation
-    residue_degree: int          # over the parent's coefficient stage
+    __slots__ = ("idempotent", "presentation", "residue_degree")
+
+    def __init__(self, idempotent: MPoly, presentation: AlgebraPresentation,
+                 residue_degree: int):
+        self.idempotent = idempotent          # normal form in the parent
+        self.presentation = presentation
+        self.residue_degree = residue_degree  # over the parent's coefficient stage
 
 
-@dataclass
 class AlgebraHom:
     """A k-algebra map given by generator images, validated on request."""
 
-    source: AlgebraPresentation
-    target: AlgebraPresentation
-    images: dict
+    __slots__ = ("source", "target", "images")
+
+    def __init__(self, source: AlgebraPresentation, target: AlgebraPresentation,
+                 images: dict):
+        self.source = source
+        self.target = target
+        self.images = images
 
     def apply(self, f: MPoly) -> MPoly:
         return self.target.nf(substitute_expand(f, self.images))
@@ -386,16 +391,22 @@ def decompose_local(A: AlgebraPresentation):
 # ---------------------------------------------------------------------------
 # binary products
 
-@dataclass
 class ProductAlgebra:
-    presentation: AlgebraPresentation
-    idempotent_var: str
-    left_vars: dict    # original A1 var -> product var
-    right_vars: dict
-    idempotent_left: MPoly
-    idempotent_right: MPoly
-    proj_left: AlgebraHom
-    proj_right: AlgebraHom
+    __slots__ = ("presentation", "idempotent_var", "left_vars", "right_vars",
+                 "idempotent_left", "idempotent_right", "proj_left", "proj_right")
+
+    def __init__(self, presentation: AlgebraPresentation, idempotent_var: str,
+                 left_vars: dict, right_vars: dict, idempotent_left: MPoly,
+                 idempotent_right: MPoly, proj_left: AlgebraHom,
+                 proj_right: AlgebraHom):
+        self.presentation = presentation
+        self.idempotent_var = idempotent_var
+        self.left_vars = left_vars    # original A1 var -> product var
+        self.right_vars = right_vars
+        self.idempotent_left = idempotent_left
+        self.idempotent_right = idempotent_right
+        self.proj_left = proj_left
+        self.proj_right = proj_right
 
 
 def product_algebra(A1: AlgebraPresentation, A2: AlgebraPresentation) -> ProductAlgebra:
@@ -476,12 +487,15 @@ def product_algebra(A1: AlgebraPresentation, A2: AlgebraPresentation) -> Product
 # ---------------------------------------------------------------------------
 # relative smoothness certificate
 
-@dataclass
 class EtaleCertificate:
-    ok: bool
-    jacobian_det: MPoly
-    inverse: MPoly | None
-    obstruction: MPoly | None
+    __slots__ = ("ok", "jacobian_det", "inverse", "obstruction")
+
+    def __init__(self, ok: bool, jacobian_det: MPoly, inverse: MPoly | None,
+                 obstruction: MPoly | None):
+        self.ok = ok
+        self.jacobian_det = jacobian_det
+        self.inverse = inverse
+        self.obstruction = obstruction
 
 
 def _poly_det(rows, field, variables):

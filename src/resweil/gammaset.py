@@ -11,7 +11,6 @@ explicit isomorphism can be assembled orbit by orbit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     AmbientMismatch,
@@ -32,9 +31,21 @@ from .weilres import (
 )
 
 
-@dataclass(frozen=True)
 class GeometricPoint:
-    coords: tuple
+    """A point by its coordinates; equal and equally hashed on equal coordinates."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple):
+        self.coords = coords
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     def label(self):
         return tuple(x.label() for x in self.coords)
@@ -43,11 +54,21 @@ class GeometricPoint:
         return "GeometricPoint%r" % (self.label(),)
 
 
-@dataclass(frozen=True)
 class ProductPoint:
     """One point per base point, aligned with the canonical base order."""
 
-    components: tuple
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple):
+        self.components = components
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash((self.components,))
 
     def label(self):
         return tuple(c.label() for c in self.components)
@@ -119,11 +140,13 @@ class GammaSet:
             len(self.elements), self.cycle_type())
 
 
-@dataclass
 class EquivariantMap:
-    source: GammaSet
-    target: GammaSet
-    mapping: dict
+    __slots__ = ("source", "target", "mapping")
+
+    def __init__(self, source: GammaSet, target: GammaSet, mapping: dict):
+        self.source = source
+        self.target = target
+        self.mapping = mapping
 
     def is_equivariant(self):
         for x in self.source.elements:

@@ -10,7 +10,6 @@ and aggregates them.  JSON output keeps a fixed field order and null
 timings, so two runs with the same seed emit identical bytes.
 """
 
-import argparse
 import json
 import sys
 
@@ -97,6 +96,8 @@ def _cmd_verify(args):
 
 
 def main(argv=None):
+    import argparse  # only the command line needs it; library imports skip it
+
     ap = argparse.ArgumentParser(
         prog="resweil",
         description="restriction of scalars for affine schemes over "

@@ -179,17 +179,28 @@ class _Cursor:
 #   atom   := INT | NAME | ( expr )
 
 def _parse_expr(cur, field, ctx):
+    """Add the terms into one dict and build one MPoly: linear in the
+    number of terms, with the terms in the order that adding one term
+    at a time leaves them (a sum that cancels drops its monomial)."""
     negate = cur.match_op("-")
-    poly = _parse_term(cur, field, ctx)
-    if negate:
-        poly = -poly
+    out = {}
     while True:
+        for m, c in _parse_term(cur, field, ctx).terms.items():
+            if negate:
+                c = -c
+            prev = out.get(m)
+            if prev is not None:
+                c = prev + c
+                if c.is_zero():
+                    del out[m]
+                    continue
+            out[m] = c
         if cur.match_op("+"):
-            poly = poly + _parse_term(cur, field, ctx)
+            negate = False
         elif cur.match_op("-"):
-            poly = poly - _parse_term(cur, field, ctx)
+            negate = True
         else:
-            return poly
+            return MPoly(field, ctx, out)
 
 
 def _parse_term(cur, field, ctx):

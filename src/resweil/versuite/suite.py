@@ -9,8 +9,6 @@ Cases run in case-name order regardless of the argument order, so
 reports come out the same for any shuffling of the paths.
 """
 
-from dataclasses import dataclass, field
-
 from ..errors import GuardExceeded, ResweilError
 from .dsl import parse_case
 from .verify import verify_case
@@ -21,11 +19,13 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 
-@dataclass
 class SuiteResult:
-    reports: list = field(default_factory=list)
-    problems: list = field(default_factory=list)  # (path, kind, message)
-    exit_code: int = EXIT_OK
+    __slots__ = ("reports", "problems", "exit_code")
+
+    def __init__(self, reports=None, problems=None, exit_code=EXIT_OK):
+        self.reports = [] if reports is None else reports
+        self.problems = [] if problems is None else problems  # (path, kind, message)
+        self.exit_code = exit_code
 
 
 def run_suite(paths, seed=0) -> SuiteResult:

@@ -37,7 +37,6 @@ and would certify nothing by reading it:
 
 import math
 import time
-from dataclasses import dataclass
 
 from ..errors import (
     CertificateFailure,
@@ -49,7 +48,7 @@ from ..errors import (
     PositiveDimensionalFiber,
     ResweilError,
 )
-from ..exactfield import factor_univariate, stage_field
+from ..exactfield import _packed, stage_field
 from ..finalg import decompose_local, tensor_extend
 from ..gammaset import (
     evaluation_map,
@@ -73,11 +72,13 @@ PSI_CONVENTION = (
     "anchors each at its least element")
 
 
-@dataclass
 class CheckOutcome:
-    name: str
-    ok: bool
-    detail: str
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def ambient_degree(A, X, R):
@@ -88,6 +89,8 @@ def ambient_degree(A, X, R):
     every coordinate's minimal polynomial, over the base algebra, X's
     total coordinate ring `X.coordinate_ring` (whose points pair a base
     point with a point of its fiber) and the restriction's `R.quotient`.
+    The squarefree parts and the distinct-degree pass give those degrees;
+    no factor is split off.
     """
     XB = X.coordinate_ring
     if XB.basis_monomials is INFINITE:
@@ -97,25 +100,29 @@ def ambient_degree(A, X, R):
     N = 1
     for B in (A, XB, R.quotient):
         for mu in B.min_polys:
-            for g, _ in factor_univariate(mu)[1]:
-                N = math.lcm(N, g.degree)
+            S, fp = _packed(mu, mu.field)
+            for part, _ in S.squarefree(fp):
+                for _, d in S.degree_blocks(part):
+                    N = math.lcm(N, d)
     return N
 
 
-@dataclass
 class ComponentData:
     """Both sides of the comparison at one shared stage.
 
     `equivariant` is `ev.check()`, read by the report and the checks.
     """
 
-    N: int
-    S: object
-    fibers: dict
-    left: object
-    prod: object
-    ev: object
-    equivariant: bool
+    __slots__ = ("N", "S", "fibers", "left", "prod", "ev", "equivariant")
+
+    def __init__(self, N: int, S, fibers: dict, left, prod, ev, equivariant: bool):
+        self.N = N
+        self.S = S
+        self.fibers = fibers
+        self.left = left
+        self.prod = prod
+        self.ev = ev
+        self.equivariant = equivariant
 
 
 def compute_components(A, X, R) -> ComponentData:

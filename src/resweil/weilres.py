@@ -13,7 +13,6 @@ products of algebras and principal open coverings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import _linalg
@@ -606,12 +605,15 @@ def regroup_point(R: RestrictedScheme, values, K=None):
     return tuple(out)
 
 
-@dataclass
 class AdjunctionCertificate:
-    ok: bool
-    left_points: list
-    right_points: list
-    pairs: list
+    __slots__ = ("ok", "left_points", "right_points", "pairs")
+
+    def __init__(self, ok: bool, left_points: list, right_points: list,
+                 pairs: list):
+        self.ok = ok
+        self.left_points = left_points
+        self.right_points = right_points
+        self.pairs = pairs
 
 
 def adjunction_check(R: RestrictedScheme, K=None) -> AdjunctionCertificate:
@@ -627,11 +629,13 @@ def adjunction_check(R: RestrictedScheme, K=None) -> AdjunctionCertificate:
     return AdjunctionCertificate(ok, left, right, pairs)
 
 
-@dataclass
 class ProductFormulaCertificate:
-    ok: bool
-    ideal_match: bool
-    counts: list  # (stage degree, product count, left count, right count)
+    __slots__ = ("ok", "ideal_match", "counts")
+
+    def __init__(self, ok: bool, ideal_match: bool, counts: list):
+        self.ok = ok
+        self.ideal_match = ideal_match
+        self.counts = counts  # (stage degree, product count, left count, right count)
 
 
 def _base_change(X, proj):
@@ -703,11 +707,13 @@ def product_formula_check(prod: ProductAlgebra, X: SchemePresentation,
     return ProductFormulaCertificate(ok, ideal_match, counts)
 
 
-@dataclass
 class CoverCertificate:
-    ok: bool
-    unit_ideal: bool
-    per_stage: list
+    __slots__ = ("ok", "unit_ideal", "per_stage")
+
+    def __init__(self, ok: bool, unit_ideal: bool, per_stage: list):
+        self.ok = ok
+        self.unit_ideal = unit_ideal
+        self.per_stage = per_stage
 
 
 def open_cover_check(R: RestrictedScheme, hs,

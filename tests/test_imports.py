@@ -1,5 +1,6 @@
-"""Every name a module imports is read in that module, and every private
-module-level function is read somewhere in the package.
+"""Every name a module imports is read in that module, every private
+module-level function is read somewhere in the package, and importing the
+package stays cheap.
 
 Package `__init__` modules import to re-export, so the import check
 leaves them out; `from __future__` imports change the compiler, not the
@@ -7,6 +8,9 @@ namespace.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -61,3 +65,30 @@ def test_every_private_function_is_referenced():
     unread = [(str(path.relative_to(SRC)), fn.name) for path, fn in private
               if read[fn.name] == _names_read(fn)[fn.name]]
     assert unread == []
+
+
+def _run_without_site(args):
+    # -S: no site hooks, so only what resweil imports is loaded
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-S"] + args, capture_output=True,
+                          text=True, env=env)
+
+
+def test_importing_the_package_loads_no_startup_heavy_module():
+    # dataclasses drags in inspect (and dis, ast, tokenize); argparse is
+    # for the command line alone
+    done = _run_without_site(
+        ["-c", "import sys, resweil, resweil.versuite\n"
+               "print(' '.join(m for m in ('dataclasses', 'inspect', 'argparse')"
+               " if m in sys.modules))"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
+def test_the_cli_module_without_arguments_prints_usage_and_exits_2():
+    done = _run_without_site(["-m", "resweil.versuite.cli"])
+    assert done.returncode == 2
+    assert "usage: resweil [-h] {restrict,pi0,points,verify} ..." in done.stderr
+    assert "the following arguments are required: command" in done.stderr

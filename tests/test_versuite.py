@@ -1,5 +1,6 @@
 """Case format, verifier wiring, suite exit codes, and the CLI."""
 
+import importlib.util
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from resweil import AlgebraPresentation, MPoly, PrimeField, weil_restrict
-from resweil import weilres
+from resweil import exactfield, weilres
 from resweil.errors import (
     CaseSyntaxError,
     CertificateFailure,
@@ -30,7 +31,7 @@ from resweil.versuite import (
     run_suite,
     verify_case,
 )
-from resweil.versuite import verify
+from resweil.versuite import dsl, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ROOT / "cases"
@@ -169,6 +170,67 @@ def test_parse_poly_matches_constructed():
         parse_poly("y y", F, ctx)
 
 
+def _term_by_term_rule_parse_expr(cur, field, ctx):
+    """The old sum rule: one new MPoly per `+` or `-`, quadratic in the
+    number of terms."""
+    negate = cur.match_op("-")
+    poly = dsl._parse_term(cur, field, ctx)
+    if negate:
+        poly = -poly
+    while True:
+        if cur.match_op("+"):
+            poly = poly + dsl._parse_term(cur, field, ctx)
+        elif cur.match_op("-"):
+            poly = poly - dsl._parse_term(cur, field, ctx)
+        else:
+            return poly
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _parsed_polys(case):
+    polys = [r for _, _, rels in case.algebra_blocks for r in rels]
+    polys += list(case.scheme_rels) + list(case.algebra.relations)
+    polys += list(case.scheme.relations)
+    polys += [h for chk in case.checks if chk[0] == "cover" for h in chk[1]]
+    return [(p.vars, list(p.terms.items())) for p in polys]
+
+
+SUM_EXPRS = (
+    "-y^2 + 3*y + y^2 + 2*y^2",     # a monomial cancels, then comes back
+    "-(y + 1) - (y - 1) + y*(1 - y)",
+    "-(-y + 2) - (-3) + (t - t)",
+    "(y - y) + t*y - (t*y - 2) + y",
+    "-(t + y)^2 + (t - y)*(t + y) - (-(2*t*y))",
+    "y - y", "-0", "0 - 0", "-(y)", "t + (y + (t + (y + 1)))",
+)
+
+
+def test_sums_match_the_term_by_term_rule(monkeypatch):
+    monkeypatch.setitem(sys.modules, "oracles", _load_bench("oracles"))
+    workloads = _load_bench("workloads")
+    texts = [p.read_text() for p in sorted(CASES.glob("*.case"))]
+    for seed in (1, 2):
+        texts += [op["text"] for op in workloads.points_stage(seed)]
+        texts += [op["text"] for op in workloads.groebner_scale(seed)]
+    F, ctx = PrimeField(7), ("t", "y")
+    got = ([_parsed_polys(parse_case(t)) for t in texts],
+           [parse_poly(e, F, ctx) for e in SUM_EXPRS])
+    monkeypatch.setattr(dsl, "_parse_expr", _term_by_term_rule_parse_expr)
+    want = ([_parsed_polys(parse_case(t)) for t in texts],
+            [parse_poly(e, F, ctx) for e in SUM_EXPRS])
+    assert len(texts) == 15 + 2 * (10 + 3)
+    assert got[0] == want[0]  # equal terms, in the same dict order
+    for g, w, e in zip(got[1], want[1], SUM_EXPRS):
+        assert (g.vars, list(g.terms.items())) == (w.vars, list(w.terms.items())), e
+    assert [str(g) for g in got[1]] == [str(w) for w in want[1]]
+
+
 def test_product_case_parses_to_product_base():
     case = parse_case(Path(corpus("split-pair-quadratic")).read_text())
     assert case.product is not None
@@ -290,6 +352,26 @@ def test_ambient_degree_values():
         assert deg == expected.get(name, deg), name
         seen.append(name)
     assert len(seen) == 18 and set(expected) <= set(seen)
+
+
+def test_ambient_degree_splits_no_factor(monkeypatch):
+    # the stage reads only factor degrees: squarefree parts and the
+    # distinct-degree pass give them, so no equal-degree split runs
+    calls = []
+    split = exactfield._Packed.split
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return split(self, *args, **kwargs)
+    for name, text in _ambient_cases():
+        case = parse_case(text)
+        R = weil_restrict(case.algebra, case.scheme)
+        for B in (case.algebra, case.scheme.coordinate_ring, R.quotient):
+            B.min_polys  # computed before the count starts
+        monkeypatch.setattr(exactfield._Packed, "split", counted)
+        ambient_degree(case.algebra, case.scheme, R)
+        monkeypatch.setattr(exactfield._Packed, "split", split)
+        assert calls == [], name
 
 
 def test_report_object_shape():

@@ -325,28 +325,26 @@ class AlgebraHom:
         return True
 
 
-def decompose_local(A: AlgebraPresentation):
-    """Split A into local factors by refining 1 along the Frobenius fixed space.
+def _local_idempotents(A: AlgebraPresentation):
+    """The primitive idempotents of A, one per local factor, as normal
+    forms in label order, refined from 1 along the Frobenius fixed space.
 
     The q-power map is linear over a stage of order q.  Its fixed space
     meets the nilradical trivially and is spanned by the primitive
-    idempotents, one per local factor, so it has dimension s, the number
-    of factors.  A fixed element is a combination of those idempotents
-    with coefficients in the stage, so its minimal polynomial is
-    squarefree and splits over the stage, and Lagrange interpolation at
-    its roots yields the idempotents cutting out where it takes each
-    value; no lifting through the nilpotents is needed.  Starting from 1,
-    each fixed basis vector v refines the current idempotents e by its
-    own, e -> L_c(v) e with L_c = (mu / (x - c)) / (mu / (x - c))(c) at
-    each root c of its minimal polynomial mu; once every basis vector is
+    idempotents, so it has dimension s, the number of local factors.  A
+    fixed element is a combination of those idempotents with
+    coefficients in the stage, so its minimal polynomial is squarefree
+    and splits over the stage, and Lagrange interpolation at its roots
+    yields the idempotents cutting out where it takes each value; no
+    lifting through the nilpotents is needed.  Starting from 1, each
+    fixed basis vector v refines the current idempotents e by its own,
+    e -> L_c(v) e with L_c = (mu / (x - c)) / (mu / (x - c))(c) at each
+    root c of its minimal polynomial mu; once every basis vector is
     constant on each piece, so is every fixed element, and the s pieces
-    are the primitive idempotents.  All of this runs inside A, on A's one
-    Frobenius matrix and packed multiplication tables.  A presentation is
-    built for each factor returned, and none when A is local.  The
-    factors are found once and kept on A; each call returns a new list.
+    are the primitive idempotents.  All of this runs inside A, on A's
+    one Frobenius matrix and packed multiplication tables, and the
+    idempotent laws are checked there.
     """
-    if A.local_factors is not None:
-        return list(A.local_factors)
     if A.dimension == 0:
         raise ZeroRing("the zero ring has no local factors")
     field, S = A.field, A._stage
@@ -379,10 +377,23 @@ def decompose_local(A: AlgebraPresentation):
             raise CertificateFailure("a local idempotent is not idempotent")
         if any(S.mat_vec(times_e, other) for other in idems[:j]):
             raise CertificateFailure("two local idempotents are not orthogonal")
+    return sorted(elems, key=lambda e: e.label())
+
+
+def decompose_local(A: AlgebraPresentation):
+    """Split A into local factors along its primitive idempotents.
+
+    The idempotents come from `_local_idempotents`.  A presentation is
+    built for each factor returned, and none when A is local.  The
+    factors are found once and kept on A; each call returns a new list.
+    """
+    if A.local_factors is not None:
+        return list(A.local_factors)
+    idems = _local_idempotents(A)
     out = []
-    for e in sorted(elems, key=lambda e: e.label()):
+    for e in idems:
         B = A if len(idems) == 1 else AlgebraPresentation(
-            field, A.vars, list(A.relations) + [A.one() - e])
+            A.field, A.vars, list(A.relations) + [A.one() - e])
         out.append(LocalFactor(e, B, B.dimension - B.nilradical_dimension()))
     A.local_factors = out
     return list(out)

@@ -8,7 +8,6 @@ from .verify import (
     verify_case,
 )
 from .suite import SuiteResult, run_suite
-from .cli import main
 
 __all__ = [
     "Case",
@@ -18,7 +17,6 @@ __all__ = [
     "SuiteResult",
     "ambient_degree",
     "compute_components",
-    "main",
     "parse_case",
     "parse_poly",
     "render_case",

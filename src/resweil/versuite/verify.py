@@ -28,8 +28,9 @@ and would certify nothing by reading it:
 
 * the per-factor count in `_count_via_local_factors`, which restricts X
   again over each local factor of A tensor K;
-* `algebra_points` in the adjunction check, which solves over A tensor K
-  without the restriction;
+* `algebra_points` in the adjunction check, which reads the points over
+  A tensor K off the rank-one components of X's coordinate ring, without
+  the restriction;
 * the product check's `buchberger` run on the juxtaposed factor
   restrictions;
 * the acceptance tests' exhaustive `enumerate_points` on `R.relations`.

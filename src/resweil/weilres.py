@@ -27,13 +27,12 @@ from .errors import (
     NotLocalBase,
     SearchGuardExceeded,
 )
-from .exactfield import PrimeField, _Packed, embed, roots_in, stage_field
+from .exactfield import _Packed, embed, roots_in, stage_field
 from .finalg import (
     AlgebraPresentation,
     EtaleCertificate,
     ProductAlgebra,
-    _poly_det,
-    decompose_local,
+    _local_idempotents,
     etale_check,
     substitute_in_algebra,
     tensor_extend,
@@ -396,131 +395,46 @@ def fiber_presentation(X: SchemePresentation, coords, K) -> AlgebraPresentation:
 # ---------------------------------------------------------------------------
 # algebra-valued points, computed without the restriction
 
-def _stage_basis(K):
-    if K.degree == 1:
-        return [K.one]
-    return [K.element(tuple(1 if i == l else 0 for i in range(K.degree)))
-            for l in range(K.degree)]
-
-
-# (K, L) -> (F_p, the inverse of the change of basis from L's power
-# basis to the K-basis 1, g, .., g^(f-1)); built and checked once per pair
-_RELATIVE_INVERSE_CACHE: dict = {}
-
-
-def _relative_inverse(K, L):
-    cached = _RELATIVE_INVERSE_CACHE.get((K, L))
-    if cached is not None:
-        return cached
-    PF = PrimeField(L.p)
-    f = L.degree // K.degree
-    cols = []
-    gp = L.one
-    for _ in range(f):
-        for beta in _stage_basis(K):
-            x = embed(beta, L) * gp
-            cols.append([PF.from_int(c) for c in x.coeffs])
-        gp = gp * L.gen
-    n = L.degree
-    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    inv = _linalg.invert(mat, PF)
-    if inv is None:
-        raise CertificateFailure("powers of the generator do not span over the substage")
-    _RELATIVE_INVERSE_CACHE[(K, L)] = PF, inv
-    return PF, inv
-
-
-def relative_coords(x, K, L):
-    """Coordinates of x in the K-basis 1, g, .., g^(f-1) of the stage L."""
-    if K == L:
-        return [x]
-    PF, inv = _relative_inverse(K, L)
-    vec = _linalg.mat_vec(inv, [PF.from_int(c) for c in x.coeffs], PF)
-    f = L.degree // K.degree
-    out = []
-    for i in range(f):
-        chunk = tuple(vec[i * K.degree + l].coeffs[0] for l in range(K.degree))
-        out.append(K.element(chunk))
+def _section(CK, times_eps, images, ys):
+    """The values a_j with eps phi(a_j) = eps y_j, or None if some eps y_j
+    is not in the image: one elimination over the stage on the columns
+    eps phi(m), m over the basis of A tensor K, then eps y_j."""
+    K, d = CK.field, len(images)
+    cols = [CK._stage.mat_vec(times_eps, v) for v in images + ys]
+    rows, pivots = _linalg.rref(CK._unpacked(cols), K)
+    if pivots and pivots[-1] >= d:
+        return None
+    out = [[K.zero] * d for _ in ys]
+    for row, c in zip(rows, pivots):
+        for a, b in zip(out, row[d:]):
+            a[c] = b
     return out
 
 
-def _local_solve(B, M, rhs):
-    """Solve M x = rhs over a quotient by Cramer's rule, one inverse for
-    every unknown: x_j = det(M, column j replaced by rhs) / det(M)."""
-    field, variables = B.field, B.vars
-    inv = B.inverse(B.nf(_poly_det(M, field, variables)))
-    if inv is None:
-        raise CertificateFailure("no unit pivot available")
-    return [B.nf(_poly_det([row[:j] + [r] + row[j + 1:] for row, r in zip(M, rhs)],
-                           field, variables) * inv)
-            for j in range(len(M))]
-
-
-def _newton_lift(X, Bf, dgdy, start):
-    """Correct a residue-level solution to an exact one through nilpotents."""
-    r = len(X.vars)
-    assign_t = {tv: Bf.nf(Bf.var(tv)) for tv in X.base.vars}
-    current = list(start)
-    for _ in range(64):
-        assign = dict(assign_t)
-        assign.update(zip(X.vars, current))
-        vals = [substitute_in_algebra(Bf, g, assign) for g in X.relations]
-        if all(v.is_zero() for v in vals):
-            return tuple(current)
-        J = [[substitute_in_algebra(Bf, dgdy[i][j], assign) for j in range(r)]
-             for i in range(len(X.relations))]
-        delta = _local_solve(Bf, J, vals)
-        current = [Bf.nf(c - dlt) for c, dlt in zip(current, delta)]
-    raise CertificateFailure("correction loop failed to terminate")
-
-
 def _algebra_points_smooth(X, AK):
-    A = X.base
-    K = AK.field
-    factors = decompose_local(AK)
-    r = len(X.vars)
-    dgdy = [[g.derivative(y) for y in X.vars] for g in X.relations]
+    CK = tensor_extend(X.coordinate_ring, AK.field)
+    if CK.is_zero_ring():
+        return []
+    ctx = CK.vars
+    images = [CK._packed_coords(m.extend_context(ctx)) for m in AK.basis_elements()]
+    ys = [CK._packed_coords(CK.var(y)) for y in X.vars]
+    components = [(CK._columns(eps), sorted(CK._packed_coords(eps)))
+                  for eps in _local_idempotents(CK)]
     per = []
-    for f in factors:
-        Bf = f.presentation
-        Lf = stage_field(K.p, K.degree * f.residue_degree)
-        rho_pts = zero_dim_solve(Bf, Lf)
-        if not rho_pts:
-            raise CertificateFailure("a local factor has no residue point")
-        rho = dict(zip(Bf.vars, rho_pts[0]))
-        ybars = zero_dim_solve(fiber_presentation(X, rho_pts[0], Lf), Lf)
+    for e in _local_idempotents(AK):
+        e_vec = CK._packed_coords(e.extend_context(ctx))
+        pts_e = []
+        for times_eps, eps_vec in components:
+            if CK._stage.mat_vec(times_eps, e_vec) != eps_vec:
+                continue  # eps lies over another local factor
+            sol = _section(CK, times_eps, images, ys)
+            if sol is not None:  # else eps has rank above 1 over e
+                pts_e.append([AK.nf(e * AK.from_coords(a)) for a in sol])
+        per.append(pts_e)
 
-        fdeg = f.residue_degree
-        cols = []
-        for m in Bf.basis_monomials:
-            e = MPoly(K, Bf.vars, {m: K.one})
-            val = (e.evaluate(rho) if Lf == K
-                   else e.map_coefficients(Lf).evaluate(rho))
-            cols.append(relative_coords(val, K, Lf))
-        sect = [[cols[j][i] for j in range(len(cols))] for i in range(fdeg)]
-
-        pts_f = []
-        for ybar in ybars:
-            start = []
-            for val in ybar:
-                target = relative_coords(val, K, Lf)
-                sol = _linalg.solve(sect, target, K)
-                if sol is None:
-                    raise CertificateFailure("the residue map is not onto")
-                start.append(Bf.from_coords(sol))
-            pts_f.append(_newton_lift(X, Bf, dgdy, start))
-        per.append(pts_f)
-
-    out = []
-    for combo in itertools.product(*per):
-        point = []
-        for j in range(r):
-            acc = AK.zero()
-            for f, pts in zip(factors, combo):
-                acc = acc + f.idempotent * pts[j]
-            point.append(AK.nf(acc))
-        out.append(tuple(point))
-    tassign = {tv: AK.nf(AK.var(tv)) for tv in A.vars}
+    out = [tuple(sum(col, AK.zero()) for col in zip(*combo))
+           for combo in itertools.product(*per)]
+    tassign = {tv: AK.nf(AK.var(tv)) for tv in X.base.vars}
     for pt in out:
         assign = dict(tassign)
         assign.update(zip(X.vars, pt))
@@ -556,11 +470,21 @@ def _algebra_points_bruteforce(X, AK):
 def algebra_points(X: SchemePresentation, K=None):
     """Solutions of X with coordinates in (base algebra) tensor K.
 
-    For a square system that is smooth over its base this runs factor
-    by local factor: solve at residue level, correct through the
-    nilpotents, recombine along the idempotents.  Anything else falls
-    back to guarded exhaustion.  Each point is a tuple of reduced
-    algebra elements, in label order.
+    For a square system that is etale over its base, with a finite
+    coordinate ring C, C tensor K is finite etale over A tensor K.  A
+    point over a local factor B = e (A tensor K) is a section of C_B over
+    B, and a section of a separated etale map is an open and closed
+    immersion; B is connected, so the section's image is one connected
+    component eps C_B, eps a primitive idempotent of C tensor K with
+    eps e = eps, mapped isomorphically onto B.  So for each such pair
+    solve eps phi(a_j) = eps y_j over the stage, phi the map from
+    A tensor K.  If every y_j solves, eps C_B is a quotient of B, free of
+    rank at least one since C is flat over A, hence B itself, and
+    (e a_j)_j is its point; otherwise it has rank above one and carries
+    none.  The points are the products over the local factors, each
+    checked against X's relations.  Anything else falls back to guarded
+    exhaustion.  Each point is a tuple of reduced algebra elements, in
+    label order.
     """
     A = X.base
     if A.dimension == 0:

@@ -77,18 +77,20 @@ def _run_without_site(args):
 
 
 def test_importing_the_package_loads_no_startup_heavy_module():
-    # dataclasses drags in inspect (and dis, ast, tokenize); argparse is
-    # for the command line alone
+    # dataclasses drags in inspect (and dis, ast, tokenize); argparse and
+    # json are for the command line alone
     done = _run_without_site(
         ["-c", "import sys, resweil, resweil.versuite\n"
-               "print(' '.join(m for m in ('dataclasses', 'inspect', 'argparse')"
-               " if m in sys.modules))"])
+               "print(' '.join(m for m in ('dataclasses', 'inspect', 'argparse',"
+               " 'json', 'resweil.versuite.cli') if m in sys.modules))"])
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
 
 
 def test_the_cli_module_without_arguments_prints_usage_and_exits_2():
-    done = _run_without_site(["-m", "resweil.versuite.cli"])
+    # under -W error: runpy's warning about a module already imported by
+    # its package would stop the run before the usage
+    done = _run_without_site(["-W", "error", "-m", "resweil.versuite.cli"])
     assert done.returncode == 2
     assert "usage: resweil [-h] {restrict,pi0,points,verify} ..." in done.stderr
     assert "the following arguments are required: command" in done.stderr

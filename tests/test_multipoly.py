@@ -10,7 +10,7 @@ import pytest
 
 from resweil import finalg, multipoly, weil_restrict, weilres
 from resweil.errors import MissingAssignment, MixedContexts, StepGuardExceeded
-from resweil.exactfield import FieldElement, PrimeField, make_ext_field
+from resweil.exactfield import FieldElement, PrimeField, make_ext_field, stage_field
 from resweil.multipoly import (
     INFINITE,
     GroebnerBasis,
@@ -25,6 +25,7 @@ from resweil.multipoly import (
     substitute_expand,
 )
 from resweil.versuite import parse_case, verify_case
+from resweil.weilres import fiber_presentation, zero_dim_solve
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ROOT / "cases"
@@ -577,10 +578,26 @@ def test_groebner_matches_the_field_element_rule_on_the_corpus(name, monkeypatch
         _assert_matches_the_field_element_rule(gens, rng)
 
 
+SIXTH_STAGE_CASES = ("cubic-field-pair", "quadratic-field-cover", "tensor-mixed-base")
+
+
 def test_the_corpus_builds_bases_up_to_the_sixth_stage(monkeypatch):
+    # verify_case reaches the third stage; the sixth, stage 3 over a
+    # residue field of degree 2, is fed in explicitly: X at a base point
+    # over F_{p^6}, and X's coordinate ring over F_{p^6}
     degrees = {gens[0].field.degree for name in CORPUS
                for gens in _built_generator_lists(name, monkeypatch)}
-    assert {1, 6} <= degrees
+    assert {1, 2, 3} <= degrees
+    rng = random.Random(6)
+    for name in SIXTH_STAGE_CASES:
+        X = parse_case((CASES / (name + ".case")).read_text()).scheme
+        K = stage_field(X.field.p, 6)
+        point = zero_dim_solve(X.base, K)[0]
+        fiber = fiber_presentation(X, point, K).relations
+        ring = [r.map_coefficients(K) for r in X.coordinate_ring.relations]
+        for gens in (fiber, ring):
+            assert gens[0].field.degree == 6
+            _assert_matches_the_field_element_rule(list(gens), rng)
 
 
 def test_groebner_matches_the_field_element_rule_on_the_scale_restriction():

@@ -24,7 +24,6 @@ from resweil.gammaset import GammaSet, ProductPoint, pi0_points
 from resweil.weilres import fiber_presentation
 from resweil.versuite import (
     ambient_degree,
-    main,
     parse_case,
     parse_poly,
     render_case,
@@ -32,6 +31,7 @@ from resweil.versuite import (
     verify_case,
 )
 from resweil.versuite import dsl, verify
+from resweil.versuite.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ROOT / "cases"
@@ -481,9 +481,10 @@ def test_compute_components_builds_each_fiber_once(monkeypatch, name):
 
 
 def test_verify_case_builds_the_total_coordinate_ring_once(monkeypatch):
-    # X's total coordinate ring and the cover probe are the only
-    # presentations over A.vars + X.vars: the adjunction route reads X's
-    # own certificate at every stage and builds no ring over A tensor K
+    # the presentations over A.vars + X.vars: X's total coordinate ring C
+    # once at stage 1, C tensor K once per further adjunction stage, kept
+    # on C.extensions, and the cover probe; a second algebra_points call
+    # builds none of them again
     case = parse_case(Path(corpus("dual-numbers-etale")).read_text())
     ctx = tuple(case.algebra.vars) + tuple(case.scheme.vars)
     stages = []
@@ -498,7 +499,13 @@ def test_verify_case_builds_the_total_coordinate_ring_once(monkeypatch):
     monkeypatch.setattr(AlgebraPresentation, "__init__", noting_init)
     rep = verify_case(case)
     assert rep.ok()
-    assert stages == [1, 1]
+    assert ("adjunction", (1, 2, 3)) in case.checks
+    assert stages == [1, 2, 3, 1]
+    C = case.scheme.coordinate_ring
+    assert sorted(K.degree for K in C.extensions) == [2, 3]
+    for m in (1, 2, 3):
+        weilres.algebra_points(case.scheme, stage_field(7, m))
+    assert stages == [1, 2, 3, 1]
 
 
 def test_base_extension_and_its_local_factors_are_built_once(monkeypatch):
@@ -601,12 +608,19 @@ def test_restricted_names_avoid_every_base_variable(tmp_path):
         "theorem", "adjunction", "lemma-local"]
 
 
+def _shifted_section(real):
+    """A section solve that adds 1 to every value it solves."""
+    def shifted(CK, times_eps, images, ys):
+        sol = real(CK, times_eps, images, ys)
+        return sol and [[x + 1 for x in a] for a in sol]
+    return shifted
+
+
 def test_certificate_failure_in_a_check_fails_that_check(monkeypatch):
-    # a correction step that never moves leaves dual-numbers-etale's
-    # residue points unlifted; quadratic-field-cover's base is a field, so
-    # its points need no correction and its checks still pass
-    monkeypatch.setattr(weilres, "_local_solve",
-                        lambda B, M, rhs: [B.zero() for _ in rhs])
+    # a wrong section solve gives dual-numbers-etale's points wrong
+    # values; every component of quadratic-field-cover at stages 1-3 has
+    # rank 2, so no section is solved there and its checks still pass
+    monkeypatch.setattr(weilres, "_section", _shifted_section(weilres._section))
     result = run_suite([corpus("dual-numbers-etale"),
                         corpus("quadratic-field-cover")])
     assert result.exit_code == 1 and not result.problems
@@ -615,7 +629,7 @@ def test_certificate_failure_in_a_check_fails_that_check(monkeypatch):
     failed = [c for c in dual.checks if not c.ok]
     assert [(c.name, c.detail) for c in failed] == [(
         "adjunction",
-        "certificate failure: correction loop failed to terminate")]
+        "certificate failure: a lifted point does not solve X")]
     assert len(dual.checks) == 8
 
 
@@ -697,35 +711,46 @@ def test_a_non_annihilating_obstruction_fails_its_readers(monkeypatch):
         ("theorem", False, why), ("non-smooth", False, why)]
 
 
-@pytest.mark.parametrize("corrupt, reason", [
-    ("_local_solve", "correction loop failed to terminate"),
-    ("_newton_lift", "a lifted point does not solve X"),
-])
-def test_corrupted_adjunction_route_fails_the_check(monkeypatch, corrupt,
-                                                    reason):
-    # a wrong correction, or residue points passed on unlifted, must
-    # fail the adjunction check with the certificate's reason
-    wrong = {
-        "_local_solve": lambda B, M, rhs: [B.one() for _ in rhs],
-        "_newton_lift": lambda X, Bf, dgdy, start: tuple(start),
-    }
-    monkeypatch.setattr(weilres, corrupt, wrong[corrupt])
+def _dropped_first_section(real):
+    """A section solve that drops the first rank-one component it sees."""
+    seen = []
+
+    def dropping(CK, times_eps, images, ys):
+        sol = real(CK, times_eps, images, ys)
+        if sol is not None and not seen:
+            seen.append(sol)
+            return None
+        return sol
+    return dropping
+
+
+def _merged_components(real):
+    """Local idempotents with the first two merged into one; A tensor K is
+    local in the case below, so only C tensor K has two to merge."""
+    def merging(A):
+        out = real(A)
+        return [out[0] + out[1]] + out[2:] if len(out) > 1 else out
+    return merging
+
+
+@pytest.mark.parametrize("corrupt, detail", [
+    (("_section", _shifted_section),
+     "certificate failure: a lifted point does not solve X"),
+    (("_section", _dropped_first_section),
+     "stage 1: 2 = 1; stage 2: 2 = 2; stage 3: 2 = 2"),
+    (("_local_idempotents", _merged_components),
+     "stage 1: 2 = 0; stage 2: 2 = 0; stage 3: 2 = 0"),
+], ids=["wrong-section", "dropped-component", "merged-idempotents"])
+def test_corrupted_adjunction_route_fails_the_check(monkeypatch, corrupt, detail):
+    # a wrong section value, a rank-one component left out, or two
+    # components read as one must fail the adjunction check: the first
+    # by the certificate, the others by unequal counts
+    name, mutant = corrupt
+    monkeypatch.setattr(weilres, name, mutant(getattr(weilres, name)))
     rep = verify_case(parse_case(DUAL))
     adj = [c for c in rep.checks if c.name == "adjunction"]
-    assert [(c.ok, c.detail) for c in adj] == [
-        (False, "certificate failure: " + reason)]
+    assert [(c.ok, c.detail) for c in adj] == [(False, detail)]
     assert all(c.ok for c in rep.checks if c.name != "adjunction")
-
-
-def test_a_degenerate_stage_basis_fails_the_adjunction_check(monkeypatch):
-    # quadratic-field-cover's residue field is F_25 over the stage F_5, so
-    # the adjunction route reads relative coordinates; the theorem does not
-    monkeypatch.setattr(weilres, "_RELATIVE_INVERSE_CACHE", {})
-    monkeypatch.setattr(weilres, "_stage_basis", lambda K: [K.one] * K.degree)
-    rep = verify_case(parse_case(Path(corpus("quadratic-field-cover")).read_text()))
-    assert [(c.name, c.detail) for c in rep.checks if not c.ok] == [(
-        "adjunction", "certificate failure: powers of the generator do not "
-        "span over the substage")]
 
 
 SOLVER_FAULTS = {

@@ -38,9 +38,11 @@ from resweil.errors import (
     NotSquareSystem,
     SearchGuardExceeded,
 )
-from resweil import weilres
+from resweil import _linalg, weilres
+from resweil.finalg import _poly_det, decompose_local, substitute_in_algebra
+from resweil.exactfield import embed
 from resweil.versuite import parse_case, verify_case
-from resweil.weilres import relative_coords
+from resweil.weilres import fiber_presentation
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -347,7 +349,7 @@ def test_local_solve_needs_a_unit_pivot():
     A = algebra(F7, ["eps"], lambda e: [e * e])
     eps = A.nf(A.var("eps"))
     with pytest.raises(CertificateFailure, match="no unit pivot"):
-        weilres._local_solve(A, [[eps]], [A.one()])
+        _local_solve(A, [[eps]], [A.one()])
 
 
 def test_adjunction_dual_and_quadratic():
@@ -381,7 +383,6 @@ def test_relative_coords_round_trip():
     K = make_ext_field(5, 2)
     L = make_ext_field(5, 4)
     rng = random.Random(404)
-    from resweil import embed
     for _ in range(50):
         x = L.element(tuple(rng.randrange(5) for _ in range(4)))
         cs = relative_coords(x, K, L)
@@ -397,31 +398,9 @@ def test_relative_coords_raises_when_the_powers_do_not_span(monkeypatch):
     # generator short of a basis over K
     K = make_ext_field(5, 2)
     L = make_ext_field(5, 4)
-    monkeypatch.setattr(weilres, "_RELATIVE_INVERSE_CACHE", {})
-    monkeypatch.setattr(weilres, "_stage_basis", lambda K: [K.one] * K.degree)
+    monkeypatch.setitem(globals(), "_stage_basis", lambda K: [K.one] * K.degree)
     with pytest.raises(CertificateFailure, match="do not span over the substage"):
         relative_coords(L.gen, K, L)
-    # the failed build is not kept: the next call checks again
-    with pytest.raises(CertificateFailure, match="do not span over the substage"):
-        relative_coords(L.gen, K, L)
-
-
-def test_relative_inverse_is_built_once_per_pair(monkeypatch):
-    monkeypatch.setattr(weilres, "_RELATIVE_INVERSE_CACHE", {})
-    calls = []
-    invert = weilres._linalg.invert
-
-    def counted(mat, field):
-        calls.append(field)
-        return invert(mat, field)
-
-    monkeypatch.setattr(weilres._linalg, "invert", counted)
-    K, L = make_ext_field(5, 2), make_ext_field(5, 4)
-    for x in itertools.islice(L, 20):
-        relative_coords(x, K, L)
-    assert len(calls) == 1
-    relative_coords(L.gen, F5, L)
-    assert len(calls) == 2
 
 
 # -- the packed relation check of the point solver --------------------
@@ -538,7 +517,7 @@ def test_open_cover_guard_reads_the_nilradical(monkeypatch):
     def forbidden(A):
         raise AssertionError("the guard decomposed the base")
 
-    monkeypatch.setattr(weilres, "decompose_local", forbidden)
+    monkeypatch.setattr(weilres, "_local_idempotents", forbidden)
     A, X = dual_case()
     y = MPoly.variable(F7, ("eps", "y"), "y")
     assert open_cover_check(weil_restrict(A, X), [y, y - 1]).ok
@@ -624,6 +603,167 @@ def test_regroup_point_is_reduced_over_every_stage():
                 assert a == tuple(AK.nf(c) for c in a)
 
 
+# -- the adjunction route against the residue-lift rule ------------------
+#
+# The route algebra_points took before it read points off the rank-one
+# components of C tensor K: per local factor B of A tensor K, solve a
+# residue point and the fiber over it, lift each fiber point through a
+# section solved in relative coordinates, and Newton-correct it through
+# the nilpotents by Cramer's rule.
+
+def _stage_basis(K):
+    if K.degree == 1:
+        return [K.one]
+    return [K.element(tuple(1 if i == l else 0 for i in range(K.degree)))
+            for l in range(K.degree)]
+
+
+def _relative_inverse(K, L):
+    """(F_p, the inverse of the change of basis from L's power basis to
+    the K-basis 1, g, .., g^(f-1))."""
+    PF = PrimeField(L.p)
+    f = L.degree // K.degree
+    cols = []
+    gp = L.one
+    for _ in range(f):
+        for beta in _stage_basis(K):
+            x = embed(beta, L) * gp
+            cols.append([PF.from_int(c) for c in x.coeffs])
+        gp = gp * L.gen
+    n = L.degree
+    inv = _linalg.invert([[cols[j][i] for j in range(n)] for i in range(n)], PF)
+    if inv is None:
+        raise CertificateFailure("powers of the generator do not span over the substage")
+    return PF, inv
+
+
+def relative_coords(x, K, L):
+    """Coordinates of x in the K-basis 1, g, .., g^(f-1) of the stage L."""
+    if K == L:
+        return [x]
+    PF, inv = _relative_inverse(K, L)
+    vec = _linalg.mat_vec(inv, [PF.from_int(c) for c in x.coeffs], PF)
+    return [K.element(tuple(vec[i * K.degree + l].coeffs[0] for l in range(K.degree)))
+            for i in range(L.degree // K.degree)]
+
+
+def _local_solve(B, M, rhs):
+    """Solve M x = rhs over a quotient by Cramer's rule, one inverse for
+    every unknown: x_j = det(M, column j replaced by rhs) / det(M)."""
+    field, variables = B.field, B.vars
+    inv = B.inverse(B.nf(_poly_det(M, field, variables)))
+    if inv is None:
+        raise CertificateFailure("no unit pivot available")
+    return [B.nf(_poly_det([row[:j] + [r] + row[j + 1:] for row, r in zip(M, rhs)],
+                           field, variables) * inv)
+            for j in range(len(M))]
+
+
+def _newton_lift(X, Bf, dgdy, start):
+    """Correct a residue-level solution to an exact one through nilpotents."""
+    assign_t = {tv: Bf.nf(Bf.var(tv)) for tv in X.base.vars}
+    current = list(start)
+    for _ in range(64):
+        assign = dict(assign_t)
+        assign.update(zip(X.vars, current))
+        vals = [substitute_in_algebra(Bf, g, assign) for g in X.relations]
+        if all(v.is_zero() for v in vals):
+            return tuple(current)
+        J = [[substitute_in_algebra(Bf, dg, assign) for dg in row] for row in dgdy]
+        delta = _local_solve(Bf, J, vals)
+        current = [Bf.nf(c - dlt) for c, dlt in zip(current, delta)]
+    raise CertificateFailure("correction loop failed to terminate")
+
+
+def _newton_rule_algebra_points(X, K):
+    """algebra_points(X, K) by residue lift and Newton correction."""
+    A = X.base
+    AK = tensor_extend(A, K)
+    if not X.vars or len(X.relations) != len(X.vars):
+        return algebra_points(X, K)  # neither route is the smooth one
+    try:
+        smooth = X.etale_certificate.ok
+    except NotFinite:
+        smooth = False
+    if not smooth:
+        return weilres._algebra_points_bruteforce(X, AK)
+    factors = decompose_local(AK)
+    dgdy = [[g.derivative(y) for y in X.vars] for g in X.relations]
+    per = []
+    for f in factors:
+        Bf = f.presentation
+        Lf = stage_field(K.p, K.degree * f.residue_degree)
+        rho_pts = zero_dim_solve(Bf, Lf)
+        if not rho_pts:
+            raise CertificateFailure("a local factor has no residue point")
+        rho = dict(zip(Bf.vars, rho_pts[0]))
+        ybars = zero_dim_solve(fiber_presentation(X, rho_pts[0], Lf), Lf)
+        cols = []
+        for m in Bf.basis_monomials:
+            e = MPoly(K, Bf.vars, {m: K.one})
+            val = (e.evaluate(rho) if Lf == K
+                   else e.map_coefficients(Lf).evaluate(rho))
+            cols.append(relative_coords(val, K, Lf))
+        sect = [[col[i] for col in cols] for i in range(f.residue_degree)]
+        pts_f = []
+        for ybar in ybars:
+            start = []
+            for val in ybar:
+                sol = _linalg.solve(sect, relative_coords(val, K, Lf), K)
+                if sol is None:
+                    raise CertificateFailure("the residue map is not onto")
+                start.append(Bf.from_coords(sol))
+            pts_f.append(_newton_lift(X, Bf, dgdy, start))
+        per.append(pts_f)
+    out = [tuple(AK.nf(sum((f.idempotent * pt[j] for f, pt in zip(factors, combo)),
+                           AK.zero()))
+                 for j in range(len(X.vars)))
+           for combo in itertools.product(*per)]
+    return sorted(out, key=lambda pt: tuple(c.label() for c in pt))
+
+
+def four_local_case():
+    # F_5[t]/(t^2 (t - 1) (t - 3) (t^2 - 2)): the dual numbers, F_5 twice
+    # and F_25; over them y^2 = t + 1 has a fiber of each kind, split,
+    # inert and, over t = 0, through the nilpotents
+    A = algebra(F5, ["t"], lambda t: [t * t * (t - 1) * (t - 3) * (t * t - 2)])
+    return A, scheme(A, ["y", "z"], lambda t, y, z: [y * y - t - 1, z * y - t])
+
+
+CORPUS_SCHEMES = {p.stem: p.read_text() for p in sorted(CASES.glob("*.case"))}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_SCHEMES))
+def test_algebra_points_match_the_newton_rule_on_the_corpus(name):
+    X = parse_case(CORPUS_SCHEMES[name]).scheme
+    for m in (1, 2, 3):
+        K = stage_field(X.field.p, m)
+        assert algebra_points(X, K) == _newton_rule_algebra_points(X, K), (name, m)
+
+
+@pytest.mark.parametrize("shape", [dual_case, quad_case, four_local_case])
+def test_algebra_points_match_the_newton_rule_on_the_shapes(shape):
+    A, X = shape()
+    found = 0
+    for m in (1, 2, 3, 4):
+        K = stage_field(A.field.p, m)
+        pts = algebra_points(X, K)
+        assert pts == _newton_rule_algebra_points(X, K), m
+        found += len(pts)
+    assert found
+
+
+def test_algebra_points_of_a_scheme_with_the_zero_coordinate_ring():
+    # the relation 1: square, etale (every element of the zero ring is a
+    # unit) and without points at any stage
+    A = algebra(F5, ["eps"], lambda e: [e * e])
+    X = scheme(A, ["y"], lambda e, y: [y - y + 1])
+    assert X.coordinate_ring.is_zero_ring() and X.etale_certificate.ok
+    for m in (1, 2, 3):
+        K = stage_field(5, m)
+        assert algebra_points(X, K) == [] == _newton_rule_algebra_points(X, K)
+
+
 def _pivoting_local_solve(B, M, rhs):
     """The Newton step the old way: elimination over a local quotient, with
     a unit pivot searched in each column by one inverse per candidate."""
@@ -652,15 +792,17 @@ def _pivoting_local_solve(B, M, rhs):
 
 def test_local_solve_matches_the_pivoting_rule_on_the_corpus_newton_systems(monkeypatch):
     systems = []
-    real = weilres._local_solve
+    real = _local_solve
 
     def recording(B, M, rhs):
         x = real(B, M, rhs)
         systems.append((B, M, rhs, x))
         return x
-    monkeypatch.setattr(weilres, "_local_solve", recording)
-    for path in sorted(CASES.glob("*.case")):
-        verify_case(parse_case(path.read_text()))
+    monkeypatch.setitem(globals(), "_local_solve", recording)
+    for text in CORPUS_SCHEMES.values():
+        X = parse_case(text).scheme
+        for m in (1, 2, 3):
+            _newton_rule_algebra_points(X, stage_field(X.field.p, m))
     monkeypatch.undo()
     assert systems  # all 1 x 1 in the corpus; the 2 x 2 test below swaps rows
     for B, M, rhs, x in systems:
@@ -676,7 +818,7 @@ def test_local_solve_matches_the_pivoting_rule_on_a_two_by_two_local_system():
         return MPoly.constant(F7, A.vars, a)
     M = [[eps, c(1) + eps], [c(3), c(2) * eps]]
     rhs = [c(1) + c(2) * eps, c(5) * eps]
-    x = weilres._local_solve(A, M, rhs)
+    x = _local_solve(A, M, rhs)
     assert x == _pivoting_local_solve(A, M, rhs)
     assert [A.nf(row[0] * x[0] + row[1] * x[1]) for row in M] == rhs
 

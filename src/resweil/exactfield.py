@@ -64,16 +64,22 @@ inside the degree it declares.  The prime stage is m = 1, and the same
 code serves every p < 2**31 and m <= 24; at m = 1 a reduction is one
 `x % p`.
 `mat_vec` serves `finalg`'s linear models and `weilres` checks points
-against their relations on the packing, inside the same bound.  There
-are no Zech-log tables: stages reach 7^6 elements for a handful of calls,
-so a table would cost more to build in a fresh process than it saves, and
-stages beyond any table size would need a second path.
+against their relations on the packing, inside the same bound.  Every
+elimination in the package runs on `_Packed.echelon`, a Gauss-Jordan
+reduction of dense rows of reduced entries whose eliminated entries are
+each one product plus a reduced entry, reduced at once; `kernel` and
+`solve` read their results off it.  There are no Zech-log tables:
+stages reach 7^6 elements for a handful of calls, so a table would cost
+more to build in a fresh process than it saves, and stages beyond any
+table size would need a second path.
 `FieldElement` and `UniPoly` stay the public value types: labels,
 hashing and reports read their coefficient vectors.  The reference
 arithmetic lives in `tests/test_exactfield.py`: element arithmetic on
 plain residue lists (`_list_rule_*`), and factoring on `UniPoly`
 (`_field_element_rule_*`), the route the tests compare
-`factor_univariate`, `is_irreducible` and `roots_in` with.
+`factor_univariate`, `is_irreducible` and `roots_in` with; the
+field-element elimination the echelon is compared with is
+`tests/test_echelon.py`'s `_linalg_rule_*`.
 """
 
 from __future__ import annotations
@@ -162,8 +168,10 @@ class _Packed:
     of `degree`; k = 2b + 1 leaves room to reduce every slot at once by
     one multiply by `magic`, a shift and a mask.  Polynomials are tuples
     of reduced coefficients, low degree first and trimmed, except the
-    unreduced product `mul` returns.  The prime stage is m = 1 with the
-    modulus a.
+    unreduced product `mul` returns.  Matrices are sparse columns of
+    (index, entry) pairs for `mat_vec`, and dense rows of reduced
+    entries for `echelon`, `kernel` and `solve`; `rows` turns the one
+    into the other.  The prime stage is m = 1 with the modulus a.
     """
 
     __slots__ = ("p", "m", "mod", "b", "k", "mask", "narrow", "high",
@@ -275,6 +283,79 @@ class _Packed:
                 out[i] += a * c
         red = self.reduce
         return [(i, r) for i, x in enumerate(out) if x and (r := red(x))]
+
+    @staticmethod
+    def rows(cols, n):
+        """The n dense rows of the matrix with sparse columns cols."""
+        out = [[0] * len(cols) for _ in range(n)]
+        for j, col in enumerate(cols):
+            for i, a in col:
+                out[i][j] = a
+        return out
+
+    def echelon(self, rows):
+        """Bring dense rows of reduced entries to reduced row echelon form,
+        in place, and return the pivot columns.
+
+        Each column takes the first row from the current one down with a
+        nonzero entry as its pivot, so the result is deterministic.  The
+        pivot row is scaled by `inverse` of its pivot, and every other
+        row with an entry f in the pivot column becomes a + (ps - f) b
+        entry by entry, one product of reduced entries plus a reduced
+        entry: inside the value bound of any degree.
+        """
+        red, ps = self.reduce, self.ps
+        pivots = []
+        r, n = 0, len(rows)
+        for c in range(len(rows[0]) if rows else 0):
+            if r == n:
+                break
+            i = next((i for i in range(r, n) if rows[i][c]), None)
+            if i is None:
+                continue
+            rows[r], rows[i] = rows[i], rows[r]
+            row, inv = rows[r], self.inverse(rows[r][c])
+            nonzero = [j for j in range(c, len(row)) if row[j]]
+            if inv != 1:
+                for j in nonzero:
+                    row[j] = red(row[j] * inv)
+            for i, other in enumerate(rows):
+                if i != r and (f := other[c]):
+                    f = ps - f
+                    for j in nonzero:
+                        other[j] = red(other[j] + f * row[j])
+            pivots.append(c)
+            r += 1
+        return pivots
+
+    def kernel(self, rows):
+        """Basis of the right kernel of dense rows, one dense vector per
+        free column: 1 there, minus that column's entries at the pivots."""
+        width = len(rows[0]) if rows else 0
+        pivots = self.echelon(rows)
+        red, ps = self.reduce, self.ps
+        out = []
+        for free in sorted(set(range(width)) - set(pivots)):
+            vec = [0] * width
+            vec[free] = 1
+            for row, c in zip(rows, pivots):
+                if row[free]:
+                    vec[c] = red(ps - row[free])
+            out.append(vec)
+        return out
+
+    def solve(self, rows, width):
+        """For dense rows [M | B], M of `width` columns, one dense x with
+        M x = b per column b of B, its free unknowns zero; None when some
+        b is not in the span of M's columns."""
+        pivots = self.echelon(rows)
+        if pivots and pivots[-1] >= width:
+            return None
+        out = [[0] * width for _ in range(len(rows[0]) - width if rows else 0)]
+        for row, c in zip(rows, pivots):
+            for x, a in zip(out, row[width:]):
+                x[c] = a
+        return out
 
     def divmod(self, a, b):
         """Quotient and remainder of a by b != 0; a may be unreduced."""

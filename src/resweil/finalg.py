@@ -10,9 +10,14 @@ presentation.  A presentation keeps one linear model on packed ints
 basis, a normal form only where v m leaves the staircase.  A map T with
 T(v m) = T(v) T(m) is walked up the staircase from it: multiplication by
 any f, and the Frobenius map x -> x^q, computed once with each v^q by
-square-and-multiply on the tables.  The Frobenius matrix, the nilradical
-dimension and the local factors are all read off that one map; inverses,
-annihilators and idempotents off minimal polynomials, by Horner's rule.
+square-and-multiply on the tables.  The nilradical dimension, the
+residue degrees and the local factors are all read off that one map, by
+`_Packed.echelon` on its packed columns: the fixed space of F is the
+kernel of F - I, and the image of a high enough power F^L has the
+nilradical as its kernel and one residue field per local factor.
+Inverses, annihilators and idempotents come off minimal polynomials by
+Horner's rule on packed coefficients.  The primitive idempotents are
+refined once per presentation and kept on it, like its local factors.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from . import _linalg
 from .errors import (
     CertificateFailure,
     MixedContexts,
@@ -59,6 +63,7 @@ class AlgebraPresentation:
         self.points_by_stage = {}  # filled by weilres.zero_dim_solve
         self.extensions = {}  # filled by tensor_extend, per stage
         self.local_factors = None  # filled by decompose_local
+        self.idempotents = None  # filled by _local_idempotents
 
     # -- basic structure ----------------------------------------------
 
@@ -96,14 +101,18 @@ class AlgebraPresentation:
 
     def coords(self, f: MPoly):
         """Coordinate vector of nf(f) in the standard monomial basis."""
-        return [row[0] for row in self._unpacked([self._packed_coords(f)])]
+        return self._vector(self._packed_coords(f))
 
     def from_coords(self, vec) -> MPoly:
         return MPoly(self.field, self.vars, dict(zip(self.basis_monomials, vec)))
 
+    def _vector(self, vec):
+        """Sparse packed coordinates as a vector of field elements."""
+        return [row[0] for row in self._unpacked([vec])]
+
     def _element(self, vec) -> MPoly:
         """The normal form with sparse packed coordinates vec."""
-        return self.from_coords([row[0] for row in self._unpacked([vec])])
+        return self.from_coords(self._vector(vec))
 
     @cached_property
     def _stage(self):
@@ -150,14 +159,14 @@ class AlgebraPresentation:
         """Sparse packed columns of multiplication by f: f m = v (f m')."""
         return self._walk(self._packed_coords(f), self._tables)
 
-    def _horner(self, g: UniPoly, cols, vec):
-        """g(f) vec, cols the packed columns of multiplication by f: from the
-        top, acc <- f acc + c vec, one `mat_vec` with c vec as an extra
-        column, so an entry sums d + 1 products, inside the value bound."""
+    def _horner(self, coeffs, cols, vec):
+        """g(f) vec, g with packed coefficients coeffs (low degree first) and
+        cols the packed columns of multiplication by f: from the top,
+        acc <- f acc + c vec, one `mat_vec` with c vec as an extra column,
+        so an entry sums d + 1 products, inside the value bound."""
         S, d = self._stage, self.dimension
         acc = []
-        for c in reversed(g.coeffs):
-            c = S.pack(c.coeffs)
+        for c in reversed(coeffs):
             acc = S.mat_vec(cols + [[(i, c * a) for i, a in vec]], acc + [(d, 1)])
         return acc
 
@@ -186,24 +195,37 @@ class AlgebraPresentation:
     @cached_property
     def frobenius_matrix(self):
         """Matrix of x -> x^q: `_frobenius` unpacked into field elements, once.
-        Linear over the stage, it gives `decompose_local` its fixed space."""
+        Nothing in the package reads it; the eliminations run on
+        `_frobenius` itself."""
         return self._unpacked(self._frobenius)
 
     @cached_property
-    def _nilradical_dim(self):
-        F, q = self._frobenius, self.field.order
-        cols, power = F, q
-        while power <= self.dimension:  # F^L with q^L above the dimension
-            cols, power = [self._stage.mat_vec(F, c) for c in cols], power * q
-        return len(_linalg.kernel_basis(self._unpacked(cols), self.field))
+    def _reduced_image(self):
+        """Sparse packed columns spanning the image of F^L, q^L above the
+        dimension, F the q-power map: F^L kills the nilradical, and on each
+        local factor its image is a copy of the residue field.
+
+        The images of F, F^2, ... shrink until two agree, and from there
+        on F maps the image onto itself; by F^L they have agreed.  Each is
+        F applied to a basis of the one before, and its basis is read off
+        those columns at the pivots of one `echelon`.
+        """
+        S, F, d = self._stage, self._frobenius, self.dimension
+        image = [[(i, 1)] for i in range(d)]
+        while True:
+            cols = [S.mat_vec(F, v) for v in image]
+            pivots = S.echelon(S.rows(cols, d))
+            if len(pivots) == len(image):
+                return image
+            image = [cols[j] for j in pivots]
 
     def nilradical_dimension(self):
-        """Dimension of the nilradical, as the kernel of an iterated Frobenius.
+        """Dimension of the nilradical, the kernel of an iterated Frobenius.
 
         A/nil(A) is the product of the residue fields, so A is local with
         rational residue exactly when this is one less than the dimension.
         """
-        return self._nilradical_dim
+        return self.dimension - len(self._reduced_image)
 
     def is_unit(self, f: MPoly):
         return self.inverse(f) is not None
@@ -214,12 +236,13 @@ class AlgebraPresentation:
         when c_0 != 0, and then -h(f) / c_0 inverts it."""
         if not self.dimension:
             return self.zero()  # zero ring: 1 = 0 and everything inverts
-        cols = self._columns(f)
-        c0, *h = self._min_poly(cols).coeffs
-        if c0.is_zero():
+        S, cols = self._stage, self._columns(f)
+        c0, *h = self._packed_poly(self._min_poly(cols))
+        if not c0:
             return None
-        g = self._horner(UniPoly(self.field, h) * -c0.inverse(), cols, [(0, 1)])
-        if self._stage.mat_vec(cols, g) != [(0, 1)]:
+        c = S.reduce(S.ps - S.inverse(c0))
+        g = self._horner([S.reduce(c * a) for a in h], cols, [(0, 1)])
+        if S.mat_vec(cols, g) != [(0, 1)]:
             raise CertificateFailure("the solved inverse does not invert")
         return self._element(g)
 
@@ -261,6 +284,9 @@ class AlgebraPresentation:
             inv = S.inverse(vec[pivot])
             rows.append((pivot, [(i, red(a * inv)) for i, a in enumerate(vec) if a]))
         raise CertificateFailure("no dependency found below the dimension bound")
+
+    def _packed_poly(self, g: UniPoly):
+        return [self._stage.pack(c.coeffs) for c in g.coeffs]
 
     @cached_property
     def min_polys(self):
@@ -325,9 +351,25 @@ class AlgebraHom:
         return True
 
 
+def _lagrange(S, mu, c):
+    """The packed coefficients of L_c = (mu / (x - c)) / (mu / (x - c))(c),
+    mu packed and monic with the root c: synthetic division by x - c, a
+    Horner value at c and one inverse."""
+    red = S.reduce
+    quo = [mu[-1]]  # high degree first
+    for a in reversed(mu[1:-1]):
+        quo.append(red(a + c * quo[-1]))
+    value = 0
+    for a in quo:
+        value = red(value * c + a)
+    inv = S.inverse(value)
+    return [red(a * inv) for a in reversed(quo)]
+
+
 def _local_idempotents(A: AlgebraPresentation):
     """The primitive idempotents of A, one per local factor, as normal
-    forms in label order, refined from 1 along the Frobenius fixed space.
+    forms in label order, refined from 1 along the Frobenius fixed space
+    once and kept on A; each call returns a new list.
 
     The q-power map is linear over a stage of order q.  Its fixed space
     meets the nilradical trivially and is spanned by the primitive
@@ -341,30 +383,32 @@ def _local_idempotents(A: AlgebraPresentation):
     e -> L_c(v) e with L_c = (mu / (x - c)) / (mu / (x - c))(c) at each
     root c of its minimal polynomial mu; once every basis vector is
     constant on each piece, so is every fixed element, and the s pieces
-    are the primitive idempotents.  All of this runs inside A, on A's
-    one Frobenius matrix and packed multiplication tables, and the
-    idempotent laws are checked there.
+    are the primitive idempotents.  All of this runs inside A on packed
+    ints: the fixed space is the kernel of F - I by one `echelon` on the
+    columns of A's Frobenius map, L_c(v) e a Horner evaluation on the
+    columns of multiplication by v, and the idempotent laws are checked
+    on the same columns.
     """
+    if A.idempotents is not None:
+        return list(A.idempotents)
     if A.dimension == 0:
         raise ZeroRing("the zero ring has no local factors")
-    field, S = A.field, A._stage
-    F = A.frobenius_matrix
-    M = [[a - (field.one if i == j else field.zero) for j, a in enumerate(row)]
-         for i, row in enumerate(F)]
-    V = _linalg.kernel_basis(M, field)
+    S = A._stage
+    rows = S.rows(A._frobenius, A.dimension)
+    for i, row in enumerate(rows):
+        row[i] = S.reduce(row[i] + S.ps - 1)  # F - I
+    V = S.kernel(rows)
     idems = [[(0, 1)]]  # the packed 1
     for vec in V[1:]:  # V[0] is 1: its column of F - I is zero, so free first
         if len(idems) == len(V):
             break
-        cols = A._columns(A.from_coords(vec))
+        cols = A._walk([(i, a) for i, a in enumerate(vec) if a], A._tables)
         mu = A._min_poly(cols)
-        cs = roots_in(mu, field)
+        cs = roots_in(mu, A.field)
         if len(cs) != mu.degree:
             raise CertificateFailure("a fixed element does not split over the stage")
-        lagrange = []
-        for c in cs:
-            q = mu // UniPoly(field, [-c, field.one])
-            lagrange.append(q * q.evaluate(c).inverse())
+        mu = A._packed_poly(mu)
+        lagrange = [_lagrange(S, mu, S.pack(c.coeffs)) for c in cs]
         idems = [p for e in idems for p in (A._horner(L, cols, e) for L in lagrange) if p]
     if len(idems) != len(V):
         raise CertificateFailure("the fixed basis does not separate the local factors")
@@ -377,7 +421,8 @@ def _local_idempotents(A: AlgebraPresentation):
             raise CertificateFailure("a local idempotent is not idempotent")
         if any(S.mat_vec(times_e, other) for other in idems[:j]):
             raise CertificateFailure("two local idempotents are not orthogonal")
-    return sorted(elems, key=lambda e: e.label())
+    A.idempotents = sorted(elems, key=lambda e: e.label())
+    return list(A.idempotents)
 
 
 def decompose_local(A: AlgebraPresentation):
@@ -385,16 +430,21 @@ def decompose_local(A: AlgebraPresentation):
 
     The idempotents come from `_local_idempotents`.  A presentation is
     built for each factor returned, and none when A is local.  The
+    residue degree of the factor e A is the rank of e F^L(A), F^L(A)
+    spanned by `_reduced_image`: F^L commutes with multiplication by
+    the fixed e and maps e A onto a copy of its residue field.  The
     factors are found once and kept on A; each call returns a new list.
     """
     if A.local_factors is not None:
         return list(A.local_factors)
     idems = _local_idempotents(A)
-    out = []
+    S, image, out = A._stage, A._reduced_image, []
     for e in idems:
         B = A if len(idems) == 1 else AlgebraPresentation(
             A.field, A.vars, list(A.relations) + [A.one() - e])
-        out.append(LocalFactor(e, B, B.dimension - B.nilradical_dimension()))
+        times_e = A._columns(e)
+        part = [S.mat_vec(times_e, v) for v in image]
+        out.append(LocalFactor(e, B, len(S.echelon(S.rows(part, A.dimension)))))
     A.local_factors = out
     return list(out)
 
@@ -541,7 +591,7 @@ def etale_check(X) -> EtaleCertificate:
     if inv is not None:
         return EtaleCertificate(True, det, inv, None)
     cols = B._columns(det)
-    ann = B._horner(UniPoly(B.field, B._min_poly(cols).coeffs[1:]), cols, [(0, 1)])
+    ann = B._horner(B._packed_poly(B._min_poly(cols))[1:], cols, [(0, 1)])
     obstruction = B._element(ann)
     if obstruction.is_zero() or B._stage.mat_vec(cols, ann):
         raise CertificateFailure(

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from . import _linalg
 from .errors import (
     CertificateFailure,
     EmptyBase,
@@ -27,7 +26,7 @@ from .errors import (
     NotLocalBase,
     SearchGuardExceeded,
 )
-from .exactfield import _Packed, embed, roots_in, stage_field
+from .exactfield import FieldElement, _Packed, embed, roots_in, stage_field
 from .finalg import (
     AlgebraPresentation,
     EtaleCertificate,
@@ -165,7 +164,7 @@ def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
     d = A.dimension
     if d == 0:
         raise EmptyBase("restriction along the zero ring")
-    field = A.field
+    field, S = A.field, A._stage
     if basis is None:
         basis = A.basis_elements()
         inv_change = None
@@ -173,11 +172,14 @@ def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
         basis = [A.nf(b) for b in basis]
         if len(basis) != d:
             raise NotABasis("basis size differs from the algebra dimension")
-        cols = [A.coords(b) for b in basis]
-        C = [[cols[j][i] for j in range(d)] for i in range(d)]
-        inv_change = _linalg.invert(C, field)
+        # column j of the inverse change of basis solves M x = e_j, M with
+        # the basis' coordinates as columns; it is inconsistent when M is
+        # singular
+        units = [[(i, 1)] for i in range(d)]
+        inv_change = S.solve(S.rows([A._packed_coords(b) for b in basis] + units, d), d)
         if inv_change is None:
             raise NotABasis("the given elements do not form a basis")
+        inv_change = [[(i, a) for i, a in enumerate(x) if a] for x in inv_change]
 
     yvars, table = _restricted_names(X.vars, d, A.vars)
     ctx = tuple(A.vars) + tuple(yvars)
@@ -210,7 +212,8 @@ def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
         comps = [dict() for _ in range(d)]
         zmono = (0,) * nt
         for ypart, v in vecs.items():
-            u = v if inv_change is None else _linalg.mat_vec(inv_change, v, field)
+            u = v if inv_change is None else A._vector(S.mat_vec(inv_change, [
+                (i, S.pack(c.coeffs)) for i, c in enumerate(v) if not c.is_zero()]))
             for b in range(d):
                 if not u[b].is_zero():
                     comps[b][zmono + ypart] = u[b]
@@ -397,18 +400,12 @@ def fiber_presentation(X: SchemePresentation, coords, K) -> AlgebraPresentation:
 
 def _section(CK, times_eps, images, ys):
     """The values a_j with eps phi(a_j) = eps y_j, or None if some eps y_j
-    is not in the image: one elimination over the stage on the columns
-    eps phi(m), m over the basis of A tensor K, then eps y_j."""
-    K, d = CK.field, len(images)
-    cols = [CK._stage.mat_vec(times_eps, v) for v in images + ys]
-    rows, pivots = _linalg.rref(CK._unpacked(cols), K)
-    if pivots and pivots[-1] >= d:
-        return None
-    out = [[K.zero] * d for _ in ys]
-    for row, c in zip(rows, pivots):
-        for a, b in zip(out, row[d:]):
-            a[c] = b
-    return out
+    is not in the image: one `echelon` over the stage on the packed
+    columns eps phi(m), m over the basis of A tensor K, then eps y_j."""
+    K, S = CK.field, CK._stage
+    cols = [S.mat_vec(times_eps, v) for v in images + ys]
+    sol = S.solve(S.rows(cols, CK.dimension), len(images))
+    return sol and [[FieldElement(K, S.unpack(a)) for a in x] for x in sol]
 
 
 def _algebra_points_smooth(X, AK):

@@ -3,6 +3,9 @@
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,26 @@ def test_every_traced_name_resolves():
         missing += ["%s.%s" % (module, f) for f in funcs
                     if not callable(getattr(home, f, None))]
     assert not missing
+
+
+def test_every_traced_module_is_loaded_by_the_package():
+    # `Tracer.install` looks each traced module up in sys.modules after a
+    # pass has imported the package the way `bench/child.py` does, so a
+    # module that nothing imports any more breaks `--trace 1`
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(TRACER.parent.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("import sys, resweil\n"
+              "from resweil.versuite import parse_case, verify_case\n"
+              "print(' '.join(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert [m for m in tracer.TRACED if "resweil." + m not in loaded] == []
 
 
 # The tracer's notes read these bound arguments by name, so a renamed

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from resweil import _linalg, exactfield, finalg
+from resweil import _linalg, exactfield, finalg, weilres
 from resweil import (
     INFINITE,
     AlgebraHom,
@@ -467,7 +467,7 @@ def test_horner_at_the_slot_bound(slot_peaks):
         f = B.from_coords([top] * d)
         g = UniPoly(K, [top] * (d + 1))
         vec = B._packed_coords(f)
-        got = B._element(B._horner(g, B._columns(f), vec))
+        got = B._element(B._horner(B._packed_poly(g), B._columns(f), vec))
         power, expected = B.one(), B.zero()
         for c in g.coeffs:
             expected = expected + B.nf(power * f) * c
@@ -512,7 +512,7 @@ def test_inverse_raises_when_the_solve_does_not_invert(monkeypatch):
     dual = alg(F5, ["eps"], lambda e: [e * e])
     real = AlgebraPresentation._horner
     monkeypatch.setattr(AlgebraPresentation, "_horner", lambda self, g, cols, vec: real(
-        self, g + UniPoly(g.field, [g.field.one]), cols, vec))
+        self, [self._stage.reduce(g[0] + 1), *g[1:]], cols, vec))
     with pytest.raises(CertificateFailure, match="does not invert"):
         dual.inverse(1 + dual.var("eps"))
 
@@ -763,10 +763,8 @@ def test_decompose_builds_one_frobenius_matrix_and_one_presentation_per_factor(
     built = _counting_builds(monkeypatch)
     fs = decompose_local(A)
     assert built["presentations"] == len(fs) == 4
-    # A's own map once; each factor's, read for its residue degree
-    assert built["frobenius"][0] is A
-    assert len(built["frobenius"]) == 1 + len(fs)
-    assert all(B is f.presentation for B, f in zip(built["frobenius"][1:], fs))
+    # A's own map once: the residue degrees are ranks on its image too
+    assert built["frobenius"] == [A]
 
 
 @pytest.mark.parametrize("build", [
@@ -775,9 +773,9 @@ def test_decompose_builds_one_frobenius_matrix_and_one_presentation_per_factor(
     lambda: alg(F7, ["t"], lambda t: [t ** 3]),
 ])
 def test_decompose_makes_a_normal_form_per_border_monomial_only(monkeypatch, build):
-    # idempotents are refined and checked on A's packed tables: the only
-    # normal forms are the tables' own, A's and each factor's, whose
-    # Frobenius map gives its residue degree
+    # idempotents are refined and checked, and residue degrees read, on
+    # A's packed tables: the only normal forms are the tables' own, and a
+    # factor's presentation takes none
     A = build()
     calls = {}
     real_nf = AlgebraPresentation.nf
@@ -788,9 +786,7 @@ def test_decompose_makes_a_normal_form_per_border_monomial_only(monkeypatch, bui
     monkeypatch.setattr(AlgebraPresentation, "nf", nf)
     fs = decompose_local(A)
     monkeypatch.undo()
-    expected = {id(A): len(_border(A))}
-    expected.update((id(f.presentation), len(_border(f.presentation))) for f in fs)
-    assert calls == {k: v for k, v in expected.items() if v}
+    assert calls == ({id(A): len(_border(A))} if _border(A) else {})
 
 
 def test_decompose_of_a_local_algebra_builds_no_presentation(monkeypatch):
@@ -800,6 +796,86 @@ def test_decompose_of_a_local_algebra_builds_no_presentation(monkeypatch):
     assert f.presentation is A and f.residue_degree == 1
     assert A.nilradical_dimension() == 2
     assert built == {"presentations": 0, "frobenius": [A]}
+
+
+def test_local_idempotents_refine_each_algebra_once(monkeypatch):
+    # a verify pass asks for the idempotents of A tensor K from the theorem
+    # check and the adjunction route; only the first request refines
+    asked, refined, walked = [], [], []
+    real_walk = AlgebraPresentation._walk
+    real = finalg._local_idempotents
+
+    def walk(self, *args):
+        walked.append(self)
+        return real_walk(self, *args)
+
+    def noting(A):
+        before = len(walked)
+        out = real(A)
+        asked.append(A)
+        if any(B is A for B in walked[before:]):
+            refined.append(A)
+        return out
+    monkeypatch.setattr(AlgebraPresentation, "_walk", walk)
+    monkeypatch.setattr(finalg, "_local_idempotents", noting)
+    monkeypatch.setattr(weilres, "_local_idempotents", noting)
+    for name in CORPUS:
+        assert verify.verify_case(parse_case((CASES / (name + ".case")).read_text())).ok()
+    assert len({id(A) for A in refined}) == len(refined)
+    assert {id(A) for A in refined} == {id(A) for A in asked}
+    assert len(asked) > len(refined)
+
+
+def _unipoly_rule_lagrange(mu, c):
+    """L_c = (mu / (x - c)) / (mu / (x - c))(c) by UniPoly division and
+    evaluation."""
+    q = mu // UniPoly(mu.field, [-c, mu.field.one])
+    return q * q.evaluate(c).inverse()
+
+
+def _unipoly_rule_local_idempotents(A):
+    """The refinement of 1 along the field-element fixed space, with the
+    Lagrange polynomials of `_unipoly_rule_lagrange`."""
+    V = _fixed_vectors(A)
+    idems = [[(0, 1)]]
+    for v in V[1:]:
+        if len(idems) == len(V):
+            break
+        cols, mu = A._columns(v), A.min_poly(v)
+        lagrange = [A._packed_poly(_unipoly_rule_lagrange(mu, c))
+                    for c in roots_in(mu, A.field)]
+        idems = [p for e in idems for p in (A._horner(L, cols, e) for L in lagrange) if p]
+    return sorted((A._element(e) for e in idems), key=lambda e: e.label())
+
+
+def test_packed_lagrange_matches_the_unipoly_rule_on_the_corpus(monkeypatch):
+    # every corpus algebra and coordinate ring C of X, over the stages 1 - 3
+    # above their own, each refined afresh
+    made = []
+    real = finalg._lagrange
+
+    def noting(S, mu, c):
+        made.append((S, mu, c, real(S, mu, c)))
+        return made[-1][-1]
+    monkeypatch.setattr(finalg, "_lagrange", noting)
+    checked = 0
+    for name in CORPUS:
+        case = parse_case((CASES / (name + ".case")).read_text())
+        for B in [case.algebra, case.scheme.coordinate_ring]:
+            if B.basis_monomials is INFINITE or B.dimension == 0:
+                continue
+            for n in (1, 2, 3):
+                K = stage_field(case.p, n * B.field.degree)
+                BK = AlgebraPresentation(
+                    K, B.vars, [r.map_coefficients(K) for r in B.relations])
+                del made[:]
+                assert finalg._local_idempotents(BK) == _unipoly_rule_local_idempotents(BK)
+                for S, mu, c, L in made:
+                    mu = UniPoly(K, [exactfield.FieldElement(K, S.unpack(a)) for a in mu])
+                    c = exactfield.FieldElement(K, S.unpack(c))
+                    assert L == BK._packed_poly(_unipoly_rule_lagrange(mu, c)), (name, BK)
+                    checked += 1
+    assert checked > 50
 
 
 # -- base extension ----------------------------------------------------

@@ -44,7 +44,6 @@ from .finalg import (  # noqa: F401
     decompose_local,
     etale_check,
     product_algebra,
-    substitute_in_algebra,
     tensor_extend,
 )
 from .weilres import (  # noqa: F401

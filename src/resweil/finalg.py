@@ -18,6 +18,12 @@ nilradical as its kernel and one residue field per local factor.
 Inverses, annihilators and idempotents come off minimal polynomials by
 Horner's rule on packed coefficients.  The primitive idempotents are
 refined once per presentation and kept on it, like its local factors.
+A polynomial is evaluated at algebra elements on the same columns
+(`_evaluate`), with no substitution and no normal form.  A base change
+A tensor K (`tensor_extend`) is read off A: A's Groebner basis and
+standard monomials, A's tables lifted into K's packing, and A's
+Frobenius composed [K : k] times; it runs no Buchberger, no normal form
+and no square-and-multiply over K.
 """
 
 from __future__ import annotations
@@ -27,15 +33,17 @@ from functools import cached_property
 
 from .errors import (
     CertificateFailure,
+    MissingAssignment,
     MixedContexts,
     MixedFields,
     NotFinite,
     NotSquareSystem,
     ZeroRing,
 )
-from .exactfield import FieldElement, UniPoly, _Packed, roots_in
+from .exactfield import FieldElement, UniPoly, _at_image, _Packed, embed, roots_in
 from .multipoly import (
     INFINITE,
+    GroebnerBasis,
     MPoly,
     buchberger,
     normal_form,
@@ -60,10 +68,28 @@ class AlgebraPresentation:
         self.groebner = buchberger(list(self.relations), field=field,
                                    variables=self.vars)
         self.basis_monomials = standard_monomials(self.groebner)
+        self._base = None  # the presentation an extension is read from
         self.points_by_stage = {}  # filled by weilres.zero_dim_solve
         self.extensions = {}  # filled by tensor_extend, per stage
         self.local_factors = None  # filled by decompose_local
         self.idempotents = None  # filled by _local_idempotents
+
+    @classmethod
+    def _extension(cls, A, K):
+        """A read over the larger stage K: the relations and A's reduced
+        Groebner basis with their coefficients mapped to K, A's standard
+        monomials, and `_tables` and `_frobenius` lifted from A's own
+        when first read.  Only `tensor_extend` builds one."""
+        AK = cls.__new__(cls)
+        AK.field, AK.vars = K, A.vars
+        AK.relations = tuple(r.map_coefficients(K) for r in A.relations)
+        AK.groebner = GroebnerBasis(K, A.vars,
+                                    [g.map_coefficients(K) for g in A.groebner.polys])
+        AK.basis_monomials = A.basis_monomials
+        AK._base = A
+        AK.points_by_stage, AK.extensions = {}, {}
+        AK.local_factors = AK.idempotents = None
+        return AK
 
     # -- basic structure ----------------------------------------------
 
@@ -134,10 +160,24 @@ class AlgebraPresentation:
                 rows[i][j] = FieldElement(field, unpack(a))
         return rows
 
+    def _lifted(self, cols):
+        """Sparse packed columns over the base of an extension, each entry
+        packed on this stage: an F_p residue is the same int in every
+        packing, and any other entry is sent where `embed` sends the
+        base's generator, as `MPoly.map_coefficients` does."""
+        k, S, T = self._base.field, self._base._stage, self._stage
+        if k.degree == 1:
+            return cols
+        image = T.pack(embed(k.gen, self.field).coeffs)
+        return [[(i, _at_image(T, S.unpack(a), image)) for i, a in col] for col in cols]
+
     @cached_property
     def _tables(self):
         """Per variable v, the sparse packed columns nf(v m), m over the basis:
-        a unit vector, or for a border monomial v m, one normal form."""
+        a unit vector, or for a border monomial v m, one normal form; an
+        extension lifts its base's."""
+        if self._base is not None:
+            return [self._lifted(cols) for cols in self._base._tables]
         idx = self._mono_index
         shifts = [[m[:i] + (m[i] + 1,) + m[i + 1:] for m in self.basis_monomials]
                   for i in range(len(self.vars))]
@@ -170,6 +210,38 @@ class AlgebraPresentation:
             acc = S.mat_vec(cols + [[(i, c * a) for i, a in vec]], acc + [(d, 1)])
         return acc
 
+    def _evaluate(self, f: MPoly, values):
+        """Sparse packed coordinates of f evaluated in the algebra, values
+        mapping f's variables to sparse packed coordinates; a variable of
+        the algebra without a value stands for itself.  f's coefficients
+        may lie in a smaller stage and are sent in by `embed`.  Each
+        value's multiplication columns are walked once, a term is its
+        coefficient carried up from 1 by one `mat_vec` per unit of
+        degree, and each term is added in reduced, so no entry sums more
+        than d products."""
+        S, d = self._stage, self.dimension
+        if not d:
+            return []
+        cols = {}
+        for i, v in enumerate(f.vars):
+            if any(m[i] for m in f.terms):
+                if v in values:
+                    cols[i] = self._walk(values[v], self._tables)
+                elif v in self.vars:
+                    cols[i] = self._tables[self.vars.index(v)]
+                else:
+                    raise MissingAssignment("no value for variable %r" % v)
+        field, red = self.field, S.reduce
+        acc = [0] * d
+        for m, c in f.terms.items():
+            vec = [(0, S.pack((c if c.field == field else embed(c, field)).coeffs))]
+            for i, e in enumerate(m):
+                for _ in range(e):
+                    vec = S.mat_vec(cols[i], vec)
+            for i, a in vec:
+                acc[i] = red(acc[i] + a)
+        return [(i, a) for i, a in enumerate(acc) if a]
+
     @cached_property
     def _frobenius(self):
         """Sparse packed columns of F(x) = x^q, q the order of the stage.
@@ -177,9 +249,18 @@ class AlgebraPresentation:
         F is a ring map, linear over the stage: F(m) = F(v) F(m / v) walks
         the staircase with multiplication by v^q for the table of v, and
         v^q is square-and-multiply from v's column nf(v 1) in that table.
+        An extension A tensor K, b = [K : k], lifts the columns of F_A^b,
+        F_A composed b times on A's packing: (a tensor c)^(q^b) =
+        F_A^b(a) tensor c for c in K.
         """
         if not self.dimension:
             return []
+        if self._base is not None:
+            A = self._base
+            F = power = A._frobenius
+            for _ in range(self.field.degree // A.field.degree - 1):
+                power = [A._stage.mat_vec(F, col) for col in power]
+            return self._lifted(power)
         S, one, tables = self._stage, [(0, 1)], []
         for table in self._tables:
             power, base, e = one, table[0], self.field.order
@@ -298,22 +379,26 @@ class AlgebraPresentation:
             self.field, self.vars, len(self.relations))
 
 
-def substitute_in_algebra(A: AlgebraPresentation, f: MPoly, assignment: dict) -> MPoly:
-    """Image of f under var -> element substitution, reduced in A."""
-    return A.nf(substitute_expand(f, assignment))
-
-
 def tensor_extend(A: AlgebraPresentation, K) -> AlgebraPresentation:
-    """The same presentation read over a larger stage, built once per
-    stage and kept on A."""
+    """A tensor K, the same presentation read over a larger stage, built
+    once per stage and kept on A.
+
+    It is derived from A and computes nothing over K that A knows, so it
+    does not go through `AlgebraPresentation.__init__`: Buchberger on
+    inputs over k does only k-arithmetic and a reduced Groebner basis is
+    unique, so A's basis, with its coefficients mapped to K, is the
+    reduced basis over K, with the same standard monomials.  The tables
+    are A's with each entry lifted to K, and the Frobenius x -> x^|K| is
+    A's composed b = [K : k] times, lifted: (b - 1) d products of a
+    vector by A's Frobenius instead of a square-and-multiply over K.
+    """
     if K == A.field:
         return A
     if K.p != A.field.p or K.degree % A.field.degree != 0:
         raise MixedFields("cannot extend %r to %r" % (A.field, K))
     AK = A.extensions.get(K)
     if AK is None:
-        rels = [r.map_coefficients(K) for r in A.relations]
-        AK = A.extensions[K] = AlgebraPresentation(K, A.vars, rels)
+        AK = A.extensions[K] = AlgebraPresentation._extension(A, K)
     return AK
 
 
@@ -366,6 +451,18 @@ def _lagrange(S, mu, c):
     return [red(a * inv) for a in reversed(quo)]
 
 
+def _combination(S, d, coeffs, vecs):
+    """sum_k coeffs[k] vecs[k] for sparse packed vectors of length d, one
+    reduction per entry: it sums len(vecs) <= d products."""
+    acc = [0] * d
+    for c, vec in zip(coeffs, vecs):
+        if c:
+            for i, a in vec:
+                acc[i] += c * a
+    red = S.reduce
+    return [(i, r) for i, x in enumerate(acc) if x and (r := red(x))]
+
+
 def _local_idempotents(A: AlgebraPresentation):
     """The primitive idempotents of A, one per local factor, as normal
     forms in label order, refined from 1 along the Frobenius fixed space
@@ -385,9 +482,11 @@ def _local_idempotents(A: AlgebraPresentation):
     constant on each piece, so is every fixed element, and the s pieces
     are the primitive idempotents.  All of this runs inside A on packed
     ints: the fixed space is the kernel of F - I by one `echelon` on the
-    columns of A's Frobenius map, L_c(v) e a Horner evaluation on the
-    columns of multiplication by v, and the idempotent laws are checked
-    on the same columns.
+    columns of A's Frobenius map, and per piece e the powers v^k e,
+    k < deg mu, are taken once on the columns of multiplication by v,
+    each L_c(v) e a combination of them; a piece on which v is a
+    constant c (v e = c e) is kept as it is.  The idempotent laws are
+    checked on the same columns.
     """
     if A.idempotents is not None:
         return list(A.idempotents)
@@ -409,7 +508,18 @@ def _local_idempotents(A: AlgebraPresentation):
             raise CertificateFailure("a fixed element does not split over the stage")
         mu = A._packed_poly(mu)
         lagrange = [_lagrange(S, mu, S.pack(c.coeffs)) for c in cs]
-        idems = [p for e in idems for p in (A._horner(L, cols, e) for L in lagrange) if p]
+        refined = []
+        for e in idems:
+            powers = [e, S.mat_vec(cols, e)]  # v^k e, k < deg mu
+            i, a = e[0]
+            c = S.reduce(dict(powers[1]).get(i, 0) * S.inverse(a))
+            if powers[1] == [(j, r) for j, b in e if (r := S.reduce(c * b))]:
+                refined.append(e)  # v e = c e: L_c(v) e = e, the others vanish
+                continue
+            while len(powers) < len(mu) - 1:
+                powers.append(S.mat_vec(cols, powers[-1]))
+            refined += [p for L in lagrange if (p := _combination(S, A.dimension, L, powers))]
+        idems = refined
     if len(idems) != len(V):
         raise CertificateFailure("the fixed basis does not separate the local factors")
     elems = [A._element(e) for e in idems]

@@ -26,14 +26,14 @@ from .errors import (
     NotLocalBase,
     SearchGuardExceeded,
 )
-from .exactfield import FieldElement, _Packed, embed, roots_in, stage_field
+from .exactfield import _Packed, embed, roots_in, stage_field
 from .finalg import (
     AlgebraPresentation,
     EtaleCertificate,
     ProductAlgebra,
+    _combination,
     _local_idempotents,
     etale_check,
-    substitute_in_algebra,
     tensor_extend,
 )
 from .multipoly import (
@@ -399,16 +399,22 @@ def fiber_presentation(X: SchemePresentation, coords, K) -> AlgebraPresentation:
 # algebra-valued points, computed without the restriction
 
 def _section(CK, times_eps, images, ys):
-    """The values a_j with eps phi(a_j) = eps y_j, or None if some eps y_j
-    is not in the image: one `echelon` over the stage on the packed
-    columns eps phi(m), m over the basis of A tensor K, then eps y_j."""
-    K, S = CK.field, CK._stage
+    """The values a_j with eps phi(a_j) = eps y_j, as dense packed
+    coordinates on CK's stage, or None if some eps y_j is not in the
+    image: one `echelon` over the stage on the packed columns eps phi(m),
+    m over the basis of A tensor K, then eps y_j."""
+    S = CK._stage
     cols = [S.mat_vec(times_eps, v) for v in images + ys]
-    sol = S.solve(S.rows(cols, CK.dimension), len(images))
-    return sol and [[FieldElement(K, S.unpack(a)) for a in x] for x in sol]
+    return S.solve(S.rows(cols, CK.dimension), len(images))
 
 
 def _algebra_points_smooth(X, AK):
+    """The points of `algebra_points` for an etale X, on packed vectors:
+    per local factor e of A tensor K and rank-one component eps over it,
+    the section's values a_j, then e a_j by one `mat_vec` on e's columns
+    and the sums over the factors; each point is checked against X's
+    relations by `AlgebraPresentation._evaluate` and becomes normal forms
+    once, at the end."""
     CK = tensor_extend(X.coordinate_ring, AK.field)
     if CK.is_zero_ring():
         return []
@@ -417,33 +423,33 @@ def _algebra_points_smooth(X, AK):
     ys = [CK._packed_coords(CK.var(y)) for y in X.vars]
     components = [(CK._columns(eps), sorted(CK._packed_coords(eps)))
                   for eps in _local_idempotents(CK)]
+    S, unpack = AK._stage, CK._stage.unpack
     per = []
     for e in _local_idempotents(AK):
         e_vec = CK._packed_coords(e.extend_context(ctx))
+        times_e = AK._columns(e)
         pts_e = []
         for times_eps, eps_vec in components:
             if CK._stage.mat_vec(times_eps, e_vec) != eps_vec:
                 continue  # eps lies over another local factor
             sol = _section(CK, times_eps, images, ys)
             if sol is not None:  # else eps has rank above 1 over e
-                pts_e.append([AK.nf(e * AK.from_coords(a)) for a in sol])
+                pts_e.append([S.mat_vec(times_e, [(i, S.pack(unpack(a)))
+                                                  for i, a in enumerate(x) if a])
+                              for x in sol])
         per.append(pts_e)
 
-    out = [tuple(sum(col, AK.zero()) for col in zip(*combo))
-           for combo in itertools.product(*per)]
-    tassign = {tv: AK.nf(AK.var(tv)) for tv in X.base.vars}
-    for pt in out:
-        assign = dict(tassign)
-        assign.update(zip(X.vars, pt))
-        if not all(substitute_in_algebra(AK, g, assign).is_zero()
-                   for g in X.relations):
+    out = []
+    for combo in itertools.product(*per):  # one part per factor, at most d
+        pt = [_combination(S, AK.dimension, [1] * len(parts), parts) for parts in zip(*combo)]
+        if any(AK._evaluate(g, dict(zip(X.vars, pt))) for g in X.relations):
             raise CertificateFailure("a lifted point does not solve X")
+        out.append(tuple(AK._element(v) for v in pt))
     out.sort(key=_point_label)
     return out
 
 
 def _algebra_points_bruteforce(X, AK):
-    A = X.base
     K = AK.field
     d = AK.dimension
     r = len(X.vars)
@@ -452,14 +458,14 @@ def _algebra_points_bruteforce(X, AK):
         raise SearchGuardExceeded(
             "algebra_points: %d algebra tuples exceed the budget %d"
             % (total, SEARCH_GUARD))
-    elements = [AK.from_coords(list(c)) for c in itertools.product(list(K), repeat=d)]
-    tassign = {tv: AK.nf(AK.var(tv)) for tv in A.vars}
+    pack = AK._stage.pack
+    elements = [[(i, pack(c.coeffs)) for i, c in enumerate(cs) if not c.is_zero()]
+                for cs in itertools.product(list(K), repeat=d)]
     out = []
     for combo in itertools.product(elements, repeat=r):
-        assign = dict(tassign)
-        assign.update(zip(X.vars, combo))
-        if all(substitute_in_algebra(AK, g, assign).is_zero() for g in X.relations):
-            out.append(tuple(combo))
+        values = dict(zip(X.vars, combo))
+        if not any(AK._evaluate(g, values) for g in X.relations):
+            out.append(tuple(AK._element(v) for v in combo))
     out.sort(key=_point_label)
     return out
 
@@ -489,10 +495,7 @@ def algebra_points(X: SchemePresentation, K=None):
     K = K or A.field
     AK = tensor_extend(A, K)
     if not X.vars:
-        tassign = {tv: AK.nf(AK.var(tv)) for tv in A.vars}
-        ok = all(substitute_in_algebra(AK, g, tassign).is_zero()
-                 for g in X.relations)
-        return [()] if ok else []
+        return [] if any(AK._evaluate(g, {}) for g in X.relations) else [()]
     if len(X.relations) == len(X.vars):
         # X is smooth over A tensor K exactly when it is over A: one reduced
         # Groebner basis, and the unit test is linear over the stage
@@ -677,17 +680,11 @@ def open_cover_check(R: RestrictedScheme, hs,
         K = stage_field(A.field.p, m)
         AK = tensor_extend(A, K)
         pts = R.points(K)
-        tassign = {tv: AK.nf(AK.var(tv)) for tv in A.vars}
-        unit_sets = []
-        for h in hs:
-            sel = set()
-            for pt in pts:
-                a = regroup_point(R, pt, K)
-                assign = dict(tassign)
-                assign.update(zip(R.scheme.vars, a))
-                if AK.is_unit(substitute_in_algebra(AK, h, assign)):
-                    sel.add(pt)
-            unit_sets.append(sel)
+        values = [dict(zip(R.scheme.vars, map(AK._packed_coords, regroup_point(R, pt, K))))
+                  for pt in pts]
+        unit_sets = [{pt for pt, v in zip(pts, values)
+                      if AK.is_unit(AK._element(AK._evaluate(h, v)))}
+                     for h in hs]
         stage_ok = all(any(pt in sel for sel in unit_sets) for pt in pts)
         chart_counts = []
         for Rh, sel in zip(charts, unit_sets):

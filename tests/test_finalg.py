@@ -25,12 +25,12 @@ from resweil import (
     product_algebra,
     roots_in,
     stage_field,
-    substitute_in_algebra,
     tensor_extend,
     weil_restrict,
 )
 from resweil.errors import (
     CertificateFailure,
+    MissingAssignment,
     MixedFields,
     NotFinite,
     NotSquareSystem,
@@ -528,12 +528,20 @@ def test_inverse_and_units():
 
 
 def test_substitute_in_algebra():
+    # y^2 + t at y = t, t = 1 in F_5[t]/(t^2 - 2), by the packed evaluation;
+    # tests/test_weilres.py compares it with substitution and a normal form
     quad = alg(F5, ["t"], lambda t: [t * t - 2])
     ctx = ("t", "y")
     y = MPoly.variable(F5, ctx, "y")
     t = MPoly.variable(F5, ctx, "t")
-    img = substitute_in_algebra(quad, y * y + t, {"y": quad.var("t"), "t": quad.one()})
+    values = {"y": quad._packed_coords(quad.var("t")), "t": quad._packed_coords(quad.one())}
+    img = quad._element(quad._evaluate(y * y + t, values))
     assert img == MPoly.constant(F5, ("t",), 3)
+    # a variable of the algebra without a value stands for itself
+    assert quad._element(quad._evaluate(y * y + t, {"y": values["y"]})) == quad.nf(
+        quad.var("t") * quad.var("t") + quad.var("t"))
+    with pytest.raises(MissingAssignment):
+        quad._evaluate(y * y + t, {})
 
 
 # -- local decomposition ----------------------------------------------

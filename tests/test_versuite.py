@@ -480,32 +480,48 @@ def test_compute_components_builds_each_fiber_once(monkeypatch, name):
     assert stages == [comp.N] * len(comp.S)
 
 
-def test_verify_case_builds_the_total_coordinate_ring_once(monkeypatch):
-    # the presentations over A.vars + X.vars: X's total coordinate ring C
-    # once at stage 1, C tensor K once per further adjunction stage, kept
-    # on C.extensions, and the cover probe; a second algebra_points call
-    # builds none of them again
-    case = parse_case(Path(corpus("dual-numbers-etale")).read_text())
-    ctx = tuple(case.algebra.vars) + tuple(case.scheme.vars)
-    stages = []
+def _noting_builds(monkeypatch, wanted):
+    """Record (constructor, stage degree, relation count) for each
+    presentation over the variables `wanted` that `__init__` or the
+    extension constructor builds."""
+    built = []
     init = AlgebraPresentation.__init__
+    extension = AlgebraPresentation._extension.__func__
 
     def noting_init(self, field, variables, relations, *args, **kwargs):
-        variables = tuple(variables)
-        if variables == ctx:
-            stages.append(field.degree)
+        relations = tuple(relations)
+        if tuple(variables) == wanted:
+            built.append(("init", field.degree, len(relations)))
         init(self, field, variables, relations, *args, **kwargs)
 
+    def noting_extension(cls, A, K):
+        if A.vars == wanted:
+            built.append(("extension", K.degree, len(A.relations)))
+        return extension(cls, A, K)
+
     monkeypatch.setattr(AlgebraPresentation, "__init__", noting_init)
+    monkeypatch.setattr(AlgebraPresentation, "_extension", classmethod(noting_extension))
+    return built
+
+
+def test_verify_case_builds_the_total_coordinate_ring_once(monkeypatch):
+    # the presentations over A.vars + X.vars: X's total coordinate ring C
+    # once at stage 1, C tensor K once per further adjunction stage by
+    # the extension constructor, kept on C.extensions, and the cover
+    # probe; a second algebra_points call builds none of them again
+    case = parse_case(Path(corpus("dual-numbers-etale")).read_text())
+    ctx = tuple(case.algebra.vars) + tuple(case.scheme.vars)
+    built = _noting_builds(monkeypatch, ctx)
     rep = verify_case(case)
     assert rep.ok()
     assert ("adjunction", (1, 2, 3)) in case.checks
-    assert stages == [1, 2, 3, 1]
+    stages = [(how, m) for how, m, _ in built]
+    assert stages == [("init", 1), ("extension", 2), ("extension", 3), ("init", 1)]
     C = case.scheme.coordinate_ring
     assert sorted(K.degree for K in C.extensions) == [2, 3]
     for m in (1, 2, 3):
         weilres.algebra_points(case.scheme, stage_field(7, m))
-    assert stages == [1, 2, 3, 1]
+    assert len(built) == 4
 
 
 def test_base_extension_and_its_local_factors_are_built_once(monkeypatch):
@@ -515,21 +531,13 @@ def test_base_extension_and_its_local_factors_are_built_once(monkeypatch):
     case = parse_case(Path(corpus("tensor-mixed-base")).read_text())
     A, X = case.algebra, case.scheme
     K = stage_field(7, 2)
-    built = []
-    init = AlgebraPresentation.__init__
-
-    def noting_init(self, field, variables, relations, *args, **kwargs):
-        relations = tuple(relations)
-        if tuple(variables) == A.vars:
-            built.append((field.degree, len(relations)))
-        init(self, field, variables, relations, *args, **kwargs)
-
-    monkeypatch.setattr(AlgebraPresentation, "__init__", noting_init)
+    built = _noting_builds(monkeypatch, A.vars)
     first = weilres.algebra_points(X, K)
     assert weilres.algebra_points(X, K) == first
     assert verify._count_via_local_factors(A, X, 2) == 4
-    # A tensor K once, then one presentation per local factor, once
-    assert built == [(2, 2), (2, 3), (2, 3)]
+    # A tensor K once, by the extension constructor, then one presentation
+    # per local factor, once
+    assert built == [("extension", 2, 2), ("init", 2, 3), ("init", 2, 3)]
     factors = decompose_local(tensor_extend(A, K))
     assert factors is not decompose_local(tensor_extend(A, K))
     factors.clear()

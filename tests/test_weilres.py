@@ -25,6 +25,7 @@ from resweil import (
     regroup_point,
     rename_context,
     stage_field,
+    substitute_expand,
     tensor_extend,
     weil_restrict,
     zero_dim_solve,
@@ -39,7 +40,7 @@ from resweil.errors import (
     SearchGuardExceeded,
 )
 from resweil import _linalg, weilres
-from resweil.finalg import _poly_det, decompose_local, substitute_in_algebra
+from resweil.finalg import _poly_det, decompose_local
 from resweil.exactfield import embed
 from resweil.versuite import parse_case, verify_case
 from resweil.weilres import fiber_presentation
@@ -77,9 +78,14 @@ def labels(points):
     return [[x.label() for x in pt] for pt in points]
 
 
+def _substitute_rule_in_algebra(A, f, assignment):
+    """Image of f under var -> element substitution, reduced in A: the
+    `MPoly` route `AlgebraPresentation._evaluate` is compared with."""
+    return A.nf(substitute_expand(f, assignment))
+
+
 def oracle_algebra_points(X, K):
     """Exhaust all algebra-valued tuples; independent of the solver path."""
-    from resweil import substitute_in_algebra, tensor_extend
     A = X.base
     AK = tensor_extend(A, K)
     d = AK.dimension
@@ -90,7 +96,7 @@ def oracle_algebra_points(X, K):
     for combo in itertools.product(elements, repeat=len(X.vars)):
         assign = dict(tassign)
         assign.update(zip(X.vars, combo))
-        if all(substitute_in_algebra(AK, g, assign).is_zero()
+        if all(_substitute_rule_in_algebra(AK, g, assign).is_zero()
                for g in X.relations):
             out.append(tuple(combo))
     return sorted(out, key=lambda pt: tuple(c.label() for c in pt))
@@ -666,10 +672,10 @@ def _newton_lift(X, Bf, dgdy, start):
     for _ in range(64):
         assign = dict(assign_t)
         assign.update(zip(X.vars, current))
-        vals = [substitute_in_algebra(Bf, g, assign) for g in X.relations]
+        vals = [_substitute_rule_in_algebra(Bf, g, assign) for g in X.relations]
         if all(v.is_zero() for v in vals):
             return tuple(current)
-        J = [[substitute_in_algebra(Bf, dg, assign) for dg in row] for row in dgdy]
+        J = [[_substitute_rule_in_algebra(Bf, dg, assign) for dg in row] for row in dgdy]
         delta = _local_solve(Bf, J, vals)
         current = [Bf.nf(c - dlt) for c, dlt in zip(current, delta)]
     raise CertificateFailure("correction loop failed to terminate")
@@ -739,6 +745,49 @@ def test_algebra_points_match_the_newton_rule_on_the_corpus(name):
     for m in (1, 2, 3):
         K = stage_field(X.field.p, m)
         assert algebra_points(X, K) == _newton_rule_algebra_points(X, K), (name, m)
+
+
+def _random_element(B, rng):
+    field = B.field
+    return B.from_coords([field.element(tuple(rng.randrange(field.p) for _ in range(field.degree)))
+                          for _ in range(B.dimension)])
+
+
+def _random_poly(field, ctx, rng, terms=6, top=3):
+    return MPoly(field, ctx, {tuple(rng.randrange(top + 1) for _ in ctx):
+                              field.from_int(rng.randrange(1, field.p)) for _ in range(terms)})
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_SCHEMES))
+def test_evaluate_matches_the_substitution_rule_on_the_corpus(name, slot_peaks):
+    # every corpus algebra A and X's coordinate ring C, each over the
+    # stages 1-3: X's relations, their derivatives and random polynomials
+    # evaluated at random values, each variable of the algebra standing
+    # for itself where it gets none
+    case = parse_case(CORPUS_SCHEMES[name])
+    A, X = case.algebra, case.scheme
+    C = X.coordinate_ring
+    rng = random.Random(name)
+    polys = list(X.relations) + [g.derivative(y) for g in X.relations for y in X.vars]
+    polys += [_random_poly(A.field, C.vars, rng) for _ in range(3)]
+    checked = 0
+    for m in (1, 2, 3):
+        K = stage_field(case.p, m)
+        for B in (A, C):
+            if B.basis_monomials is weilres.INFINITE or not B.dimension:
+                continue
+            BK = tensor_extend(B, K)
+            for f in polys:
+                free = [v for v in C.vars if v not in BK.vars or rng.random() < 0.5]
+                elems = {v: _random_element(BK, rng) for v in free}
+                assignment = {v: BK.var(v) for v in BK.vars}
+                assignment.update(elems)
+                values = {v: BK._packed_coords(a) for v, a in elems.items()}
+                assert (BK._element(BK._evaluate(f, values))
+                        == _substitute_rule_in_algebra(BK, f, assignment)), (B, K, f)
+                checked += 1
+    assert checked >= 3 * len(polys)
+    assert slot_peaks
 
 
 @pytest.mark.parametrize("shape", [dual_case, quad_case, four_local_case])

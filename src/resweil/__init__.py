@@ -32,7 +32,6 @@ from .multipoly import (  # noqa: F401
     buchberger,
     normal_form,
     standard_monomials,
-    substitute_expand,
 )
 from .multipoly import rename_context  # noqa: F401
 from .finalg import (  # noqa: F401

@@ -19,7 +19,10 @@ Inverses, annihilators and idempotents come off minimal polynomials by
 Horner's rule on packed coefficients.  The primitive idempotents are
 refined once per presentation and kept on it, like its local factors.
 A polynomial is evaluated at algebra elements on the same columns
-(`_evaluate`), with no substitution and no normal form.  A base change
+(`_evaluate`), with no substitution and no normal form; an `AlgebraHom`
+maps a polynomial that way, and `weilres.weil_restrict` expands a
+restriction on the same tables, so every product of elements of A runs
+on this one model.  A base change
 A tensor K (`tensor_extend`) is read off A: A's Groebner basis and
 standard monomials, A's tables lifted into K's packing, and A's
 Frobenius composed [K : k] times; it runs no Buchberger, no normal form
@@ -48,7 +51,6 @@ from .multipoly import (
     buchberger,
     normal_form,
     standard_monomials,
-    substitute_expand,
 )
 
 
@@ -274,13 +276,6 @@ class AlgebraPresentation:
         return self._walk(one, tables)
 
     @cached_property
-    def frobenius_matrix(self):
-        """Matrix of x -> x^q: `_frobenius` unpacked into field elements, once.
-        Nothing in the package reads it; the eliminations run on
-        `_frobenius` itself."""
-        return self._unpacked(self._frobenius)
-
-    @cached_property
     def _reduced_image(self):
         """Sparse packed columns spanning the image of F^L, q^L above the
         dimension, F the q-power map: F^L kills the nilradical, and on each
@@ -426,14 +421,18 @@ class AlgebraHom:
         self.target = target
         self.images = images
 
+    def _values(self):
+        """The images as sparse packed coordinates in the target."""
+        return {v: self.target._packed_coords(g) for v, g in self.images.items()}
+
     def apply(self, f: MPoly) -> MPoly:
-        return self.target.nf(substitute_expand(f, self.images))
+        """f's image, evaluated on the target's packed columns."""
+        return self.target._element(self.target._evaluate(f, self._values()))
 
     def check(self):
-        for r in self.source.relations:
-            if not self.apply(r).is_zero():
-                return False
-        return True
+        """Whether every source relation maps to zero."""
+        values = self._values()
+        return not any(self.target._evaluate(r, values) for r in self.source.relations)
 
 
 def _lagrange(S, mu, c):

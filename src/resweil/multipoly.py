@@ -26,7 +26,7 @@ import heapq
 import itertools
 from operator import add, le, sub
 
-from .errors import MissingAssignment, MixedContexts, StepGuardExceeded, ZeroPolynomial
+from .errors import MixedContexts, StepGuardExceeded, ZeroPolynomial
 from .exactfield import FieldElement, embed
 
 DEFAULT_STEP_BUDGET = 10 ** 6
@@ -141,17 +141,6 @@ class MPoly:
             raise ZeroPolynomial("leading monomial of the zero polynomial")
         return max(self.terms, key=drl_key)
 
-    def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
-
-    def variables_used(self):
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(self.vars[i])
-        return used
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -229,8 +218,6 @@ class MPoly:
     def extend_context(self, variables):
         """Reinterpret over another variable tuple holding every variable used."""
         return rename_context(self, {}, variables)
-
-    restrict_context = extend_context
 
     def evaluate(self, values):
         """Evaluate with a dict var -> FieldElement over the same field."""
@@ -533,43 +520,6 @@ def rename_context(f: MPoly, mapping: dict, new_vars) -> MPoly:
             big[j] = e
         out[tuple(big)] = c
     return MPoly(f.field, new_vars, out)
-
-
-def substitute_expand(f: MPoly, assignment: dict) -> MPoly:
-    """Substitute polynomials for variables and expand.
-
-    Every variable actually appearing in f must be assigned; all images
-    must share one target context.  Coefficients of f are pushed into
-    the target field through the canonical embedding when the stages
-    differ.
-    """
-    used = f.variables_used()
-    for v in used:
-        if v not in assignment:
-            raise MissingAssignment("no image for variable %r" % v)
-    images = [assignment[v] for v in f.vars if v in assignment]
-    if not images:
-        target_field, target_vars = f.field, f.vars
-    else:
-        first = images[0]
-        for img in images[1:]:
-            first._need_context(img)
-        target_field, target_vars = first.field, first.vars
-    if f.field != target_field and f.field.degree != 1 and \
-            target_field.degree % f.field.degree != 0:
-        raise MixedContexts("source stage does not embed in the target stage")
-
-    powers = _powers(f, assignment)
-    acc = MPoly.zero(target_field, target_vars)
-    for mono, c in f.sorted_terms():
-        if f.field != target_field:
-            c = embed(c, target_field)
-        term = MPoly.constant(target_field, target_vars, c)
-        for cache, e in zip(powers, mono):
-            if e:
-                term = term * cache[e]
-        acc = acc + term
-    return acc
 
 
 def _powers(f, images):

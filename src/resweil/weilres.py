@@ -1,13 +1,18 @@
 """Restriction of scalars along a finite free algebra over its stage.
 
 A scheme presentation is a finite system of equations over a finite
-algebra A.  Expanding each unknown y_j against a vector space basis of A
-and splitting every equation into basis coordinates yields a system over
-the stage itself; its solutions in any extension K correspond to the
-original system's solutions with coordinates in A tensor K.  That
-coordinate-level dictionary, plus exact point solvers on both sides, is
-what this module provides, together with the comparison routines for
-products of algebras and principal open coverings.
+algebra A, kept also as polynomials in its unknowns with coefficients in
+A.  Expanding each unknown y_j against a vector space basis of A and
+splitting every equation into basis coordinates yields a system over the
+stage itself; its solutions in any extension K correspond to the
+original system's solutions with coordinates in A tensor K.  The
+expansion is arithmetic in A on its packed multiplication tables
+(`finalg`), with no substitution and no normal form; the fiber at a base
+point evaluates the same coefficients there, and the base change along
+a projection maps them.  That coordinate-level dictionary, plus exact
+point solvers on both sides, is what this module provides, together
+with the comparison routines for products of algebras and principal
+open coverings.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import (
     NotLocalBase,
     SearchGuardExceeded,
 )
-from .exactfield import _Packed, embed, roots_in, stage_field
+from .exactfield import FieldElement, _Packed, embed, roots_in, stage_field
 from .finalg import (
     AlgebraPresentation,
     EtaleCertificate,
@@ -40,9 +45,9 @@ from .multipoly import (
     INFINITE,
     MPoly,
     buchberger,
+    mono_divides,
     normal_form,
     rename_context,
-    substitute_expand,
 )
 
 # The one budget of every point search: candidate tuples in
@@ -54,10 +59,14 @@ SEARCH_GUARD = 10 ** 6
 class SchemePresentation:
     """Equations in unknowns y over an algebra base, coefficients reduced.
 
-    Relations live in the combined context (base variables, unknowns);
-    on construction every coefficient against the unknowns is brought to
-    normal form with respect to the base relations, so two presentations
-    of the same system compare equal term by term.
+    Each relation is kept twice: as a polynomial in the combined context
+    (base variables, unknowns), and split into a polynomial in the
+    unknowns over the base, `coefficients`, one {exponents in the
+    unknowns: coefficient} per relation, each coefficient a nonzero
+    normal form over the base, taken only where a leading monomial of the
+    base divides one of its monomials.  A normal form over the base acts
+    on each coefficient on its own, so two presentations of the same
+    system compare equal term by term.
     """
 
     def __init__(self, base: AlgebraPresentation, variables, relations):
@@ -68,15 +77,28 @@ class SchemePresentation:
             raise MixedContexts("unknowns shadow base variables: %r" % sorted(shared))
         ctx = tuple(base.vars) + self.vars
         self.all_vars = ctx
-        ext_gb = [g.extend_context(ctx) for g in base.groebner.polys]
-        rels = []
+        nt, gb = len(base.vars), base.groebner
+        lms = gb.leading_monomials()
+        rels, split = [], []
         for r in relations:
             if r.vars != ctx:
                 r = r.extend_context(ctx)
             if r.field != base.field:
                 raise MixedFields("relation stage differs from the base")
-            rels.append(normal_form(r, ext_gb) if ext_gb else r)
+            parts = {}
+            for m, c in r.terms.items():
+                parts.setdefault(m[nt:], {})[m[:nt]] = c
+            coeffs = {}
+            for a, terms in parts.items():
+                c = MPoly(base.field, base.vars, terms)
+                if any(mono_divides(lm, m) for m in terms for lm in lms):
+                    c = normal_form(c, gb)
+                if c.terms:
+                    coeffs[a] = c
+            split.append(coeffs)
+            rels.append(_joined(base.field, ctx, coeffs))
         self.relations = tuple(rels)
+        self.coefficients = tuple(split)
 
     @property
     def field(self):
@@ -98,6 +120,13 @@ class SchemePresentation:
     def __repr__(self):
         return "SchemePresentation(vars=%r, %d relations over %r)" % (
             self.vars, len(self.relations), self.base)
+
+
+def _joined(field, ctx, coeffs):
+    """The relation in ctx = (base variables, unknowns) with the split
+    {exponents in the unknowns: coefficient over the base}."""
+    return MPoly(field, ctx, {m + a: x for a, c in coeffs.items()
+                              for m, x in c.terms.items()})
 
 
 class RestrictedScheme:
@@ -157,6 +186,15 @@ def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
     entries included.  By default e_b is the standard monomial basis;
     any other basis of A may be passed to exercise independence of the
     choice.
+
+    The expansion is arithmetic in A on its packed tables: a polynomial
+    in the coordinates over A is {exponents: sparse packed vector}.  Each
+    power y^a of the unknowns is built once for all relations
+    (`_unknown_power`), and each coefficient of `X.coefficients` is
+    multiplied into its power through its own columns; the exponents of
+    a coordinate monomial fix a, so it comes from one term.  Its vector
+    is read off in the basis, through the inverse change of basis for a
+    given one, and must recombine along the recorded basis into itself.
     """
     if not (X.base is A or (X.base.field == A.field and X.base.vars == A.vars
                             and X.base.relations == A.relations)):
@@ -166,72 +204,74 @@ def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
         raise EmptyBase("restriction along the zero ring")
     field, S = A.field, A._stage
     if basis is None:
-        basis = A.basis_elements()
-        inv_change = None
+        basis, inv_change = A.basis_elements(), None
     else:
-        basis = [A.nf(b) for b in basis]
+        basis = [A._element(A._evaluate(b, {})) for b in basis]
         if len(basis) != d:
             raise NotABasis("basis size differs from the algebra dimension")
-        # column j of the inverse change of basis solves M x = e_j, M with
-        # the basis' coordinates as columns; it is inconsistent when M is
-        # singular
-        units = [[(i, 1)] for i in range(d)]
-        inv_change = S.solve(S.rows([A._packed_coords(b) for b in basis] + units, d), d)
-        if inv_change is None:
-            raise NotABasis("the given elements do not form a basis")
-        inv_change = [[(i, a) for i, a in enumerate(x) if a] for x in inv_change]
+        inv_change = _inverse_change(A, basis)
+    coords = [A._packed_coords(b) for b in basis]
+    times = [A._walk(c, A._tables) for c in coords]  # multiplication by e_b
 
     yvars, table = _restricted_names(X.vars, d, A.vars)
-    ctx = tuple(A.vars) + tuple(yvars)
-    nt = len(A.vars)
-    basis_ctx = [b.extend_context(ctx) for b in basis]
-    images = {tv: MPoly.variable(field, ctx, tv) for tv in A.vars}
-    for sv in X.vars:
-        acc = MPoly.zero(field, ctx)
-        for b in range(d):
-            acc = acc + MPoly.variable(field, ctx, table[(sv, b)]) * basis_ctx[b]
-        images[sv] = acc
-    ext_gb = [g.extend_context(ctx) for g in A.groebner.polys]
-    idx = {m: i for i, m in enumerate(A.basis_monomials)}
-
+    r, unpack = len(X.vars), S.unpack
+    powers = {(0,) * r: {(0,) * (r * d): [(0, 1)]}}
     relations = []
-    reduced_list = []
-    for g in X.relations:
-        expanded = substitute_expand(g, images)
-        reduced = normal_form(expanded, ext_gb) if ext_gb else expanded
-        reduced_list.append(reduced)
-        vecs = {}
-        for mono, c in reduced.terms.items():
-            tpart, ypart = mono[:nt], mono[nt:]
-            v = vecs.get(ypart)
-            if v is None:
-                v = [field.zero] * d
-                vecs[ypart] = v
-            i = idx[tpart]
-            v[i] = v[i] + c
-        comps = [dict() for _ in range(d)]
-        zmono = (0,) * nt
-        for ypart, v in vecs.items():
-            u = v if inv_change is None else A._vector(S.mat_vec(inv_change, [
-                (i, S.pack(c.coeffs)) for i, c in enumerate(v) if not c.is_zero()]))
-            for b in range(d):
-                if not u[b].is_zero():
-                    comps[b][zmono + ypart] = u[b]
-        for b in range(d):
-            relations.append(MPoly(field, ctx, comps[b]))
+    for coeffs in X.coefficients:
+        comps = [{} for _ in range(d)]
+        for a, c in coeffs.items():
+            cols = A._columns(c)
+            for mono, v in _unknown_power(powers, a, S, times).items():
+                w = S.mat_vec(cols, v)
+                u = w if inv_change is None else S.mat_vec(inv_change, w)
+                if S.mat_vec(coords, u) != w:
+                    raise CertificateFailure("basis recombination failed")
+                for b, x in u:
+                    comps[b][mono] = FieldElement(field, unpack(x))
+        relations += [MPoly(field, yvars, comp) for comp in comps]
+    return RestrictedScheme(X, A, basis, yvars, relations, table)
 
-    # structural round trip: recombining the coordinate relations along
-    # the basis must reproduce each reduced expansion exactly
-    for i in range(len(X.relations)):
-        acc = MPoly.zero(field, ctx)
-        for b in range(d):
-            acc = acc + relations[i * d + b] * basis_ctx[b]
-        acc = normal_form(acc, ext_gb) if ext_gb else acc
-        if acc != reduced_list[i]:
-            raise CertificateFailure("basis recombination failed")
 
-    rels_y = [r.restrict_context(tuple(yvars)) for r in relations]
-    return RestrictedScheme(X, A, basis, yvars, rels_y, table)
+def _inverse_change(A, basis):
+    """Sparse packed columns of the inverse change of basis: column j
+    solves M x = e_j, M with the basis' coordinates as columns, which is
+    inconsistent when M is singular."""
+    S, d = A._stage, A.dimension
+    units = [[(i, 1)] for i in range(d)]
+    cols = S.solve(S.rows([A._packed_coords(b) for b in basis] + units, d), d)
+    if cols is None:
+        raise NotABasis("the given elements do not form a basis")
+    return [[(i, a) for i, a in enumerate(x) if a] for x in cols]
+
+
+def _unknown_power(powers, a, S, times):
+    """y^a for the exponents a in the unknowns, from powers, which holds
+    y^0 and every power built so far: each missing power is y^(a - e_j)
+    times y_j, j the first unknown in a, built once and kept."""
+    chain = []
+    while a not in powers:
+        j = next(j for j, e in enumerate(a) if e)
+        chain.append((a, j))
+        a = a[:j] + (a[j] - 1,) + a[j + 1:]
+    power = powers[a]
+    for a, j in reversed(chain):
+        power = powers[a] = _times_unknown(S, times, power, j * len(times))
+    return power
+
+
+def _times_unknown(S, times, power, offset):
+    """power times y_j = sum_b y_jb e_b, y_jb the coordinate at offset + b
+    and times[b] the columns of multiplication by e_b: one `mat_vec` per
+    term and e_b, and a coordinate monomial sums at most d of them."""
+    acc = {}
+    for mono, v in power.items():
+        for b, cols in enumerate(times):
+            k = offset + b
+            key = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
+            acc.setdefault(key, []).append(S.mat_vec(cols, v))
+    d = len(times)
+    return {mono: vec for mono, vecs in acc.items()
+            if (vec := _combination(S, d, [1] * len(vecs), vecs))}
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +426,14 @@ def _relation_check(relations, rootlists, K):
 
 
 def fiber_presentation(X: SchemePresentation, coords, K) -> AlgebraPresentation:
-    """Coordinate ring of X's fiber over the base point coords, at stage K."""
+    """Coordinate ring of X's fiber over the base point coords, at stage K:
+    each coefficient of `X.coefficients` evaluated there, in K."""
+    values = {tv: c if c.field == K else embed(c, K) for tv, c in zip(X.base.vars, coords)}
     yctx = tuple(X.vars)
-    assign = {tv: MPoly.constant(K, yctx, c if c.field == K else embed(c, K))
-              for tv, c in zip(X.base.vars, coords)}
-    assign.update((yv, MPoly.variable(K, yctx, yv)) for yv in yctx)
-    return AlgebraPresentation(
-        K, yctx, [substitute_expand(g, assign) for g in X.relations])
+    return AlgebraPresentation(K, yctx, [
+        MPoly(K, yctx, {a: (c if c.field == K else c.map_coefficients(K)).evaluate(values)
+                        for a, c in coeffs.items()})
+        for coeffs in X.coefficients])
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +604,15 @@ class ProductFormulaCertificate:
 
 
 def _base_change(X, proj):
+    """X over proj's target: each coefficient of `X.coefficients` mapped by
+    the projection."""
     target = proj.target
     shared = set(target.vars) & set(X.vars)
     if shared:
         raise MixedContexts("cannot base change, unknowns collide: %r" % sorted(shared))
     ctx = tuple(target.vars) + tuple(X.vars)
-    assign = {pv: proj.images[pv].extend_context(ctx) for pv in proj.source.vars}
-    for yv in X.vars:
-        assign[yv] = MPoly.variable(target.field, ctx, yv)
-    rels = [substitute_expand(g, assign) for g in X.relations]
+    rels = [_joined(target.field, ctx, {a: proj.apply(c) for a, c in coeffs.items()})
+            for coeffs in X.coefficients]
     return SchemePresentation(target, X.vars, rels)
 
 

@@ -71,7 +71,7 @@ def _over_f49():
     t, e, y = (MPoly.variable(F49, ctx, v) for v in ctx)
     c = next(c for c in F49 if not c.is_zero() and c ** 24 != F49.one)
     g, c = (MPoly.constant(F49, ctx, x) for x in (F49.gen, c))
-    A = AlgebraPresentation(F49, ("t", "e"), [r.restrict_context(("t", "e"))
+    A = AlgebraPresentation(F49, ("t", "e"), [r.extend_context(("t", "e"))
                                               for r in (t * t - c, e * e)])
     X = SchemePresentation(A, ("y",), [y * y - g - t * e])
     return A, X
@@ -194,11 +194,11 @@ def test_a_corrupted_extension_fails_a_check_and_changes_no_passing_report(
     _install(monkeypatch, mutant)
     failed = []
     for path in sorted(CASES.glob("*.case")):
-        case = parse_case(path.read_text())
-        try:
+        try:  # a product's projections are checked on `_evaluate` as it is parsed
+            case = parse_case(path.read_text())
             rep = verify_case(case, 42)
         except CertificateFailure:
-            failed.append(case.name)
+            failed.append(path.stem)
             continue
         if rep.ok():
             assert json.loads(json.dumps(rep.to_obj())) == golden[case.name], case.name

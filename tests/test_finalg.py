@@ -205,7 +205,7 @@ def _corpus_presentations(name):
 
 def _fixed_vectors(B):
     """The Frobenius fixed basis that `decompose_local` feeds to min_poly."""
-    d, F, field = B.dimension, B.frobenius_matrix, B.field
+    d, F, field = B.dimension, B._unpacked(B._frobenius), B.field
     M = [[F[i][j] - (field.one if i == j else field.zero) for j in range(d)]
          for i in range(d)]
     return [B.from_coords(v) for v in _linalg.kernel_basis(M, field)]
@@ -303,7 +303,7 @@ def test_frobenius_matrix_matches_the_power_rule_on_the_corpus(name):
     checked = 0
     for B in _corpus_presentations(name):
         F = _power_rule_frobenius_matrix(B)
-        assert B.frobenius_matrix == F, (name, B)
+        assert B._unpacked(B._frobenius) == F, (name, B)
         assert B.nilradical_dimension() == _mat_mul_rule_nilradical_dimension(B, F)
         checked += 1
     assert checked
@@ -339,7 +339,7 @@ def test_frobenius_matrix_makes_a_normal_form_per_border_monomial_only(
         calls["mat_mul"] += 1
     monkeypatch.setattr(finalg, "normal_form", normal_form)
     monkeypatch.setattr(_linalg, "mat_mul", mat_mul)
-    F = B.frobenius_matrix
+    F = B._unpacked(B._frobenius)
     B.nilradical_dimension()
     assert calls == {"normal_form": len(_border(B)), "mat_mul": 0}
     monkeypatch.undo()
@@ -488,7 +488,7 @@ def test_frobenius_matrix_at_the_slot_bound():
     for B, nil in [(AlgebraPresentation(K, ("y",), [g]), None),
                    (AlgebraPresentation(K, ("y",), [(y - top) ** d]), d - 1)]:
         F = _power_rule_frobenius_matrix(B)
-        assert B.frobenius_matrix == F
+        assert B._unpacked(B._frobenius) == F
         assert B.nilradical_dimension() == _mat_mul_rule_nilradical_dimension(B, F)
         assert nil is None or B.nilradical_dimension() == nil
 
@@ -681,7 +681,7 @@ def _recursive_rule_decompose(A):
     while stack:
         B, idem = stack.pop()
         d = B.dimension
-        F = B.frobenius_matrix
+        F = B._unpacked(B._frobenius)
         M = [[F[i][j] - (field.one if i == j else field.zero) for j in range(d)]
              for i in range(d)]
         V = _linalg.kernel_basis(M, field)
@@ -734,7 +734,7 @@ def _four_local_factors():
 def test_decompose_matches_the_recursive_rule_when_one_vector_does_not_separate():
     A = _four_local_factors()
     d = A.dimension
-    F = A.frobenius_matrix
+    F = A._unpacked(A._frobenius)
     V = _linalg.kernel_basis(
         [[F[i][j] - (F5.one if i == j else F5.zero) for j in range(d)]
          for i in range(d)], F5)
@@ -746,7 +746,7 @@ def test_decompose_matches_the_recursive_rule_when_one_vector_does_not_separate(
 
 def _counting_builds(monkeypatch):
     """Record each presentation built and each packed Frobenius map computed,
-    which `frobenius_matrix` and `nilradical_dimension` both read."""
+    which `_unpacked(_frobenius)` and `nilradical_dimension` both read."""
     built = {"presentations": 0, "frobenius": []}
     real_init = AlgebraPresentation.__init__
     real_frob = AlgebraPresentation._frobenius.func

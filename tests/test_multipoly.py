@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from resweil import finalg, multipoly, weil_restrict, weilres
-from resweil.errors import MissingAssignment, MixedContexts, StepGuardExceeded
+from resweil.errors import MixedContexts, StepGuardExceeded
 from resweil.exactfield import FieldElement, PrimeField, make_ext_field, stage_field
 from resweil.multipoly import (
     INFINITE,
@@ -22,7 +22,6 @@ from resweil.multipoly import (
     mono_mul,
     normal_form,
     standard_monomials,
-    substitute_expand,
 )
 from resweil.versuite import parse_case, verify_case
 from resweil.weilres import fiber_presentation, zero_dim_solve
@@ -218,7 +217,7 @@ def _assert_reduced_groebner_basis(gens, gb):
         assert normal_form(multipoly.s_polynomial(f, g), members).is_zero()
     lms = gb.leading_monomials()
     for k, g in enumerate(members):
-        assert g.leading_coefficient() == g.field.one
+        assert g.terms[g.leading_monomial()] == g.field.one
         others = lms[:k] + lms[k + 1:]
         assert not any(multipoly.mono_divides(lm, mono)
                        for mono in g.terms for lm in others)
@@ -303,44 +302,6 @@ def test_standard_monomials_zero_variables():
     assert standard_monomials(buchberger([one])) == []
 
 
-def test_substitute_expand_binomial():
-    F25 = make_ext_field(5, 2)
-    f = P(F5, ("y",), {(2,): 1})
-    target_vars = ("y0", "y1")
-    y0 = MPoly.variable(F5, target_vars, "y0")
-    y1 = MPoly.variable(F5, target_vars, "y1")
-    img = y0 + y1 * 2
-    got = substitute_expand(f, {"y": img})
-    assert got == img * img
-    assert got == P(F5, target_vars, {(2, 0): 1, (1, 1): 4, (0, 2): 4})
-    # with an embedding into a larger stage
-    z0 = MPoly.variable(F25, target_vars, "y0")
-    got2 = substitute_expand(f, {"y": z0 * F25.gen})
-    assert got2 == P(F25, target_vars, {(2, 0): F25.gen * F25.gen})
-
-
-def test_substitute_expand_missing_assignment():
-    f = P(F5, ("x", "y"), {(1, 1): 1})
-    with pytest.raises(MissingAssignment):
-        substitute_expand(f, {"x": P(F5, ("z",), {(1,): 1})})
-
-
-def test_substitute_expand_composition():
-    rng = random.Random(4)
-    vars_ = ("x", "y")
-    for _ in range(20):
-        f = P(F5, vars_, {(rng.randrange(3), rng.randrange(3)): rng.randrange(5)
-                          for _ in range(3)})
-        a = P(F5, vars_, {(rng.randrange(2), rng.randrange(2)): rng.randrange(5)
-                          for _ in range(2)})
-        b = P(F5, vars_, {(rng.randrange(2), rng.randrange(2)): rng.randrange(5)
-                          for _ in range(2)})
-        image = substitute_expand(f, {"x": a, "y": b})
-        vals = {"x": F5.from_int(2), "y": F5.from_int(3)}
-        direct = f.evaluate({"x": a.evaluate(vals), "y": b.evaluate(vals)})
-        assert image.evaluate(vals) == direct
-
-
 def test_evaluate_matches_terms():
     f = P(F7, ("x", "y"), {(2, 1): 3, (0, 0): 6})
     vals = {"x": F7.from_int(2), "y": F7.from_int(5)}
@@ -352,11 +313,8 @@ def test_str_is_deterministic():
     assert str(f) == "2*y0*y1 + 6*y1 + 6"
 
 
-def test_substitute_expand_builds_consecutive_powers_one_product_each(monkeypatch):
-    # a dense relation of degree 12 in y, y mapped to a two-term image
-    vars_ = ("u", "v")
-    img = P(F7, vars_, {(1, 0): 1, (0, 1): 3})
-    f = P(F7, ("y",), {(e,): 1 for e in range(13)})
+def _counting_products(monkeypatch):
+    """Record each product of two nonconstant polynomials."""
     products = []
     mul = MPoly.__mul__
 
@@ -367,32 +325,42 @@ def test_substitute_expand_builds_consecutive_powers_one_product_each(monkeypatc
         return mul(self, other)
 
     monkeypatch.setattr(MPoly, "__mul__", counted)
-    got = substitute_expand(f, {"y": img})
+    return products
+
+
+def test_substitute_expand_builds_consecutive_powers_one_product_each(monkeypatch):
+    # the power cache `MPoly.evaluate` reads, `_powers`, on a dense
+    # relation of degree 12 in y, y mapped to a two-term image
+    vars_ = ("u", "v")
+    img = P(F7, vars_, {(1, 0): 1, (0, 1): 3})
+    f = P(F7, ("y",), {(e,): 1 for e in range(13)})
+    products = _counting_products(monkeypatch)
+    cache, = multipoly._powers(f, {"y": img})
     assert len(products) == 11
     monkeypatch.undo()
-    assert got == sum((img ** e for e in range(1, 13)), MPoly.constant(F7, vars_, 1))
+    power = img
+    for e in range(1, 13):
+        assert cache[e] == power
+        power = power * img
 
 
 @pytest.mark.parametrize("exponents", [(64,), (63,), (5, 40), (3, 17, 18, 100)])
 def test_substitute_expand_sparse_powers_cost_no_more_than_squaring(monkeypatch, exponents):
+    # `_powers` for all the exponents at once, and `MPoly.__pow__` for
+    # each on its own
     vars_ = ("u", "v")
     img = P(F7, vars_, {(1, 0): 1, (0, 1): 3})
     f = P(F7, ("y",), {(e,): 1 for e in exponents})
-    products = []
-    mul = MPoly.__mul__
-
-    def counted(self, other):
-        if isinstance(other, MPoly) and not other.is_constant() \
-                and not self.is_constant():
-            products.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(MPoly, "__mul__", counted)
-    substitute_expand(f, {"y": img})
     # square-and-multiply from 1: a squaring per bit below the top one and
     # a product per further set bit, for each exponent on its own
     bound = sum(e.bit_length() - 1 + bin(e).count("1") - 1 for e in exponents)
+    products = _counting_products(monkeypatch)
+    multipoly._powers(f, {"y": img})
     assert len(products) <= bound
+    for e in exponents:
+        products.clear()
+        img ** e
+        assert len(products) <= e.bit_length() - 1 + bin(e).count("1") - 1
 
 
 @pytest.mark.parametrize("p, m", [(5, 1), (7, 3)])
@@ -486,7 +454,7 @@ def _field_element_rule_buchberger(gens):
     nf = _field_element_rule_normal_form
 
     def monic(r):
-        return r * r.leading_coefficient().inverse()
+        return r * r.terms[r.leading_monomial()].inverse()
 
     basis = []
     for g in gens:

@@ -25,7 +25,6 @@ from resweil import (
     regroup_point,
     rename_context,
     stage_field,
-    substitute_expand,
     tensor_extend,
     weil_restrict,
     zero_dim_solve,
@@ -80,8 +79,17 @@ def labels(points):
 
 def _substitute_rule_in_algebra(A, f, assignment):
     """Image of f under var -> element substitution, reduced in A: the
-    `MPoly` route `AlgebraPresentation._evaluate` is compared with."""
-    return A.nf(substitute_expand(f, assignment))
+    route `AlgebraPresentation._evaluate` is compared with, by plain
+    `MPoly` products and a normal form after each, f's coefficients sent
+    into A's stage by `embed`."""
+    acc = A.zero()
+    for m, c in f.terms.items():
+        term = A.one() * embed(c, A.field)
+        for v, e in zip(f.vars, m):
+            for _ in range(e):
+                term = A.nf(term * assignment[v])
+        acc = acc + term
+    return acc
 
 
 def oracle_algebra_points(X, K):

@@ -11,9 +11,14 @@ The characteristic is kept odd and below 2**31 so that equal-degree
 splitting can use the classical quadratic-residue trick and single word
 arithmetic stays exact.
 
+There is one stage type, `ExtField`, and F_p is its degree 1 with
+modulus x.  `make_ext_field` (also named `stage_field`; `PrimeField(p)`
+is its degree 1) builds each stage once per process, so equal stages
+are one object.
+
 Products, and everything built on them, run on `_Packed`, a kernel on
-plain ints.  Each stage has one packing (`_stage_packing`, memoized per (p, modulus) and held
-by the field as `packing`).  `FieldElement` multiplies on it: pack both
+plain ints.  Each stage builds its one packing when it is built and
+holds it as `packing`.  `FieldElement` multiplies on it: pack both
 factors, one int multiply, `reduce`, unpack (`a * b % p` at F_p).  It
 inverts by `_Packed.inverse`, the extended Euclid of the coefficients
 and the modulus on the prime stage's packing.  `frobenius` and `embed`
@@ -84,6 +89,7 @@ field-element elimination the echelon is compared with is
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .errors import (
@@ -244,7 +250,7 @@ class _Packed:
         p = self.p
         if x <= self.mask:  # an element of F_p
             return pow(x, p - 2, p)
-        P = _stage_packing(p, PrimeField.modulus)
+        P = make_ext_field(p, 1).packing
         red = P.reduce
         # u0 x = r0 and u1 x = r1 mod the modulus, r1 down to a constant
         r0, r1 = self.mod, _trim(self.unpack(x))
@@ -514,7 +520,7 @@ class _Packed:
 # fields
 
 class FieldElement:
-    """An element of a PrimeField or ExtField, stored as a coefficient vector."""
+    """An element of a stage (`ExtField`), stored as a coefficient vector."""
 
     __slots__ = ("field", "coeffs")
 
@@ -626,81 +632,28 @@ class FieldElement:
         return "F%d_%d%r" % (f.p, f.degree, list(self.coeffs))
 
 
-class PrimeField:
-    """The prime field F_p for an odd prime p below 2**31."""
-
-    __slots__ = ("p", "zero", "one", "packing")
-    degree = 1
-    modulus = (0, 1)  # F_p is F_p[x]/(x)
-
-    def __init__(self, p):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise NonPrime("p = %r is not prime" % (p,))
-        if not (2 < p < MAX_CHAR):
-            raise NonPrime("p = %r outside the supported range 2 < p < 2**31" % (p,))
-        self.p = p
-        self.zero = FieldElement(self, (0,))
-        self.one = FieldElement(self, (1,))
-        self.packing = _stage_packing(p, self.modulus)
-
-    @property
-    def order(self):
-        return self.p
-
-    def _pad(self, coeffs):
-        return coeffs if coeffs else (0,)
-
-    def from_int(self, a):
-        return FieldElement(self, (a % self.p,))
-
-    def element(self, coeffs):
-        if len(coeffs) != 1:
-            raise IncompatibleDegrees(
-                "%d coefficients for an element of F_%d" % (len(coeffs), self.p))
-        return FieldElement(self, (coeffs[0] % self.p,))
-
-    def __iter__(self):
-        for a in range(self.p):
-            yield FieldElement(self, (a,))
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeField):
-            return self.p == other.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("prime", self.p))
-
-    def __repr__(self):
-        return "PrimeField(%d)" % self.p
-
-
 class ExtField:
-    """The stage F_{p^m} presented as F_p[x]/(modulus)."""
+    """The stage F_{p^m}, m >= 1, presented as F_p[x]/(modulus); the prime
+    stage F_p is m = 1 with modulus x.  `make_ext_field` builds each stage
+    once, so equal stages are one object."""
 
-    __slots__ = ("base", "p", "degree", "_mod", "packing", "zero", "one", "gen",
-                 "_frob_gen")
+    __slots__ = ("p", "degree", "modulus", "order", "base", "packing", "zero",
+                 "one", "gen", "_frob_gen")
 
-    def __init__(self, base: PrimeField, degree: int, modulus):
-        self.base = base
-        self.p = base.p
-        self.degree = degree
-        self._mod = modulus  # int tuple, monic, low degree first
-        self.packing = _stage_packing(self.p, modulus)
+    def __init__(self, p: int, degree: int, modulus):
+        self.p, self.degree, self.order = p, degree, p ** degree
+        self.modulus = modulus  # int tuple, monic, low degree first
+        self.base = self if degree == 1 else make_ext_field(p, 1)
+        # the value bound holds a division by a polynomial of degree
+        # MAX_DEGREE, so on the prime stage the extended Euclid of
+        # `_Packed.inverse` divides by the modulus of any stage
+        self.packing = _Packed(p, modulus, MAX_DEGREE)
         self.zero = FieldElement(self, (0,) * degree)
         self.one = FieldElement(self, self._pad((1,)))
         self.gen = FieldElement(self, self._pad((0, 1))) if degree > 1 else self.one
         # a^p for the generator a, packed: `frobenius` evaluates at it
         self._frob_gen = self.packing.pack(
-            base.packing.powmod((0, 1), self.p, modulus))
-
-    @property
-    def order(self):
-        return self.p ** self.degree
-
-    @property
-    def modulus(self):
-        return self._mod
+            self.base.packing.powmod((0, 1), p, modulus))
 
     def _pad(self, coeffs):
         if len(coeffs) < self.degree:
@@ -718,62 +671,60 @@ class ExtField:
 
     def __iter__(self):
         # lexicographic on coefficient vectors
-        def rec(prefix):
-            if len(prefix) == self.degree:
-                yield FieldElement(self, tuple(prefix))
-                return
-            for c in range(self.p):
-                yield from rec(prefix + [c])
-        yield from rec([])
+        for cs in itertools.product(range(self.p), repeat=self.degree):
+            yield FieldElement(self, cs)
 
     def __eq__(self, other):
         if isinstance(other, ExtField):
-            return self.p == other.p and self.degree == other.degree and self._mod == other._mod
+            return self is other or (self.p == other.p and self.modulus == other.modulus)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("ext", self.p, self.degree, self._mod))
+        return hash((self.p, self.modulus))
 
     def __repr__(self):
+        if self.degree == 1:
+            return "PrimeField(%d)" % self.p
         return "ExtField(%d, %d)" % (self.p, self.degree)
 
 
 _FIELD_CACHE: dict = {}
 _EMBED_CACHE: dict = {}
 _ROOTS_CACHE: dict = {}
-_PACKING_CACHE: dict = {}
-
-
-def _stage_packing(p, mod):
-    """The one packing of the stage F_p[a]/(mod), memoized per (p, mod):
-    `FieldElement` products and inverses, `frobenius`, `embed` and
-    `multipoly`'s polynomial arithmetic all run on it.  Its value bound
-    holds a division by a polynomial of degree `MAX_DEGREE`, so on the
-    prime stage the extended Euclid of `_Packed.inverse` divides by the
-    modulus of any stage."""
-    S = _PACKING_CACHE.get((p, mod))
-    if S is None:
-        S = _PACKING_CACHE[(p, mod)] = _Packed(p, mod, MAX_DEGREE)
-    return S
 
 
 def make_ext_field(p: int, m: int) -> ExtField:
-    """Build F_{p^m} with the deterministic modulus, memoized per (p, m)."""
-    base = PrimeField(p)  # validates p
-    if not isinstance(m, int) or m < 1 or m > MAX_DEGREE:
-        raise DegreeGuardExceeded("extension degree m = %r outside 1..%d" % (m, MAX_DEGREE))
-    cached = _FIELD_CACHE.get((p, m))
-    if cached is not None:
-        return cached
-    field = _FIELD_CACHE[(p, m)] = ExtField(base, m, _search_modulus(p, m))
+    """The stage F_{p^m}, built once per (p, m): F_p itself at m = 1, else
+    F_p[x]/(f) with the deterministic modulus f.  A p or m out of range
+    raises and builds nothing; a p or m that is no int (5.0 hashes as 5)
+    never reads the memo."""
+    field = _FIELD_CACHE.get((p, m)) if isinstance(p, int) and isinstance(m, int) else None
+    if field is None:
+        if not isinstance(p, int) or not _is_prime(p):
+            raise NonPrime("p = %r is not prime" % (p,))
+        if not (2 < p < MAX_CHAR):
+            raise NonPrime("p = %r outside the supported range 2 < p < 2**31" % (p,))
+        if not isinstance(m, int) or m < 1 or m > MAX_DEGREE:
+            raise DegreeGuardExceeded("extension degree m = %r outside 1..%d" % (m, MAX_DEGREE))
+        field = ExtField(p, m, (0, 1) if m == 1 else _search_modulus(p, m))
+        _FIELD_CACHE[(p, m)] = field
     return field
 
 
+# the stage of degree n over F_p; n = 1 gives the prime stage itself
+stage_field = make_ext_field
+
+
+def PrimeField(p: int) -> ExtField:
+    """The prime stage F_p for an odd prime p below 2**31."""
+    return make_ext_field(p, 1)
+
+
 def _search_modulus(p, m):
-    # enumerate coefficient vectors (c_0, ..., c_{m-1}) lexicographically;
-    # for m > 1 a zero constant term forces the factor x, so that whole
+    # enumerate coefficient vectors (c_0, ..., c_{m-1}) lexicographically,
+    # m > 1; a zero constant term forces the factor x, so that whole
     # block is skipped without changing which vector comes first
-    S = _stage_packing(p, PrimeField.modulus)
+    S = make_ext_field(p, 1).packing
 
     def rec(prefix):
         if len(prefix) == m:
@@ -781,8 +732,7 @@ def _search_modulus(p, m):
             if S.irreducible(f):
                 return f
             return None
-        start = 1 if (not prefix and m > 1) else 0
-        for c in range(start, p):
+        for c in range(0 if prefix else 1, p):
             got = rec(prefix + [c])
             if got is not None:
                 return got
@@ -792,13 +742,6 @@ def _search_modulus(p, m):
     if f is None:
         raise CertificateFailure("no irreducible of degree %d over F_%d" % (m, p))
     return f
-
-
-def stage_field(p: int, n: int):
-    """The stage of degree n over F_p; n = 1 gives the prime stage itself."""
-    if n == 1:
-        return PrimeField(p)
-    return make_ext_field(p, n)
 
 
 def _at_image(S, cs, image):
@@ -840,10 +783,10 @@ def embed(x: FieldElement, target) -> FieldElement:
     if src.degree == 1:
         return target.from_int(x.coeffs[0])
     T = target.packing
-    key = (src.p, src._mod, target.modulus)
+    key = (src.p, src.modulus, target.modulus)
     image = _EMBED_CACHE.get(key)
     if image is None:
-        rs = roots_in(UniPoly.from_ints(src.base, src._mod), target)
+        rs = roots_in(UniPoly.from_ints(src.base, src.modulus), target)
         if not rs:
             raise CertificateFailure("modulus has no root in the larger stage")
         image = _EMBED_CACHE[key] = T.pack(rs[0].coeffs)

@@ -307,13 +307,18 @@ class AlgebraPresentation:
         return self.inverse(f) is not None
 
     def inverse(self, f: MPoly):
-        """Multiplicative inverse as a normal form, or None: with c_0 + x h(x)
-        the minimal polynomial of f, f h(f) = -c_0, so f is a unit exactly
-        when c_0 != 0, and then -h(f) / c_0 inverts it."""
+        """Multiplicative inverse as a normal form, or None."""
         if not self.dimension:
             return self.zero()  # zero ring: 1 = 0 and everything inverts
-        S, cols = self._stage, self._columns(f)
-        c0, *h = self._packed_poly(self._min_poly(cols))
+        cols = self._columns(f)
+        return self._inverse(cols, self._packed_poly(self._min_poly(cols)))
+
+    def _inverse(self, cols, mu):
+        """The inverse as a normal form, or None, of the f with packed
+        columns cols and packed minimal polynomial mu = c_0 + x h(x):
+        f h(f) = -c_0, so f is a unit exactly when c_0 != 0, and then
+        -h(f) / c_0 inverts it."""
+        S, (c0, *h) = self._stage, mu
         if not c0:
             return None
         c = S.reduce(S.ps - S.inverse(c0))
@@ -696,11 +701,16 @@ def etale_check(X) -> EtaleCertificate:
     B = X.coordinate_ring
     rows = [[g.derivative(y) for y in X.vars] for g in X.relations]
     det = B.nf(_poly_det(rows, B.field, B.vars))
-    inv = B.inverse(det)  # raises NotFinite when the quotient is infinite
+    if not B.dimension:  # raises NotFinite when the quotient is infinite
+        return EtaleCertificate(True, det, B.zero(), None)  # 1 = 0 inverts
+    # one walk of det's columns and one minimal polynomial c_0 + x h(x)
+    # give the inverse when c_0 != 0 and the annihilator h(det) otherwise
+    cols = B._columns(det)
+    mu = B._packed_poly(B._min_poly(cols))
+    inv = B._inverse(cols, mu)
     if inv is not None:
         return EtaleCertificate(True, det, inv, None)
-    cols = B._columns(det)
-    ann = B._horner(B._packed_poly(B._min_poly(cols))[1:], cols, [(0, 1)])
+    ann = B._horner(mu[1:], cols, [(0, 1)])
     obstruction = B._element(ann)
     if obstruction.is_zero() or B._stage.mat_vec(cols, ann):
         raise CertificateFailure(

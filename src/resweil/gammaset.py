@@ -186,11 +186,16 @@ def pi0_points(B: AlgebraPresentation, N) -> GammaSet:
     if B.basis_monomials is INFINITE:
         raise NotZeroDimensional(
             "the presentation is not finite over its stage")
-    pts = zero_dim_solve(B, K)
-    elements = [GeometricPoint(p) for p in pts]
+    return _frobenius_set([GeometricPoint(p) for p in zero_dim_solve(B, K)],
+                          field, N)
+
+
+def _frobenius_set(points, field, N) -> GammaSet:
+    """Points at stage N as a Frobenius set over field: the permutation
+    is the relative power map x -> x^(field order), of period
+    N / [field : F_p]."""
     e = field.degree
-    perm = {el: _power_frob_point(el, e) for el in elements}
-    return GammaSet(elements, perm, N // e)
+    return GammaSet(points, {pt: _power_frob_point(pt, e) for pt in points}, N // e)
 
 
 def fiber(X, s: GeometricPoint, N):
@@ -304,10 +309,7 @@ def reduction_map(R: RestrictedScheme, N) -> EquivariantMap:
     (s0_raw,) = zero_dim_solve(A, k)
     s0 = GeometricPoint(tuple(x if x.field == K else embed(x, K)
                               for x in s0_raw))
-    target_pts = fiber(R.scheme, s0, N)
-    e = k.degree
-    tperm = {pt: _power_frob_point(pt, e) for pt in target_pts}
-    target = GammaSet(target_pts, tperm, N // e)
+    target = _frobenius_set(fiber(R.scheme, s0, N), k, N)
     mapping = {}
     values0 = dict(zip(A.vars, s0.coords))
     for el in left.elements:

@@ -101,6 +101,37 @@ def test_field_memoized():
     assert make_ext_field(5, 2) is make_ext_field(5, 2)
 
 
+def test_one_object_per_stage():
+    # F_p is the stage of degree 1: each name for it gives the one object,
+    # so elements built from any of them mix
+    F = PrimeField(5)
+    assert F is make_ext_field(5, 1) is stage_field(5, 1)
+    assert F.base is F and make_ext_field(5, 2).base is F
+    x = make_ext_field(5, 1).from_int(3)
+    assert F.from_int(2) * x == stage_field(5, 1).from_int(1)
+    assert (x + F.one).coeffs == (4,) and F.element(()) == F.zero
+    # a stage built apart from the memo equals the memoized one, and hashes
+    # equal to it
+    for p, m in ((5, 1), (5, 2), (3, 4)):
+        K = make_ext_field(p, m)
+        twin = ExtField(p, m, K.modulus)
+        assert twin is not K and twin == K and hash(twin) == hash(K)
+        assert len({K, twin}) == 1
+    assert [x.coeffs for x in stage_field(3, 2)] == [
+        (a, b) for a in range(3) for b in range(3)]
+    # a guard raises on every call and builds nothing
+    before = dict(exactfield._FIELD_CACHE)
+    for _ in range(2):
+        for build, error in ((lambda: PrimeField(4), NonPrime),
+                             (lambda: PrimeField(2), NonPrime),
+                             (lambda: PrimeField(5.0), NonPrime),
+                             (lambda: make_ext_field(5, 2.0), DegreeGuardExceeded),
+                             (lambda: make_ext_field(5, 25), DegreeGuardExceeded)):
+            with pytest.raises(error):
+                build()
+    assert exactfield._FIELD_CACHE == before
+
+
 @pytest.mark.parametrize("p, degrees", [
     (3, range(2, 7)), (5, range(2, 5)), (7, range(2, 4)), (65521, (2,)),
 ])
@@ -320,8 +351,8 @@ def test_element_arithmetic_matches_the_list_rule_at_large_stages(p, m, slot_pea
     # seeded pairs, every coefficient at p - 1 among them, where the
     # packed products and the prime stage's extended Euclid are widest
     if (p, m) == (101, 24):
-        assert exactfield._stage_packing(p, PrimeField.modulus).irreducible(F101_24)
-        F = ExtField(PrimeField(p), m, F101_24)
+        assert PrimeField(p).packing.irreducible(F101_24)
+        F = ExtField(p, m, F101_24)
     else:
         F = make_ext_field(p, m)
     rng = random.Random(p + m)

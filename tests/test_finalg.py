@@ -1018,6 +1018,27 @@ def test_etale_check_certifies_its_obstruction(monkeypatch, kernel):
         etale_check(X)
 
 
+@pytest.mark.parametrize("smooth", [True, False], ids=["unit", "non-unit"])
+def test_etale_check_reads_one_minimal_polynomial(monkeypatch, smooth):
+    # the inverse, or the annihilator of a determinant that is no unit, is
+    # read off the one minimal polynomial of the determinant
+    base = alg(F5, ["t"], lambda t: [t * t - 2] if smooth else [t * t])
+    y, t = (MPoly.variable(F5, ("t", "y"), v) for v in ("y", "t"))
+    X = SchemePresentation(base, ("y",), [y * y - t])
+    B = X.coordinate_ring
+    calls = []
+    real = AlgebraPresentation._min_poly
+    monkeypatch.setattr(AlgebraPresentation, "_min_poly",
+                        lambda self, cols: calls.append(cols) or real(self, cols))
+    cert = etale_check(X)
+    assert cert.ok is smooth and len(calls) == 1
+    if smooth:
+        assert B.nf(cert.jacobian_det * cert.inverse) == B.one()
+    else:
+        assert not cert.obstruction.is_zero()
+        assert B.nf(cert.jacobian_det * cert.obstruction).is_zero()
+
+
 def test_product_raises_when_its_dimension_is_not_the_sum(monkeypatch):
     quad = alg(F5, ["t"], lambda t: [t * t - 2])
     dual = alg(F5, ["u"], lambda u: [u * u])

@@ -97,7 +97,6 @@ UNREAD = {
     **{"versuite.dsl._CaseParser._dir_" + name: "dispatched by getattr"
        for name in ("case", "field", "algebra", "scheme", "expect", "checks")},
     # methods of exported classes that callers outside the package read
-    "exactfield.PrimeField.element": "builds an element from its coefficients",
     "exactfield.ExtField.element": "builds an element from its coefficients",
     "gammaset.GammaSet.orbits": "the orbits of a Frobenius set, its closed points",
 }

@@ -54,7 +54,6 @@ from .weilres import (  # noqa: F401
     adjunction_check,
     algebra_points,
     enumerate_points,
-    fiber_presentation,
     open_cover_check,
     product_formula_check,
     regroup_point,

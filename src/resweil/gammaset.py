@@ -23,12 +23,7 @@ from .errors import (
 from .exactfield import embed, frobenius, stage_field
 from .finalg import AlgebraPresentation
 from .multipoly import INFINITE
-from .weilres import (
-    RestrictedScheme,
-    fiber_presentation,
-    regroup_point,
-    zero_dim_solve,
-)
+from .weilres import RestrictedScheme, zero_dim_solve
 
 
 class GeometricPoint:
@@ -162,7 +157,7 @@ class EquivariantMap:
     def check(self):
         if set(self.mapping) != set(self.source.elements):
             return False
-        if not all(v in set(self.target.elements) for v in self.mapping.values()):
+        if not set(self.mapping.values()) <= set(self.target.elements):
             return False
         return self.is_equivariant()
 
@@ -201,16 +196,24 @@ def _frobenius_set(points, field, N) -> GammaSet:
 def fiber(X, s: GeometricPoint, N):
     """Geometric points of X over one base point, as a sorted list.
 
+    A point of X's total coordinate ring `X.coordinate_ring` pairs a
+    base point with a point of its fiber, so the fiber over s is the
+    tail of each point at stage N whose head is s, embedded there.  The
+    ring keeps its points per stage: every base point reads one solve.
+    It refuses when the ring is infinite, that is when any fiber is,
+    not only the one over s.
+
     This is a plain list: a single fiber is only Frobenius stable when
     its base point is rational, so the group structure is left to the
     assembled product.
     """
     K = stage_field(X.field.p, N)
-    B = fiber_presentation(X, s.coords, K)
-    if B.basis_monomials is INFINITE:
-        raise PositiveDimensionalFiber(
-            "the fiber at %r is not a finite point set" % (s,))
-    return [GeometricPoint(p) for p in zero_dim_solve(B, K)]
+    C = X.coordinate_ring
+    if C.basis_monomials is INFINITE:
+        raise PositiveDimensionalFiber("a fiber of X is not a finite point set")
+    base = tuple(x if x.field == K else embed(x, K) for x in s.coords)
+    n = len(base)
+    return [GeometricPoint(p[n:]) for p in zero_dim_solve(C, K) if p[:n] == base]
 
 
 def product_gamma_set(S: GammaSet, fibers: dict, N) -> GammaSet:
@@ -236,14 +239,13 @@ def product_gamma_set(S: GammaSet, fibers: dict, N) -> GammaSet:
             "points live at different stages: %r" % sorted(
                 (f.degree for f in ambient)))
     sindex = {s: i for i, s in enumerate(S.elements)}
+    # an image's component at sigma(s) is F of the component at s
+    source = sorted(range(len(sindex)), key=lambda i: sindex[S.perm[S.elements[i]]])
+    frob = {pt: _power_frob_point(pt, 1) for s in S.elements for pt in fibers[s]}
     elements = [ProductPoint(c) for c in
                 itertools.product(*[fibers[s] for s in S.elements])]
-    perm = {}
-    for el in elements:
-        v = [None] * len(S.elements)
-        for i, s in enumerate(S.elements):
-            v[sindex[S.perm[s]]] = _power_frob_point(el.components[i], 1)
-        perm[el] = ProductPoint(tuple(v))
+    perm = {el: ProductPoint(tuple(frob[el.components[i]] for i in source))
+            for el in elements}
     return GammaSet(elements, perm, N)
 
 
@@ -268,27 +270,38 @@ def gamma_iso(G1: GammaSet, G2: GammaSet):
     return em
 
 
+def _fiber_values(R: RestrictedScheme, points, base_points, K):
+    """For each restriction point, its fiber point over each base point s:
+    y_j(s) = sum_b y_jb e_b(s), with the basis values e_b(s) in K read
+    once per base point."""
+    A = R.algebra
+    basis = [b if b.field == K else b.map_coefficients(K) for b in R.basis]
+    values = []
+    for s in base_points:
+        at = dict(zip(A.vars, (x if x.field == K else embed(x, K) for x in s.coords)))
+        values.append([b.evaluate(at) for b in basis])
+    index = {v: i for i, v in enumerate(R.vars)}
+    slots = [[index[R.var_table[(sv, b)]] for b in range(len(basis))]
+             for sv in R.scheme.vars]
+    for pt in points:
+        coords = [[pt.coords[i] for i in row] for row in slots]
+        yield tuple(GeometricPoint(tuple(sum((y * e for y, e in zip(row, es)), K.zero)
+                                         for row in coords))
+                    for es in values)
+
+
 def evaluation_map(R: RestrictedScheme, left: GammaSet, S: GammaSet,
                    prod: GammaSet, N) -> EquivariantMap:
     """The coordinate witness from restriction points to fiber tuples.
 
-    A restriction point regroups to algebra-valued coordinates; reading
+    A restriction point is a tuple of algebra-valued coordinates; reading
     those at each base point gives one fiber point per base point.  The
     witness is returned unchecked: the caller decides what to make of a
     failed `check()` (well-definedness and equivariance) or bijectivity.
     """
     K = stage_field(R.base_field.p, N)
-    A = R.algebra
-    mapping = {}
-    for el in left.elements:
-        a = regroup_point(R, el.coords, K)
-        comps = []
-        for s in S.elements:
-            values = {}
-            for tv, sv in zip(A.vars, s.coords):
-                values[tv] = sv if sv.field == K else embed(sv, K)
-            comps.append(GeometricPoint(tuple(c.evaluate(values) for c in a)))
-        mapping[el] = ProductPoint(tuple(comps))
+    images = _fiber_values(R, left.elements, S.elements, K)
+    mapping = {el: ProductPoint(comps) for el, comps in zip(left.elements, images)}
     return EquivariantMap(left, prod, mapping)
 
 
@@ -306,15 +319,10 @@ def reduction_map(R: RestrictedScheme, N) -> EquivariantMap:
     k = A.field
     K = stage_field(k.p, N)
     left = pi0_points(R.quotient, N)
-    (s0_raw,) = zero_dim_solve(A, k)
-    s0 = GeometricPoint(tuple(x if x.field == K else embed(x, K)
-                              for x in s0_raw))
+    (s0,) = map(GeometricPoint, zero_dim_solve(A, k))
     target = _frobenius_set(fiber(R.scheme, s0, N), k, N)
-    mapping = {}
-    values0 = dict(zip(A.vars, s0.coords))
-    for el in left.elements:
-        a = regroup_point(R, el.coords, K)
-        mapping[el] = GeometricPoint(tuple(c.evaluate(values0) for c in a))
+    images = _fiber_values(R, left.elements, [s0], K)
+    mapping = {el: pt for el, (pt,) in zip(left.elements, images)}
     em = EquivariantMap(left, target, mapping)
     if not em.check():
         raise CertificateFailure("reduction is not a map of Frobenius sets")

@@ -16,7 +16,9 @@ the stage rule and the left component set read it, and since it
 keeps its points per stage, the components, the adjunction check and
 the cover check (which takes R) share one solve per stage.  X owns its
 total coordinate ring (`X.coordinate_ring`), which the stage rule, the
-cover probe and `etale_check` read, and its etale certificate
+fibers, `reduction_map`, the cover probe and `etale_check` read (its
+points pair a base point with a point of its fiber, and it keeps them
+per stage, so every fiber reads one solve), and its etale certificate
 (`X.etale_certificate`, one `etale_check` run), which the theorem and
 non-smooth prechecks and the adjunction route's solver at every stage
 read.  Lemma-local reads the component data: one base point means a

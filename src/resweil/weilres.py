@@ -7,12 +7,11 @@ splitting every equation into basis coordinates yields a system over the
 stage itself; its solutions in any extension K correspond to the
 original system's solutions with coordinates in A tensor K.  The
 expansion is arithmetic in A on its packed multiplication tables
-(`finalg`), with no substitution and no normal form; the fiber at a base
-point evaluates the same coefficients there, and the base change along
-a projection maps them.  That coordinate-level dictionary, plus exact
-point solvers on both sides, is what this module provides, together
-with the comparison routines for products of algebras and principal
-open coverings.
+(`finalg`), with no substitution and no normal form; the base change
+along a projection maps the same coefficients.  That coordinate-level
+dictionary, plus exact point solvers on both sides, is what this module
+provides, together with the comparison routines for products of
+algebras and principal open coverings.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .errors import (
     NotLocalBase,
     SearchGuardExceeded,
 )
-from .exactfield import FieldElement, _Packed, embed, roots_in, stage_field
+from .exactfield import FieldElement, _Packed, roots_in, stage_field
 from .finalg import (
     AlgebraPresentation,
     EtaleCertificate,
@@ -423,17 +422,6 @@ def _relation_check(relations, rootlists, K):
         return True
 
     return holds
-
-
-def fiber_presentation(X: SchemePresentation, coords, K) -> AlgebraPresentation:
-    """Coordinate ring of X's fiber over the base point coords, at stage K:
-    each coefficient of `X.coefficients` evaluated there, in K."""
-    values = {tv: c if c.field == K else embed(c, K) for tv, c in zip(X.base.vars, coords)}
-    yctx = tuple(X.vars)
-    return AlgebraPresentation(K, yctx, [
-        MPoly(K, yctx, {a: (c if c.field == K else c.map_coefficients(K)).evaluate(values)
-                        for a, c in coeffs.items()})
-        for coeffs in X.coefficients])
 
 
 # ---------------------------------------------------------------------------

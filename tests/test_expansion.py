@@ -29,6 +29,7 @@ from resweil import (
     weilres,
 )
 from resweil.versuite import parse_case, verify, verify_case
+from shared import _random_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ROOT / "cases"
@@ -181,17 +182,6 @@ def _random_scheme(A, rng):
             terms[ts + ys] = field.from_int(rng.randrange(1, field.p))
         rels.append(MPoly(field, ctx, terms))
     return SchemePresentation(A, names, rels), rels
-
-
-def _random_basis(A, rng):
-    """c_i e_pi(i) + sum over j > i of r_ij e_pi(j), c_i nonzero, for a
-    random permutation pi of the standard basis: triangular in pi's order,
-    so a basis."""
-    e = A.basis_elements()
-    rng.shuffle(e)
-    p = A.field.p
-    return [sum((e[j] * rng.randrange(p) for j in range(i + 1, len(e))),
-                e[i] * rng.randrange(1, p)) for i in range(len(e))]
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -40,7 +40,7 @@ from resweil.errors import (
 )
 from resweil.gammaset import pi0_points
 from resweil.versuite import parse_case, verify
-from resweil.weilres import fiber_presentation
+from shared import _fiber_rule_presentation
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -198,7 +198,7 @@ def _corpus_presentations(name):
         N = None
     if N is not None:
         K = stage_field(case.p, N)
-        out += [fiber_presentation(X, s.coords, K)
+        out += [_fiber_rule_presentation(X, s.coords, K)
                 for s in pi0_points(A, N).elements]
     return [B for B in out if B.basis_monomials is not INFINITE and B.dimension]
 

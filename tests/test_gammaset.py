@@ -1,5 +1,8 @@
 """Frobenius permutation sets, fibers, twisted products, and witnesses."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from resweil import finalg, gammaset, weilres
@@ -19,8 +22,10 @@ from resweil import (
     product_algebra,
     product_gamma_set,
     reduction_map,
+    regroup_point,
     stage_field,
     weil_restrict,
+    zero_dim_solve,
 )
 from resweil.errors import (
     AmbientMismatch,
@@ -30,6 +35,11 @@ from resweil.errors import (
     NotZeroDimensional,
     PositiveDimensionalFiber,
 )
+from resweil.versuite import ambient_degree, parse_case
+from shared import _fiber_rule_presentation, _random_basis
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
+CORPUS = sorted(p.stem for p in CASES.glob("*.case"))
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -196,6 +206,34 @@ def test_fiber_moves_along_frobenius():
         assert moved in ft
 
 
+def _case(name):
+    return parse_case((CASES / (name + ".case")).read_text())
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_fibers_match_the_fiber_presentation_at_the_comparison_stage(name):
+    case = _case(name)
+    A, X = case.algebra, case.scheme
+    N = ambient_degree(A, X, weil_restrict(A, X))
+    K = stage_field(A.field.p, N)
+    for s in pi0_points(A, N).elements:
+        expected = zero_dim_solve(_fiber_rule_presentation(X, s.coords, K), K)
+        assert [pt.coords for pt in fiber(X, s, N)] == expected
+
+
+def test_a_base_point_of_a_smaller_stage_finds_its_fiber():
+    # over F_3, y^2 = 1 + t has no rational point at t = 1, two at stage 2
+    case = _case("mixed-local-shift")
+    A, X = case.algebra, case.scheme
+    K = stage_field(3, 2)
+    sizes = []
+    for s in pi0_points(A, 1).elements:
+        expected = zero_dim_solve(_fiber_rule_presentation(X, s.coords, K), K)
+        assert [pt.coords for pt in fiber(X, s, 2)] == expected
+        sizes.append(len(expected))
+    assert sizes == [2, 2]
+
+
 # -- twisted products --------------------------------------------------
 
 def test_product_two_rational_base_points():
@@ -213,20 +251,36 @@ def test_product_two_rational_base_points():
     assert len(G) == 4 and G.cycle_type() == (2, 2)
 
 
+def _assert_the_action_law(S, G):
+    # the component at sigma(s) is F of the component at s
+    sindex = {s: i for i, s in enumerate(S.elements)}
+    for el in G.elements:
+        moved = G.perm[el]
+        for i, s in enumerate(S.elements):
+            j = sindex[S.perm[s]]
+            expect = GeometricPoint(tuple(frobenius(x) for x in el.components[i].coords))
+            assert moved.components[j] == expect
+
+
 def test_product_twisted_cycle():
     A, X, R = quad_setup()
     S = pi0_points(A, 4)
     fibs = {s: fiber(X, s, 4) for s in S.elements}
     G = product_gamma_set(S, fibs, 4)
     assert len(G) == 4 and G.cycle_type() == (4,)
-    # the action law itself: component at sigma(s) is F of component at s
-    el = G.elements[0]
-    moved = G.perm[el]
-    sindex = {s: i for i, s in enumerate(S.elements)}
-    for i, s in enumerate(S.elements):
-        j = sindex[S.perm[s]]
-        expect = GeometricPoint(tuple(frobenius(x) for x in el.components[i].coords))
-        assert moved.components[j] == expect
+    _assert_the_action_law(S, G)
+
+
+def test_product_over_a_three_cycle_moves_along_sigma_not_its_inverse():
+    # t^3 + t + 1 has no root in F_5: the base points form one 3-cycle,
+    # on which sigma and its inverse differ
+    A = algebra(F5, ["t"], lambda t: [t ** 3 + t + 1])
+    X = scheme(A, ["y"], lambda t, y: [y * y - t])
+    S = pi0_points(A, 6)
+    assert S.cycle_type() == (3,)
+    G = product_gamma_set(S, {s: fiber(X, s, 6) for s in S.elements}, 6)
+    assert len(G) == 8
+    _assert_the_action_law(S, G)
 
 
 def test_product_guards():
@@ -303,6 +357,34 @@ def test_evaluation_map_dual():
     G = product_gamma_set(S, fibs, 1)
     ev = evaluation_map(R, left, S, G, 1)
     assert ev.check() and ev.is_bijective()
+
+
+def _regroup_rule_evaluation_map(R, left, S, N):
+    """The witness by regrouping each restriction point into polynomials
+    over A and evaluating those at every base point."""
+    K = stage_field(R.base_field.p, N)
+    mapping = {}
+    for el in left.elements:
+        a = regroup_point(R, el.coords, K)
+        mapping[el] = tuple(GeometricPoint(tuple(c.evaluate(dict(zip(R.algebra.vars, s.coords)))
+                                                 for c in a))
+                            for s in S.elements)
+    return mapping
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_evaluation_map_matches_the_regroup_rule_along_a_random_basis(name):
+    case = _case(name)
+    A, X = case.algebra, case.scheme
+    R = weil_restrict(A, X, basis=_random_basis(A, random.Random(name)))
+    N = ambient_degree(A, X, R)
+    S = pi0_points(A, N)
+    left = pi0_points(R.quotient, N)
+    prod = product_gamma_set(S, {s: fiber(X, s, N) for s in S.elements}, N)
+    ev = evaluation_map(R, left, S, prod, N)
+    expected = _regroup_rule_evaluation_map(R, left, S, N)
+    assert {el: pt.components for el, pt in ev.mapping.items()} == expected
+    assert ev.check()
 
 
 # -- reduction at the rational point ----------------------------------

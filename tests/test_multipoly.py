@@ -24,7 +24,8 @@ from resweil.multipoly import (
     standard_monomials,
 )
 from resweil.versuite import parse_case, verify_case
-from resweil.weilres import fiber_presentation, zero_dim_solve
+from resweil.weilres import zero_dim_solve
+from shared import _fiber_rule_presentation
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ROOT / "cases"
@@ -561,7 +562,7 @@ def test_the_corpus_builds_bases_up_to_the_sixth_stage(monkeypatch):
         X = parse_case((CASES / (name + ".case")).read_text()).scheme
         K = stage_field(X.field.p, 6)
         point = zero_dim_solve(X.base, K)[0]
-        fiber = fiber_presentation(X, point, K).relations
+        fiber = _fiber_rule_presentation(X, point, K).relations
         ring = [r.map_coefficients(K) for r in X.coordinate_ring.relations]
         for gens in (fiber, ring):
             assert gens[0].field.degree == 6

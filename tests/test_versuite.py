@@ -21,7 +21,7 @@ from resweil.errors import (
 from resweil.exactfield import stage_field
 from resweil.finalg import decompose_local, etale_check, tensor_extend
 from resweil.gammaset import GammaSet, ProductPoint, pi0_points
-from resweil.weilres import fiber_presentation
+from shared import _fiber_rule_presentation
 from resweil.versuite import (
     ambient_degree,
     parse_case,
@@ -307,7 +307,7 @@ def _staged_degree(A, X, R):
     KM = stage_field(A.field.p, M)
     N = M
     for s in pi0_points(A, M).elements:
-        B = fiber_presentation(X, s.coords, KM)
+        B = _fiber_rule_presentation(X, s.coords, KM)
         if B.dimension:
             for fac in decompose_local(B):
                 N = math.lcm(N, M * fac.residue_degree)
@@ -460,24 +460,26 @@ def test_verify_case_solves_the_quotient_once_per_stage(monkeypatch):
 @pytest.mark.parametrize("name", [
     "quadratic-field-cover", "dual-numbers-etale", "split-pair-cubic",
     "tensor-mixed-base"])
-def test_compute_components_builds_each_fiber_once(monkeypatch, name):
-    # presentations over X's unknowns alone are the fibers: one per base
-    # point, at the comparison stage, and none while choosing that stage
+def test_compute_components_reads_the_fibers_off_the_coordinate_ring(monkeypatch, name):
+    # no presentation over X's unknowns alone is built: every fiber is
+    # read off X's total coordinate ring, solved once, at the comparison
+    # stage only
     case = parse_case(Path(corpus(name)).read_text())
     A, X = case.algebra, case.scheme
     R = weil_restrict(A, X)
-    stages = []
+    built = []
     init = AlgebraPresentation.__init__
 
     def noting_init(self, field, variables, relations, *args, **kwargs):
         variables = tuple(variables)
         if variables == X.vars:
-            stages.append(field.degree)
+            built.append(field.degree)
         init(self, field, variables, relations, *args, **kwargs)
 
     monkeypatch.setattr(AlgebraPresentation, "__init__", noting_init)
     comp = verify.compute_components(A, X, R)
-    assert stages == [comp.N] * len(comp.S)
+    assert built == []
+    assert list(X.coordinate_ring.points_by_stage) == [stage_field(case.p, comp.N)]
 
 
 def _noting_builds(monkeypatch, wanted):
@@ -897,7 +899,7 @@ def test_guard_stop_exits_3(monkeypatch):
     assert result.exit_code == 3
     assert result.problems[0][1] == "guard"
     assert result.problems[0][2] == (
-        "zero_dim_solve: 16 root combinations exceed the budget 3")
+        "zero_dim_solve: 8 root combinations exceed the budget 3")
     assert not result.reports
 
 

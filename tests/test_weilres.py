@@ -42,7 +42,7 @@ from resweil import _linalg, weilres
 from resweil.finalg import _poly_det, decompose_local
 from resweil.exactfield import embed
 from resweil.versuite import parse_case, verify_case
-from resweil.weilres import fiber_presentation
+from shared import _fiber_rule_presentation
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -711,7 +711,7 @@ def _newton_rule_algebra_points(X, K):
         if not rho_pts:
             raise CertificateFailure("a local factor has no residue point")
         rho = dict(zip(Bf.vars, rho_pts[0]))
-        ybars = zero_dim_solve(fiber_presentation(X, rho_pts[0], Lf), Lf)
+        ybars = zero_dim_solve(_fiber_rule_presentation(X, rho_pts[0], Lf), Lf)
         cols = []
         for m in Bf.basis_monomials:
             e = MPoly(K, Bf.vars, {m: K.one})

@@ -30,12 +30,15 @@ found once per pair of stages; `_orbit_roots` carries coefficients into
 K the same way.  `multipoly` runs its polynomial arithmetic on the same
 packing.
 
-Root finding (`roots_in`), factoring (`factor_univariate`) and Rabin's
+Root finding (`roots_in`), factoring (`factor_univariate`) and the
 irreducibility test (`is_irreducible`, which also picks each modulus)
 run on packings sized to the polynomial's degree.  There is one
 distinct-degree pass (`_Packed.degree_blocks`) and one Cantor-Zassenhaus
 split (`_Packed.split`); factoring runs them on each squarefree part of
-f (Yun's gcds, and a p-th root where f' = 0).
+f (Yun's gcds, and a p-th root where f' = 0).  The pass is also the
+irreducibility test: a monic f of degree n >= 1 is irreducible exactly
+when it is the pass's one block, of degree n, since a reducible f has an
+irreducible factor of degree at most n/2, which the pass finds.
 The roots of f in a stage K come in Frobenius orbits: g =
 gcd(f, x^|K| - x) is split over f's own coefficient field F, read as
 F_p when every coefficient is a residue, by degrees and then within each
@@ -143,20 +146,6 @@ def _trim(c):
     return tuple(c[:i])
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # packed stage arithmetic: the one kernel
 
@@ -259,6 +248,8 @@ class _Packed:
             q, r = P.divmod(r0, r1)
             r0, r1 = r1, r
             u0, u1 = u1, P.sub(u0, [red(c) for c in P.mul(q, u1)])
+        if not r1:  # x and the modulus share a factor: x is no unit
+            raise CertificateFailure("no inverse of a zero divisor mod the modulus")
         inv = pow(r1[0], p - 2, p)
         return self.pack([red(c * inv) for c in u1])
 
@@ -469,21 +460,6 @@ class _Packed:
                 rest = self.divmod(rest, block)[0]
                 power = self.divmod(power, rest)[1]
         return blocks
-
-    def irreducible(self, f):
-        """Rabin's test for a monic f of degree n over this stage:
-        x^(q^n) = x mod f, and x^(q^(n/l)) - x is prime to f for each
-        prime l dividing n, q the order of the stage."""
-        n = len(f) - 1
-        if n < 1:
-            return False
-        q = self.p ** self.m
-        powers = [self.divmod((0, 1), f)[1]]
-        for _ in range(n):
-            powers.append(self.powmod(powers[-1], q, f))
-        return powers[n] == powers[0] and all(
-            self.gcd(self.sub(powers[n // ell], powers[0]), f) == (1,)
-            for ell in _prime_divisors(n))
 
     def split(self, g, d, rng, first=False):
         """Cantor-Zassenhaus: the monic irreducible factors of a monic g
@@ -729,7 +705,7 @@ def _search_modulus(p, m):
     def rec(prefix):
         if len(prefix) == m:
             f = tuple(prefix) + (1,)
-            if S.irreducible(f):
+            if S.degree_blocks(f) == [(f, m)]:
                 return f
             return None
         for c in range(0 if prefix else 1, p):
@@ -916,11 +892,12 @@ def _packed(f: UniPoly, F):
 
 
 def is_irreducible(f: UniPoly) -> bool:
-    """Rabin's deterministic criterion over the coefficient stage."""
+    """Whether f is irreducible over its coefficient stage: the
+    distinct-degree pass returns f itself as one block of degree deg f."""
     if f.is_zero():
         raise ZeroPolynomial("irreducibility of zero")
     S, fp = _packed(f, f.field)
-    return S.irreducible(fp)
+    return S.degree_blocks(fp) == [(fp, f.degree)]
 
 
 def factor_univariate(f: UniPoly, rng: random.Random | None = None):

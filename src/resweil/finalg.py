@@ -50,6 +50,7 @@ from .multipoly import (
     MPoly,
     buchberger,
     normal_form,
+    rename_context,
     standard_monomials,
 )
 
@@ -605,15 +606,6 @@ def product_algebra(A1: AlgebraPresentation, A2: AlgebraPresentation) -> Product
         n += 1
     pvars = tuple(left[v] for v in A1.vars) + tuple(right[v] for v in A2.vars) + (wname,)
 
-    def to_prod(f, rename):
-        out = {}
-        for m, c in f.terms.items():
-            mono = [0] * len(pvars)
-            for i, e in enumerate(m):
-                mono[pvars.index(rename[f.vars[i]])] = e
-            out[tuple(mono)] = c
-        return MPoly(field, pvars, out)
-
     w = MPoly.variable(field, pvars, wname)
     one = MPoly.constant(field, pvars, 1)
     rels = [w * w - w]
@@ -629,10 +621,10 @@ def product_algebra(A1: AlgebraPresentation, A2: AlgebraPresentation) -> Product
                         * MPoly.variable(field, pvars, right[v2]))
     for r in A1.relations:
         c = r.constant_value()
-        rels.append(to_prod(r, left) - (one - w) * c)
+        rels.append(rename_context(r, left, pvars) - (one - w) * c)
     for r in A2.relations:
         c = r.constant_value()
-        rels.append(to_prod(r, right) - w * c)
+        rels.append(rename_context(r, right, pvars) - w * c)
     pres = AlgebraPresentation(field, pvars, rels)
     if pres.dimension != A1.dimension + A2.dimension:
         raise CertificateFailure("the product's dimension is not the factors' sum")

@@ -24,15 +24,15 @@ non-smooth prechecks and the adjunction route's solver at every stage
 read.  Lemma-local reads the component data: one base point means a
 local base with rational residue, and the evaluation witness is then
 the reduction to the special fiber.  `reduction_map` stays public as
-the acceptance tests' independent route over local factors.  Four
+the acceptance tests' independent route over local factors.  Three
 routes stay apart on purpose, since each cross-checks the shared data
 and would certify nothing by reading it:
 
-* the per-factor count in `_count_via_local_factors`, which restricts X
-  again over each local factor of A tensor K;
-* `algebra_points` in the adjunction check, which reads the points over
-  A tensor K off the rank-one components of X's coordinate ring, without
-  the restriction;
+* `algebra_points`, which reads the points over A tensor K off the
+  rank-one components of X's coordinate ring, one local factor of
+  A tensor K at a time, without the restriction: the adjunction check
+  compares them with R's points at each stage it names, and the
+  theorem's per-factor count is their number at stage N;
 * the product check's `buchberger` run on the juxtaposed factor
   restrictions;
 * the acceptance tests' exhaustive `enumerate_points` on `R.relations`.
@@ -52,7 +52,6 @@ from ..errors import (
     ResweilError,
 )
 from ..exactfield import _packed, stage_field
-from ..finalg import decompose_local, tensor_extend
 from ..gammaset import (
     evaluation_map,
     fiber,
@@ -62,8 +61,8 @@ from ..gammaset import (
 )
 from ..multipoly import INFINITE
 from ..weilres import (
-    SchemePresentation,
     adjunction_check,
+    algebra_points,
     open_cover_check,
     product_formula_check,
     weil_restrict,
@@ -136,26 +135,6 @@ def compute_components(A, X, R) -> ComponentData:
     prod = product_gamma_set(S, fibs, N)
     ev = evaluation_map(R, left, S, prod, N)
     return ComponentData(N, S, fibs, left, prod, ev, ev.check())
-
-
-def _count_via_local_factors(A, X, N):
-    """Component count read off the local factors of the extended base.
-
-    Restriction turns products of algebras into products of schemes, so
-    the count over the stage must be the product of the per-factor
-    counts; this recomputes the left side along a different route.
-    """
-    K = stage_field(A.field.p, N)
-    AK = tensor_extend(A, K)
-    total = 1
-    for fac in decompose_local(AK):
-        Bf = fac.presentation
-        rels = [r if r.field == K else r.map_coefficients(K)
-                for r in X.relations]
-        Xf = SchemePresentation(Bf, X.vars, rels)
-        Rf = weil_restrict(Bf, Xf)
-        total *= len(Rf.points(K))
-    return total
 
 
 class Report:
@@ -231,7 +210,7 @@ def _expect_outcome(key, vals, comp, comp_error):
                         % (tuple(got), tuple(want)))
 
 
-def _check_theorem(A, X, comp, comp_error):
+def _check_theorem(X, comp, comp_error):
     try:
         cert = X.etale_certificate
     except (NotSquareSystem, NotFinite) as e:
@@ -262,7 +241,7 @@ def _check_theorem(A, X, comp, comp_error):
     if not comp.ev.is_bijective():
         return CheckOutcome("theorem", False,
                             "the evaluation witness is not a bijection")
-    cross = _count_via_local_factors(A, X, comp.N)
+    cross = len(algebra_points(X, stage_field(X.field.p, comp.N)))
     if cross != nl:
         return CheckOutcome(
             "theorem", False,
@@ -445,7 +424,7 @@ def verify_case(case, seed=0):
         kind = chk[0]
         try:
             if kind == "theorem":
-                out = _check_theorem(A, X, comp, comp_error)
+                out = _check_theorem(X, comp, comp_error)
             elif kind == "lemma-local":
                 out = _check_lemma_local(comp, comp_error)
             elif kind == "adjunction":

@@ -621,11 +621,9 @@ def product_formula_check(prod: ProductAlgebra, X: SchemePresentation,
     A1 = prod.proj_left.target
     A2 = prod.proj_right.target
     field = P.field
-    w = MPoly.variable(field, P.vars, prod.idempotent_var)
-    one = MPoly.constant(field, P.vars, 1)
-    lifted = [P.nf(w * rename_context(m, prod.left_vars, P.vars))
+    lifted = [P.nf(prod.idempotent_left * rename_context(m, prod.left_vars, P.vars))
               for m in A1.basis_elements()]
-    lifted += [P.nf((one - w) * rename_context(m, prod.right_vars, P.vars))
+    lifted += [P.nf(prod.idempotent_right * rename_context(m, prod.right_vars, P.vars))
                for m in A2.basis_elements()]
     RP = weil_restrict(P, X, basis=lifted)
     X1 = _base_change(X, prod.proj_left)

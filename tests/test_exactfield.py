@@ -142,7 +142,8 @@ def test_moduli_match_the_plain_int_oracle(p, degrees):
 
 
 def test_search_modulus_raises_without_an_irreducible(monkeypatch):
-    monkeypatch.setattr(exactfield._Packed, "irreducible", lambda self, f: False)
+    # a pass that never returns f as its one block finds no irreducible
+    monkeypatch.setattr(exactfield._Packed, "degree_blocks", lambda self, g, n=None: [])
     with pytest.raises(CertificateFailure):
         exactfield._search_modulus(5, 2)
 
@@ -351,7 +352,7 @@ def test_element_arithmetic_matches_the_list_rule_at_large_stages(p, m, slot_pea
     # seeded pairs, every coefficient at p - 1 among them, where the
     # packed products and the prime stage's extended Euclid are widest
     if (p, m) == (101, 24):
-        assert PrimeField(p).packing.irreducible(F101_24)
+        assert PrimeField(p).packing.degree_blocks(F101_24) == [(F101_24, 24)]
         F = ExtField(p, m, F101_24)
     else:
         F = make_ext_field(p, m)
@@ -447,6 +448,17 @@ def _field_element_rule_derivative(a):
     return UniPoly(f, out)
 
 
+def _prime_divisors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 def _field_element_rule_is_irreducible(f):
     """Rabin's deterministic criterion over the coefficient stage."""
     if f.is_zero():
@@ -463,7 +475,7 @@ def _field_element_rule_is_irreducible(f):
         power = _field_element_rule_pow_mod(power, q, g)
     if (power - x) % g != UniPoly(field, []):
         return False
-    for ell in exactfield._prime_divisors(m):
+    for ell in _prime_divisors(m):
         power = x
         for _ in range(m // ell):
             power = _field_element_rule_pow_mod(power, q, g)
@@ -970,6 +982,15 @@ class _DrawLimit(random.Random):
         if self.draws > 10 ** 5:
             raise RuntimeError("the split keeps drawing")
         return super().randrange(*args)
+
+
+def test_packed_inverse_of_a_zero_divisor_raises():
+    # mod the reducible x^2 - 1 = (x - 1)(x + 1) over F_5, the extended
+    # Euclid of x - 1 ends on a zero remainder
+    S = exactfield._Packed(5, (4, 0, 1), 1)
+    with pytest.raises(CertificateFailure,
+                       match="^no inverse of a zero divisor mod the modulus$"):
+        S.inverse(S.pack((4, 1)))
 
 
 def test_packed_split_gives_up_on_an_irreducible():

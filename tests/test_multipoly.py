@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from resweil import finalg, multipoly, weil_restrict, weilres
+from resweil.finalg import decompose_local, tensor_extend
 from resweil.errors import MixedContexts, StepGuardExceeded
 from resweil.exactfield import FieldElement, PrimeField, make_ext_field, stage_field
 from resweil.multipoly import (
@@ -551,13 +552,24 @@ SIXTH_STAGE_CASES = ("cubic-field-pair", "quadratic-field-cover", "tensor-mixed-
 
 
 def test_the_corpus_builds_bases_up_to_the_sixth_stage(monkeypatch):
-    # verify_case reaches the third stage; the sixth, stage 3 over a
-    # residue field of degree 2, is fed in explicitly: X at a base point
-    # over F_{p^6}, and X's coordinate ring over F_{p^6}
+    # verify_case builds bases over the prime stage only; stages 2 and 3
+    # are fed in explicitly as the local factors of A tensor K, and the
+    # sixth, stage 3 over a residue field of degree 2, as X at a base
+    # point over F_{p^6} and X's coordinate ring over F_{p^6}
     degrees = {gens[0].field.degree for name in CORPUS
                for gens in _built_generator_lists(name, monkeypatch)}
-    assert {1, 2, 3} <= degrees
+    assert degrees == {1}
     rng = random.Random(6)
+    factors = {}
+    for name in CORPUS:
+        A = parse_case((CASES / (name + ".case")).read_text()).algebra
+        for m in (2, 3):
+            for fac in decompose_local(tensor_extend(A, stage_field(A.field.p, m))):
+                gens = fac.presentation.relations
+                factors.setdefault((gens[0].field, gens[0].vars, gens), list(gens))
+    assert {field.degree for field, _, _ in factors} == {2, 3}
+    for gens in factors.values():
+        _assert_matches_the_field_element_rule(gens, rng)
     for name in SIXTH_STAGE_CASES:
         X = parse_case((CASES / (name + ".case")).read_text()).scheme
         K = stage_field(X.field.p, 6)

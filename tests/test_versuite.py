@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from resweil import AlgebraPresentation, MPoly, PrimeField, weil_restrict
-from resweil import exactfield, weilres
+from resweil import exactfield, finalg, multipoly, weilres
 from resweil.errors import (
     CaseSyntaxError,
     CertificateFailure,
@@ -19,7 +19,7 @@ from resweil.errors import (
     UndeclaredVariable,
 )
 from resweil.exactfield import stage_field
-from resweil.finalg import decompose_local, etale_check, tensor_extend
+from resweil.finalg import _local_idempotents, decompose_local, etale_check, tensor_extend
 from resweil.gammaset import GammaSet, ProductPoint, pi0_points
 from shared import _fiber_rule_presentation
 from resweil.versuite import (
@@ -528,23 +528,73 @@ def test_verify_case_builds_the_total_coordinate_ring_once(monkeypatch):
 
 def test_base_extension_and_its_local_factors_are_built_once(monkeypatch):
     # over F_49, A = F_7[t, e]/(t^2 - 3, e^2) splits into two local
-    # factors; the adjunction route and the per-factor count share A
-    # tensor K and its factors
+    # factors; the adjunction route and the theorem's per-factor count
+    # share A tensor K and its idempotents, and neither presents a factor
     case = parse_case(Path(corpus("tensor-mixed-base")).read_text())
     A, X = case.algebra, case.scheme
     K = stage_field(7, 2)
     built = _noting_builds(monkeypatch, A.vars)
     first = weilres.algebra_points(X, K)
     assert weilres.algebra_points(X, K) == first
-    assert verify._count_via_local_factors(A, X, 2) == 4
-    # A tensor K once, by the extension constructor, then one presentation
-    # per local factor, once
-    assert built == [("extension", 2, 2), ("init", 2, 3), ("init", 2, 3)]
+    assert len(first) == 4
+    # A tensor K once, by the extension constructor
+    assert built == [("extension", 2, 2)]
+    # decompose_local presents each local factor, once
     factors = decompose_local(tensor_extend(A, K))
+    assert built == [("extension", 2, 2), ("init", 2, 3), ("init", 2, 3)]
     assert factors is not decompose_local(tensor_extend(A, K))
     factors.clear()
     assert len(decompose_local(tensor_extend(A, K))) == 2
     assert len(built) == 3
+
+
+def _noting_calls(monkeypatch, real, note):
+    """Wrap real wherever a loaded resweil module holds it, noting the
+    arguments of every call."""
+    def noting(*args, **kwargs):
+        note(*args, **kwargs)
+        return real(*args, **kwargs)
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "resweil"]:
+        if getattr(mod, real.__name__, None) is real:
+            monkeypatch.setattr(mod, real.__name__, noting)
+
+
+def test_the_verifier_builds_bases_over_the_prime_stage_only(monkeypatch):
+    # the theorem's per-factor count reads algebra_points at stage N, so
+    # no local factor of A tensor K is presented, and no restriction or
+    # quotient over an extension stage is built
+    degrees, decomposed = set(), []
+
+    def note_stage(generators, field=None, variables=None):
+        gens = [g for g in generators if not g.is_zero()]
+        degrees.add((field or gens[0].field).degree if gens else 1)
+    _noting_calls(monkeypatch, multipoly.buchberger, note_stage)
+    _noting_calls(monkeypatch, finalg.decompose_local, lambda A: decomposed.append(A))
+    for path in sorted(CASES.glob("*.case")):
+        assert verify_case(parse_case(path.read_text()), 42).ok(), path.name
+    assert degrees == {1}
+    assert decomposed == []
+
+
+A3 = """\
+case "a3-local-extension"
+field p = 7
+algebra A : vars t ; rels t^4
+scheme X : vars y, z, w ; rels y^2 - 3 - t, z^2 - 2 - t*y, w^2 - 1 - t*z
+checks theorem
+"""
+
+
+def test_a_local_base_extension_passes_the_theorem():
+    # A = F_7[t]/(t^4) stays local over every stage; y^2 = 3 on the
+    # special fiber needs F_49, where A tensor K is local and the
+    # per-factor count is the count of its one factor
+    case = parse_case(A3)
+    rep = verify_case(case)
+    assert [(c.name, c.ok) for c in rep.checks] == [("theorem", True)]
+    assert rep.S["ambient_degree"] == 2
+    assert len(_local_idempotents(tensor_extend(case.algebra, stage_field(7, 2)))) == 1
+    assert rep.checks[0].detail.endswith("per-factor cross-check %d" % rep.pi0_left["count"])
 
 
 # ------------------------------------------------------------- the suite
@@ -627,20 +677,25 @@ def _shifted_section(real):
 
 
 def test_certificate_failure_in_a_check_fails_that_check(monkeypatch):
-    # a wrong section solve gives dual-numbers-etale's points wrong
-    # values; every component of quadratic-field-cover at stages 1-3 has
-    # rank 2, so no section is solved there and its checks still pass
+    # a wrong section solve gives the points of algebra_points wrong
+    # values, and both of its readers fail.  Every component of
+    # quadratic-field-cover at stages 1-3 has rank 2, so no section is
+    # solved for its adjunction check, which still passes; at its stage
+    # N = 4 the components have rank one, so its theorem fails
     monkeypatch.setattr(weilres, "_section", _shifted_section(weilres._section))
     result = run_suite([corpus("dual-numbers-etale"),
                         corpus("quadratic-field-cover")])
     assert result.exit_code == 1 and not result.problems
     dual, quad = result.reports
-    assert quad.ok()
-    failed = [c for c in dual.checks if not c.ok]
-    assert [(c.name, c.detail) for c in failed] == [(
-        "adjunction",
-        "certificate failure: a lifted point does not solve X")]
+    why = "certificate failure: a lifted point does not solve X"
+    assert [(c.name, c.detail) for c in dual.checks if not c.ok] == [
+        ("theorem", why), ("adjunction", why)]
     assert len(dual.checks) == 8
+    assert [(c.name, c.detail) for c in quad.checks if not c.ok] == [
+        ("theorem", why)]
+    assert [c.name for c in quad.checks if c.ok] == [
+        "expect S", "expect pi0_res", "expect fibers", "expect cycle_type",
+        "adjunction"]
 
 
 def test_certificate_failure_in_the_components_fails_their_readers(monkeypatch):
@@ -722,13 +777,13 @@ def test_a_non_annihilating_obstruction_fails_its_readers(monkeypatch):
 
 
 def _dropped_first_section(real):
-    """A section solve that drops the first rank-one component it sees."""
-    seen = []
+    """A section solve that drops one rank-one component, the first it
+    sees over each C tensor K, at every call."""
+    first = {}
 
     def dropping(CK, times_eps, images, ys):
         sol = real(CK, times_eps, images, ys)
-        if sol is not None and not seen:
-            seen.append(sol)
+        if sol is not None and first.setdefault(CK.field, times_eps) == times_eps:
             return None
         return sol
     return dropping
@@ -743,24 +798,29 @@ def _merged_components(real):
     return merging
 
 
-@pytest.mark.parametrize("corrupt, detail", [
+@pytest.mark.parametrize("corrupt, theorem, adjunction", [
     (("_section", _shifted_section),
+     "certificate failure: a lifted point does not solve X",
      "certificate failure: a lifted point does not solve X"),
     (("_section", _dropped_first_section),
-     "stage 1: 2 = 1; stage 2: 2 = 2; stage 3: 2 = 2"),
+     "per-factor count 1 disagrees with the direct count 2",
+     "stage 1: 2 = 1; stage 2: 2 = 1; stage 3: 2 = 1"),
     (("_local_idempotents", _merged_components),
+     "per-factor count 0 disagrees with the direct count 2",
      "stage 1: 2 = 0; stage 2: 2 = 0; stage 3: 2 = 0"),
 ], ids=["wrong-section", "dropped-component", "merged-idempotents"])
-def test_corrupted_adjunction_route_fails_the_check(monkeypatch, corrupt, detail):
+def test_corrupted_adjunction_route_fails_the_check(monkeypatch, corrupt, theorem,
+                                                    adjunction):
     # a wrong section value, a rank-one component left out, or two
-    # components read as one must fail the adjunction check: the first
-    # by the certificate, the others by unequal counts
+    # components read as one must fail both readers of the route, the
+    # adjunction check and the theorem's per-factor count: the first by
+    # the certificate, the others by unequal counts
     name, mutant = corrupt
     monkeypatch.setattr(weilres, name, mutant(getattr(weilres, name)))
     rep = verify_case(parse_case(DUAL))
-    adj = [c for c in rep.checks if c.name == "adjunction"]
-    assert [(c.ok, c.detail) for c in adj] == [(False, detail)]
-    assert all(c.ok for c in rep.checks if c.name != "adjunction")
+    failed = [(c.name, c.detail) for c in rep.checks if not c.ok]
+    assert failed == [("theorem", theorem), ("adjunction", adjunction)]
+    assert len(rep.checks) == 6
 
 
 SOLVER_FAULTS = {

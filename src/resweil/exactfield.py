@@ -73,13 +73,14 @@ code serves every p < 2**31 and m <= 24; at m = 1 a reduction is one
 `x % p`.
 `mat_vec` serves `finalg`'s linear models and `weilres` checks points
 against their relations on the packing, inside the same bound.  Every
-elimination in the package runs on `_Packed.echelon`, a Gauss-Jordan
-reduction of dense rows of reduced entries whose eliminated entries are
-each one product plus a reduced entry, reduced at once; `kernel` and
-`solve` read their results off it.  There are no Zech-log tables:
-stages reach 7^6 elements for a handful of calls, so a table would cost
-more to build in a fresh process than it saves, and stages beyond any
-table size would need a second path.
+elimination but `finalg`'s early-stopping Krylov run for minimal
+polynomials runs on `_Packed.echelon`, a Gauss-Jordan reduction of
+dense rows of reduced entries whose eliminated entries are each one
+product plus a reduced entry, reduced at once; `kernel` and `solve`
+read their results off it.  There are no Zech-log tables: stages reach
+7^6 elements for a handful of calls, so a table would cost more to
+build in a fresh process than it saves, and stages beyond any table
+size would need a second path.
 `FieldElement` and `UniPoly` stay the public value types: labels,
 hashing and reports read their coefficient vectors.  The reference
 arithmetic lives in `tests/test_exactfield.py`: element arithmetic on

@@ -15,9 +15,11 @@ residue degrees and the local factors are all read off that one map, by
 `_Packed.echelon` on its packed columns: the fixed space of F is the
 kernel of F - I, and the image of a high enough power F^L has the
 nilradical as its kernel and one residue field per local factor.
-Inverses, annihilators and idempotents come off minimal polynomials by
-Horner's rule on packed coefficients.  The primitive idempotents are
-refined once per presentation and kept on it, like its local factors.
+An inverse is one `_Packed.solve` on the columns of multiplication by
+the element, and an annihilator one `_Packed.kernel` on them; only the
+idempotents come off minimal polynomials, by Lagrange interpolation at
+their roots.  The primitive idempotents are refined once per
+presentation and kept on it, like its local factors.
 A polynomial is evaluated at algebra elements on the same columns
 (`_evaluate`), with no substitution and no normal form; an `AlgebraHom`
 maps a polynomial that way, and `weilres.weil_restrict` expands a
@@ -49,6 +51,7 @@ from .multipoly import (
     GroebnerBasis,
     MPoly,
     buchberger,
+    fresh_name,
     normal_form,
     rename_context,
     standard_monomials,
@@ -202,17 +205,6 @@ class AlgebraPresentation:
         """Sparse packed columns of multiplication by f: f m = v (f m')."""
         return self._walk(self._packed_coords(f), self._tables)
 
-    def _horner(self, coeffs, cols, vec):
-        """g(f) vec, g with packed coefficients coeffs (low degree first) and
-        cols the packed columns of multiplication by f: from the top,
-        acc <- f acc + c vec, one `mat_vec` with c vec as an extra column,
-        so an entry sums d + 1 products, inside the value bound."""
-        S, d = self._stage, self.dimension
-        acc = []
-        for c in reversed(coeffs):
-            acc = S.mat_vec(cols + [[(i, c * a) for i, a in vec]], acc + [(d, 1)])
-        return acc
-
     def _evaluate(self, f: MPoly, values):
         """Sparse packed coordinates of f evaluated in the algebra, values
         mapping f's variables to sparse packed coordinates; a variable of
@@ -308,25 +300,20 @@ class AlgebraPresentation:
         return self.inverse(f) is not None
 
     def inverse(self, f: MPoly):
-        """Multiplicative inverse as a normal form, or None."""
-        if not self.dimension:
+        """Multiplicative inverse as a normal form, or None: one `solve` of
+        f x = 1 on f's packed columns and the unit column, consistent
+        exactly when f is a unit."""
+        S, d = self._stage, self.dimension
+        if not d:
             return self.zero()  # zero ring: 1 = 0 and everything inverts
         cols = self._columns(f)
-        return self._inverse(cols, self._packed_poly(self._min_poly(cols)))
-
-    def _inverse(self, cols, mu):
-        """The inverse as a normal form, or None, of the f with packed
-        columns cols and packed minimal polynomial mu = c_0 + x h(x):
-        f h(f) = -c_0, so f is a unit exactly when c_0 != 0, and then
-        -h(f) / c_0 inverts it."""
-        S, (c0, *h) = self._stage, mu
-        if not c0:
+        sol = S.solve(S.rows(cols + [[(0, 1)]], d), d)
+        if sol is None:
             return None
-        c = S.reduce(S.ps - S.inverse(c0))
-        g = self._horner([S.reduce(c * a) for a in h], cols, [(0, 1)])
-        if S.mat_vec(cols, g) != [(0, 1)]:
+        x = [(i, a) for i, a in enumerate(sol[0]) if a]
+        if S.mat_vec(cols, x) != [(0, 1)]:
             raise CertificateFailure("the solved inverse does not invert")
-        return self._element(g)
+        return self._element(x)
 
     def min_poly(self, f: MPoly) -> UniPoly:
         """Monic minimal polynomial of f acting on the quotient."""
@@ -366,9 +353,6 @@ class AlgebraPresentation:
             inv = S.inverse(vec[pivot])
             rows.append((pivot, [(i, red(a * inv)) for i, a in enumerate(vec) if a]))
         raise CertificateFailure("no dependency found below the dimension bound")
-
-    def _packed_poly(self, g: UniPoly):
-        return [self._stage.pack(c.coeffs) for c in g.coeffs]
 
     @cached_property
     def min_polys(self):
@@ -511,7 +495,7 @@ def _local_idempotents(A: AlgebraPresentation):
         cs = roots_in(mu, A.field)
         if len(cs) != mu.degree:
             raise CertificateFailure("a fixed element does not split over the stage")
-        mu = A._packed_poly(mu)
+        mu = [S.pack(c.coeffs) for c in mu.coeffs]
         lagrange = [_lagrange(S, mu, S.pack(c.coeffs)) for c in cs]
         refined = []
         for e in idems:
@@ -598,12 +582,7 @@ def product_algebra(A1: AlgebraPresentation, A2: AlgebraPresentation) -> Product
     collide = set(A1.vars) & set(A2.vars)
     left = {v: (v + "1" if v in collide else v) for v in A1.vars}
     right = {v: (v + "2" if v in collide else v) for v in A2.vars}
-    taken = set(left.values()) | set(right.values())
-    wname = "w"
-    n = 0
-    while wname in taken:
-        wname = "w%d" % n
-        n += 1
+    wname = fresh_name("w", set(left.values()) | set(right.values()))
     pvars = tuple(left[v] for v in A1.vars) + tuple(right[v] for v in A2.vars) + (wname,)
 
     w = MPoly.variable(field, pvars, wname)
@@ -684,8 +663,8 @@ def etale_check(X) -> EtaleCertificate:
 
     The ring is X's total coordinate ring, X.coordinate_ring.  The
     certificate carries the inverse normal form when it exists and a
-    nonzero annihilator of the determinant otherwise: h(det), where x h(x)
-    is the minimal polynomial of det.
+    nonzero annihilator of the determinant otherwise: the first kernel
+    vector of the determinant's multiplication columns.
     """
     if len(X.relations) != len(X.vars):
         raise NotSquareSystem(
@@ -693,18 +672,14 @@ def etale_check(X) -> EtaleCertificate:
     B = X.coordinate_ring
     rows = [[g.derivative(y) for y in X.vars] for g in X.relations]
     det = B.nf(_poly_det(rows, B.field, B.vars))
-    if not B.dimension:  # raises NotFinite when the quotient is infinite
-        return EtaleCertificate(True, det, B.zero(), None)  # 1 = 0 inverts
-    # one walk of det's columns and one minimal polynomial c_0 + x h(x)
-    # give the inverse when c_0 != 0 and the annihilator h(det) otherwise
-    cols = B._columns(det)
-    mu = B._packed_poly(B._min_poly(cols))
-    inv = B._inverse(cols, mu)
+    inv = B.inverse(det)  # raises NotFinite when the quotient is infinite
     if inv is not None:
         return EtaleCertificate(True, det, inv, None)
-    ann = B._horner(mu[1:], cols, [(0, 1)])
+    S, cols = B._stage, B._columns(det)
+    ann = [(i, a) for vec in S.kernel(S.rows(cols, B.dimension))[:1]
+           for i, a in enumerate(vec) if a]
     obstruction = B._element(ann)
-    if obstruction.is_zero() or B._stage.mat_vec(cols, ann):
+    if obstruction.is_zero() or S.mat_vec(cols, ann):
         raise CertificateFailure(
             "the obstruction is not a nonzero annihilator of the determinant")
     return EtaleCertificate(False, det, None, obstruction)

@@ -16,14 +16,13 @@ from .errors import (
     AmbientMismatch,
     CertificateFailure,
     MissingFiber,
-    NotLocalBase,
     NotZeroDimensional,
     PositiveDimensionalFiber,
 )
 from .exactfield import embed, frobenius, stage_field
 from .finalg import AlgebraPresentation
 from .multipoly import INFINITE
-from .weilres import RestrictedScheme, zero_dim_solve
+from .weilres import RestrictedScheme, _fiber_values, _rational_base_point, zero_dim_solve
 
 
 class GeometricPoint:
@@ -170,7 +169,8 @@ def pi0_points(B: AlgebraPresentation, N) -> GammaSet:
 
     The permutation is the relative power map x -> x^(field order).
     For anything that is not finite over its stage this refuses rather
-    than guessing a component count.
+    than guessing a component count.  Every point must be rational at
+    stage N: they number dim B/nil(B), or CertificateFailure is raised.
     """
     field = B.field
     if N % field.degree != 0:
@@ -181,8 +181,13 @@ def pi0_points(B: AlgebraPresentation, N) -> GammaSet:
     if B.basis_monomials is INFINITE:
         raise NotZeroDimensional(
             "the presentation is not finite over its stage")
-    return _frobenius_set([GeometricPoint(p) for p in zero_dim_solve(B, K)],
-                          field, N)
+    points = zero_dim_solve(B, K)
+    reduced = B.dimension - B.nilradical_dimension()
+    if len(points) != reduced:
+        raise CertificateFailure(
+            "%d point(s) solved, but the reduced algebra has dimension %d"
+            % (len(points), reduced))
+    return _frobenius_set([GeometricPoint(p) for p in points], field, N)
 
 
 def _frobenius_set(points, field, N) -> GammaSet:
@@ -227,13 +232,7 @@ def product_gamma_set(S: GammaSet, fibers: dict, N) -> GammaSet:
     for s in S.elements:
         if s not in fibers:
             raise MissingFiber("no fiber supplied for %r" % (s,))
-    ambient = set()
-    for s in S.elements:
-        for x in s.coords:
-            ambient.add(x.field)
-        for ptf in fibers[s]:
-            for x in ptf.coords:
-                ambient.add(x.field)
+    ambient = {x.field for s in S.elements for pt in (s, *fibers[s]) for x in pt.coords}
     if len(ambient) > 1:
         raise AmbientMismatch(
             "points live at different stages: %r" % sorted(
@@ -270,26 +269,6 @@ def gamma_iso(G1: GammaSet, G2: GammaSet):
     return em
 
 
-def _fiber_values(R: RestrictedScheme, points, base_points, K):
-    """For each restriction point, its fiber point over each base point s:
-    y_j(s) = sum_b y_jb e_b(s), with the basis values e_b(s) in K read
-    once per base point."""
-    A = R.algebra
-    basis = [b if b.field == K else b.map_coefficients(K) for b in R.basis]
-    values = []
-    for s in base_points:
-        at = dict(zip(A.vars, (x if x.field == K else embed(x, K) for x in s.coords)))
-        values.append([b.evaluate(at) for b in basis])
-    index = {v: i for i, v in enumerate(R.vars)}
-    slots = [[index[R.var_table[(sv, b)]] for b in range(len(basis))]
-             for sv in R.scheme.vars]
-    for pt in points:
-        coords = [[pt.coords[i] for i in row] for row in slots]
-        yield tuple(GeometricPoint(tuple(sum((y * e for y, e in zip(row, es)), K.zero)
-                                         for row in coords))
-                    for es in values)
-
-
 def evaluation_map(R: RestrictedScheme, left: GammaSet, S: GammaSet,
                    prod: GammaSet, N) -> EquivariantMap:
     """The coordinate witness from restriction points to fiber tuples.
@@ -300,8 +279,10 @@ def evaluation_map(R: RestrictedScheme, left: GammaSet, S: GammaSet,
     failed `check()` (well-definedness and equivariance) or bijectivity.
     """
     K = stage_field(R.base_field.p, N)
-    images = _fiber_values(R, left.elements, S.elements, K)
-    mapping = {el: ProductPoint(comps) for el, comps in zip(left.elements, images)}
+    images = _fiber_values(R, [el.coords for el in left.elements],
+                           [s.coords for s in S.elements], K)
+    mapping = {el: ProductPoint(tuple(map(GeometricPoint, comps)))
+               for el, comps in zip(left.elements, images)}
     return EquivariantMap(left, prod, mapping)
 
 
@@ -312,17 +293,13 @@ def reduction_map(R: RestrictedScheme, N) -> EquivariantMap:
     always an equivariant map; it can fail to be a bijection, which is
     precisely what makes it interesting, so no bijectivity is enforced.
     """
-    A = R.algebra
-    if A.dimension - A.nilradical_dimension() != 1:
-        raise NotLocalBase(
-            "reduction needs a local base with rational residue")
-    k = A.field
+    s0 = _rational_base_point(R.algebra, "reduction")
+    k = R.algebra.field
     K = stage_field(k.p, N)
     left = pi0_points(R.quotient, N)
-    (s0,) = map(GeometricPoint, zero_dim_solve(A, k))
-    target = _frobenius_set(fiber(R.scheme, s0, N), k, N)
-    images = _fiber_values(R, left.elements, [s0], K)
-    mapping = {el: pt for el, (pt,) in zip(left.elements, images)}
+    target = _frobenius_set(fiber(R.scheme, GeometricPoint(s0), N), k, N)
+    images = _fiber_values(R, [el.coords for el in left.elements], [s0], K)
+    mapping = {el: GeometricPoint(pt) for el, (pt,) in zip(left.elements, images)}
     em = EquivariantMap(left, target, mapping)
     if not em.check():
         raise CertificateFailure("reduction is not a map of Frobenius sets")

@@ -495,6 +495,12 @@ def standard_monomials(gb: GroebnerBasis):
                    if not any(mono_divides(lm, m) for lm in lms)), key=drl_key)
 
 
+def fresh_name(stem, taken):
+    """The first of stem, stem0, stem1, ... that is not in taken."""
+    names = itertools.chain([stem], ("%s%d" % (stem, n) for n in itertools.count()))
+    return next(v for v in names if v not in taken)
+
+
 def rename_context(f: MPoly, mapping: dict, new_vars) -> MPoly:
     """Transport f into another context along a variable rename.
 

@@ -32,7 +32,8 @@ and would certify nothing by reading it:
   rank-one components of X's coordinate ring, one local factor of
   A tensor K at a time, without the restriction: the adjunction check
   compares them with R's points at each stage it names, and the
-  theorem's per-factor count is their number at stage N;
+  theorem's per-factor count is their number at stage N (X keeps them
+  per stage, so an adjunction stage equal to N reads the same run);
 * the product check's `buchberger` run on the juxtaposed factor
   restrictions;
 * the acceptance tests' exhaustive `enumerate_points` on `R.relations`.

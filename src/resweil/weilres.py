@@ -30,7 +30,7 @@ from .errors import (
     NotLocalBase,
     SearchGuardExceeded,
 )
-from .exactfield import FieldElement, _Packed, roots_in, stage_field
+from .exactfield import FieldElement, _Packed, embed, roots_in, stage_field
 from .finalg import (
     AlgebraPresentation,
     EtaleCertificate,
@@ -44,6 +44,7 @@ from .multipoly import (
     INFINITE,
     MPoly,
     buchberger,
+    fresh_name,
     mono_divides,
     normal_form,
     rename_context,
@@ -98,6 +99,7 @@ class SchemePresentation:
             rels.append(_joined(base.field, ctx, coeffs))
         self.relations = tuple(rels)
         self.coefficients = tuple(split)
+        self.points_by_stage = {}  # filled by algebra_points
 
     @property
     def field(self):
@@ -516,13 +518,18 @@ def algebra_points(X: SchemePresentation, K=None):
     none.  The points are the products over the local factors, each
     checked against X's relations.  Anything else falls back to guarded
     exhaustion.  Each point is a tuple of reduced algebra elements, in
-    label order.
+    label order.  X keeps each stage's list; later calls get a copy of it.
     """
     A = X.base
     if A.dimension == 0:
         raise EmptyBase("points valued in the zero ring")
     K = K or A.field
-    AK = tensor_extend(A, K)
+    if K not in X.points_by_stage:
+        X.points_by_stage[K] = _algebra_points(X, tensor_extend(A, K))
+    return list(X.points_by_stage[K])
+
+
+def _algebra_points(X, AK):
     if not X.vars:
         return [] if any(AK._evaluate(g, {}) for g in X.relations) else [()]
     if len(X.relations) == len(X.vars):
@@ -539,6 +546,37 @@ def algebra_points(X: SchemePresentation, K=None):
 
 # ---------------------------------------------------------------------------
 # the coordinate dictionary and its certificates
+
+def _rational_base_point(A, reader):
+    """The one rational point, a coordinate tuple, of a local base with
+    rational residue: A/nil(A) is then the stage itself."""
+    if A.dimension - A.nilradical_dimension() != 1:
+        raise NotLocalBase("%s needs a local base with rational residue" % reader)
+    pts = zero_dim_solve(A, A.field)
+    if len(pts) != 1:
+        raise CertificateFailure(
+            "a local base with rational residue has %d rational points" % len(pts))
+    return pts[0]
+
+
+def _fiber_values(R: RestrictedScheme, points, base_points, K):
+    """For each restriction point, its fiber point over each base point s,
+    all coordinate tuples: y_j(s) = sum_b y_jb e_b(s), with the basis
+    values e_b(s) in K read once per base point."""
+    A = R.algebra
+    basis = [b if b.field == K else b.map_coefficients(K) for b in R.basis]
+    values = []
+    for s in base_points:
+        at = dict(zip(A.vars, (x if x.field == K else embed(x, K) for x in s)))
+        values.append([b.evaluate(at) for b in basis])
+    index = {v: i for i, v in enumerate(R.vars)}
+    slots = [[index[R.var_table[(sv, b)]] for b in range(len(basis))]
+             for sv in R.scheme.vars]
+    for pt in points:
+        coords = [[pt[i] for i in row] for row in slots]
+        yield tuple(tuple(sum((y * e for y, e in zip(row, es)), K.zero) for row in coords)
+                    for es in values)
+
 
 def regroup_point(R: RestrictedScheme, values, K=None):
     """Repackage restriction coordinates as algebra-valued coordinates."""
@@ -667,6 +705,16 @@ class CoverCertificate:
         self.per_stage = per_stage
 
 
+def _unit_sets(R, hs, s0, pts, K):
+    """Per h, the points x among pts with h(x) a unit of A tensor K, local
+    with residue K: h(s0, x(s0)) != 0 there, x(s0) x's fiber point over
+    the rational base point s0 (`_fiber_values`)."""
+    s0 = tuple(x if x.field == K else embed(x, K) for x in s0)
+    at = [dict(zip(R.scheme.all_vars, s0 + x)) for (x,) in _fiber_values(R, pts, [s0], K)]
+    return [{pt for pt, v in zip(pts, at) if not h.evaluate(v).is_zero()}
+            for h in (h if h.field == K else h.map_coefficients(K) for h in hs)]
+
+
 def open_cover_check(R: RestrictedScheme, hs,
                      stages=(1, 2)) -> CoverCertificate:
     """Principal opens covering X induce a matching cover downstairs.
@@ -674,12 +722,11 @@ def open_cover_check(R: RestrictedScheme, hs,
     R restricts X along the standard basis of a local base with rational
     residue.  Each chart where an h is inverted is restricted on its own;
     its points must land bijectively on the points of R whose regrouped
-    coordinates make h a unit, and some h must catch every point.
+    coordinates make h a unit (`_unit_sets`), and some h must catch
+    every point.
     """
     X, A = R.scheme, R.algebra
-    if A.dimension - A.nilradical_dimension() != 1:
-        raise NotLocalBase(
-            "the covering comparison needs a local base with rational residue")
+    s0 = _rational_base_point(A, "the covering comparison")
     B = X.coordinate_ring
     ctx = B.vars
     hs = [h if h.vars == ctx else h.extend_context(ctx) for h in hs]
@@ -687,11 +734,7 @@ def open_cover_check(R: RestrictedScheme, hs,
     if not probe.groebner.is_unit_ideal():
         raise NotCovering("the given elements do not generate the unit ideal")
 
-    zname = "z"
-    n = 0
-    while zname in set(A.vars) | set(X.vars):
-        zname = "z%d" % n
-        n += 1
+    zname = fresh_name("z", set(A.vars) | set(X.vars))
     charts = []
     xz = tuple(X.vars) + (zname,)
     cctx = tuple(A.vars) + xz
@@ -705,13 +748,8 @@ def open_cover_check(R: RestrictedScheme, hs,
     per_stage = []
     for m in stages:
         K = stage_field(A.field.p, m)
-        AK = tensor_extend(A, K)
         pts = R.points(K)
-        values = [dict(zip(R.scheme.vars, map(AK._packed_coords, regroup_point(R, pt, K))))
-                  for pt in pts]
-        unit_sets = [{pt for pt, v in zip(pts, values)
-                      if AK.is_unit(AK._element(AK._evaluate(h, v)))}
-                     for h in hs]
+        unit_sets = _unit_sets(R, hs, s0, pts, K)
         stage_ok = all(any(pt in sel for sel in unit_sets) for pt in pts)
         chart_counts = []
         for Rh, sel in zip(charts, unit_sets):

@@ -99,6 +99,7 @@ UNREAD = {
     # methods of exported classes that callers outside the package read
     "exactfield.ExtField.element": "builds an element from its coefficients",
     "gammaset.GammaSet.orbits": "the orbits of a Frobenius set, its closed points",
+    "finalg.AlgebraPresentation.is_unit": "README documents it as public",
 }
 
 

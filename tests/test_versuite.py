@@ -548,6 +548,21 @@ def test_base_extension_and_its_local_factors_are_built_once(monkeypatch):
     assert len(built) == 3
 
 
+def test_the_theorem_and_the_adjunction_check_share_one_points_run(monkeypatch):
+    # dual-numbers-etale is rational at N = 1, one of its adjunction
+    # stages: X keeps its points per stage, so the theorem's per-factor
+    # count and the adjunction check read one run at stage 1
+    runs = []
+    real = weilres._algebra_points
+    monkeypatch.setattr(weilres, "_algebra_points",
+                        lambda X, AK: runs.append((X, AK.field.degree)) or real(X, AK))
+    case = parse_case(Path(corpus("dual-numbers-etale")).read_text())
+    rep = verify_case(case)
+    assert rep.ok() and rep.S["ambient_degree"] == 1
+    assert ("adjunction", (1, 2, 3)) in case.checks
+    assert runs == [(case.scheme, 1), (case.scheme, 2), (case.scheme, 3)]
+
+
 def _noting_calls(monkeypatch, real, note):
     """Wrap real wherever a loaded resweil module holds it, noting the
     arguments of every call."""
@@ -766,10 +781,10 @@ def test_a_non_annihilating_obstruction_fails_its_readers(monkeypatch):
             'scheme X : vars y ; rels y^2 - eps\nchecks theorem, non-smooth\n')
     case = parse_case(text)
     B = case.scheme.coordinate_ring
-    M = B._columns(etale_check(case.scheme).jacobian_det)
-    real = AlgebraPresentation._horner
-    monkeypatch.setattr(AlgebraPresentation, "_horner", lambda self, g, cols, vec: (
-        [(0, 1)] if cols == M else real(self, g, cols, vec)))
+    M = B._stage.rows(B._columns(etale_check(case.scheme).jacobian_det), B.dimension)
+    real = exactfield._Packed.kernel
+    monkeypatch.setattr(exactfield._Packed, "kernel", lambda self, rows: (
+        [[1] + [0] * (len(rows) - 1)] if rows == M else real(self, rows)))
     why = ("certificate failure: the obstruction is not a nonzero annihilator "
            "of the determinant")
     assert [(c.name, c.ok, c.detail) for c in verify_case(case).checks] == [
@@ -824,24 +839,29 @@ def test_corrupted_adjunction_route_fails_the_check(monkeypatch, corrupt, theore
 
 
 SOLVER_FAULTS = {
-    "duplicates": ("lambda pts: list(pts) + list(pts[:1])", "duplicate elements"),
-    "drops": ("lambda pts: list(pts)[1:]", "not a permutation of the set"),
+    "duplicates": ("real(B, K) + real(B, K)[:1]",
+                   "3 point(s) solved, but the reduced algebra has dimension 2"),
+    "drops": ("real(B, K)[1:]",
+              "1 point(s) solved, but the reduced algebra has dimension 2"),
+    "stage-below": ("real(B, stage_field(K.p, K.degree - 1))",
+                    "0 point(s) solved, but the reduced algebra has dimension 2"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(SOLVER_FAULTS))
 def test_a_solver_that_miscounts_points_fails_the_component_checks(fault):
-    # the base of quadratic-field-cover is one 2-cycle: a repeated point,
-    # or one dropped so that its partner's Frobenius image is missing,
-    # fails every reader of the component data, also under `python -O`
+    # the base of quadratic-field-cover is one 2-cycle, rational at stage
+    # N = 4: a repeated point, a dropped one, or the points of stage
+    # N - 1 miscount the reduced algebra, and every reader of the
+    # component data fails, also under `python -O`
     corrupt, reason = SOLVER_FAULTS[fault]
     script = (
         "import sys\n"
         "from pathlib import Path\n"
-        "from resweil import gammaset\n"
+        "from resweil import gammaset, stage_field\n"
         "from resweil.versuite import parse_case, verify_case\n"
         "real = gammaset.zero_dim_solve\n"
-        "gammaset.zero_dim_solve = lambda B, K: (%s)(real(B, K))\n"
+        "gammaset.zero_dim_solve = lambda B, K: %s\n"
         "rep = verify_case(parse_case(Path(sys.argv[1]).read_text()))\n"
         "for c in rep.checks:\n"
         "    print(c.name, c.ok, c.detail, sep='|')\n" % corrupt)

@@ -22,6 +22,7 @@ from resweil import (
     open_cover_check,
     product_algebra,
     product_formula_check,
+    reduction_map,
     regroup_point,
     rename_context,
     stage_field,
@@ -573,6 +574,86 @@ def test_open_cover_needs_local_rational_base():
     y2 = MPoly.variable(F5, ("t", "y"), "y")
     with pytest.raises(NotLocalBase):
         open_cover_check(weil_restrict(A2, X2), [y2, y2 - 1])
+
+
+def test_a_local_base_with_two_rational_points_fails_both_readers(monkeypatch):
+    # the reduction and the cover check read the rational base point of
+    # the dual numbers through one reader, which refuses a second point
+    A, X = dual_case()
+    R = weil_restrict(A, X)
+    y = MPoly.variable(F7, ("eps", "y"), "y")
+    real = weilres.zero_dim_solve
+    monkeypatch.setattr(weilres, "zero_dim_solve",
+                        lambda B, K: real(B, K) * (2 if B is A else 1))
+    why = "^a local base with rational residue has 2 rational points$"
+    with pytest.raises(CertificateFailure, match=why):
+        open_cover_check(R, [y, y - 1])
+    with pytest.raises(CertificateFailure, match=why):
+        reduction_map(R, 1)
+
+
+COVER_CASES = ("cubic-dual-lift", "dual-numbers-etale", "dual-shift-pair")
+
+
+def _cover_case(name):
+    case = parse_case((CASES / (name + ".case")).read_text())
+    (hs,) = [c[1] for c in case.checks if c[0] == "cover"]
+    return case, hs
+
+
+def _algebra_rule_unit_sets(R, hs, K):
+    """The cover check's unit sets the algebra way: each point of R
+    regrouped into A tensor K, each h evaluated there on the packed
+    columns, and the value asked whether it is a unit of A tensor K."""
+    AK = tensor_extend(R.algebra, K)
+    pts = R.points(K)
+    values = [dict(zip(R.scheme.vars, map(AK._packed_coords, regroup_point(R, pt, K))))
+              for pt in pts]
+    return [{pt for pt, v in zip(pts, values) if AK.is_unit(AK._element(AK._evaluate(h, v)))}
+            for h in hs]
+
+
+@pytest.mark.parametrize("name", COVER_CASES)
+def test_cover_unit_sets_match_the_algebra_rule(monkeypatch, name):
+    # A tensor K is local with residue K, so h(x) is a unit exactly when
+    # it is nonzero at the reduction of x, as the algebra rule finds
+    case, hs = _cover_case(name)
+    R = weil_restrict(case.algebra, case.scheme)
+    seen = []
+    real = weilres._unit_sets
+
+    def noting(R, hs, s0, pts, K):
+        out = real(R, hs, s0, pts, K)
+        seen.append((K.degree, out, _algebra_rule_unit_sets(R, hs, K)))
+        return out
+    monkeypatch.setattr(weilres, "_unit_sets", noting)
+    assert open_cover_check(R, hs, (1, 2)).ok
+    assert [m for m, _, _ in seen] == [1, 2]
+    for m, got, want in seen:
+        assert got == want, m
+        assert all(sel < set(R.points(stage_field(R.base_field.p, m))) for sel in got), m
+
+
+def test_no_unit_question_reads_a_minimal_polynomial(monkeypatch):
+    # inverse, etale_check and the cover check decide units by a solve or
+    # by the residue; minimal polynomials come only from the point solver
+    callers = []
+    real = AlgebraPresentation._min_poly
+
+    def noting(self, cols):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(self, cols)
+    monkeypatch.setattr(AlgebraPresentation, "_min_poly", noting)
+    for name in COVER_CASES:
+        case, hs = _cover_case(name)
+        R = weil_restrict(case.algebra, case.scheme)
+        B = case.scheme.coordinate_ring
+        callers.clear()
+        cert = etale_check(case.scheme)
+        assert cert.ok and B.inverse(cert.jacobian_det) == cert.inverse
+        assert callers == [], name
+        assert open_cover_check(R, hs, (1, 2)).ok
+        assert set(callers) == {"min_poly"}, name
 
 
 def test_regroup_point_values():

@@ -1,94 +1,85 @@
 """Exact arithmetic in F_p and its extension stages F_{p^m}.
 
-A stage F_{p^m} is represented as F_p[x]/(f) where f is the modulus picked
-deterministically: the first monic irreducible of degree m when coefficient
-vectors (c_0, ..., c_{m-1}) are enumerated in lexicographic order.  Elements
-are coefficient vectors in the same low-to-high convention, and every
-ordering exposed by the package (roots, point lists, labels) is the
-lexicographic order on those vectors.
+A stage F_{p^m} is F_p[x]/(f) for the first monic irreducible f of
+degree m when coefficient vectors (c_0, ..., c_{m-1}) are enumerated in
+lexicographic order.  Elements are coefficient vectors in the same
+low-to-high convention, and every ordering exposed by the package
+(roots, point lists, labels) is the lexicographic order on them.  The
+characteristic is odd and below 2**31, so equal-degree splitting can use
+the quadratic-residue trick.  There is one stage type, `ExtField`, with
+F_p its degree 1 and modulus x; `make_ext_field` (also `stage_field`;
+`PrimeField(p)` is its degree 1) builds each stage once per process.
 
-The characteristic is kept odd and below 2**31 so that equal-degree
-splitting can use the classical quadratic-residue trick and single word
-arithmetic stays exact.
-
-There is one stage type, `ExtField`, and F_p is its degree 1 with
-modulus x.  `make_ext_field` (also named `stage_field`; `PrimeField(p)`
-is its degree 1) builds each stage once per process, so equal stages
-are one object.
-
-Products, and everything built on them, run on `_Packed`, a kernel on
-plain ints.  Each stage builds its one packing when it is built and
-holds it as `packing`.  `FieldElement` multiplies on it: pack both
-factors, one int multiply, `reduce`, unpack (`a * b % p` at F_p).  It
-inverts by `_Packed.inverse`, the extended Euclid of the coefficients
-and the modulus on the prime stage's packing.  `frobenius` and `embed`
-send an element where the generator goes, by one Horner step per
-coefficient at the generator's packed image (`_at_image`): a^p, found
-once per stage by square-and-multiply on the prime packing, and for
-`embed` the label-smallest root of the parent modulus in the target,
-found once per pair of stages; `_orbit_roots` carries coefficients into
-K the same way.  `multipoly` runs its polynomial arithmetic on the same
-packing.
+Everything runs on `_Packed`, a kernel on plain ints, and each stage
+holds its one packing as `packing`.  A stage element
+c_0 + ... + c_{m-1} a^(m-1) is one int with a k-bit slot per
+coefficient, so the product of two elements is one int multiply whose
+2m - 1 slots hold the unreduced coefficients of their product.  Sums of
+such products stay unreduced until read; a reduction takes every slot
+mod p at once by division by an invariant integer (Granlund and
+Montgomery: x * magic >> shift, masked to each slot's quotient bits),
+then folds the m - 1 high slots back through a^(m+t) mod the modulus and
+reduces once more, in a constant number of int operations for any m (at
+m = 1 on one element, one `x % p`).  The value bound b is the bit length
+of (2D + 2) m p^2 for polynomials of degree up to D: no slot of a
+product of two remainders plus a division by a polynomial of degree D
+reaches 2^b, and a slot is k = 2b + 1 bits, room for a slot value times
+the (b + 1)-bit magic.  Past 2^b a slot gets a wrong residue instead of
+carrying, so every caller keeps its sums inside the degree it declares.
+`FieldElement` multiplies on the packing and inverts by
+`_Packed.inverse`, the extended Euclid of the coefficients and the
+modulus on the prime stage's packing.  `frobenius` and `embed` send an
+element where the generator goes, one Horner step per coefficient at
+the generator's packed image (`_at_image`): a^p, found once per stage,
+or the label-smallest root of the parent modulus in the target, found
+once per pair of stages; `_orbit_roots` carries coefficients into K the
+same way.  `multipoly` divides, and `finalg` and `weilres` multiply
+matrices and vectors (`mat_vec`), on the same packing; every elimination
+but `finalg`'s early-stopping Krylov run for minimal polynomials is
+`_Packed.echelon`, a Gauss-Jordan reduction of dense rows whose
+eliminated entries are each one product plus a reduced entry, and
+`kernel`, `null_vectors` and `solve` read their results off it.  There
+are no Zech-log tables: a table would cost more to build in a fresh
+process than it saves, and stages beyond any table size would need a
+second path.
 
 Root finding (`roots_in`), factoring (`factor_univariate`) and the
 irreducibility test (`is_irreducible`, which also picks each modulus)
-run on packings sized to the polynomial's degree.  There is one
-distinct-degree pass (`_Packed.degree_blocks`) and one Cantor-Zassenhaus
-split (`_Packed.split`); factoring runs them on each squarefree part of
-f (Yun's gcds, and a p-th root where f' = 0).  The pass is also the
-irreducibility test: a monic f of degree n >= 1 is irreducible exactly
-when it is the pass's one block, of degree n, since a reducible f has an
-irreducible factor of degree at most n/2, which the pass finds.
+run on packings sized to the polynomial's degree: one distinct-degree
+pass (`_Packed.degree_blocks`) and one Cantor-Zassenhaus split
+(`_Packed.split`), factoring on each squarefree part (Yun's gcds, and a
+p-th root where f' = 0).  A monic f of degree n >= 1 is irreducible
+exactly when it is the pass's one block, of degree n.  Their powers
+x^(q^d) and r^((q^d - 1)/2) run in one `_Ring` per monic modulus f of
+degree n: a whole polynomial is one int (Kronecker substitution), its
+coefficient i at bit (2m - 1) k i, so the coefficient slots of an
+element product nest inside; a product is one int multiply, every slot
+of every coefficient is reduced at once as above, and the remainder is
+Barrett's, A - floor(floor(A / x^n) mu / x^(n-2)) f, exact for
+deg A <= 2n - 2, with mu = floor(x^(2n-2) / f) found once per f by
+Newton's iteration on f read backwards.  A slot there sums at most
+2n - 1 products of two coefficients, inside the bound for n <= D.
 The roots of f in a stage K come in Frobenius orbits: g =
 gcd(f, x^|K| - x) is split over f's own coefficient field F, read as
 F_p when every coefficient is a residue, by degrees and then within each
 degree, and an irreducible factor of degree d is split over K only down
 to one root r, whose orbit r, r^|F|, ..., r^(|F|^(d-1)) gives the rest.
-At F = F_p everything but that last split runs on one-slot ints.  Each
-orbit must close after d steps on d distinct roots, and the roots must
-number deg g, or `roots_in` raises `CertificateFailure`; so does a split
-that finds no factor in `_SPLIT_TRIES` tries, as on an input that is no
-product of distinct irreducibles of one degree.  Root sets are kept for
-the life of the process per (F, monic f, K), like fields and
+Each orbit must close after d steps on d distinct roots, and the roots
+must number deg g, or `roots_in` raises `CertificateFailure`; so does a
+split that finds no factor in `_SPLIT_TRIES` tries, as on an input that
+is no product of distinct irreducibles of one degree.  Root sets are
+kept for the life of the process per (F, monic f, K), like fields and
 embeddings, and only a computation that passed its certificates is kept.
 
-A stage element c_0 + ... + c_{m-1} a^(m-1) is one int with a k-bit slot
-per coefficient, so the product of two elements is one C-level multiply
-whose 2m - 1 slots hold the unreduced coefficients of their product.
-Sums of such products are left unreduced; an element is reduced (each
-slot mod p, then the high slots folded back through a^(m+t) mod the
-modulus) only when it is read: a leading coefficient during division, or
-the end of a product.  The value bound b is the bit length of
-(2D + 2) m p^2 for polynomials of degree up to D: no slot of a product
-of two remainders plus a division by a polynomial of degree D reaches
-2^b.  A slot is k = 2b + 1 bits, room for a slot value times a
-(b + 1)-bit magic constant, so every slot is reduced at once by
-division by an invariant integer (Granlund and Montgomery):
-x * magic >> shift, masked to each slot's quotient bits, is x // p slot
-by slot, in a constant number of int operations for any m, and folding
-the m - 1 high slots back takes one more such pass.  Past 2^b a slot
-gets a wrong residue instead of carrying, so every caller keeps its sums
-inside the degree it declares.  The prime stage is m = 1, and the same
-code serves every p < 2**31 and m <= 24; at m = 1 a reduction is one
-`x % p`.
-`mat_vec` serves `finalg`'s linear models and `weilres` checks points
-against their relations on the packing, inside the same bound.  Every
-elimination but `finalg`'s early-stopping Krylov run for minimal
-polynomials runs on `_Packed.echelon`, a Gauss-Jordan reduction of
-dense rows of reduced entries whose eliminated entries are each one
-product plus a reduced entry, reduced at once; `kernel` and `solve`
-read their results off it.  There are no Zech-log tables: stages reach
-7^6 elements for a handful of calls, so a table would cost more to
-build in a fresh process than it saves, and stages beyond any table
-size would need a second path.
 `FieldElement` and `UniPoly` stay the public value types: labels,
 hashing and reports read their coefficient vectors.  The reference
 arithmetic lives in `tests/test_exactfield.py`: element arithmetic on
-plain residue lists (`_list_rule_*`), and factoring on `UniPoly`
-(`_field_element_rule_*`), the route the tests compare
-`factor_univariate`, `is_irreducible` and `roots_in` with; the
-field-element elimination the echelon is compared with is
-`tests/test_echelon.py`'s `_linalg_rule_*`.
+plain residue lists (`_list_rule_*`), the per-coefficient
+square-and-multiply the ring replaced (`_entry_rule_powmod`), and
+factoring on `UniPoly` (`_field_element_rule_*`), which `factor_univariate`,
+`is_irreducible` and `roots_in` are compared with; the field-element
+elimination the echelon is compared with is `tests/test_echelon.py`'s
+`_linalg_rule_*`.
 """
 
 from __future__ import annotations
@@ -110,8 +101,10 @@ MAX_CHAR = 2 ** 31
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # A try of `_Packed.split` on a product of distinct irreducibles of
-# degree d fails with probability at most 1/2, so this many all fail
-# with probability below 10^-38; any other input may never split.
+# degree d over a stage of order q fails with probability at most
+# 1/2 + 1/(2 Q^2) <= 5/9, Q = q^d >= 3 (two factors, the worst case), so
+# this many all fail with probability below 3*10^-33; any other input
+# may never split.
 _SPLIT_TRIES = 128
 
 
@@ -166,12 +159,13 @@ class _Packed:
     of reduced coefficients, low degree first and trimmed, except the
     unreduced product `mul` returns.  Matrices are sparse columns of
     (index, entry) pairs for `mat_vec`, and dense rows of reduced
-    entries for `echelon`, `kernel` and `solve`; `rows` turns the one
-    into the other.  The prime stage is m = 1 with the modulus a.
+    entries for `echelon`, `kernel`, `null_vectors` and `solve`; `rows`
+    turns the one into the other.  The prime stage is m = 1 with the
+    modulus a.  A whole polynomial packed into one int is `_Ring`'s.
     """
 
     __slots__ = ("p", "m", "mod", "b", "k", "mask", "narrow", "high",
-                 "ps", "fold", "shift", "magic", "qmask")
+                 "ps", "fold", "shift", "magic", "qmask", "prime")
 
     def __init__(self, p, mod, degree):
         m = len(mod) - 1
@@ -184,6 +178,8 @@ class _Packed:
         self.k = 2 * self.b + 1
         self.mask = (1 << self.k) - 1
         self.p, self.m, self.mod = p, m, mod
+        # the prime stage's packing, on which `inverse` runs its Euclid
+        self.prime = make_ext_field(p, 1).packing if m > 1 else self
         slots = range(0, (2 * m - 1) * self.k, self.k)
         self.narrow, self.high = slots[:m], slots[m:]
         # x // p = x * magic >> shift for every x < 2^b (Granlund and
@@ -240,7 +236,7 @@ class _Packed:
         p = self.p
         if x <= self.mask:  # an element of F_p
             return pow(x, p - 2, p)
-        P = make_ext_field(p, 1).packing
+        P = self.prime
         red = P.reduce
         # u0 x = r0 and u1 x = r1 mod the modulus, r1 down to a constant
         r0, r1 = self.mod, _trim(self.unpack(x))
@@ -327,10 +323,17 @@ class _Packed:
         return pivots
 
     def kernel(self, rows):
-        """Basis of the right kernel of dense rows, one dense vector per
-        free column: 1 there, minus that column's entries at the pivots."""
-        width = len(rows[0]) if rows else 0
-        pivots = self.echelon(rows)
+        """Basis of the right kernel of dense rows: `echelon`, then
+        `null_vectors` of all their columns."""
+        self.echelon(rows)
+        return self.null_vectors(rows, len(rows[0]) if rows else 0)
+
+    def null_vectors(self, rows, width):
+        """For rows in reduced row echelon form, a basis of the right
+        kernel of their first width columns, one dense vector per free
+        column: 1 there, minus that column's entries at the pivots."""
+        pivots = [next(j for j, a in enumerate(row) if a)
+                  for row in rows if any(row[:width])]
         red, ps = self.reduce, self.ps
         out = []
         for free in sorted(set(range(width)) - set(pivots)):
@@ -385,17 +388,6 @@ class _Packed:
             a, b = b, self.divmod(a, b)[1]
         return self.monic(a)
 
-    def powmod(self, a, e, f):
-        result = self.divmod((1,), f)[1]
-        base = self.divmod(a, f)[1]
-        while e:
-            if e & 1:
-                result = self.divmod(self.mul(result, base), f)[1]
-            e >>= 1
-            if e:
-                base = self.divmod(self.mul(base, base), f)[1]
-        return result
-
     def power(self, x, e):
         """x^e for one reduced coefficient x."""
         result = 1
@@ -436,12 +428,13 @@ class _Packed:
     def degree_blocks(self, g, n=None):
         """Distinct degrees: (block, d) pairs for a squarefree monic g,
         block the product of g's irreducible factors of degree d, read
-        off x^(q^d) for q the order of the stage.  With n, the degree of
-        every factor divides n: only those d are tried, and at d = n the
-        rest is the last block."""
+        off x^(q^d) for q the order of the stage, raised to q in one
+        `_Ring` per remaining product.  With n, the degree of every
+        factor divides n: only those d are tried, and at d = n the rest
+        is the last block."""
         q, x = self.p ** self.m, (0, 1)
         blocks = []
-        rest, power, done, d = g, x, 0, 0
+        rest, power, done, d, ring = g, x, 0, 0, None
         while len(rest) > 1:
             d += 1
             if len(rest) - 1 < 2 * d:  # every factor has degree >= d
@@ -452,13 +445,14 @@ class _Packed:
             if d == n:
                 blocks.append((rest, n))
                 break
+            ring = ring or _Ring(self, rest)
             for _ in range(d - done):
-                power = self.powmod(power, q, rest)
+                power = ring.powmod(power, q)
             done = d
             block = self.gcd(self.sub(power, x), rest)
             if len(block) > 1:
                 blocks.append((block, d))
-                rest = self.divmod(rest, block)[0]
+                rest, ring = self.divmod(rest, block)[0], None
                 power = self.divmod(power, rest)[1]
         return blocks
 
@@ -467,23 +461,22 @@ class _Packed:
         that is a product of distinct ones of degree d.  With first, only
         the factor reached by following the smaller half of every split.
         Each try draws deg g coefficients from rng, each as m residues,
-        low degree and low slot first; `_SPLIT_TRIES` tries without a
-        factor raise `CertificateFailure`."""
+        low degree and low slot first, raises them to (q^d - 1) / 2 in
+        the one `_Ring` of g and takes one gcd; `_SPLIT_TRIES` tries
+        without a factor raise `CertificateFailure`."""
         n = len(g) - 1
         if n == d:
             return [g]
         p, m = self.p, self.m
-        half = (p ** (m * d) - 1) // 2
+        half, ring = (p ** (m * d) - 1) // 2, _Ring(self, g)
         for _ in range(_SPLIT_TRIES):
             r = _trim([self.pack([rng.randrange(p) for _ in range(m)])
                        for _ in range(n)])
             if len(r) < 2:
                 continue
-            a = self.gcd(r, g)
+            a = self.gcd(self.sub(ring.powmod(r, half), (1,)), g)
             if not 0 < len(a) - 1 < n:
-                a = self.gcd(self.sub(self.powmod(r, half, g), (1,)), g)
-                if not 0 < len(a) - 1 < n:
-                    continue
+                continue
             b = self.divmod(g, a)[0]
             if first:
                 return self.split(min(a, b, key=len), d, rng, True)
@@ -491,6 +484,85 @@ class _Packed:
         raise CertificateFailure("no split of a polynomial of degree %d into "
                                  "factors of degree %d in %d tries"
                                  % (n, d, _SPLIT_TRIES))
+
+
+class _Ring:
+    """F[x]/(f) for a monic f of degree n >= 1 over the stage packed in S,
+    each polynomial one int with coefficient i at bit i s, s = (2m - 1) k:
+    a product is one int multiply, `reduce` takes every slot at once, and
+    `mulmod` brings a product of two remainders below degree n by
+    Barrett's rule.  A slot of any product here sums at most 2n - 1
+    products of two coefficients, inside S's value bound when n is at
+    most the degree S was built for.
+    """
+
+    __slots__ = ("S", "f", "n", "s", "mu", "negf", "low", "qmask", "slot", "high")
+
+    def __init__(self, S, f):
+        if f[-1] != 1:
+            raise CertificateFailure("a packed ring needs a monic modulus")
+        n, m, k = len(f) - 1, S.m, S.k
+        s = (2 * m - 1) * k
+        self.S, self.f, self.n, self.s = S, f, n, s
+        # 1 in slot 0 of each of the 2n - 1 coefficients of a product
+        ones = ((1 << (2 * n - 1) * s) - 1) // ((1 << s) - 1)
+        self.qmask, self.slot = S.qmask * ones, S.mask * ones
+        self.high = ((1 << (m - 1) * k) - 1) * ones
+        self.low = (1 << n * s) - 1
+        # mu read backwards is 1 / (f read backwards) mod x^(n - 1), by
+        # Newton's iteration g <- g (2 - rev(f) g), doubling the precision
+        rev, ps, g, prec = self.pack(f[::-1]), S.ps * ones, 1, 1
+        while prec < n - 1:
+            prec = min(2 * prec, n - 1)
+            cut = (1 << prec * s) - 1
+            t = self.reduce((rev & cut) * g & cut)
+            g = self.reduce(g * (ps + 2 - t & cut) & cut)
+        self.mu = self.pack(self.unpack(g, n - 1)[::-1])
+        self.negf = self.reduce(ps - (self.pack(f) & self.low)) & self.low
+
+    def pack(self, cs):
+        x = 0
+        for c in reversed(cs):
+            x = x << self.s | c
+        return x
+
+    def unpack(self, x, count):
+        s, mask = self.s, (1 << self.s) - 1
+        return [x >> i * s & mask for i in range(count)]
+
+    def reduce(self, x):
+        """x with every slot mod p and the slots from m on folded back;
+        each slot of x must be below 2^b."""
+        S = self.S
+        p, magic, shift, qmask = S.p, S.magic, S.shift, self.qmask
+        x -= (x * magic >> shift & qmask) * p
+        if S.fold:
+            k, at, slot = S.k, S.m * S.k, self.slot
+            high = x >> at & self.high  # slots m.. of each coefficient, moved to 0..
+            x ^= high << at
+            for a in S.fold:
+                x += (high & slot) * a
+                high >>= k
+            x -= (x * magic >> shift & qmask) * p
+        return x
+
+    def mulmod(self, a, b):
+        """a b mod f for reduced a and b of degree below n: with A = a b,
+        A - floor(floor(A / x^n) mu / x^(n - 2)) f."""
+        n, s = self.n, self.s
+        x = a * b
+        q = self.reduce(self.reduce(x >> n * s) * self.mu >> max(n - 2, 0) * s)
+        return self.reduce(x + q * self.negf & self.low)
+
+    def powmod(self, a, e):
+        """a^e mod f, a a polynomial over the stage, as a reduced tuple:
+        square-and-multiply from the top bit of e, one `mulmod` a step."""
+        base, x = self.pack(self.S.divmod(a, self.f)[1]), 1
+        for bit in bin(e)[2:]:
+            x = self.mulmod(x, x)
+            if bit == "1":
+                x = self.mulmod(x, base)
+        return _trim(self.unpack(x, self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +702,7 @@ class ExtField:
         self.gen = FieldElement(self, self._pad((0, 1))) if degree > 1 else self.one
         # a^p for the generator a, packed: `frobenius` evaluates at it
         self._frob_gen = self.packing.pack(
-            self.base.packing.powmod((0, 1), p, modulus))
+            _Ring(self.base.packing, modulus).powmod((0, 1), p))
 
     def _pad(self, coeffs):
         if len(coeffs) < self.degree:
@@ -966,8 +1038,10 @@ def roots_in(f: UniPoly, field) -> list:
 def _roots(S, fp, F, K):
     """The sorted roots in K, as coefficient tuples, of the monic fp over
     F packed in S."""
+    if len(fp) < 2:
+        return ()
     x = (0, 1)
-    g = S.gcd(fp, S.sub(S.powmod(x, K.order, fp), x))
+    g = S.gcd(fp, S.sub(_Ring(S, fp).powmod(x, K.order), x))
     if len(g) < 2:
         return ()
     rng = random.Random(0)

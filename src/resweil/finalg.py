@@ -16,10 +16,11 @@ residue degrees and the local factors are all read off that one map, by
 kernel of F - I, and the image of a high enough power F^L has the
 nilradical as its kernel and one residue field per local factor.
 An inverse is one `_Packed.solve` on the columns of multiplication by
-the element, and an annihilator one `_Packed.kernel` on them; only the
-idempotents come off minimal polynomials, by Lagrange interpolation at
-their roots.  The primitive idempotents are refined once per
-presentation and kept on it, like its local factors.
+the element, and a non-unit's annihilator is read off that solve's
+echelon form (`_Packed.null_vectors`); only the idempotents come off
+minimal polynomials, by Lagrange interpolation at their roots.  The
+primitive idempotents are refined once per presentation and kept on it,
+like its local factors.
 A polynomial is evaluated at algebra elements on the same columns
 (`_evaluate`), with no substitution and no normal form; an `AlgebraHom`
 maps a polynomial that way, and `weilres.weil_restrict` expands a
@@ -300,20 +301,34 @@ class AlgebraPresentation:
         return self.inverse(f) is not None
 
     def inverse(self, f: MPoly):
-        """Multiplicative inverse as a normal form, or None: one `solve` of
-        f x = 1 on f's packed columns and the unit column, consistent
-        exactly when f is a unit."""
+        """Multiplicative inverse as a normal form, or None
+        (`_inverse_or_annihilator`)."""
+        return self._inverse_or_annihilator(f)[0]
+
+    def _inverse_or_annihilator(self, f: MPoly):
+        """(inverse, None) for a unit f, else (None, a nonzero annihilator
+        of f), both normal forms, by one `solve` of f x = 1 on f's packed
+        columns and the unit column, consistent exactly when f is a unit.
+        The annihilator, `etale_check`'s obstruction, is the kernel vector
+        of f's columns at their first free column, read off the echelon
+        form the solve leaves, and must be nonzero and annihilate f."""
         S, d = self._stage, self.dimension
         if not d:
-            return self.zero()  # zero ring: 1 = 0 and everything inverts
+            return self.zero(), None  # zero ring: 1 = 0 and everything inverts
         cols = self._columns(f)
-        sol = S.solve(S.rows(cols + [[(0, 1)]], d), d)
+        rows = S.rows(cols + [[(0, 1)]], d)
+        sol = S.solve(rows, d)
         if sol is None:
-            return None
+            ann = [(i, a) for vec in S.null_vectors(rows, d)[:1]
+                   for i, a in enumerate(vec) if a]
+            if not ann or S.mat_vec(cols, ann):
+                raise CertificateFailure(
+                    "the obstruction is not a nonzero annihilator of the determinant")
+            return None, self._element(ann)
         x = [(i, a) for i, a in enumerate(sol[0]) if a]
         if S.mat_vec(cols, x) != [(0, 1)]:
             raise CertificateFailure("the solved inverse does not invert")
-        return self._element(x)
+        return self._element(x), None
 
     def min_poly(self, f: MPoly) -> UniPoly:
         """Monic minimal polynomial of f acting on the quotient."""
@@ -664,7 +679,8 @@ def etale_check(X) -> EtaleCertificate:
     The ring is X's total coordinate ring, X.coordinate_ring.  The
     certificate carries the inverse normal form when it exists and a
     nonzero annihilator of the determinant otherwise: the first kernel
-    vector of the determinant's multiplication columns.
+    vector of the determinant's multiplication columns, read off the
+    echelon form of the inverse's one solve.
     """
     if len(X.relations) != len(X.vars):
         raise NotSquareSystem(
@@ -672,14 +688,6 @@ def etale_check(X) -> EtaleCertificate:
     B = X.coordinate_ring
     rows = [[g.derivative(y) for y in X.vars] for g in X.relations]
     det = B.nf(_poly_det(rows, B.field, B.vars))
-    inv = B.inverse(det)  # raises NotFinite when the quotient is infinite
-    if inv is not None:
-        return EtaleCertificate(True, det, inv, None)
-    S, cols = B._stage, B._columns(det)
-    ann = [(i, a) for vec in S.kernel(S.rows(cols, B.dimension))[:1]
-           for i, a in enumerate(vec) if a]
-    obstruction = B._element(ann)
-    if obstruction.is_zero() or S.mat_vec(cols, ann):
-        raise CertificateFailure(
-            "the obstruction is not a nonzero annihilator of the determinant")
-    return EtaleCertificate(False, det, None, obstruction)
+    # raises NotFinite when the quotient is infinite
+    inv, obstruction = B._inverse_or_annihilator(det)
+    return EtaleCertificate(inv is not None, det, inv, obstruction)

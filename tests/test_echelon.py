@@ -188,8 +188,11 @@ def test_solve_and_inverse_match_the_rule(p, m, slot_peaks):
                    for x in xs]
         for rhs in (spanned, _random_matrix(K, rng, 2, n)):
             rule = [_linalg_rule_solve(M, b, K) for b in rhs]
-            aug = [row + [b[i] for b in rhs] for i, row in enumerate(M)]
-            sol = S.solve(_pack(S, aug), w)
+            aug = _pack(S, [row + [b[i] for b in rhs] for i, row in enumerate(M)])
+            sol = S.solve(aug, w)
+            # M's kernel, read off the echelon form the solve leaves
+            assert _unpack(S, K, S.null_vectors(aug, w)) == \
+                _linalg_rule_kernel_basis(M, K), name
             if None in rule:
                 assert sol is None, name
                 unsolved += 1

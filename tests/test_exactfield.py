@@ -553,7 +553,9 @@ def _field_element_rule_distinct_degree(f):
 
 
 def _field_element_rule_equal_degree_split(f, d, rng):
-    """Cantor-Zassenhaus splitting; the characteristic is odd by construction."""
+    """Cantor-Zassenhaus splitting; the characteristic is odd by
+    construction.  A try is gcd(r^((q^d - 1) / 2) - 1, f) alone: an r that
+    shares a factor with f is one more failed try, not a split."""
     field = f.field
     q = field.order
     if f.degree == d:
@@ -567,16 +569,10 @@ def _field_element_rule_equal_degree_split(f, d, rng):
                             for _ in range(f.degree)])
         if r.degree < 1:
             continue
-        g = gcd(r, f)
-        if 0 < g.degree < f.degree:
-            a, b = g, (f // g).monic()
-        else:
-            h = _field_element_rule_pow_mod(r, exponent, f) - one
-            g = gcd(h, f)
-            if not (0 < g.degree < f.degree):
-                continue
-            a, b = g.monic(), (f // g).monic()
-        return split(a, d, rng) + split(b, d, rng)
+        g = gcd(_field_element_rule_pow_mod(r, exponent, f) - one, f)
+        if not (0 < g.degree < f.degree):
+            continue
+        return split(g, d, rng) + split((f // g).monic(), d, rng)
 
 
 def _field_element_rule_factor(f, rng=None):
@@ -930,6 +926,65 @@ def test_packed_reduce_matches_the_slotwise_rule(p, m):
             assert all(c < p for c in S.unpack(got)) and got >> S.high[0] == 0
 
 
+def _entry_rule_powmod(S, a, e, f):
+    """a^e mod f by square-and-multiply, one `_Packed.mul` and one
+    `_Packed.divmod` a step, coefficient by coefficient: the route
+    `_Ring.powmod` replaced."""
+    result = S.divmod((1,), f)[1]
+    base = S.divmod(a, f)[1]
+    while e:
+        if e & 1:
+            result = S.divmod(S.mul(result, base), f)[1]
+        e >>= 1
+        if e:
+            base = S.divmod(S.mul(base, base), f)[1]
+    return result
+
+
+@pytest.mark.parametrize("p, m", [(p, m) for p in (3, 11, 2 ** 31 - 1)
+                                  for m in range(1, 7)])
+def test_ring_powmod_at_the_slot_bound(p, m, slot_peaks):
+    # every slot of every coefficient at p - 1, of the base and of the
+    # modulus below its leading 1, makes the largest sums a product, a
+    # Barrett quotient and a remainder reach; each modulus degree n runs
+    # on the packing of degree n, the tightest bound the ring may use
+    K = make_ext_field(p, m)
+    for n in range(1, 65):
+        S = exactfield._Packed(p, K.modulus, n)
+        top = S.pack([p - 1] * m)
+        f, a = (top,) * n + (1,), (top,) * n
+        assert exactfield._Ring(S, f).powmod(a, 2) == _entry_rule_powmod(S, a, 2, f), n
+    assert (p, m) in slot_peaks
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 4), (11, 2), (11, 6),
+                                  (2 ** 31 - 1, 1), (2 ** 31 - 1, 3)])
+def test_ring_powmod_matches_the_entry_rule(p, m, slot_peaks):
+    # random monic moduli of degree 1..24, bases up to twice their degree
+    # and exponents from 0 to the order of a degree-3 extension
+    K = make_ext_field(p, m)
+    rng = random.Random(p * 10 + m)
+    for _ in range(24):
+        n = rng.randrange(1, 25)
+        S = exactfield._Packed(p, K.modulus, n)
+
+        def draw(count):
+            return tuple(S.pack([rng.randrange(p) for _ in range(m)])
+                         for _ in range(count))
+        f = draw(n) + (1,)
+        a = exactfield._trim(draw(rng.randrange(0, 2 * n + 2)))
+        e = rng.choice([0, 1, 2, p, rng.randrange(K.order ** 3)])
+        assert exactfield._Ring(S, f).powmod(a, e) == _entry_rule_powmod(S, a, e, f)
+    assert (p, m) in slot_peaks
+
+
+def test_ring_needs_a_monic_modulus():
+    S = exactfield._Packed(5, (0, 1), 2)
+    with pytest.raises(CertificateFailure,
+                       match="^a packed ring needs a monic modulus$"):
+        exactfield._Ring(S, (1, 0, 2))
+
+
 def _irreducibles(rng, K, d, count):
     """count distinct monic irreducibles of degree d over K."""
     found = set()
@@ -1074,8 +1129,8 @@ def test_roots_in_serves_a_repeated_key_from_the_memo(monkeypatch):
     expected = _factor_roots(f, K)
     assert first == expected
     calls = []
-    for name in ("split", "powmod"):
-        monkeypatch.setattr(exactfield._Packed, name,
+    for cls, name in ((exactfield._Packed, "split"), (exactfield._Ring, "powmod")):
+        monkeypatch.setattr(cls, name,
                             lambda self, *args, name=name, **kw: calls.append(name))
     first.append(K.zero)
     for g in (f, f * f.field.from_int(3), f.map_coefficients(K)):

@@ -28,7 +28,7 @@ the (b + 1)-bit magic.  Past 2^b a slot gets a wrong residue instead of
 carrying, so every caller keeps its sums inside the degree it declares.
 `FieldElement` multiplies on the packing and inverts by
 `_Packed.inverse`, the extended Euclid of the coefficients and the
-modulus on the prime stage's packing.  `frobenius` and `embed` send an
+modulus on plain residue lists.  `frobenius` and `embed` send an
 element where the generator goes, one Horner step per coefficient at
 the generator's packed image (`_at_image`): a^p, found once per stage,
 or the label-smallest root of the parent modulus in the target, found
@@ -59,6 +59,7 @@ Barrett's, A - floor(floor(A / x^n) mu / x^(n-2)) f, exact for
 deg A <= 2n - 2, with mu = floor(x^(2n-2) / f) found once per f by
 Newton's iteration on f read backwards.  A slot there sums at most
 2n - 1 products of two coefficients, inside the bound for n <= D.
+Their gcds run on the same ints, by Euclid with pseudo-remainders.
 The roots of f in a stage K come in Frobenius orbits: g =
 gcd(f, x^|K| - x) is split over f's own coefficient field F, read as
 F_p when every coefficient is a residue, by degrees and then within each
@@ -75,7 +76,8 @@ embeddings, and only a computation that passed its certificates is kept.
 hashing and reports read their coefficient vectors.  The reference
 arithmetic lives in `tests/test_exactfield.py`: element arithmetic on
 plain residue lists (`_list_rule_*`), the per-coefficient
-square-and-multiply the ring replaced (`_entry_rule_powmod`), and
+square-and-multiply and Euclid the whole ints replaced
+(`_entry_rule_powmod`, `_entry_rule_gcd`), and
 factoring on `UniPoly` (`_field_element_rule_*`), which `factor_univariate`,
 `is_irreducible` and `roots_in` are compared with; the field-element
 elimination the echelon is compared with is `tests/test_echelon.py`'s
@@ -156,16 +158,15 @@ class _Packed:
     value returned.  A slot value must stay below 2^b, b the value bound
     of `degree`; k = 2b + 1 leaves room to reduce every slot at once by
     one multiply by `magic`, a shift and a mask.  Polynomials are tuples
-    of reduced coefficients, low degree first and trimmed, except the
-    unreduced product `mul` returns.  Matrices are sparse columns of
-    (index, entry) pairs for `mat_vec`, and dense rows of reduced
-    entries for `echelon`, `kernel`, `null_vectors` and `solve`; `rows`
-    turns the one into the other.  The prime stage is m = 1 with the
-    modulus a.  A whole polynomial packed into one int is `_Ring`'s.
+    of reduced coefficients, low degree first and trimmed.  Matrices are
+    sparse columns of (index, entry) pairs for `mat_vec`, and dense rows
+    of reduced entries for `echelon`, `kernel`, `null_vectors` and
+    `solve`; `rows` turns the one into the other.  The prime stage is
+    m = 1 with the modulus a.  A whole polynomial in one int is `_Whole`'s.
     """
 
     __slots__ = ("p", "m", "mod", "b", "k", "mask", "narrow", "high",
-                 "ps", "fold", "shift", "magic", "qmask", "prime")
+                 "ps", "fold", "shift", "magic", "qmask", "wide")
 
     def __init__(self, p, mod, degree):
         m = len(mod) - 1
@@ -178,8 +179,7 @@ class _Packed:
         self.k = 2 * self.b + 1
         self.mask = (1 << self.k) - 1
         self.p, self.m, self.mod = p, m, mod
-        # the prime stage's packing, on which `inverse` runs its Euclid
-        self.prime = make_ext_field(p, 1).packing if m > 1 else self
+        self.wide = None  # the longest `_Whole` built on this packing
         slots = range(0, (2 * m - 1) * self.k, self.k)
         self.narrow, self.high = slots[:m], slots[m:]
         # x // p = x * magic >> shift for every x < 2^b (Granlund and
@@ -231,24 +231,31 @@ class _Packed:
 
     def inverse(self, x):
         """1 / x for a reduced x != 0: by Fermat in F_p, else by the
-        extended Euclid of x's coefficients and the modulus, run on the
-        prime stage's packing, where every slot is one residue."""
+        extended Euclid of x's coefficients and the modulus on plain
+        residue lists, each remainder's entries reduced when read."""
         p = self.p
         if x <= self.mask:  # an element of F_p
             return pow(x, p - 2, p)
-        P = self.prime
-        red = P.reduce
         # u0 x = r0 and u1 x = r1 mod the modulus, r1 down to a constant
-        r0, r1 = self.mod, _trim(self.unpack(x))
-        u0, u1 = (), (1,)
+        r0, r1 = list(self.mod), list(_trim(self.unpack(x)))
+        u0, u1 = [], [1]
         while len(r1) > 1:
-            q, r = P.divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, P.sub(u0, [red(c) for c in P.mul(q, u1)])
+            n = len(r1) - 1
+            inv = pow(r1[-1], p - 2, p)
+            u = u0 + [0] * (len(r0) - n + len(u1) - len(u0))
+            for i in range(len(r0) - 1, n - 1, -1):
+                c = r0[i] * inv % p
+                if c:
+                    for j, y in enumerate(r1[:n], i - n):
+                        r0[j] -= c * y
+                    for j, y in enumerate(u1, i - n):
+                        u[j] -= c * y
+            r0, r1 = r1, list(_trim([c % p for c in r0[:n]]))
+            u0, u1 = u1, list(_trim([c % p for c in u]))
         if not r1:  # x and the modulus share a factor: x is no unit
             raise CertificateFailure("no inverse of a zero divisor mod the modulus")
         inv = pow(r1[0], p - 2, p)
-        return self.pack([red(c * inv) for c in u1])
+        return self.pack([c * inv % p for c in u1])
 
     def sub(self, a, b):
         n = max(len(a), len(b))
@@ -256,17 +263,6 @@ class _Packed:
         b = tuple(b) + (0,) * (n - len(b))
         ps, red = self.ps, self.reduce
         return _trim([red(x + ps - y) for x, y in zip(a, b)])
-
-    def mul(self, a, b):
-        """The product of a and b with unreduced coefficients."""
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return out
 
     def mat_vec(self, cols, vec):
         """Square matrix (cols[j] is column j) times vector, all sparse
@@ -383,10 +379,35 @@ class _Packed:
             return a
         return tuple(self.reduce(c * inv) for c in a)
 
+    def whole(self, count):
+        """A `_Whole` of at least count coefficients, kept for shorter ones."""
+        if self.wide is None or self.wide.count < count:
+            self.wide = _Whole(self, count)
+        return self.wide
+
     def gcd(self, a, b):
-        while b:
-            a, b = b, self.divmod(a, b)[1]
-        return self.monic(a)
+        """The monic gcd of reduced a and b, by Euclid on `_Whole` ints with
+        pseudo-remainders x <- lc(y) x - c x^j y, one reduction per quotient
+        term: no inverse but the final `monic`'s.  A slot sums two products."""
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) < 2:
+            return (1,) if b else self.monic(a)
+        W = self.whole(len(a))
+        s, ps, red = W.s, self.ps, W.reduce
+        x, dx, y, dy = W.pack(a), len(a) - 1, W.pack(b), len(b) - 1
+        while True:
+            ly = y >> dy * s
+            low = y ^ ly << dy * s
+            while dx >= dy:
+                c = x >> dx * s
+                x = red(ly * (x ^ c << dx * s) + ((ps - c) * low << (dx - dy) * s))
+                if not x:
+                    return self.monic(tuple(W.unpack(y, dy + 1)))
+                dx = (x.bit_length() - 1) // s
+            x, dx, y, dy = y, dy, x, dx
+            if not dy:
+                return (1,)
 
     def power(self, x, e):
         """x^e for one reduced coefficient x."""
@@ -486,39 +507,24 @@ class _Packed:
                                  % (n, d, _SPLIT_TRIES))
 
 
-class _Ring:
-    """F[x]/(f) for a monic f of degree n >= 1 over the stage packed in S,
-    each polynomial one int with coefficient i at bit i s, s = (2m - 1) k:
-    a product is one int multiply, `reduce` takes every slot at once, and
-    `mulmod` brings a product of two remainders below degree n by
-    Barrett's rule.  A slot of any product here sums at most 2n - 1
-    products of two coefficients, inside S's value bound when n is at
-    most the degree S was built for.
+class _Whole:
+    """Polynomials of up to count coefficients over the stage packed in
+    S, each one int with coefficient i at bit i s, s = (2m - 1) k: a
+    product is one int multiply, `reduce` takes every slot at once, and
+    a reduced polynomial's degree is its bit length over s.
     """
 
-    __slots__ = ("S", "f", "n", "s", "mu", "negf", "low", "qmask", "slot", "high")
+    __slots__ = ("S", "count", "s", "qmask", "slot", "high", "ps")
 
-    def __init__(self, S, f):
-        if f[-1] != 1:
-            raise CertificateFailure("a packed ring needs a monic modulus")
-        n, m, k = len(f) - 1, S.m, S.k
+    def __init__(self, S, count):
+        m, k = S.m, S.k
         s = (2 * m - 1) * k
-        self.S, self.f, self.n, self.s = S, f, n, s
-        # 1 in slot 0 of each of the 2n - 1 coefficients of a product
-        ones = ((1 << (2 * n - 1) * s) - 1) // ((1 << s) - 1)
+        self.S, self.count, self.s = S, count, s
+        # 1 in slot 0 of each coefficient
+        ones = ((1 << count * s) - 1) // ((1 << s) - 1)
         self.qmask, self.slot = S.qmask * ones, S.mask * ones
         self.high = ((1 << (m - 1) * k) - 1) * ones
-        self.low = (1 << n * s) - 1
-        # mu read backwards is 1 / (f read backwards) mod x^(n - 1), by
-        # Newton's iteration g <- g (2 - rev(f) g), doubling the precision
-        rev, ps, g, prec = self.pack(f[::-1]), S.ps * ones, 1, 1
-        while prec < n - 1:
-            prec = min(2 * prec, n - 1)
-            cut = (1 << prec * s) - 1
-            t = self.reduce((rev & cut) * g & cut)
-            g = self.reduce(g * (ps + 2 - t & cut) & cut)
-        self.mu = self.pack(self.unpack(g, n - 1)[::-1])
-        self.negf = self.reduce(ps - (self.pack(f) & self.low)) & self.low
+        self.ps = S.ps * ones  # p in every slot of every coefficient
 
     def pack(self, cs):
         x = 0
@@ -546,23 +552,52 @@ class _Ring:
             x -= (x * magic >> shift & qmask) * p
         return x
 
+
+class _Ring:
+    """F[x]/(f) for a monic f of degree n >= 1 over the stage packed in S,
+    on S's `_Whole`: `mulmod` brings a product of two remainders below
+    degree n by Barrett's rule.  A slot of any product here sums at most
+    2n - 1 products of two coefficients, inside S's value bound when n is
+    at most the degree S was built for.
+    """
+
+    __slots__ = ("S", "W", "f", "n", "s", "mu", "negf", "low")
+
+    def __init__(self, S, f):
+        if f[-1] != 1:
+            raise CertificateFailure("a packed ring needs a monic modulus")
+        n = len(f) - 1
+        W = S.whole(2 * n - 1)
+        self.S, self.W, self.f, self.n, self.s = S, W, f, n, W.s
+        self.low = (1 << n * W.s) - 1
+        # mu read backwards is 1 / (f read backwards) mod x^(n - 1), by
+        # Newton's iteration g <- g (2 - rev(f) g), doubling the precision
+        rev, g, prec = W.pack(f[::-1]), 1, 1
+        while prec < n - 1:
+            prec = min(2 * prec, n - 1)
+            cut = (1 << prec * W.s) - 1
+            t = W.reduce((rev & cut) * g & cut)
+            g = W.reduce(g * (W.ps + 2 - t & cut) & cut)
+        self.mu = W.pack(W.unpack(g, n - 1)[::-1])
+        self.negf = W.reduce((W.ps & self.low) - (W.pack(f) & self.low))
+
     def mulmod(self, a, b):
         """a b mod f for reduced a and b of degree below n: with A = a b,
         A - floor(floor(A / x^n) mu / x^(n - 2)) f."""
-        n, s = self.n, self.s
+        n, s, red = self.n, self.s, self.W.reduce
         x = a * b
-        q = self.reduce(self.reduce(x >> n * s) * self.mu >> max(n - 2, 0) * s)
-        return self.reduce(x + q * self.negf & self.low)
+        q = red(red(x >> n * s) * self.mu >> max(n - 2, 0) * s)
+        return red(x + q * self.negf & self.low)
 
     def powmod(self, a, e):
         """a^e mod f, a a polynomial over the stage, as a reduced tuple:
         square-and-multiply from the top bit of e, one `mulmod` a step."""
-        base, x = self.pack(self.S.divmod(a, self.f)[1]), 1
+        base, x = self.W.pack(self.S.divmod(a, self.f)[1]), 1
         for bit in bin(e)[2:]:
             x = self.mulmod(x, x)
             if bit == "1":
                 x = self.mulmod(x, base)
-        return _trim(self.unpack(x, self.n))
+        return _trim(self.W.unpack(x, self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -693,9 +728,9 @@ class ExtField:
         self.p, self.degree, self.order = p, degree, p ** degree
         self.modulus = modulus  # int tuple, monic, low degree first
         self.base = self if degree == 1 else make_ext_field(p, 1)
-        # the value bound holds a division by a polynomial of degree
-        # MAX_DEGREE, so on the prime stage the extended Euclid of
-        # `_Packed.inverse` divides by the modulus of any stage
+        # the value bound holds a division by, and a `_Ring` on, a
+        # polynomial of degree MAX_DEGREE, so the prime stage's packing
+        # tests and powers the modulus of any stage
         self.packing = _Packed(p, modulus, MAX_DEGREE)
         self.zero = FieldElement(self, (0,) * degree)
         self.one = FieldElement(self, self._pad((1,)))

@@ -34,6 +34,7 @@ and no square-and-multiply over K.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from functools import cached_property
 
@@ -338,41 +339,51 @@ class AlgebraPresentation:
         """Monic minimal polynomial of the map with sparse packed columns cols.
 
         A Krylov iteration: the powers 1, f, f^2, ... are reduced in turn
-        against an echelon form of the earlier ones, each row carrying its
+        against sparse rows made from the earlier ones, each carrying its
         combination of powers; the first power that reduces to zero gives
-        the relation.  An entry is reduced only where it is read, so it
-        sums at most d products besides itself: inside the value bound of
-        `_stage`.
+        the relation.  No row has an entry at an earlier row's pivot, so
+        only the rows whose pivots a power holds reduce it, in the order
+        made.  An entry is reduced only where it is read, so it sums at
+        most d products besides itself: inside the value bound of `_stage`.
         """
         field, d = self.field, self.dimension  # the zero ring, d = 0, gives 1
         S = self._stage
         red, ps = S.reduce, S.ps
         power = [(0, 1)]  # f^0 = 1, the first basis element
-        rows = []  # (pivot, [coordinates | combination of powers]), pivot entry 1
+        rows, made = [], {}  # (pivot, sparse row), pivot entry 1; pivot -> row index
         for k in range(d + 1):
             if k:
                 power = S.mat_vec(cols, power)
-            vec = [0] * (2 * d + 1)
-            for i, a in power + [(d + k, 1)]:
-                vec[i] = a
-            for pivot, row in rows:
-                c = vec[pivot]
-                if c and (c := red(c)):
+            vec = dict(power)
+            vec[d + k] = 1
+            queue = [made[i] for i in vec if i in made]
+            heapq.heapify(queue)
+            while queue:
+                pivot, row = rows[heapq.heappop(queue)]
+                if c := red(vec[pivot]):
                     c = ps - c  # -c, slot by slot
                     for i, b in row:
-                        vec[i] += c * b
-            vec = [red(a) if a else 0 for a in vec]
-            pivot = next((i for i in range(d) if vec[i]), None)
+                        if i in vec:
+                            vec[i] += c * b
+                        else:
+                            vec[i] = c * b
+                            if i in made:
+                                heapq.heappush(queue, made[i])
+            vec = {i: r for i, a in vec.items() if a and (r := red(a))}
+            pivot = min((i for i in vec if i < d), default=None)
             if pivot is None:
-                return UniPoly(field, [FieldElement(field, S.unpack(c)) for c in vec[d:]])
+                return UniPoly(field, [FieldElement(field, S.unpack(vec.get(d + i, 0)))
+                                       for i in range(k + 1)])
             inv = S.inverse(vec[pivot])
-            rows.append((pivot, [(i, red(a * inv)) for i, a in enumerate(vec) if a]))
+            made[pivot] = len(rows)
+            rows.append((pivot, [(i, a if inv == 1 else red(a * inv)) for i, a in vec.items()]))
         raise CertificateFailure("no dependency found below the dimension bound")
 
     @cached_property
     def min_polys(self):
-        """Minimal polynomial of each coordinate, in variable order, computed once."""
-        return tuple(self.min_poly(self.var(v)) for v in self.vars)
+        """Minimal polynomial of each coordinate, in variable order, computed
+        once on its multiplication columns: its table."""
+        return tuple(map(self._min_poly, self._tables))
 
     def __repr__(self):
         return "AlgebraPresentation(%r, vars=%r, %d relations)" % (

@@ -357,6 +357,10 @@ def zero_dim_solve(B: AlgebraPresentation, K):
 
 
 def _solve_points(B, K):
+    """The K-points of B.  x -> x^|F|, F = B.field, fixes B's relations
+    and permutes each coordinate's roots (`_frobenius_steps`), so only
+    the lexicographically least root combination of each orbit is
+    checked, and its whole orbit kept or dropped with it."""
     if B.groebner.is_unit_ideal():
         return []
     if not B.vars:
@@ -373,21 +377,43 @@ def _solve_points(B, K):
             % (total, SEARCH_GUARD))
     if total == 0:
         return []
+    steps = [_frobenius_steps(rl, B.field.order, K) for rl in rootlists]
     holds = _relation_check(B.relations, rootlists, K)
-    out = [tuple(rl[j] for rl, j in zip(rootlists, idx))
-           for idx in itertools.product(*(range(len(rl)) for rl in rootlists))
-           if holds(idx)]
+    out = []
+    for idx in itertools.product(*(range(len(rl)) for rl in rootlists)):
+        orbit = [idx]
+        nxt = tuple(step[j] for step, j in zip(steps, idx))
+        while nxt != idx:
+            if nxt < idx:  # idx is not the least of its orbit
+                break
+            orbit.append(nxt)
+            nxt = tuple(step[j] for step, j in zip(steps, nxt))
+        else:
+            if holds(idx):
+                out += [tuple(rl[j] for rl, j in zip(rootlists, o)) for o in orbit]
     out.sort(key=_point_label)
     return out
+
+
+def _frobenius_steps(roots, q, K):
+    """For each root r, the index of r^q in roots; `CertificateFailure`
+    unless that is a permutation of the indices."""
+    S = K.packing
+    at = {S.pack(r.coeffs): i for i, r in enumerate(roots)}
+    steps = [at.get(S.power(S.pack(r.coeffs), q)) for r in roots]
+    if set(steps) != set(range(len(roots))):
+        raise CertificateFailure("a root list is not closed under Frobenius")
+    return steps
 
 
 def _relation_check(relations, rootlists, K):
     """Whether a root combination solves every relation, on packed ints of K.
 
-    Returns a predicate on index tuples into rootlists.  Each root gets a
-    table of its powers; a term is its coefficient times table entries,
-    reduced before every further factor but the last, so it adds at most
-    one product of two reduced coefficients to the relation's sum.  The
+    Returns a predicate on index tuples into rootlists.  A root gets a
+    table of its powers the first time a combination holding it is
+    checked; a term is its coefficient times table entries, reduced
+    before every further factor but the last, so it adds at most one
+    product of two reduced coefficients to the relation's sum.  The
     packing's value bound covers the sum of the longest relation, which
     is reduced once and compared with zero.
     """
@@ -396,20 +422,20 @@ def _relation_check(relations, rootlists, K):
     red = S.reduce
     top = [max((m[i] for t in terms for m, _ in t), default=0)
            for i in range(len(rootlists))]
-    tables = []
-    for rl, e in zip(rootlists, top):
-        rows = []
-        for r in rl:
-            row = [1, S.pack(r.coeffs)]
-            while len(row) <= e:
-                row.append(red(row[-1] * row[1]))
-            rows.append(row)
-        tables.append(rows)
+    tables = [[None] * len(rl) for rl in rootlists]
     compiled = [[(S.pack(c.coeffs), [(i, e) for i, e in enumerate(m) if e])
                  for m, c in t] for t in terms]
 
+    def table(i, j):
+        row = tables[i][j]
+        if row is None:
+            row = tables[i][j] = [1, S.pack(rootlists[i][j].coeffs)]
+            while len(row) <= top[i]:
+                row.append(red(row[-1] * row[1]))
+        return row
+
     def holds(idx):
-        rows = [tab[j] for tab, j in zip(tables, idx)]
+        rows = [table(i, j) for i, j in enumerate(idx)]
         for rel in compiled:
             acc = 0
             for c, factors in rel:

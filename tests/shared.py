@@ -1,8 +1,24 @@
 """Helpers that more than one test module reads: the fiber as its own
 presentation, the reference the fibers read off X's total coordinate
-ring are checked against, and a seeded random basis of an algebra."""
+ring are checked against, a seeded random basis of an algebra, and the
+benchmark's workload builders."""
+
+import importlib.util
+from pathlib import Path
 
 from resweil import AlgebraPresentation, MPoly, embed
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _workloads(monkeypatch):
+    """bench/workloads.py as a module, with bench/ on the path for the
+    oracles it imports."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _fiber_rule_presentation(X, coords, K):

@@ -350,7 +350,8 @@ F101_24 = (1,) + (0,) * 21 + (2, 6, 1)
                                   (2 ** 31 - 1, 24), (101, 24)])
 def test_element_arithmetic_matches_the_list_rule_at_large_stages(p, m, slot_peaks):
     # seeded pairs, every coefficient at p - 1 among them, where the
-    # packed products and the prime stage's extended Euclid are widest
+    # packed products are widest; the extended Euclid of an inverse runs
+    # on plain residue lists, with no slot to check
     if (p, m) == (101, 24):
         assert PrimeField(p).packing.degree_blocks(F101_24) == [(F101_24, 24)]
         F = ExtField(p, m, F101_24)
@@ -363,7 +364,7 @@ def test_element_arithmetic_matches_the_list_rule_at_large_stages(p, m, slot_pea
     _check_elements(F, pairs, (-1, 0, 2, 3, rng.randrange(1 << 20)))
     if m < 24:
         _check_embedding(F, make_ext_field(p, 24), vectors)
-    assert (p, 1) in slot_peaks and (p, m) in slot_peaks
+    assert (p, m) in slot_peaks
 
 
 def test_element_label_order_is_lex_on_coeff_vectors():
@@ -861,7 +862,7 @@ def test_packed_products_at_the_slot_bound(slot_peaks):
     a = UniPoly(K, [top] * d)
     f = UniPoly(K, [top] * d + [K.one])
     packed = [tuple(S.pack(c.coeffs) for c in g.coeffs) for g in (a, f)]
-    got = S.divmod(S.mul(packed[0], packed[0]), packed[1])[1]
+    got = S.divmod(_entry_rule_mul(packed[0], packed[0]), packed[1])[1]
     assert [S.unpack(c) for c in got] == [c.coeffs for c in ((a * a) % f).coeffs]
     assert [S.unpack(c) for c in S.gcd(*packed)] == \
         [c.coeffs for c in _field_element_rule_gcd(a, f).coeffs]
@@ -926,18 +927,31 @@ def test_packed_reduce_matches_the_slotwise_rule(p, m):
             assert all(c < p for c in S.unpack(got)) and got >> S.high[0] == 0
 
 
+def _entry_rule_mul(a, b):
+    """The product of packed polynomials a and b, coefficient by
+    coefficient, with unreduced coefficients."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 def _entry_rule_powmod(S, a, e, f):
-    """a^e mod f by square-and-multiply, one `_Packed.mul` and one
+    """a^e mod f by square-and-multiply, one `_entry_rule_mul` and one
     `_Packed.divmod` a step, coefficient by coefficient: the route
     `_Ring.powmod` replaced."""
     result = S.divmod((1,), f)[1]
     base = S.divmod(a, f)[1]
     while e:
         if e & 1:
-            result = S.divmod(S.mul(result, base), f)[1]
+            result = S.divmod(_entry_rule_mul(result, base), f)[1]
         e >>= 1
         if e:
-            base = S.divmod(S.mul(base, base), f)[1]
+            base = S.divmod(_entry_rule_mul(base, base), f)[1]
     return result
 
 
@@ -976,6 +990,69 @@ def test_ring_powmod_matches_the_entry_rule(p, m, slot_peaks):
         e = rng.choice([0, 1, 2, p, rng.randrange(K.order ** 3)])
         assert exactfield._Ring(S, f).powmod(a, e) == _entry_rule_powmod(S, a, e, f)
     assert (p, m) in slot_peaks
+
+
+def _entry_rule_gcd(S, a, b):
+    """The monic gcd of a and b by Euclid, one `_Packed.divmod` a step,
+    coefficient by coefficient and each by the inverse of a leading
+    coefficient: the route `_Packed.gcd` replaced."""
+    while b:
+        a, b = b, S.divmod(a, b)[1]
+    return S.monic(a)
+
+
+@pytest.mark.parametrize("p, m", [(p, m) for p in (3, 11, 2 ** 31 - 1)
+                                  for m in range(1, 7)])
+def test_packed_gcd_matches_the_entry_rule(p, m, slot_peaks):
+    # at each degree n = 0..64, on the packing of degree n, the tightest
+    # bound: a seeded pair, a pair sharing a seeded factor, a coprime
+    # pair, a pair with every slot at p - 1, equal inputs, and zero and
+    # constant partners
+    K = make_ext_field(p, m)
+    rng = random.Random(p * 10 + m)
+
+    def draw(count):
+        return exactfield._trim([S.pack([rng.randrange(p) for _ in range(m)])
+                                 for _ in range(count)])
+
+    def times(a, b):
+        return exactfield._trim([S.reduce(c) for c in _entry_rule_mul(a, b)])
+    for n in range(65):
+        S = exactfield._Packed(p, K.modulus, n)
+        top = S.pack([p - 1] * m)
+        a, k = draw(n + 1), rng.randrange(n // 2, n + 1)
+        g = draw(k + 1)
+        pairs = [(a, draw(rng.randrange(n + 2))),
+                 (times(g, draw(n - k + 1)), times(g, draw(rng.randrange(n + 1) + 1))),
+                 (a, S.sub(a, (1,))),
+                 ((top,) * (n + 1), (top,) * max(n, 1)),
+                 (a, a), (a, ()), ((), a), (a, (top,)), ((), ())]
+        for x, y in pairs:
+            assert S.gcd(x, y) == _entry_rule_gcd(S, x, y), (n, x, y)
+        if len(a) > 1:
+            assert S.gcd(a, S.sub(a, (1,))) == (1,)
+    assert (p, m) in slot_peaks
+
+
+@pytest.mark.parametrize("p, m, count", [(3, 4, None), (5, 2, None),
+                                         (5, 6, 300), (2 ** 31 - 1, 2, 300)])
+def test_packed_inverse_inverts(p, m, count):
+    # the extended Euclid on plain residue lists: x x^-1 = 1 on every
+    # nonzero element of the small stages and on seeded ones, every
+    # coefficient at p - 1 among them, of the large
+    K = make_ext_field(p, m)
+    S = K.packing
+    if count is None:
+        vectors = [x.coeffs for x in K]
+    else:
+        rng = random.Random(p + m)
+        vectors = [(p - 1,) * m] + [tuple(rng.randrange(p) for _ in range(m))
+                                    for _ in range(count - 1)]
+    vectors = [v for v in vectors if any(v)]
+    assert len(vectors) == (K.order - 1 if count is None else count)
+    for v in vectors:
+        x = S.pack(v)
+        assert S.unpack(S.reduce(x * S.inverse(x))) == K.one.coeffs, v
 
 
 def test_ring_needs_a_monic_modulus():
@@ -1046,6 +1123,17 @@ def test_packed_inverse_of_a_zero_divisor_raises():
     with pytest.raises(CertificateFailure,
                        match="^no inverse of a zero divisor mod the modulus$"):
         S.inverse(S.pack((4, 1)))
+
+
+def test_packed_inverse_raises_on_every_zero_divisor_mod_a_reducible_cubic():
+    # mod (x + 1)(x^2 + 1) = x^3 + x^2 + x + 1 over F_3, at m = 3 on the
+    # residue-list Euclid, every multiple of either factor is no unit
+    S = exactfield._Packed(3, (1, 1, 1, 1), 1)
+    for v in ((1, 1), (1, 0, 1), (2, 2), (2, 0, 2), (1, 2, 1)):
+        with pytest.raises(CertificateFailure,
+                           match="^no inverse of a zero divisor mod the modulus$"):
+            S.inverse(S.pack(v))
+    assert S.inverse(S.pack((0, 1))) == S.pack((2, 2, 2))  # x (2 + 2x + 2x^2) = -(x^3 + x^2 + x) = 1
 
 
 def test_packed_split_gives_up_on_an_irreducible():

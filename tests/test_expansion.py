@@ -10,7 +10,6 @@ over a random basis must come out with the same variables, dictionary
 and relations.
 """
 
-import importlib.util
 import itertools
 import json
 import random
@@ -29,11 +28,10 @@ from resweil import (
     weilres,
 )
 from resweil.versuite import parse_case, verify, verify_case
-from shared import _random_basis
+from shared import _random_basis, _workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ROOT / "cases"
-BENCH = ROOT / "bench"
 GOLDEN = ROOT / "tests" / "data" / "corpus-report-seed42.json"
 CORPUS = sorted(p.stem for p in CASES.glob("*.case"))
 
@@ -146,14 +144,6 @@ def test_every_restriction_the_verifier_makes_matches_the_substitution_rule(monk
     for name in CORPUS:
         verify_case(_case(name), 42)
     assert callers == {"verify_case", "product_formula_check", "open_cover_check"}
-
-
-def _workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))  # workloads.py imports oracles
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("workload", ["groebner-scale", "points-stage"])

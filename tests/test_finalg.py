@@ -240,6 +240,22 @@ def test_min_poly_matches_the_solve_rule_on_the_corpus(name):
 
 
 @pytest.mark.parametrize("name", CORPUS)
+def test_min_polys_read_the_tables_on_the_corpus(monkeypatch, name):
+    # each coordinate's columns are its table, so no walk up the
+    # staircase runs, and the result is min_poly of the variable
+    walked = []
+    walk = AlgebraPresentation._walk
+    for B in _corpus_presentations(name):
+        vars(B).pop("min_polys", None)  # computed again below
+        monkeypatch.setattr(AlgebraPresentation, "_walk",
+                            lambda self, *args: walked.append(self) or walk(self, *args))
+        got = B.min_polys
+        monkeypatch.setattr(AlgebraPresentation, "_walk", walk)
+        assert walked == [], (name, B)
+        assert got == tuple(B.min_poly(B.var(v)) for v in B.vars), (name, B)
+
+
+@pytest.mark.parametrize("name", CORPUS)
 def test_mult_matrix_matches_the_per_column_rule_on_the_corpus(name):
     rng = random.Random(name)
     checked = 0

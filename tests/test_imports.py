@@ -100,6 +100,7 @@ UNREAD = {
     "exactfield.ExtField.element": "builds an element from its coefficients",
     "gammaset.GammaSet.orbits": "the orbits of a Frobenius set, its closed points",
     "finalg.AlgebraPresentation.is_unit": "README documents it as public",
+    "finalg.AlgebraPresentation.min_poly": "README documents it as public",
 }
 
 

@@ -429,10 +429,10 @@ def test_verify_case_solves_the_quotient_once_per_stage(monkeypatch):
         return held[-1]
 
     quotient_min_polys = []
-    min_poly = AlgebraPresentation.min_poly
+    min_poly = AlgebraPresentation._min_poly
 
-    def noting_min_poly(self, f):
-        mu = min_poly(self, f)
+    def noting_min_poly(self, cols):
+        mu = min_poly(self, cols)
         if held and self is vars(held[0]).get("quotient"):
             quotient_min_polys.append(mu)
         return mu
@@ -446,7 +446,7 @@ def test_verify_case_solves_the_quotient_once_per_stage(monkeypatch):
         return roots(mu, K)
 
     monkeypatch.setattr(verify, "weil_restrict", holding_restrict)
-    monkeypatch.setattr(AlgebraPresentation, "min_poly", noting_min_poly)
+    monkeypatch.setattr(AlgebraPresentation, "_min_poly", noting_min_poly)
     monkeypatch.setattr(weilres, "roots_in", noting_roots)
     rep = verify_case(case)
     # held[0] is the case's restriction, the cross-check restricts again

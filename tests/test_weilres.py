@@ -43,9 +43,11 @@ from resweil import _linalg, weilres
 from resweil.finalg import _poly_det, decompose_local
 from resweil.exactfield import embed
 from resweil.versuite import parse_case, verify_case
-from shared import _fiber_rule_presentation
+from shared import _fiber_rule_presentation, _workloads
 
-CASES = Path(__file__).resolve().parent.parent / "cases"
+ROOT = Path(__file__).resolve().parent.parent
+CASES = ROOT / "cases"
+POINTS_STAGE = ROOT / "tests" / "data" / "points-stage"
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -488,6 +490,119 @@ def test_packed_relation_check_at_the_slot_bound(slot_peaks):
     assert slot_peaks.keys() >= set(SLOT_BOUND_PACKINGS)
 
 
+# -- the point solver, one check per Frobenius orbit -------------------
+
+def _rule_solve_points(B, K):
+    """K-points of a finite quotient by the relation check at every
+    combination of coordinate roots: the route `_solve_points` replaced
+    by one check per Frobenius orbit."""
+    if B.groebner.is_unit_ideal():
+        return []
+    if not B.vars:
+        return [()]
+    rootlists = [weilres.roots_in(mu, K) for mu in B.min_polys]
+    holds = weilres._relation_check(B.relations, rootlists, K)
+    out = [tuple(rl[j] for rl, j in zip(rootlists, idx))
+           for idx in itertools.product(*(range(len(rl)) for rl in rootlists))
+           if holds(idx)]
+    out.sort(key=weilres._point_label)
+    return out
+
+
+def _fresh_points(B, K):
+    B.points_by_stage.pop(K, None)
+    return zero_dim_solve(B, K)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CASES.glob("*.case")))
+def test_orbit_solver_matches_the_rule_on_the_corpus(name):
+    case = parse_case((CASES / (name + ".case")).read_text())
+    A, X = case.algebra, case.scheme
+    R = weil_restrict(A, X)
+    for B in (A, X.coordinate_ring, R.quotient):
+        if B.basis_monomials is weilres.INFINITE:
+            continue
+        for m in (1, 2, 3, 4):
+            if m % B.field.degree == 0:
+                K = stage_field(case.p, m)
+                assert _fresh_points(B, K) == _rule_solve_points(B, K), (B, m)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_orbit_solver_matches_the_rule_on_the_points_stage(monkeypatch, seed):
+    for op in _workloads(monkeypatch).points_stage(seed):
+        case = parse_case(op["text"])
+        B = weil_restrict(case.algebra, case.scheme).quotient
+        K = stage_field(op["p"], op["stage"])
+        got = _fresh_points(B, K)
+        assert got == _rule_solve_points(B, K), op["name"]
+        assert len(got) == op["oracle"]["count"], op["name"]
+
+
+POINTS_SHAPE = POINTS_STAGE / "points-1a-p5-m6.case"
+
+
+def _shape_quotient():
+    """The quotient of the committed (p, m) = (5, 6) points shape: one
+    coordinate whose minimal polynomial has 12 roots in F_{5^6}, in
+    orbits of 1, 2, 3 and 6."""
+    case = parse_case(POINTS_SHAPE.read_text())
+    return weil_restrict(case.algebra, case.scheme).quotient, stage_field(5, 6)
+
+
+def _counting_relation_check(monkeypatch):
+    checked = []
+    check = weilres._relation_check
+
+    def counting(relations, rootlists, K):
+        holds = check(relations, rootlists, K)
+        return lambda idx: checked.append(idx) or holds(idx)
+    monkeypatch.setattr(weilres, "_relation_check", counting)
+    return checked
+
+
+def test_orbit_solver_checks_each_orbit_once(monkeypatch):
+    B, K = _shape_quotient()
+    checked = _counting_relation_check(monkeypatch)
+    points = _fresh_points(B, K)
+    assert len(points) == 12
+    assert len(checked) == 4
+
+
+def test_orbit_solver_raises_on_a_root_list_open_under_frobenius(monkeypatch):
+    # one root outside F_5 is dropped: its orbit loses a member, and the
+    # image of that member's predecessor is missing
+    B, K = _shape_quotient()
+    roots_in = weilres.roots_in
+
+    def dropping(mu, K):
+        rs = roots_in(mu, K)
+        return [r for r in rs if r != next(r for r in rs if r ** 5 != r)]
+    monkeypatch.setattr(weilres, "roots_in", dropping)
+    with pytest.raises(CertificateFailure,
+                       match="^a root list is not closed under Frobenius$"):
+        _fresh_points(B, K)
+
+
+def test_orbit_solver_rejects_a_fake_orbit(monkeypatch):
+    # a whole orbit of six non-roots is added: the list stays closed under
+    # Frobenius, and the one check of the orbit drops all six
+    B, K = _shape_quotient()
+    want = _fresh_points(B, K)
+    fake = next(x for x in K if x ** 5 ** 3 != x and x ** 5 ** 2 != x
+                and (x,) not in want)
+    orbit = [fake]
+    while orbit[-1] ** 5 != fake:
+        orbit.append(orbit[-1] ** 5)
+    assert len(orbit) == 6
+    roots_in = weilres.roots_in
+    monkeypatch.setattr(weilres, "roots_in", lambda mu, K: sorted(
+        roots_in(mu, K) + orbit, key=lambda x: x.label()))
+    checked = _counting_relation_check(monkeypatch)
+    assert _fresh_points(B, K) == want
+    assert len(checked) == 5
+
+
 # -- product and covering comparisons ---------------------------------
 
 def test_product_formula_split_stage():
@@ -653,7 +768,7 @@ def test_no_unit_question_reads_a_minimal_polynomial(monkeypatch):
         assert cert.ok and B.inverse(cert.jacobian_det) == cert.inverse
         assert callers == [], name
         assert open_cover_check(R, hs, (1, 2)).ok
-        assert set(callers) == {"min_poly"}, name
+        assert set(callers) == {"min_polys"}, name
 
 
 def test_regroup_point_values():

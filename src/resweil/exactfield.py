@@ -44,12 +44,13 @@ process than it saves, and stages beyond any table size would need a
 second path.
 
 Root finding (`roots_in`), factoring (`factor_univariate`) and the
-irreducibility test (`is_irreducible`, which also picks each modulus)
-run on packings sized to the polynomial's degree: one distinct-degree
-pass (`_Packed.degree_blocks`) and one Cantor-Zassenhaus split
+choice of each stage's modulus (`_search_modulus`) run on packings sized
+to the polynomial's degree: one distinct-degree pass
+(`_Packed.degree_blocks`) and one Cantor-Zassenhaus split
 (`_Packed.split`), factoring on each squarefree part (Yun's gcds, and a
 p-th root where f' = 0).  A monic f of degree n >= 1 is irreducible
-exactly when it is the pass's one block, of degree n.  Their powers
+exactly when it is the pass's one block, of degree n, which is how the
+modulus search tests each candidate.  Their powers
 x^(q^d) and r^((q^d - 1)/2) run in one `_Ring` per monic modulus f of
 degree n: a whole polynomial is one int (Kronecker substitution), its
 coefficient i at bit (2m - 1) k i, so the coefficient slots of an
@@ -77,9 +78,9 @@ hashing and reports read their coefficient vectors.  The reference
 arithmetic lives in `tests/test_exactfield.py`: element arithmetic on
 plain residue lists (`_list_rule_*`), the per-coefficient
 square-and-multiply and Euclid the whole ints replaced
-(`_entry_rule_powmod`, `_entry_rule_gcd`), and
-factoring on `UniPoly` (`_field_element_rule_*`), which `factor_univariate`,
-`is_irreducible` and `roots_in` are compared with; the field-element
+(`_entry_rule_powmod`, `_entry_rule_gcd`), and factoring on `UniPoly`
+(`_field_element_rule_*`), which `factor_univariate`, the one-block
+irreducibility test and `roots_in` are compared with; the field-element
 elimination the echelon is compared with is `tests/test_echelon.py`'s
 `_linalg_rule_*`.
 """
@@ -789,7 +790,8 @@ def make_ext_field(p: int, m: int) -> ExtField:
         if not (2 < p < MAX_CHAR):
             raise NonPrime("p = %r outside the supported range 2 < p < 2**31" % (p,))
         if not isinstance(m, int) or m < 1 or m > MAX_DEGREE:
-            raise DegreeGuardExceeded("extension degree m = %r outside 1..%d" % (m, MAX_DEGREE))
+            raise DegreeGuardExceeded("make_ext_field: extension degree m = %r "
+                                      "outside 1..%d" % (m, MAX_DEGREE))
         field = ExtField(p, m, (0, 1) if m == 1 else _search_modulus(p, m))
         _FIELD_CACHE[(p, m)] = field
     return field
@@ -999,15 +1001,6 @@ def _packed(f: UniPoly, F):
     return S, S.monic(tuple(S.pack(c.coeffs[:F.degree]) for c in f.coeffs))
 
 
-def is_irreducible(f: UniPoly) -> bool:
-    """Whether f is irreducible over its coefficient stage: the
-    distinct-degree pass returns f itself as one block of degree deg f."""
-    if f.is_zero():
-        raise ZeroPolynomial("irreducibility of zero")
-    S, fp = _packed(f, f.field)
-    return S.degree_blocks(fp) == [(fp, f.degree)]
-
-
 def factor_univariate(f: UniPoly, rng: random.Random | None = None):
     """Full factorization into monic irreducibles with multiplicities.
 
@@ -1039,11 +1032,11 @@ def roots_in(f: UniPoly, field) -> list:
     The coefficients of f may lie in any subfield stage F of the target
     stage K.  The gcd g = gcd(f, x^|K| - x) is taken over F: it is
     squarefree and has exactly the roots of f in K, without factoring f.
-    F is read as F_p when every coefficient of f is a residue.  When
-    F = K an equal-degree split of g into linear factors reads off the
-    roots.  Otherwise they come in Frobenius orbits, one per irreducible
-    factor of g over F (`_orbit_roots`), found by the distinct-degree
-    pass and the equal-degree split that `factor_univariate` runs.  All
+    F is read as F_p when every coefficient of f is a residue.  The
+    roots come in Frobenius orbits, one per irreducible factor of g over
+    F (`_orbit_roots`), found by the distinct-degree pass and the
+    equal-degree split that `factor_univariate` runs; at F = K every
+    factor is linear and the split reads off the roots.  All
     of it runs on packed coefficients (`_Packed`); only the roots come
     back as field elements.
 
@@ -1079,11 +1072,7 @@ def _roots(S, fp, F, K):
     g = S.gcd(fp, S.sub(_Ring(S, fp).powmod(x, K.order), x))
     if len(g) < 2:
         return ()
-    rng = random.Random(0)
-    if F == K:
-        roots = [S.unpack(S.reduce(S.ps - h[0])) for h in S.split(g, 1, rng)]
-    else:
-        roots = _orbit_roots(S, g, F, K, rng)
+    roots = _orbit_roots(S, g, F, K, random.Random(0))
     if len(set(roots)) != len(g) - 1:
         raise CertificateFailure("%d distinct roots for a gcd of degree %d"
                                  % (len(set(roots)), len(g) - 1))
@@ -1092,7 +1081,7 @@ def _roots(S, fp, F, K):
 
 def _orbit_roots(S, g, F, K, rng):
     """The roots in K, as coefficient tuples, of g, a squarefree product
-    over the proper subfield F packed in S.
+    over the subfield F packed in S.
 
     Every irreducible factor of g over F has a degree d dividing
     n = [K:F].  `_Packed.degree_blocks(g, n)`, the distinct-degree pass

@@ -1,11 +1,13 @@
 """Finite sets with a Frobenius permutation, and their comparisons.
 
 Every object here lives at one finite stage F_{p^N}: geometric points
-are coordinate tuples there, and the group actor is the power map.  A
-GammaSet packages a point set with that permutation; since the acting
-group is generated by a single element, two GammaSets are isomorphic
-exactly when the cycle types of their permutations agree, and an
-explicit isomorphism can be assembled orbit by orbit.
+are coordinate tuples there, and the group actor is the power map.  An
+element of a product of fibers is a point too, whose coordinates are
+the fiber points over the base points, in base order.  A GammaSet
+packages a point set with that permutation; since the acting group is
+generated by a single element, two GammaSets are isomorphic exactly
+when the cycle types of their permutations agree, and an explicit
+isomorphism can be assembled orbit by orbit.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .weilres import RestrictedScheme, _fiber_values, _rational_base_point, zero
 
 
 class GeometricPoint:
-    """A point by its coordinates; equal and equally hashed on equal coordinates."""
+    """A point by its coordinates, field elements or, in a product of
+    fibers, points; equal and equally hashed on equal coordinates."""
 
     __slots__ = ("coords",)
 
@@ -46,29 +49,6 @@ class GeometricPoint:
 
     def __repr__(self):
         return "GeometricPoint%r" % (self.label(),)
-
-
-class ProductPoint:
-    """One point per base point, aligned with the canonical base order."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: tuple):
-        self.components = components
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash((self.components,))
-
-    def label(self):
-        return tuple(c.label() for c in self.components)
-
-    def __repr__(self):
-        return "ProductPoint%r" % (self.label(),)
 
 
 def _power_frob_point(pt: GeometricPoint, e: int) -> GeometricPoint:
@@ -216,13 +196,14 @@ def fiber(X, s: GeometricPoint, N):
     C = X.coordinate_ring
     if C.basis_monomials is INFINITE:
         raise PositiveDimensionalFiber("a fiber of X is not a finite point set")
-    base = tuple(x if x.field == K else embed(x, K) for x in s.coords)
+    base = tuple(embed(x, K) for x in s.coords)
     n = len(base)
     return [GeometricPoint(p[n:]) for p in zero_dim_solve(C, K) if p[:n] == base]
 
 
 def product_gamma_set(S: GammaSet, fibers: dict, N) -> GammaSet:
-    """Tuples over the base points with the twisted permutation.
+    """Tuples over the base points with the twisted permutation: each is
+    a `GeometricPoint` whose coordinates are its fiber points.
 
     A tuple u moves to v with v[sigma(s)] = F(u[s]), where sigma is the
     base permutation and F the coordinatewise p-power map; F carries the
@@ -241,9 +222,9 @@ def product_gamma_set(S: GammaSet, fibers: dict, N) -> GammaSet:
     # an image's component at sigma(s) is F of the component at s
     source = sorted(range(len(sindex)), key=lambda i: sindex[S.perm[S.elements[i]]])
     frob = {pt: _power_frob_point(pt, 1) for s in S.elements for pt in fibers[s]}
-    elements = [ProductPoint(c) for c in
+    elements = [GeometricPoint(c) for c in
                 itertools.product(*[fibers[s] for s in S.elements])]
-    perm = {el: ProductPoint(tuple(frob[el.components[i]] for i in source))
+    perm = {el: GeometricPoint(tuple(frob[el.coords[i]] for i in source))
             for el in elements}
     return GammaSet(elements, perm, N)
 
@@ -281,7 +262,7 @@ def evaluation_map(R: RestrictedScheme, left: GammaSet, S: GammaSet,
     K = stage_field(R.base_field.p, N)
     images = _fiber_values(R, [el.coords for el in left.elements],
                            [s.coords for s in S.elements], K)
-    mapping = {el: ProductPoint(tuple(map(GeometricPoint, comps)))
+    mapping = {el: GeometricPoint(tuple(map(GeometricPoint, comps)))
                for el, comps in zip(left.elements, images)}
     return EquivariantMap(left, prod, mapping)
 

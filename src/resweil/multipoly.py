@@ -212,6 +212,10 @@ class MPoly:
         return MPoly(self.field, self.vars, out)
 
     def map_coefficients(self, target_field):
+        """The polynomial over a larger stage, coefficients by `embed`;
+        itself over its own field."""
+        if target_field == self.field:
+            return self
         return MPoly(target_field, self.vars,
                      {m: embed(c, target_field) for m, c in self.terms.items()})
 

@@ -14,11 +14,12 @@ import json
 import sys
 
 from ..errors import GuardExceeded, ResweilError
-from ..exactfield import stage_field
+from ..exactfield import MAX_DEGREE, stage_field
+from ..gammaset import pi0_points
 from ..weilres import weil_restrict
 from .dsl import parse_case
 from .suite import EXIT_GUARD, EXIT_INPUT, run_suite
-from .verify import compute_components
+from .verify import ambient_degree
 
 
 def _read_case(path):
@@ -49,20 +50,21 @@ def _cmd_restrict(args):
 def _cmd_pi0(args):
     case = _read_case(args.file)
     R = weil_restrict(case.algebra, case.scheme)
-    comp = compute_components(case.algebra, case.scheme, R)
+    N = ambient_degree(case.algebra, case.scheme, R)
+    left = pi0_points(R.quotient, N)
     print("case %s" % case.name)
-    print("ambient degree: %d" % comp.N)
-    print("components: %d" % len(comp.left))
-    print("cycle type: %s" % (tuple(comp.left.cycle_type()),))
-    for el in comp.left.elements:
+    print("ambient degree: %d" % N)
+    print("components: %d" % len(left))
+    print("cycle type: %s" % (tuple(left.cycle_type()),))
+    for el in left.elements:
         print("point: %s" % _fmt_label(el.label()))
     return 0
 
 
 def _cmd_points(args):
     case = _read_case(args.file)
-    if args.ext < 1:
-        print("resweil: --ext must be at least 1", file=sys.stderr)
+    if not 1 <= args.ext <= MAX_DEGREE:
+        print("resweil: --ext must be in 1..%d" % MAX_DEGREE, file=sys.stderr)
         return EXIT_INPUT
     R = weil_restrict(case.algebra, case.scheme)
     K = stage_field(case.p, args.ext)

@@ -296,7 +296,7 @@ def enumerate_points(field, variables, relations, K):
         raise SearchGuardExceeded(
             "enumerate_points: %d candidate tuples exceed the budget %d"
             % (total, SEARCH_GUARD))
-    relsK = [r if r.field == K else r.map_coefficients(K) for r in relations]
+    relsK = [r.map_coefficients(K) for r in relations]
     maxdeg = [0] * n
     compiled = []
     for r in relsK:
@@ -363,8 +363,6 @@ def _solve_points(B, K):
     checked, and its whole orbit kept or dropped with it."""
     if B.groebner.is_unit_ideal():
         return []
-    if not B.vars:
-        return [()]
     if B.basis_monomials is INFINITE:
         return enumerate_points(B.field, B.vars, B.relations, K)
     rootlists = [roots_in(mu, K) for mu in B.min_polys]
@@ -590,10 +588,10 @@ def _fiber_values(R: RestrictedScheme, points, base_points, K):
     all coordinate tuples: y_j(s) = sum_b y_jb e_b(s), with the basis
     values e_b(s) in K read once per base point."""
     A = R.algebra
-    basis = [b if b.field == K else b.map_coefficients(K) for b in R.basis]
+    basis = [b.map_coefficients(K) for b in R.basis]
     values = []
     for s in base_points:
-        at = dict(zip(A.vars, (x if x.field == K else embed(x, K) for x in s)))
+        at = dict(zip(A.vars, (embed(x, K) for x in s)))
         values.append([b.evaluate(at) for b in basis])
     index = {v: i for i, v in enumerate(R.vars)}
     slots = [[index[R.var_table[(sv, b)]] for b in range(len(basis))]
@@ -611,7 +609,7 @@ def regroup_point(R: RestrictedScheme, values, K=None):
         K = values[0].field if values else A.field
     # R.basis is reduced modulo A, and A's reduced Groebner basis stays
     # reduced over K, so a K-combination of the basis is already reduced
-    basis = [b if K == A.field else b.map_coefficients(K) for b in R.basis]
+    basis = [b.map_coefficients(K) for b in R.basis]
     vmap = dict(zip(R.vars, values))
     out = []
     for sv in R.scheme.vars:
@@ -723,11 +721,10 @@ def product_formula_check(prod: ProductAlgebra, X: SchemePresentation,
 
 
 class CoverCertificate:
-    __slots__ = ("ok", "unit_ideal", "per_stage")
+    __slots__ = ("ok", "per_stage")
 
-    def __init__(self, ok: bool, unit_ideal: bool, per_stage: list):
+    def __init__(self, ok: bool, per_stage: list):
         self.ok = ok
-        self.unit_ideal = unit_ideal
         self.per_stage = per_stage
 
 
@@ -735,10 +732,10 @@ def _unit_sets(R, hs, s0, pts, K):
     """Per h, the points x among pts with h(x) a unit of A tensor K, local
     with residue K: h(s0, x(s0)) != 0 there, x(s0) x's fiber point over
     the rational base point s0 (`_fiber_values`)."""
-    s0 = tuple(x if x.field == K else embed(x, K) for x in s0)
+    s0 = tuple(embed(x, K) for x in s0)
     at = [dict(zip(R.scheme.all_vars, s0 + x)) for (x,) in _fiber_values(R, pts, [s0], K)]
     return [{pt for pt, v in zip(pts, at) if not h.evaluate(v).is_zero()}
-            for h in (h if h.field == K else h.map_coefficients(K) for h in hs)]
+            for h in (h.map_coefficients(K) for h in hs)]
 
 
 def open_cover_check(R: RestrictedScheme, hs,
@@ -788,4 +785,4 @@ def open_cover_check(R: RestrictedScheme, hs,
                           "unit_counts": [len(s) for s in unit_sets],
                           "chart_counts": chart_counts})
         ok = ok and stage_ok
-    return CoverCertificate(ok, True, per_stage)
+    return CoverCertificate(ok, per_stage)

@@ -1,12 +1,13 @@
 """Helpers that more than one test module reads: the fiber as its own
 presentation, the reference the fibers read off X's total coordinate
-ring are checked against, a seeded random basis of an algebra, and the
-benchmark's workload builders."""
+ring are checked against, a seeded random basis of an algebra, the
+one-block irreducibility test, and the benchmark's workload builders."""
 
 import importlib.util
 from pathlib import Path
 
 from resweil import AlgebraPresentation, MPoly, embed
+from resweil.exactfield import _packed
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -30,6 +31,14 @@ def _fiber_rule_presentation(X, coords, K):
         MPoly(K, yctx, {a: (c if c.field == K else c.map_coefficients(K)).evaluate(values)
                         for a, c in coeffs.items()})
         for coeffs in X.coefficients])
+
+
+def _is_irreducible(f):
+    """Whether the nonzero f is irreducible over its coefficient stage: the
+    distinct-degree pass returns f itself as one block of degree deg f,
+    the test `exactfield._search_modulus` runs on each candidate."""
+    S, fp = _packed(f, f.field)
+    return S.degree_blocks(fp) == [(fp, f.degree)]
 
 
 def _random_basis(A, rng):

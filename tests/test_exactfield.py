@@ -24,11 +24,11 @@ from resweil.exactfield import (
     embed,
     factor_univariate,
     frobenius,
-    is_irreducible,
     make_ext_field,
     roots_in,
     stage_field,
 )
+from shared import _is_irreducible
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -417,9 +417,9 @@ def test_frobenius_order_divides_degree():
 # ------------------------------------------------- the field-element rule
 # Factoring on `UniPoly` and `FieldElement` arithmetic, sharing none of
 # the packed kernel's polynomial routines: the reference
-# `factor_univariate`, `is_irreducible`, `roots_in` and `_Packed.split`
-# are compared with.  Its element products do run on the stage packing;
-# the list rule above checks those.
+# `factor_univariate`, the one-block irreducibility test, `roots_in` and
+# `_Packed.split` are compared with.  Its element products do run on the
+# stage packing; the list rule above checks those.
 
 def _field_element_rule_gcd(a, b):
     while not b.is_zero():
@@ -616,7 +616,7 @@ def test_factor_irreducible_quadratic():
     unit, factors = factor_univariate(f)
     assert len(factors) == 1 and factors[0][1] == 1
     assert factors[0][0].degree == 2
-    assert is_irreducible(f)
+    assert _is_irreducible(f)
 
 
 def test_factor_with_multiplicity():
@@ -647,7 +647,7 @@ def test_factor_random_round_trip():
         prod = UniPoly(F, [unit])
         total = 0
         for g, m in factors:
-            assert is_irreducible(g)
+            assert _is_irreducible(g)
             assert g.coeffs[-1] == F.one
             total += g.degree * m
             for _ in range(m):
@@ -759,7 +759,12 @@ SHAPES = {
     (3, 2, (2, 4, 6)),
     (5, 2, (2, 4)),
     (5, 1, (6,)),
-], ids=["F3", "F5", "F9", "F25", "F5-in-F5^6"])
+    # coefficients in the stage itself: every factor over it is linear
+    (3, 3, (3,)),
+    (3, 4, (4,)),
+    (3, 5, (5,)),
+    (3, 6, (6,)),
+], ids=["F3", "F5", "F9", "F25", "F5-in-F5^6", "F27", "F81", "F243", "F729"])
 def test_roots_in_matches_factoring(shape, p, base, stages):
     rng = random.Random("%s-%d-%d" % (shape, p, base))
     F = stage_field(p, base)
@@ -1067,7 +1072,7 @@ def _irreducibles(rng, K, d, count):
     found = set()
     while len(found) < count:
         h = _random_poly(rng, K, d)
-        if is_irreducible(h):
+        if _is_irreducible(h):
             found.add(h)
     return sorted(found, key=lambda h: [c.label() for c in h.coeffs])
 
@@ -1291,7 +1296,7 @@ def test_factoring_matches_the_field_element_rule(shape, p, m):
         others = [h for h, _ in expected[1]] + [
             _random_poly(rng, F, rng.randrange(1, 5)) for _ in range(3)]
         for g in [f] + others:
-            assert is_irreducible(g) == _field_element_rule_is_irreducible(g), g
+            assert _is_irreducible(g) == _field_element_rule_is_irreducible(g), g
 
 
 @pytest.mark.parametrize("p, m, n, degrees", [

@@ -23,10 +23,10 @@ from resweil import (
     SchemePresentation,
     finalg,
     multipoly,
-    normal_form,
     weil_restrict,
     weilres,
 )
+from resweil.multipoly import normal_form
 from resweil.versuite import parse_case, verify, verify_case
 from shared import _random_basis, _workloads
 

@@ -12,17 +12,17 @@ from pathlib import Path
 import pytest
 
 from resweil import (
-    INFINITE,
     AlgebraPresentation,
     MPoly,
     SchemePresentation,
-    adjunction_check,
     finalg,
     multipoly,
     stage_field,
     tensor_extend,
     weil_restrict,
 )
+from resweil.multipoly import INFINITE
+from resweil.weilres import adjunction_check
 from resweil.errors import (
     CertificateFailure,
     NotZeroDimensional,

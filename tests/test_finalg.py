@@ -12,7 +12,6 @@ import pytest
 
 from resweil import _linalg, exactfield, finalg, weilres
 from resweil import (
-    INFINITE,
     AlgebraHom,
     AlgebraPresentation,
     MPoly,
@@ -28,6 +27,7 @@ from resweil import (
     tensor_extend,
     weil_restrict,
 )
+from resweil.multipoly import INFINITE
 from resweil.errors import (
     CertificateFailure,
     MissingAssignment,
@@ -40,7 +40,7 @@ from resweil.errors import (
 )
 from resweil.gammaset import pi0_points
 from resweil.versuite import parse_case, verify
-from shared import _fiber_rule_presentation
+from shared import _fiber_rule_presentation, _is_irreducible
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -368,7 +368,7 @@ def test_frobenius_matrix_makes_a_normal_form_per_border_monomial_only(
 def _seeded_irreducible(rng, F, d):
     while True:
         f = UniPoly.from_ints(F, [rng.randrange(F.p) for _ in range(d)] + [1])
-        if exactfield.is_irreducible(f):
+        if _is_irreducible(f):
             return f
 
 

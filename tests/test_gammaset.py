@@ -9,20 +9,16 @@ from resweil import finalg, gammaset, weilres
 from resweil import (
     AlgebraPresentation,
     GammaSet,
-    GeometricPoint,
     MPoly,
     PrimeField,
     SchemePresentation,
     evaluation_map,
     fiber,
-    frobenius,
     gamma_iso,
     make_ext_field,
     pi0_points,
     product_algebra,
-    product_gamma_set,
     reduction_map,
-    regroup_point,
     stage_field,
     weil_restrict,
     zero_dim_solve,
@@ -35,7 +31,10 @@ from resweil.errors import (
     NotZeroDimensional,
     PositiveDimensionalFiber,
 )
+from resweil.exactfield import frobenius
+from resweil.gammaset import GeometricPoint, product_gamma_set
 from resweil.versuite import ambient_degree, parse_case
+from resweil.weilres import regroup_point
 from shared import _fiber_rule_presentation, _random_basis
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -258,8 +257,8 @@ def _assert_the_action_law(S, G):
         moved = G.perm[el]
         for i, s in enumerate(S.elements):
             j = sindex[S.perm[s]]
-            expect = GeometricPoint(tuple(frobenius(x) for x in el.components[i].coords))
-            assert moved.components[j] == expect
+            expect = GeometricPoint(tuple(frobenius(x) for x in el.coords[i].coords))
+            assert moved.coords[j] == expect
 
 
 def test_product_twisted_cycle():
@@ -383,7 +382,7 @@ def test_evaluation_map_matches_the_regroup_rule_along_a_random_basis(name):
     prod = product_gamma_set(S, {s: fiber(X, s, N) for s in S.elements}, N)
     ev = evaluation_map(R, left, S, prod, N)
     expected = _regroup_rule_evaluation_map(R, left, S, N)
-    assert {el: pt.components for el, pt in ev.mapping.items()} == expected
+    assert {el: pt.coords for el, pt in ev.mapping.items()} == expected
     assert ev.check()
 
 

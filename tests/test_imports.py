@@ -1,6 +1,6 @@
-"""Every name a module imports is read in that module, every function,
-class and method is read somewhere in the package or is listed as an
-entry point, and importing the package stays cheap.
+"""Every name a module imports is read in that module, every function
+and method runs in a sweep of CLI calls, is public or is listed with its
+reason, and importing the package stays cheap.
 
 Package `__init__` modules import to re-export, so the import check
 leaves them out; `from __future__` imports change the compiler, not the
@@ -8,15 +8,17 @@ namespace.
 """
 
 import ast
+import json
 import os
+import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "resweil"
+SWEEP = Path(__file__).resolve().parent / "cli_sweep.py"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -68,87 +70,137 @@ def test_no_module_imports_linalg():
     assert readers == []
 
 
-def _reads(node, kind):
-    """How often each name is loaded in node, as a bare name (ast.Name) or
-    as an attribute (ast.Attribute)."""
-    return Counter(n.id if kind is ast.Name else n.attr for n in ast.walk(node)
-                   if isinstance(n, kind) and isinstance(n.ctx, ast.Load))
+def _sweep():
+    """(file under src/resweil, first line, name) of every code object that
+    ran in `tests/cli_sweep.py`, in a fresh interpreter."""
+    done = subprocess.run([sys.executable, str(SWEEP)], capture_output=True,
+                          text=True, env=_env())
+    assert done.returncode == 0, done.stderr
+    return {tuple(key) for key in json.loads(done.stdout)}
 
 
-def _public_api():
-    """The names the package `__init__` modules re-export."""
-    return {alias.asname or alias.name
-            for init in (SRC / "__init__.py", SRC / "versuite" / "__init__.py")
-            for node in ast.parse(init.read_text(encoding="utf-8")).body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
-
-
-# Definitions in src/ that no code in src/ reads and that stay, with the
-# reason; the public API re-exported by the package needs no entry.
-UNREAD = {
-    # bench/tracer.py wraps these by name (TRACED); they leave src/ with
-    # the benchmark change that drops them there.  `rref` is read by the
-    # others, so it needs no entry.
-    **{"_linalg." + name: "named in the benchmark tracer's TRACED"
-       for name in ("rank", "kernel_basis", "solve", "invert", "mat_mul",
-                    "mat_vec", "identity")},
-    "exactfield.factor_univariate": "named in the benchmark tracer's TRACED",
-    # the case parser dispatches each directive to its handler by getattr
-    **{"versuite.dsl._CaseParser._dir_" + name: "dispatched by getattr"
-       for name in ("case", "field", "algebra", "scheme", "expect", "checks")},
-    # methods of exported classes that callers outside the package read
-    "exactfield.ExtField.element": "builds an element from its coefficients",
-    "gammaset.GammaSet.orbits": "the orbits of a Frobenius set, its closed points",
-    "finalg.AlgebraPresentation.is_unit": "README documents it as public",
-    "finalg.AlgebraPresentation.min_poly": "README documents it as public",
-}
-
-
-def _definitions(trees):
-    """(qualified name, node, how a reader loads it) for every module-level
-    function and class in src/, by bare name, and every method but the
-    dunders, as an attribute."""
+def _definitions():
+    """(qualified name, file under src/resweil, node) for every
+    module-level function in src/ and every method of a module-level
+    class, dunders included."""
     out = []
-    for path, tree in trees:
+    for path in sorted(SRC.rglob("*.py")):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                out.append(("%s.%s" % (module, node.name), node, ast.Name))
-            if isinstance(node, ast.ClassDef):
-                out += [("%s.%s.%s" % (module, node.name, m.name), m, ast.Attribute)
-                        for m in node.body if isinstance(m, ast.FunctionDef)
-                        and not (m.name.startswith("__") and m.name.endswith("__"))]
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                out.append(("%s.%s" % (module, node.name), rel, node))
+            elif isinstance(node, ast.ClassDef):
+                out += [("%s.%s.%s" % (module, node.name, m.name), rel, m)
+                        for m in node.body if isinstance(m, ast.FunctionDef)]
     return out
 
 
-def test_every_private_function_is_referenced():
-    # A definition has a reader when it is loaded somewhere in src/
-    # outside its own body.  Names are not resolved, so this is a lower
-    # bound on what is dead.  Every unread definition is public API or has
-    # an entry in UNREAD, and every entry names a definition that is still
-    # there and still unread.
-    trees = [(path, ast.parse(path.read_text(encoding="utf-8")))
-             for path in sorted(SRC.rglob("*.py"))]
-    defs = _definitions(trees)
-    assert len(defs) >= 200
-    read = {kind: sum((_reads(tree, kind) for _, tree in trees), Counter())
-            for kind in (ast.Name, ast.Attribute)}
-    unread = {qualname for qualname, node, kind in defs
-              if read[kind][node.name] == _reads(node, kind)[node.name]}
-    public = _public_api()
-    exported = {qualname for qualname, node, kind in defs
-                if kind is ast.Name and node.name in public}
-    assert sorted(unread - exported - UNREAD.keys()) == []
-    assert sorted(UNREAD.keys() - unread) == []
+def _public():
+    """The qualified names of the module-level names in the two `__all__`s."""
+    import resweil
+    import resweil.versuite
+    return {"%s.%s" % (obj.__module__.partition(".")[2], obj.__qualname__)
+            for pkg in (resweil, resweil.versuite)
+            for obj in map(pkg.__dict__.get, pkg.__all__)}
+
+
+_REPR = "a repr, read when a test fails or a value is inspected"
+_ARITHMETIC = ("UniPoly and FieldElement arithmetic, which the tests' "
+               "_field_element_rule_* run on")
+
+# Definitions in src/ that no call of the CLI sweep runs and that stay,
+# with the reason.  Every other definition ran, or is public.
+NOT_RUN = {
+    # bench/tracer.py wraps every name of its TRACED; `_linalg` leaves src/
+    # with the benchmark change that drops them there
+    **{"_linalg." + name: "named in the benchmark tracer's TRACED"
+       for name in ("rref", "rank", "kernel_basis", "solve", "invert",
+                    "mat_mul", "mat_vec", "identity")},
+    **{name + ".__repr__": _REPR
+       for name in ("exactfield.FieldElement", "exactfield.ExtField",
+                    "exactfield.UniPoly", "finalg.AlgebraPresentation",
+                    "gammaset.GeometricPoint", "gammaset.GammaSet",
+                    "multipoly.MPoly", "versuite.dsl.Case",
+                    "weilres.SchemePresentation", "weilres.RestrictedScheme")},
+    **{"finalg.AlgebraPresentation." + name: "README documents it"
+       for name in ("min_poly", "inverse", "is_unit")},
+    **{"exactfield.FieldElement." + name: _ARITHMETIC
+       for name in ("__sub__", "__rsub__", "inverse", "__truediv__",
+                    "__rtruediv__")},
+    **{"exactfield.UniPoly." + name: _ARITHMETIC
+       for name in ("from_ints", "__eq__", "__hash__", "__add__", "__sub__",
+                    "__mul__", "divmod", "__mod__", "__floordiv__", "monic",
+                    "evaluate", "map_coefficients")},
+    "exactfield.ExtField.element":
+        "builds an element from its coefficients, as the tests do throughout",
+    "finalg.AlgebraPresentation.coords":
+        "a coordinate vector as field elements, read by the finalg reference rules",
+    "finalg.LocalFactor.__init__": "the record decompose_local, in __all__, returns",
+    "gammaset.GammaSet.orbits": "the closed points of a Frobenius set in __all__",
+    "multipoly.MPoly.__rsub__": "int minus polynomial, arithmetic of MPoly, in __all__",
+    "multipoly.MPoly.__hash__": "MPoly, in __all__, is a hashable value type",
+    "multipoly._ext_coeff_str":
+        "prints a coefficient outside F_p; the CLI prints polynomials over F_p only",
+    "multipoly.GroebnerBasis.__iter__": "the multipoly tests compare bases by their members",
+    "multipoly.GroebnerBasis.__eq__": "the multipoly tests compare bases by value",
+    "versuite.dsl.Case._key": "Case equality, which render_case's round trip is checked by",
+    "versuite.dsl.Case.__eq__": "Case equality, which render_case's round trip is checked by",
+    "versuite.dsl._render_block": "a helper of render_case, in versuite.__all__",
+    "versuite.dsl._render_check": "a helper of render_case, in versuite.__all__",
+}
+
+
+def test_every_definition_runs_in_the_cli_sweep_or_is_listed():
+    # A definition passes when the sweep ran it, when it is a module-level
+    # name of the public contract, or when NOT_RUN gives the reason it
+    # stays; every NOT_RUN entry names a definition that is still there
+    # and still does not run.  A decorated function's code may start at
+    # its first decorator (Python 3.10) or at its `def` (3.11 and later).
+    ran = _sweep()
+    defs = _definitions()
+    not_run = {qualname for qualname, rel, node in defs
+               if not any((rel, line, node.name) in ran for line in
+                          [node.lineno] + [d.lineno for d in node.decorator_list[:1]])}
+    assert len(defs) - len(not_run) >= 200  # the sweep's keys match the AST's
+    assert sorted(not_run - _public() - NOT_RUN.keys()) == []
+    assert sorted(NOT_RUN.keys() - {qualname for qualname, _, _ in defs}) == []
+    assert sorted(NOT_RUN.keys() - not_run) == []
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def _readme_api():
+    """The names of README's API list: the bullets after its first line."""
+    lines = (SRC.parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("The public API is `resweil.__all__`, exactly these names, by module:")
+    names, bullets = [], lines[start + 2:]
+    for line in bullets[:bullets.index("")]:
+        names += re.findall(r"`(\w+)`", line)
+    return names
+
+
+def test_the_public_api_is_readme_s_list():
+    import resweil
+    assert sorted(_readme_api()) == sorted(resweil.__all__)
+    assert len(set(resweil.__all__)) == len(resweil.__all__)
+    # the package imports exactly its API and two modules: `errors`, and
+    # `_linalg`, which the benchmark's tracer finds among the loaded ones
+    imported = [alias.asname or alias.name
+                for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(imported) == sorted(resweil.__all__ + ["_linalg", "errors"])
 
 
 def _run_without_site(args):
     # -S: no site hooks, so only what resweil imports is loaded
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, "-S"] + args, capture_output=True,
-                          text=True, env=env)
+                          text=True, env=_env())
 
 
 def test_importing_the_package_loads_no_startup_heavy_module():

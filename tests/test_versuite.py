@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from resweil import AlgebraPresentation, MPoly, PrimeField, weil_restrict
-from resweil import exactfield, finalg, multipoly, weilres
+from resweil import exactfield, finalg, gammaset, multipoly, weilres
 from resweil.errors import (
     CaseSyntaxError,
     CertificateFailure,
@@ -20,7 +20,7 @@ from resweil.errors import (
 )
 from resweil.exactfield import stage_field
 from resweil.finalg import _local_idempotents, decompose_local, tensor_extend
-from resweil.gammaset import GammaSet, ProductPoint, pi0_points
+from resweil.gammaset import GammaSet, GeometricPoint, pi0_points
 from shared import _fiber_rule_presentation
 from resweil.versuite import (
     ambient_degree,
@@ -764,8 +764,9 @@ def test_misaligned_canonical_orbits_fail_the_theorem(monkeypatch):
     real = GammaSet.canonical_orbits
 
     def misaligned(G):
+        # the right side's elements are points whose coordinates are points
         out = real(G)
-        return out[::-1] if isinstance(G.elements[0], ProductPoint) else out
+        return out[::-1] if isinstance(G.elements[0].coords[0], GeometricPoint) else out
     monkeypatch.setattr(GammaSet, "canonical_orbits", misaligned)
     rep = verify_case(parse_case(text))
     assert [(c.name, c.ok, c.detail) for c in rep.checks] == [
@@ -1008,12 +1009,55 @@ def test_cli_pi0(capsys):
     assert "cycle type: (1, 1)" in out
 
 
+def test_cli_pi0_computes_only_what_it_prints(monkeypatch, capsys):
+    # the stage and the left component set: no fiber, product set or
+    # evaluation witness
+    calls = []
+    for real in (gammaset.fiber, gammaset.product_gamma_set, gammaset.evaluation_map):
+        _noting_calls(monkeypatch, real, lambda *args, name=real.__name__: calls.append(name))
+    for path in sorted(CASES.glob("*.case")):
+        assert main(["pi0", str(path)]) == 0
+    assert "components:" in capsys.readouterr().out
+    assert calls == []
+
+
 def test_cli_points_at_stages(capsys):
     assert main(["points", corpus("quadratic-field-cover"), "--ext", "4"]) == 0
     assert "points: 4" in capsys.readouterr().out
     assert main(["points", corpus("quadratic-field-cover")]) == 0
     assert "points: 0" in capsys.readouterr().out
-    assert main(["points", corpus("quadratic-field-cover"), "--ext", "0"]) == 2
+
+
+@pytest.mark.parametrize("ext", [0, 25])
+def test_cli_points_out_of_range_stage_is_an_input_error(ext, capsys):
+    # a stage is user input: outside 1..24 it exits 2, not with a guard stop
+    assert main(["points", corpus("quadratic-field-cover"), "--ext", str(ext)]) == 2
+    assert capsys.readouterr().err == "resweil: --ext must be in 1..24\n"
+
+
+def test_a_stage_past_the_degree_limit_names_its_layer(tmp_path, capsys):
+    # the least stage of this case is lcm(5, 7) = 35, past the 24 any
+    # stage may reach: a guard stop that names the layer that ran out
+    path = tmp_path / "stage-35.case"
+    path.write_text('case "stage-35"\nfield p = 3\n'
+                    'algebra A : vars t ; rels (t^5 + 2*t + 1)*(t^7 + 2*t^2 + 1)\n'
+                    'scheme X : vars y ; rels y - t\nchecks theorem\n')
+    assert main(["verify", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "resweil: %s: guard error: make_ext_field: extension degree m = 35 "
+        "outside 1..24\n" % path)
+
+
+@pytest.mark.parametrize("tier, code", [("probes", 0), ("routes", 1)])
+def test_probe_and_route_reports_match_their_goldens(tier, code, capsys):
+    # the probes pass; the infinite route case fails its theorem check
+    data = Path(__file__).resolve().parent / "data" / tier
+    files = sorted(str(p) for p in data.glob("*.case"))
+    assert main(["verify", "--json", "--seed", "42"] + files) == code
+    assert capsys.readouterr().out == (data / "report-seed42.json").read_text()
+    if tier == "routes":
+        assert main(["points", str(data / "route-infinite.case"), "--ext", "1"]) == 0
+        assert capsys.readouterr().out == (data / "route-infinite-ext1.txt").read_text()
 
 
 def test_cli_verify_human(capsys):

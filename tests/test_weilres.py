@@ -14,17 +14,13 @@ from resweil import (
     MPoly,
     PrimeField,
     SchemePresentation,
-    adjunction_check,
     algebra_points,
     etale_check,
     enumerate_points,
     make_ext_field,
     open_cover_check,
     product_algebra,
-    product_formula_check,
     reduction_map,
-    regroup_point,
-    rename_context,
     stage_field,
     tensor_extend,
     weil_restrict,
@@ -40,6 +36,8 @@ from resweil.errors import (
     SearchGuardExceeded,
 )
 from resweil import _linalg, weilres
+from resweil.multipoly import rename_context
+from resweil.weilres import adjunction_check, product_formula_check, regroup_point
 from resweil.finalg import _poly_det, decompose_local
 from resweil.exactfield import embed
 from resweil.versuite import parse_case, verify_case
@@ -219,8 +217,14 @@ def test_zero_dim_solve_matches_exhaustion():
 def test_solver_unit_ideal_and_no_vars():
     B = algebra(F5, ["t"], lambda t: [t, t - 1])
     assert zero_dim_solve(B, F5) == []
-    C = AlgebraPresentation(F5, (), [])
-    assert zero_dim_solve(C, F5) == [()]
+    # without variables, the orbit walk over no root lists yields k's one
+    # empty point, and the zero ring has none
+    k = AlgebraPresentation(F5, (), [])
+    zero = AlgebraPresentation(F5, (), [MPoly.constant(F5, (), 1)])
+    for m in (1, 2, 3):
+        K = stage_field(5, m)
+        assert zero_dim_solve(k, K) == [()]
+        assert zero_dim_solve(zero, K) == []
 
 
 def test_enumerate_guard():
@@ -1097,7 +1101,8 @@ def test_typed_input_errors_survive_optimized_mode(statement, error):
     script = (
         "from resweil import (AlgebraPresentation, MPoly, PrimeField,\n"
         "    SchemePresentation, make_ext_field, product_algebra,\n"
-        "    product_formula_check, weil_restrict)\n"
+        "    weil_restrict)\n"
+        "from resweil.weilres import product_formula_check\n"
         "F = PrimeField(5)\n"
         "t = MPoly.variable(F, ('t',), 't')\n"
         "A = AlgebraPresentation(F, ('t',), [t * t - 2])\n"

@@ -129,9 +129,11 @@ NOT_RUN = {
        for name in ("__sub__", "__rsub__", "inverse", "__truediv__",
                     "__rtruediv__")},
     **{"exactfield.UniPoly." + name: _ARITHMETIC
-       for name in ("from_ints", "__eq__", "__hash__", "__add__", "__sub__",
-                    "__mul__", "divmod", "__mod__", "__floordiv__", "monic",
-                    "evaluate", "map_coefficients")},
+       for name in ("__eq__", "__hash__", "__add__", "__sub__", "__mul__",
+                    "divmod", "__mod__", "__floordiv__", "monic", "evaluate",
+                    "map_coefficients")},
+    "exactfield.UniPoly.from_ints":
+        "the parent modulus when `embed` leaves a stage of degree > 1, as no swept call does",
     "exactfield.ExtField.element":
         "builds an element from its coefficients, as the tests do throughout",
     "finalg.AlgebraPresentation.coords":

@@ -11,7 +11,10 @@ F_p its degree 1 and modulus x; `make_ext_field` (also `stage_field`;
 `PrimeField(p)` is its degree 1) builds each stage once per process.
 
 Everything runs on `_Packed`, a kernel on plain ints, and each stage
-holds its one packing as `packing`.  A stage element
+holds its packing for polynomials of degree up to `MAX_DEGREE` as
+`packing`.  `_packing` builds one packing per (p, modulus, value bound)
+for the life of the process, and every reader, a stage, a quotient's
+linear model or a root finder sized to a degree, shares it.  A stage element
 c_0 + ... + c_{m-1} a^(m-1) is one int with a k-bit slot per
 coefficient, so the product of two elements is one int multiply whose
 2m - 1 slots hold the unreduced coefficients of their product.  Sums of
@@ -156,9 +159,10 @@ class _Packed:
     coefficient is reduced, each slot mod p and then the slots from m
     on folded back through a^(m + t) mod the modulus, only where it is
     read: a leading coefficient during division, a remainder, or a
-    value returned.  A slot value must stay below 2^b, b the value bound
-    of `degree`; k = 2b + 1 leaves room to reduce every slot at once by
-    one multiply by `magic`, a shift and a mask.  Polynomials are tuples
+    value returned.  A slot value must stay below 2^b, the value bound
+    `_packing` derives from a degree and builds each packing once for;
+    k = 2b + 1 leaves room to reduce every slot at once by one multiply
+    by `magic`, a shift and a mask.  Polynomials are tuples
     of reduced coefficients, low degree first and trimmed.  Matrices are
     sparse columns of (index, entry) pairs for `mat_vec`, and dense rows
     of reduced entries for `echelon`, `kernel`, `null_vectors` and
@@ -169,15 +173,12 @@ class _Packed:
     __slots__ = ("p", "m", "mod", "b", "k", "mask", "narrow", "high",
                  "ps", "fold", "shift", "magic", "qmask", "wide")
 
-    def __init__(self, p, mod, degree):
+    def __init__(self, p, mod, b):
         m = len(mod) - 1
-        # An unreduced slot sums at most 2 * degree + 2 products of two
-        # coefficients, each below m p^2 in every slot: a product of two
-        # polynomials of degree below `degree`, then the rows of a
-        # division by one of degree `degree`.  That stays below 2^b, and
-        # a slot of k = 2b + 1 bits holds it times `magic` without a carry.
-        self.b = ((2 * degree + 2) * m * p * p).bit_length()
-        self.k = 2 * self.b + 1
+        # a slot of k = 2b + 1 bits holds a value below 2^b times `magic`
+        # without a carry
+        self.b = b
+        self.k = 2 * b + 1
         self.mask = (1 << self.k) - 1
         self.p, self.m, self.mod = p, m, mod
         self.wide = None  # the longest `_Whole` built on this packing
@@ -267,12 +268,19 @@ class _Packed:
 
     def mat_vec(self, cols, vec):
         """Square matrix (cols[j] is column j) times vector, all sparse
-        (index, entry) pairs; an entry sums len(vec) <= degree products."""
+        (index, entry) pairs, the result sorted by index; an entry sums
+        len(vec) <= degree products.  A one-entry vec (j, c) gives
+        column j times c, with no dense output."""
+        red = self.reduce
+        if len(vec) == 1:
+            (j, c), = vec
+            out = [(i, r) for i, a in cols[j] if (r := red(a * c))]
+            out.sort()
+            return out
         out = [0] * len(cols)
         for j, c in vec:
             for i, a in cols[j]:
                 out[i] += a * c
-        red = self.reduce
         return [(i, r) for i, x in enumerate(out) if x and (r := red(x))]
 
     @staticmethod
@@ -558,8 +566,8 @@ class _Ring:
     """F[x]/(f) for a monic f of degree n >= 1 over the stage packed in S,
     on S's `_Whole`: `mulmod` brings a product of two remainders below
     degree n by Barrett's rule.  A slot of any product here sums at most
-    2n - 1 products of two coefficients, inside S's value bound when n is
-    at most the degree S was built for.
+    2n - 1 products of two coefficients, inside S's value bound when that
+    is at least the bound `_packing` derives from n.
     """
 
     __slots__ = ("S", "W", "f", "n", "s", "mu", "negf", "low")
@@ -732,7 +740,7 @@ class ExtField:
         # the value bound holds a division by, and a `_Ring` on, a
         # polynomial of degree MAX_DEGREE, so the prime stage's packing
         # tests and powers the modulus of any stage
-        self.packing = _Packed(p, modulus, MAX_DEGREE)
+        self.packing = _packing(p, modulus, MAX_DEGREE)
         self.zero = FieldElement(self, (0,) * degree)
         self.one = FieldElement(self, self._pad((1,)))
         self.gen = FieldElement(self, self._pad((0, 1))) if degree > 1 else self.one
@@ -776,6 +784,23 @@ class ExtField:
 _FIELD_CACHE: dict = {}
 _EMBED_CACHE: dict = {}
 _ROOTS_CACHE: dict = {}
+_PACKINGS: dict = {}
+
+
+def _packing(p, mod, degree):
+    """The packing of F_p[a]/(mod) for polynomials of degree up to
+    `degree`, built once per (p, mod, value bound b) for the life of the
+    process.  An unreduced slot sums at most 2 * degree + 2 products of
+    two coefficients, each below m p^2 in every slot: a product of two
+    polynomials of degree below `degree`, then the rows of a division by
+    one of degree `degree`.  b is the bit length of that sum's bound, so
+    the sum stays below 2^b.  A packing depends on degree only through
+    b, and `_Packed.wide` only on the packing, so every reader shares it."""
+    b = ((2 * degree + 2) * (len(mod) - 1) * p * p).bit_length()
+    S = _PACKINGS.get((p, mod, b))
+    if S is None:
+        S = _PACKINGS[(p, mod, b)] = _Packed(p, mod, b)
+    return S
 
 
 def make_ext_field(p: int, m: int) -> ExtField:
@@ -997,7 +1022,7 @@ class UniPoly:
 def _packed(f: UniPoly, F):
     """The packing of the stage F, which holds f's coefficients, and f
     made monic on it."""
-    S = _Packed(F.p, F.modulus, f.degree)
+    S = _packing(F.p, F.modulus, f.degree)
     return S, S.monic(tuple(S.pack(c.coeffs[:F.degree]) for c in f.coeffs))
 
 
@@ -1093,7 +1118,7 @@ def _orbit_roots(S, g, F, K, rng):
     r^(|F|^2), ..., which must close after d steps on d distinct roots.
     """
     n, q = K.degree // F.degree, F.order
-    T = _Packed(K.p, K.modulus, n)
+    T = _packing(K.p, K.modulus, n)
     if F.degree == 1:
         def into(c):  # an F_p residue is the same int in every packing
             return c

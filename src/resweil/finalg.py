@@ -47,7 +47,7 @@ from .errors import (
     NotSquareSystem,
     ZeroRing,
 )
-from .exactfield import FieldElement, UniPoly, _at_image, _Packed, embed, roots_in
+from .exactfield import FieldElement, UniPoly, _at_image, _packing, embed, roots_in
 from .multipoly import (
     INFINITE,
     GroebnerBasis,
@@ -81,6 +81,7 @@ class AlgebraPresentation:
         self.extensions = {}  # filled by tensor_extend, per stage
         self.local_factors = None  # filled by decompose_local
         self.idempotents = None  # filled by _local_idempotents
+        self.idempotent_columns = None  # each one's columns, beside it
 
     @classmethod
     def _extension(cls, A, K):
@@ -96,7 +97,7 @@ class AlgebraPresentation:
         AK.basis_monomials = A.basis_monomials
         AK._base = A
         AK.points_by_stage, AK.extensions = {}, {}
-        AK.local_factors = AK.idempotents = None
+        AK.local_factors = AK.idempotents = AK.idempotent_columns = None
         return AK
 
     # -- basic structure ----------------------------------------------
@@ -150,7 +151,7 @@ class AlgebraPresentation:
 
     @cached_property
     def _stage(self):
-        return _Packed(self.field.p, self.field.modulus, self.dimension)
+        return _packing(self.field.p, self.field.modulus, self.dimension)
 
     def _packed_coords(self, f: MPoly):
         """nf(f) as sparse (index, packed entry) pairs; on the staircase f is nf(f)."""
@@ -501,7 +502,10 @@ def _local_idempotents(A: AlgebraPresentation):
     k < deg mu, are taken once on the columns of multiplication by v,
     each L_c(v) e a combination of them; a piece on which v is a
     constant c (v e = c e) is kept as it is.  The idempotent laws are
-    checked on the same columns.
+    checked on each idempotent's multiplication columns, walked once and
+    kept on A as `idempotent_columns`, in the idempotents' order, for
+    every later reader; column 0 is the idempotent's own index-sorted
+    packed vector.
     """
     if A.idempotents is not None:
         return list(A.idempotents)
@@ -540,13 +544,17 @@ def _local_idempotents(A: AlgebraPresentation):
     elems = [A._element(e) for e in idems]
     if sum(elems, A.zero()) != A.one():  # normal forms sum to a normal form
         raise CertificateFailure("the local idempotents do not sum to 1")
+    walked = []
     for j, e in enumerate(idems):
         times_e = A._walk(e, A._tables)
         if S.mat_vec(times_e, e) != e:
             raise CertificateFailure("a local idempotent is not idempotent")
         if any(S.mat_vec(times_e, other) for other in idems[:j]):
             raise CertificateFailure("two local idempotents are not orthogonal")
-    A.idempotents = sorted(elems, key=lambda e: e.label())
+        walked.append(times_e)
+    order = sorted(range(len(elems)), key=lambda j: elems[j].label())
+    A.idempotent_columns = [walked[j] for j in order]
+    A.idempotents = [elems[j] for j in order]
     return list(A.idempotents)
 
 
@@ -564,10 +572,9 @@ def decompose_local(A: AlgebraPresentation):
         return list(A.local_factors)
     idems = _local_idempotents(A)
     S, image, out = A._stage, A._reduced_image, []
-    for e in idems:
+    for e, times_e in zip(idems, A.idempotent_columns):
         B = A if len(idems) == 1 else AlgebraPresentation(
             A.field, A.vars, list(A.relations) + [A.one() - e])
-        times_e = A._columns(e)
         part = [S.mat_vec(times_e, v) for v in image]
         out.append(LocalFactor(e, B, len(S.echelon(S.rows(part, A.dimension)))))
     A.local_factors = out

@@ -291,7 +291,9 @@ def normal_form(f: MPoly, basis) -> MPoly:
     largest pending monomial, popped from a heap, is reduced by the first
     member whose leading monomial divides it, or joins the remainder.
     Coefficients are the stage's packed ints, a pending sum reduced on
-    write before a slot can carry (see the module docstring).
+    write before a slot can carry (see the module docstring).  Against a
+    basis with no nonzero member f is its own remainder and is returned
+    as it is: an `MPoly` is immutable, and its terms are reduced.
     """
     if not isinstance(basis, GroebnerBasis):
         basis = [g for g in basis if g.terms]
@@ -301,6 +303,8 @@ def normal_form(f: MPoly, basis) -> MPoly:
     elif basis.polys:
         f._need_context(basis.polys[0])
     reducers = basis._reducers
+    if not reducers:
+        return f
     S = f.field.packing
     red = S.reduce
     top = S.pack([1 << (S.b - 1)] * (2 * S.m - 1))  # bit b - 1 of each product slot

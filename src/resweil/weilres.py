@@ -30,7 +30,7 @@ from .errors import (
     NotLocalBase,
     SearchGuardExceeded,
 )
-from .exactfield import FieldElement, _Packed, embed, roots_in, stage_field
+from .exactfield import FieldElement, _packing, embed, roots_in, stage_field
 from .finalg import (
     AlgebraPresentation,
     EtaleCertificate,
@@ -192,8 +192,9 @@ def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
     in the coordinates over A is {exponents: sparse packed vector}.  Each
     power y^a of the unknowns is built once for all relations
     (`_unknown_power`), and each coefficient of `X.coefficients` is
-    multiplied into its power through its own columns; the exponents of
-    a coordinate monomial fix a, so it comes from one term.  Its vector
+    multiplied into its power through its columns, walked once per
+    distinct coefficient; the exponents of a coordinate monomial fix a,
+    so it comes from one term.  Its vector
     is read off in the basis, through the inverse change of basis for a
     given one, and must recombine along the recorded basis into itself.
     """
@@ -217,11 +218,13 @@ def weil_restrict(A: AlgebraPresentation, X: SchemePresentation,
     yvars, table = _restricted_names(X.vars, d, A.vars)
     r, unpack = len(X.vars), S.unpack
     powers = {(0,) * r: {(0,) * (r * d): [(0, 1)]}}
-    relations = []
+    relations, columns = [], {}
     for coeffs in X.coefficients:
         comps = [{} for _ in range(d)]
         for a, c in coeffs.items():
-            cols = A._columns(c)
+            cols = columns.get(c)
+            if cols is None:
+                cols = columns[c] = A._columns(c)
             for mono, v in _unknown_power(powers, a, S, times).items():
                 w = S.mat_vec(cols, v)
                 u = w if inv_change is None else S.mat_vec(inv_change, w)
@@ -263,7 +266,8 @@ def _unknown_power(powers, a, S, times):
 def _times_unknown(S, times, power, offset):
     """power times y_j = sum_b y_jb e_b, y_jb the coordinate at offset + b
     and times[b] the columns of multiplication by e_b: one `mat_vec` per
-    term and e_b, and a coordinate monomial sums at most d of them."""
+    term and e_b, and a coordinate monomial sums at most d of them.  A
+    monomial that gets one product takes it as it is, already reduced."""
     acc = {}
     for mono, v in power.items():
         for b, cols in enumerate(times):
@@ -272,7 +276,8 @@ def _times_unknown(S, times, power, offset):
             acc.setdefault(key, []).append(S.mat_vec(cols, v))
     d = len(times)
     return {mono: vec for mono, vecs in acc.items()
-            if (vec := _combination(S, d, [1] * len(vecs), vecs))}
+            if (vec := vecs[0] if len(vecs) == 1
+                else _combination(S, d, [1] * len(vecs), vecs))}
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +421,7 @@ def _relation_check(relations, rootlists, K):
     is reduced once and compared with zero.
     """
     terms = [list(r.map_coefficients(K).terms.items()) for r in relations]
-    S = _Packed(K.p, K.modulus, max(map(len, terms), default=0) // 2)
+    S = _packing(K.p, K.modulus, max(map(len, terms), default=0) // 2)
     red = S.reduce
     top = [max((m[i] for t in terms for m, _ in t), default=0)
            for i in range(len(rootlists))]
@@ -467,25 +472,24 @@ def _algebra_points_smooth(X, AK):
     """The points of `algebra_points` for an etale X, on packed vectors:
     per local factor e of A tensor K and rank-one component eps over it,
     the section's values a_j, then e a_j by one `mat_vec` on e's columns
-    and the sums over the factors; each point is checked against X's
-    relations by `AlgebraPresentation._evaluate` and becomes normal forms
-    once, at the end."""
+    (each idempotent's columns as `_local_idempotents` walked them, its
+    packed vector their first) and the sums over the factors; each point
+    is checked against X's relations by `AlgebraPresentation._evaluate`
+    and becomes normal forms once, at the end."""
     CK = tensor_extend(X.coordinate_ring, AK.field)
     if CK.is_zero_ring():
         return []
     ctx = CK.vars
     images = [CK._packed_coords(m.extend_context(ctx)) for m in AK.basis_elements()]
     ys = [CK._packed_coords(CK.var(y)) for y in X.vars]
-    components = [(CK._columns(eps), sorted(CK._packed_coords(eps)))
-                  for eps in _local_idempotents(CK)]
+    _local_idempotents(CK)  # keeps CK.idempotent_columns
     S, unpack = AK._stage, CK._stage.unpack
     per = []
-    for e in _local_idempotents(AK):
+    for e, times_e in zip(_local_idempotents(AK), AK.idempotent_columns):
         e_vec = CK._packed_coords(e.extend_context(ctx))
-        times_e = AK._columns(e)
         pts_e = []
-        for times_eps, eps_vec in components:
-            if CK._stage.mat_vec(times_eps, e_vec) != eps_vec:
+        for times_eps in CK.idempotent_columns:
+            if CK._stage.mat_vec(times_eps, e_vec) != times_eps[0]:
                 continue  # eps lies over another local factor
             sol = _section(CK, times_eps, images, ys)
             if sol is not None:  # else eps has rank above 1 over e

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from resweil.errors import CertificateFailure
-from resweil.exactfield import FieldElement, PrimeField, _Packed, make_ext_field
+from resweil.exactfield import FieldElement, PrimeField, _Packed, _packing, make_ext_field
 from resweil.versuite import parse_case, verify_case
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,9 +113,9 @@ def _field(p, m):
     return PrimeField(p) if m == 1 else make_ext_field(p, m)
 
 
-def _packing(K):
+def _smallest_packing(K):
     # degree 0 has the smallest value bound: the echelon must fit any degree
-    return _Packed(K.p, K.modulus, 0)
+    return _packing(K.p, K.modulus, 0)
 
 
 def _pack(S, matrix):
@@ -161,7 +161,7 @@ def _matrices(K, rng):
 @pytest.mark.parametrize("p, m", FIELDS)
 def test_echelon_kernel_and_rank_match_the_rule(p, m, slot_peaks):
     K = _field(p, m)
-    S = _packing(K)
+    S = _smallest_packing(K)
     rng = random.Random("echelon-%d-%d" % (p, m))
     for name, M in _matrices(K, rng):
         rule_rows, rule_pivots = _linalg_rule_rref(M, K)
@@ -177,7 +177,7 @@ def test_echelon_kernel_and_rank_match_the_rule(p, m, slot_peaks):
 @pytest.mark.parametrize("p, m", FIELDS)
 def test_solve_and_inverse_match_the_rule(p, m, slot_peaks):
     K = _field(p, m)
-    S = _packing(K)
+    S = _smallest_packing(K)
     rng = random.Random("solve-%d-%d" % (p, m))
     solved = unsolved = 0
     for name, M in _matrices(K, rng):

@@ -862,7 +862,7 @@ def test_packed_products_at_the_slot_bound(slot_peaks):
     # value bound has to hold; the kernel must agree with UniPoly
     p, m, d = 2 ** 31 - 1, 3, 8
     K = make_ext_field(p, m)
-    S = exactfield._Packed(p, K.modulus, d)
+    S = exactfield._packing(p, K.modulus, d)
     top = K.element((p - 1,) * m)
     a = UniPoly(K, [top] * d)
     f = UniPoly(K, [top] * d + [K.one])
@@ -879,7 +879,7 @@ def test_packed_mat_vec_at_the_slot_bound(slot_peaks):
     # every slot at p - 1 make the largest sums d products can reach
     p, m, d = 2 ** 31 - 1, 3, 8
     K = make_ext_field(p, m)
-    S = exactfield._Packed(p, K.modulus, d)
+    S = exactfield._packing(p, K.modulus, d)
     top = K.element((p - 1,) * m)
     cols = [[(i, S.pack(top.coeffs)) for i in range(d)] for _ in range(d)]
     vec = [(j, S.pack(top.coeffs)) for j in range(d)]
@@ -887,6 +887,50 @@ def test_packed_mat_vec_at_the_slot_bound(slot_peaks):
     assert [(i, S.unpack(a)) for i, a in S.mat_vec(cols, vec)] == \
         [(i, entry.coeffs) for i in range(d)]
     assert (p, m) in slot_peaks
+
+
+def _entry_rule_mat_vec(S, cols, vec):
+    """Square matrix times vector on a dense output of one entry per row,
+    each summed unreduced and reduced once at the end: the loop
+    `_Packed.mat_vec` runs on every vector of more than one entry, and
+    ran on one-entry vectors too before they took one scaled column."""
+    out = [0] * len(cols)
+    for j, c in vec:
+        for i, a in cols[j]:
+            out[i] += a * c
+    return [(i, r) for i, x in enumerate(out) if x and (r := S.reduce(x))]
+
+
+@pytest.mark.parametrize("p", [3, 11, 2 ** 31 - 1])
+def test_packed_mat_vec_matches_the_entry_rule(p, slot_peaks):
+    # one-entry and many-entry vectors, on random sparse columns whose
+    # pairs are shuffled out of index order and on a dense column of
+    # p - 1 in every slot; the result is index-sorted either way, since
+    # callers compare vectors with ==
+    rng = random.Random(p)
+    for m in range(1, 7):
+        K = make_ext_field(p, m)
+        top = tuple([p - 1] * m)
+        for d in (1, 2, 5, 8):
+            S = exactfield._packing(p, K.modulus, d)
+
+            def entry():
+                return S.pack([rng.randrange(p) for _ in range(m)])
+            for _ in range(8):
+                cols = []
+                for _ in range(d):
+                    col = [(i, a) for i in range(d) if rng.random() < 0.6 and (a := entry())]
+                    rng.shuffle(col)
+                    cols.append(col)
+                cols[rng.randrange(d)] = [(i, S.pack(top)) for i in reversed(range(d))]
+                for size in {1, 2, d}:
+                    vec = [(j, entry() or 1) for j in sorted(rng.sample(range(d), min(size, d)))]
+                    got = S.mat_vec(cols, vec)
+                    assert got == _entry_rule_mat_vec(S, cols, vec), (m, d, vec)
+                    assert got == sorted(got)
+                    full = [(j, S.pack(top)) for j, _ in vec]
+                    assert S.mat_vec(cols, full) == _entry_rule_mat_vec(S, cols, full)
+        assert (p, m) in slot_peaks
 
 
 def _slotwise_rule_reduce(S, x):
@@ -924,7 +968,7 @@ def test_packed_reduce_matches_the_slotwise_rule(p, m):
     K = make_ext_field(p, m)
     rng = random.Random(p * 100 + m)
     for degree in (0, 7, exactfield.MAX_DEGREE, 64):
-        S = exactfield._Packed(p, K.modulus, degree)
+        S = exactfield._packing(p, K.modulus, degree)
         for slots in _slot_values(S, rng):
             x = S.pack(slots)
             got = S.reduce(x)
@@ -969,7 +1013,7 @@ def test_ring_powmod_at_the_slot_bound(p, m, slot_peaks):
     # on the packing of degree n, the tightest bound the ring may use
     K = make_ext_field(p, m)
     for n in range(1, 65):
-        S = exactfield._Packed(p, K.modulus, n)
+        S = exactfield._packing(p, K.modulus, n)
         top = S.pack([p - 1] * m)
         f, a = (top,) * n + (1,), (top,) * n
         assert exactfield._Ring(S, f).powmod(a, 2) == _entry_rule_powmod(S, a, 2, f), n
@@ -985,7 +1029,7 @@ def test_ring_powmod_matches_the_entry_rule(p, m, slot_peaks):
     rng = random.Random(p * 10 + m)
     for _ in range(24):
         n = rng.randrange(1, 25)
-        S = exactfield._Packed(p, K.modulus, n)
+        S = exactfield._packing(p, K.modulus, n)
 
         def draw(count):
             return tuple(S.pack([rng.randrange(p) for _ in range(m)])
@@ -1023,7 +1067,7 @@ def test_packed_gcd_matches_the_entry_rule(p, m, slot_peaks):
     def times(a, b):
         return exactfield._trim([S.reduce(c) for c in _entry_rule_mul(a, b)])
     for n in range(65):
-        S = exactfield._Packed(p, K.modulus, n)
+        S = exactfield._packing(p, K.modulus, n)
         top = S.pack([p - 1] * m)
         a, k = draw(n + 1), rng.randrange(n // 2, n + 1)
         g = draw(k + 1)
@@ -1061,7 +1105,7 @@ def test_packed_inverse_inverts(p, m, count):
 
 
 def test_ring_needs_a_monic_modulus():
-    S = exactfield._Packed(5, (0, 1), 2)
+    S = exactfield._packing(5, (0, 1), 2)
     with pytest.raises(CertificateFailure,
                        match="^a packed ring needs a monic modulus$"):
         exactfield._Ring(S, (1, 0, 2))
@@ -1089,7 +1133,7 @@ def test_packed_split_draws_like_the_equal_degree_split(p, m, d, count):
     g = UniPoly(K, [K.one])
     for h in _irreducibles(random.Random(p * m + d), K, d, count):
         g = g * h
-    S = exactfield._Packed(p, K.modulus, g.degree)
+    S = exactfield._packing(p, K.modulus, g.degree)
     ours, theirs = random.Random(1), random.Random(1)
     split = S.split(tuple(S.pack(c.coeffs) for c in g.coeffs), d, ours)
     reference = _field_element_rule_equal_degree_split(g, d, theirs)
@@ -1104,7 +1148,7 @@ def test_packed_split_first_follows_one_branch():
     g = UniPoly(K, [K.one])
     for h in _irreducibles(random.Random(9), K, 1, 9):
         g = g * h
-    S = exactfield._Packed(5, K.modulus, g.degree)
+    S = exactfield._packing(5, K.modulus, g.degree)
     gp = tuple(S.pack(c.coeffs) for c in g.coeffs)
     whole = S.split(gp, 1, random.Random(2))
     (one,) = S.split(gp, 1, random.Random(3), first=True)
@@ -1124,7 +1168,7 @@ class _DrawLimit(random.Random):
 def test_packed_inverse_of_a_zero_divisor_raises():
     # mod the reducible x^2 - 1 = (x - 1)(x + 1) over F_5, the extended
     # Euclid of x - 1 ends on a zero remainder
-    S = exactfield._Packed(5, (4, 0, 1), 1)
+    S = exactfield._packing(5, (4, 0, 1), 1)
     with pytest.raises(CertificateFailure,
                        match="^no inverse of a zero divisor mod the modulus$"):
         S.inverse(S.pack((4, 1)))
@@ -1133,7 +1177,7 @@ def test_packed_inverse_of_a_zero_divisor_raises():
 def test_packed_inverse_raises_on_every_zero_divisor_mod_a_reducible_cubic():
     # mod (x + 1)(x^2 + 1) = x^3 + x^2 + x + 1 over F_3, at m = 3 on the
     # residue-list Euclid, every multiple of either factor is no unit
-    S = exactfield._Packed(3, (1, 1, 1, 1), 1)
+    S = exactfield._packing(3, (1, 1, 1, 1), 1)
     for v in ((1, 1), (1, 0, 1), (2, 2), (2, 0, 2), (1, 2, 1)):
         with pytest.raises(CertificateFailure,
                            match="^no inverse of a zero divisor mod the modulus$"):
@@ -1143,7 +1187,7 @@ def test_packed_inverse_raises_on_every_zero_divisor_mod_a_reducible_cubic():
 
 def test_packed_split_gives_up_on_an_irreducible():
     # x^2 + 2 is irreducible over F_5: no try splits it into linear factors
-    S = exactfield._Packed(5, (0, 1), 2)
+    S = exactfield._packing(5, (0, 1), 2)
     start = time.perf_counter()
     with pytest.raises(CertificateFailure,
                        match="^no split of a polynomial of degree 2 into "
@@ -1311,7 +1355,7 @@ def test_degree_blocks_at_the_divisors_of_n(p, m, n, degrees):
     for d in sorted(set(degrees)):
         for h in _irreducibles(random.Random(p * m + d), K, d, degrees.count(d)):
             g = g * h
-    S = exactfield._Packed(p, K.modulus, g.degree)
+    S = exactfield._packing(p, K.modulus, g.degree)
     gp = tuple(S.pack(c.coeffs) for c in g.coeffs)
     reference = [(tuple(c.coeffs for c in b.coeffs), d)
                  for b, d in _field_element_rule_distinct_degree(g)]

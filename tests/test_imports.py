@@ -141,7 +141,6 @@ NOT_RUN = {
     "finalg.LocalFactor.__init__": "the record decompose_local, in __all__, returns",
     "gammaset.GammaSet.orbits": "the closed points of a Frobenius set in __all__",
     "multipoly.MPoly.__rsub__": "int minus polynomial, arithmetic of MPoly, in __all__",
-    "multipoly.MPoly.__hash__": "MPoly, in __all__, is a hashable value type",
     "multipoly._ext_coeff_str":
         "prints a coefficient outside F_p; the CLI prints polynomials over F_p only",
     "multipoly.GroebnerBasis.__iter__": "the multipoly tests compare bases by their members",

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -615,6 +616,61 @@ def test_normal_form_at_the_slot_bound(slot_peaks):
     assert got == _field_element_rule_normal_form(f, members)
     assert got == P(K, vars_, {(0, 0, n): c * c * K.from_int(n + 1)})
     assert (p, 3) in slot_peaks
+
+
+def _packed_rule_normal_form_without_divisors(f):
+    """The remainder the heap loop of `normal_form` builds when no member
+    of the basis divides anything: every packed coefficient reduced and
+    kept, as it ran before an empty basis returned its input."""
+    S = f.field.packing
+    return MPoly._from_packed(f.field, f.vars, {
+        k: r for k, x in f._packed_terms().items() if (r := S.reduce(x))})
+
+
+def _seeded_polys(field, vars_, rng, count):
+    """count random polynomials of up to six terms of degree up to 4,
+    the zero polynomial first."""
+    p, m = field.p, field.degree
+    yield MPoly.zero(field, vars_)
+    for _ in range(count):
+        yield P(field, vars_, {
+            tuple(rng.randrange(5) for _ in vars_):
+                field.element(tuple(rng.randrange(p) for _ in range(m)))
+            for _ in range(rng.randrange(1, 7))})
+
+
+STAGES = [(p, m) for p in (3, 11, 2 ** 31 - 1) for m in range(1, 7)]
+
+
+@pytest.mark.parametrize("p, m", STAGES)
+def test_normal_form_against_an_empty_basis_is_its_input(p, m, slot_peaks):
+    field = make_ext_field(p, m)
+    vars_ = ("x", "y")
+    zero = MPoly.zero(field, vars_)
+    for f in _seeded_polys(field, vars_, random.Random(p * 10 + m), 10):
+        full = _packed_rule_normal_form_without_divisors(f)
+        assert full == _field_element_rule_normal_form(f, [])
+        for basis in ([], [zero], GroebnerBasis(field, vars_, [])):
+            got = normal_form(f, basis)
+            assert got is f and got == full
+    assert (p, m) in slot_peaks
+
+
+@pytest.mark.parametrize("p, m", STAGES)
+def test_buchberger_of_one_generator_is_it_made_monic(p, m, monkeypatch):
+    # no reduction at all: neither the generator against the empty basis
+    # nor the one member against the others, so no pending monomial
+    field = make_ext_field(p, m)
+    vars_ = ("x", "y")
+    pops = []
+    pop = heapq.heappop
+    monkeypatch.setattr(multipoly, "heapq", SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush,
+        heappop=lambda heap: pops.append(heap) or pop(heap)))
+    gens = [g for g in _seeded_polys(field, vars_, random.Random(p * 10 + m), 10) if g.terms]
+    for g in gens:
+        assert buchberger([g]).polys == (g.monic(),)
+    assert len(gens) >= 8 and pops == []
 
 
 def test_normal_form_does_no_field_element_arithmetic(monkeypatch):

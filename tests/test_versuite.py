@@ -806,11 +806,18 @@ def _dropped_first_section(real):
 
 
 def _merged_components(real):
-    """Local idempotents with the first two merged into one; A tensor K is
-    local in the case below, so only C tensor K has two to merge."""
+    """Local idempotents with the first two merged into one, in the list
+    kept on the presentation and in the multiplication columns kept
+    beside it, which the adjunction route reads; A tensor K is local in
+    the case below, so only C tensor K has two to merge."""
     def merging(A):
         out = real(A)
-        return [out[0] + out[1]] + out[2:] if len(out) > 1 else out
+        if len(out) > 1:
+            S, d, cols = A._stage, A.dimension, A.idempotent_columns
+            A.idempotent_columns = [[finalg._combination(S, d, [1, 1], pair)
+                                     for pair in zip(cols[0], cols[1])]] + cols[2:]
+            A.idempotents = [out[0] + out[1]] + out[2:]
+        return list(A.idempotents)
     return merging
 
 
@@ -1026,6 +1033,26 @@ def test_cli_points_at_stages(capsys):
     assert "points: 4" in capsys.readouterr().out
     assert main(["points", corpus("quadratic-field-cover")]) == 0
     assert "points: 0" in capsys.readouterr().out
+
+
+POINTS_STAGE = sorted((Path(__file__).resolve().parent / "data" / "points-stage").glob("*.case"))
+
+
+@pytest.mark.parametrize("path", POINTS_STAGE, ids=lambda p: p.stem)
+def test_points_output_does_not_depend_on_the_packing_memo(path, monkeypatch, capsys):
+    # the packings are shared process-wide, with the whole-polynomial
+    # packing each one keeps: an operation from an empty memo (the root
+    # memo emptied too, so the roots are found on the new packings) and
+    # the same operation on the packings it left print the golden bytes
+    args = ["points", str(path), "--ext", path.stem.rsplit("-m", 1)[1]]
+    outs = []
+    for cold in (True, False, True, False):
+        if cold:
+            monkeypatch.setattr(exactfield, "_PACKINGS", {})
+            monkeypatch.setattr(exactfield, "_ROOTS_CACHE", {})
+        assert main(args) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == [path.with_suffix(".txt").read_text(encoding="utf-8")] * 4
 
 
 @pytest.mark.parametrize("ext", [0, 25])

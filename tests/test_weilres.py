@@ -1,11 +1,13 @@
 """Coordinate expansion, point solvers, and the comparison certificates."""
 
+import heapq
 import itertools
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,7 +37,7 @@ from resweil.errors import (
     NotSquareSystem,
     SearchGuardExceeded,
 )
-from resweil import _linalg, weilres
+from resweil import _linalg, exactfield, multipoly, weilres
 from resweil.multipoly import rename_context
 from resweil.weilres import adjunction_check, product_formula_check, regroup_point
 from resweil.finalg import _poly_det, decompose_local
@@ -563,6 +565,45 @@ def _counting_relation_check(monkeypatch):
         return lambda idx: checked.append(idx) or holds(idx)
     monkeypatch.setattr(weilres, "_relation_check", counting)
     return checked
+
+
+def test_points_prelude_does_each_piece_of_work_once(monkeypatch):
+    # one points operation, y over F_3 with one relation of degree 64,
+    # from empty packing and root memos: each packing is built once, the
+    # restriction walks the columns of each distinct coefficient once,
+    # and the quotient's Groebner basis of one generator pops no pending
+    # monomial, in the pair heap or in a normal form
+    case = parse_case((POINTS_STAGE / "points-0a-p3-m4.case").read_text())
+    A, X = case.algebra, case.scheme
+    built, walked, popped = [], [], []
+    init, walk, pop = exactfield._Packed.__init__, AlgebraPresentation._walk, heapq.heappop
+
+    def counting_init(self, p, mod, b):
+        built.append((p, mod, b))
+        init(self, p, mod, b)
+
+    def counting_walk(self, *args):
+        walked.append(self)
+        return walk(self, *args)
+    monkeypatch.setattr(exactfield, "_PACKINGS", {})
+    monkeypatch.setattr(exactfield, "_ROOTS_CACHE", {})
+    monkeypatch.setattr(exactfield._Packed, "__init__", counting_init)
+    monkeypatch.setattr(AlgebraPresentation, "_walk", counting_walk)
+    monkeypatch.setattr(multipoly, "heapq", SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush,
+        heappop=lambda heap: popped.append(heap) or pop(heap)))
+    R = weil_restrict(A, X)
+    coefficients = {c for coeffs in X.coefficients for c in coeffs.values()}
+    assert len(coefficients) == 2  # 1 and 2
+    # multiplication by the one basis element, then by each coefficient
+    assert walked == [A] * (A.dimension + len(coefficients))
+    B = R.quotient
+    assert len(B.groebner) == 1 and popped == []
+    assert len(R.points(stage_field(3, 4))) == 7
+    assert len(built) == len(set(built))
+    # the quotient's linear model and the root finder on its minimal
+    # polynomial of degree 64 share one packing
+    assert built.count((3, (0, 1), B._stage.b)) == 1
 
 
 def test_orbit_solver_checks_each_orbit_once(monkeypatch):

@@ -73,8 +73,9 @@ Each orbit must close after d steps on d distinct roots, and the roots
 must number deg g, or `roots_in` raises `CertificateFailure`; so does a
 split that finds no factor in `_SPLIT_TRIES` tries, as on an input that
 is no product of distinct irreducibles of one degree.  Root sets are
-kept for the life of the process per (F, monic f, K), like fields and
-embeddings, and only a computation that passed its certificates is kept.
+kept for the life of the process per (F, monic f, K), like fields, and
+`embed` reads its generator's image there; only a computation that
+passed its certificates is kept.
 
 `FieldElement` and `UniPoly` stay the public value types: labels,
 hashing and reports read their coefficient vectors.  The reference
@@ -782,7 +783,6 @@ class ExtField:
 
 
 _FIELD_CACHE: dict = {}
-_EMBED_CACHE: dict = {}
 _ROOTS_CACHE: dict = {}
 _PACKINGS: dict = {}
 
@@ -880,8 +880,8 @@ def embed(x: FieldElement, target) -> FieldElement:
 
     The parent degree must divide the target degree.  The image of the
     parent generator is the label-smallest root of the parent modulus in
-    the target, fixed once per pair of stages; this commutes with
-    Frobenius because any ring embedding does.
+    the target, which `roots_in` finds once per pair of stages and
+    keeps; this commutes with Frobenius because any ring embedding does.
     """
     src = x.field
     if src == target:
@@ -893,15 +893,11 @@ def embed(x: FieldElement, target) -> FieldElement:
         raise IncompatibleDegrees("different characteristics %d and %d" % (src.p, target.p))
     if src.degree == 1:
         return target.from_int(x.coeffs[0])
+    rs = roots_in(UniPoly.from_ints(src.base, src.modulus), target)
+    if not rs:
+        raise CertificateFailure("modulus has no root in the larger stage")
     T = target.packing
-    key = (src.p, src.modulus, target.modulus)
-    image = _EMBED_CACHE.get(key)
-    if image is None:
-        rs = roots_in(UniPoly.from_ints(src.base, src.modulus), target)
-        if not rs:
-            raise CertificateFailure("modulus has no root in the larger stage")
-        image = _EMBED_CACHE[key] = T.pack(rs[0].coeffs)
-    return FieldElement(target, T.unpack(_at_image(T, x.coeffs, image)))
+    return FieldElement(target, T.unpack(_at_image(T, x.coeffs, T.pack(rs[0].coeffs))))
 
 
 # ---------------------------------------------------------------------------
@@ -1066,9 +1062,9 @@ def roots_in(f: UniPoly, field) -> list:
     back as field elements.
 
     The sorted root coefficient tuples are memoized for the life of the
-    process, like fields and embeddings, per (F, f made monic on F's
-    packing, target stage): c f, and f over a larger stage with residue
-    coefficients, share an entry.  The computation is deterministic, so
+    process, like fields, per (F, f made monic on F's packing, target
+    stage): c f, and f over a larger stage with residue coefficients,
+    share an entry.  The computation is deterministic, so
     a second call reads what it would recompute; the certificates run on
     the call that fills an entry, and a raise stores nothing.  Every
     call builds fresh field elements.

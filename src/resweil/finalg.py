@@ -18,9 +18,9 @@ nilradical as its kernel and one residue field per local factor.
 An inverse is one `_Packed.solve` on the columns of multiplication by
 the element, and a non-unit's annihilator is read off that solve's
 echelon form (`_Packed.null_vectors`); only the idempotents come off
-minimal polynomials, by Lagrange interpolation at their roots.  The
-primitive idempotents are refined once per presentation and kept on it,
-like its local factors.
+minimal polynomials, by Lagrange interpolation at their roots, and
+each call refines them afresh; a presentation keeps no idempotent,
+factor or extension.
 A polynomial is evaluated at algebra elements on the same columns
 (`_evaluate`), with no substitution and no normal form; an `AlgebraHom`
 maps a polynomial that way, and `weilres.weil_restrict` expands a
@@ -78,10 +78,6 @@ class AlgebraPresentation:
         self.basis_monomials = standard_monomials(self.groebner)
         self._base = None  # the presentation an extension is read from
         self.points_by_stage = {}  # filled by weilres.zero_dim_solve
-        self.extensions = {}  # filled by tensor_extend, per stage
-        self.local_factors = None  # filled by decompose_local
-        self.idempotents = None  # filled by _local_idempotents
-        self.idempotent_columns = None  # each one's columns, beside it
 
     @classmethod
     def _extension(cls, A, K):
@@ -96,8 +92,7 @@ class AlgebraPresentation:
                                     [g.map_coefficients(K) for g in A.groebner.polys])
         AK.basis_monomials = A.basis_monomials
         AK._base = A
-        AK.points_by_stage, AK.extensions = {}, {}
-        AK.local_factors = AK.idempotents = AK.idempotent_columns = None
+        AK.points_by_stage = {}
         return AK
 
     # -- basic structure ----------------------------------------------
@@ -393,7 +388,7 @@ class AlgebraPresentation:
 
 def tensor_extend(A: AlgebraPresentation, K) -> AlgebraPresentation:
     """A tensor K, the same presentation read over a larger stage, built
-    once per stage and kept on A.
+    afresh on each call and kept nowhere.
 
     It is derived from A and computes nothing over K that A knows, so it
     does not go through `AlgebraPresentation.__init__`: Buchberger on
@@ -408,10 +403,7 @@ def tensor_extend(A: AlgebraPresentation, K) -> AlgebraPresentation:
         return A
     if K.p != A.field.p or K.degree % A.field.degree != 0:
         raise MixedFields("cannot extend %r to %r" % (A.field, K))
-    AK = A.extensions.get(K)
-    if AK is None:
-        AK = A.extensions[K] = AlgebraPresentation._extension(A, K)
-    return AK
+    return AlgebraPresentation._extension(A, K)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +472,10 @@ def _combination(S, d, coeffs, vecs):
 
 
 def _local_idempotents(A: AlgebraPresentation):
-    """The primitive idempotents of A, one per local factor, as normal
-    forms in label order, refined from 1 along the Frobenius fixed space
-    once and kept on A; each call returns a new list.
+    """(idempotents, columns): the primitive idempotents of A, one per
+    local factor, as normal forms in label order, refined from 1 along
+    the Frobenius fixed space, and beside each its multiplication
+    columns; A keeps neither.
 
     The q-power map is linear over a stage of order q.  Its fixed space
     meets the nilradical trivially and is spanned by the primitive
@@ -503,12 +496,9 @@ def _local_idempotents(A: AlgebraPresentation):
     each L_c(v) e a combination of them; a piece on which v is a
     constant c (v e = c e) is kept as it is.  The idempotent laws are
     checked on each idempotent's multiplication columns, walked once and
-    kept on A as `idempotent_columns`, in the idempotents' order, for
-    every later reader; column 0 is the idempotent's own index-sorted
-    packed vector.
+    returned for the caller to read; column 0 is the idempotent's own
+    index-sorted packed vector.
     """
-    if A.idempotents is not None:
-        return list(A.idempotents)
     if A.dimension == 0:
         raise ZeroRing("the zero ring has no local factors")
     S = A._stage
@@ -553,9 +543,7 @@ def _local_idempotents(A: AlgebraPresentation):
             raise CertificateFailure("two local idempotents are not orthogonal")
         walked.append(times_e)
     order = sorted(range(len(elems)), key=lambda j: elems[j].label())
-    A.idempotent_columns = [walked[j] for j in order]
-    A.idempotents = [elems[j] for j in order]
-    return list(A.idempotents)
+    return [elems[j] for j in order], [walked[j] for j in order]
 
 
 def decompose_local(A: AlgebraPresentation):
@@ -565,20 +553,16 @@ def decompose_local(A: AlgebraPresentation):
     built for each factor returned, and none when A is local.  The
     residue degree of the factor e A is the rank of e F^L(A), F^L(A)
     spanned by `_reduced_image`: F^L commutes with multiplication by
-    the fixed e and maps e A onto a copy of its residue field.  The
-    factors are found once and kept on A; each call returns a new list.
+    the fixed e and maps e A onto a copy of its residue field.
     """
-    if A.local_factors is not None:
-        return list(A.local_factors)
-    idems = _local_idempotents(A)
+    idems, columns = _local_idempotents(A)
     S, image, out = A._stage, A._reduced_image, []
-    for e, times_e in zip(idems, A.idempotent_columns):
+    for e, times_e in zip(idems, columns):
         B = A if len(idems) == 1 else AlgebraPresentation(
             A.field, A.vars, list(A.relations) + [A.one() - e])
         part = [S.mat_vec(times_e, v) for v in image]
         out.append(LocalFactor(e, B, len(S.echelon(S.rows(part, A.dimension)))))
-    A.local_factors = out
-    return list(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

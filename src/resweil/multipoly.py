@@ -283,24 +283,19 @@ def _ext_coeff_str(c):
 # ---------------------------------------------------------------------------
 # division and Buchberger
 
-def normal_form(f: MPoly, basis) -> MPoly:
-    """Fully reduced remainder of f against the given polynomials.
+def normal_form(f: MPoly, basis: GroebnerBasis) -> MPoly:
+    """Fully reduced remainder of f against the members of basis.
 
     No monomial of the output is divisible by any leading monomial of the
     basis.  For a Groebner basis this is the canonical normal form.  The
     largest pending monomial, popped from a heap, is reduced by the first
     member whose leading monomial divides it, or joins the remainder.
     Coefficients are the stage's packed ints, a pending sum reduced on
-    write before a slot can carry (see the module docstring).  Against a
-    basis with no nonzero member f is its own remainder and is returned
-    as it is: an `MPoly` is immutable, and its terms are reduced.
+    write before a slot can carry (see the module docstring).  Against an
+    empty basis f is its own remainder and is returned as it is: an
+    `MPoly` is immutable, and its terms are reduced.
     """
-    if not isinstance(basis, GroebnerBasis):
-        basis = [g for g in basis if g.terms]
-        for g in basis:
-            f._need_context(g)
-        basis = GroebnerBasis(f.field, f.vars, basis)
-    elif basis.polys:
+    if basis.polys:
         f._need_context(basis.polys[0])
     reducers = basis._reducers
     if not reducers:

@@ -17,6 +17,7 @@ algebras and principal open coverings.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
 from .errors import (
@@ -52,7 +53,8 @@ from .multipoly import (
 
 # The one budget of every point search: candidate tuples in
 # enumerate_points and _algebra_points_bruteforce, root combinations in
-# _solve_points.  Each reads it when called, so no call can widen it.
+# _solve_points (every tuple of K on an infinite quotient).  Each reads
+# it when called, so no call can widen it.
 SEARCH_GUARD = 10 ** 6
 
 
@@ -288,7 +290,9 @@ def _point_label(pt):
 
 
 def enumerate_points(field, variables, relations, K):
-    """All K-solutions by exhaustion, guarded by SEARCH_GUARD.
+    """All K-solutions by exhaustion, guarded by SEARCH_GUARD.  No code in
+    the package calls it: it is public API and the tests' oracle for
+    `zero_dim_solve`.
 
     Still a dumb scan over every candidate tuple; the relations are
     just flattened to term lists once, with one shared power table per
@@ -347,11 +351,12 @@ def enumerate_points(field, variables, relations, K):
 
 
 def zero_dim_solve(B: AlgebraPresentation, K):
-    """K-points of a finite quotient, in label order.
+    """K-points of a quotient, in label order, by `_solve_points`.
 
-    Runs on per-variable minimal polynomials when the quotient is
-    finite over its stage; otherwise falls back to guarded exhaustion.
-    B keeps each stage's list, so later calls get a copy of it.
+    A coordinate ranges over the roots in K of its minimal polynomial
+    when the quotient is finite over its stage, and over all of K when
+    it is not.  B keeps each stage's list, so later calls get a copy of
+    it.
     """
     if K.p != B.field.p or K.degree % B.field.degree != 0:
         raise MixedFields("cannot solve over %r from %r" % (K, B.field))
@@ -362,24 +367,26 @@ def zero_dim_solve(B: AlgebraPresentation, K):
 
 
 def _solve_points(B, K):
-    """The K-points of B.  x -> x^|F|, F = B.field, fixes B's relations
-    and permutes each coordinate's roots (`_frobenius_steps`), so only
-    the lexicographically least root combination of each orbit is
-    checked, and its whole orbit kept or dropped with it."""
-    if B.groebner.is_unit_ideal():
-        return []
+    """The K-points of B.  Each coordinate's candidates are the roots in
+    K of its minimal polynomial, none when B is the zero ring (they are
+    all 1), or every element of K when B is infinite over its stage.
+    x -> x^|F|, F = B.field, fixes B's relations and permutes each
+    coordinate's candidates (`_frobenius_steps`), so only the
+    lexicographically least combination of each orbit is checked, and
+    its whole orbit kept or dropped with it."""
     if B.basis_monomials is INFINITE:
-        return enumerate_points(B.field, B.vars, B.relations, K)
-    rootlists = [roots_in(mu, K) for mu in B.min_polys]
-    total = 1
-    for rl in rootlists:
-        total *= len(rl)
+        rootlists, total = None, K.order ** len(B.vars)  # K is listed past the guard
+    else:
+        rootlists = [roots_in(mu, K) for mu in B.min_polys]
+        total = math.prod(map(len, rootlists))
     if total > SEARCH_GUARD:
         raise SearchGuardExceeded(
             "zero_dim_solve: %d root combinations exceed the budget %d"
             % (total, SEARCH_GUARD))
     if total == 0:
         return []
+    if rootlists is None:
+        rootlists = [list(K)] * len(B.vars)
     steps = [_frobenius_steps(rl, B.field.order, K) for rl in rootlists]
     holds = _relation_check(B.relations, rootlists, K)
     out = []
@@ -472,7 +479,7 @@ def _algebra_points_smooth(X, AK):
     """The points of `algebra_points` for an etale X, on packed vectors:
     per local factor e of A tensor K and rank-one component eps over it,
     the section's values a_j, then e a_j by one `mat_vec` on e's columns
-    (each idempotent's columns as `_local_idempotents` walked them, its
+    (each idempotent's columns as `_local_idempotents` returns them, its
     packed vector their first) and the sums over the factors; each point
     is checked against X's relations by `AlgebraPresentation._evaluate`
     and becomes normal forms once, at the end."""
@@ -482,13 +489,13 @@ def _algebra_points_smooth(X, AK):
     ctx = CK.vars
     images = [CK._packed_coords(m.extend_context(ctx)) for m in AK.basis_elements()]
     ys = [CK._packed_coords(CK.var(y)) for y in X.vars]
-    _local_idempotents(CK)  # keeps CK.idempotent_columns
+    components = _local_idempotents(CK)[1]
     S, unpack = AK._stage, CK._stage.unpack
     per = []
-    for e, times_e in zip(_local_idempotents(AK), AK.idempotent_columns):
+    for e, times_e in zip(*_local_idempotents(AK)):
         e_vec = CK._packed_coords(e.extend_context(ctx))
         pts_e = []
-        for times_eps in CK.idempotent_columns:
+        for times_eps in components:
             if CK._stage.mat_vec(times_eps, e_vec) != times_eps[0]:
                 continue  # eps lies over another local factor
             sol = _section(CK, times_eps, images, ys)
@@ -518,8 +525,9 @@ def _algebra_points_bruteforce(X, AK):
             "algebra_points: %d algebra tuples exceed the budget %d"
             % (total, SEARCH_GUARD))
     pack = AK._stage.pack
+    # with no unknowns the one candidate is (), and no element is built
     elements = [[(i, pack(c.coeffs)) for i, c in enumerate(cs) if not c.is_zero()]
-                for cs in itertools.product(list(K), repeat=d)]
+                for cs in itertools.product(list(K), repeat=d)] if r else []
     out = []
     for combo in itertools.product(elements, repeat=r):
         values = dict(zip(X.vars, combo))
@@ -558,8 +566,6 @@ def algebra_points(X: SchemePresentation, K=None):
 
 
 def _algebra_points(X, AK):
-    if not X.vars:
-        return [] if any(AK._evaluate(g, {}) for g in X.relations) else [()]
     if len(X.relations) == len(X.vars):
         # X is smooth over A tensor K exactly when it is over A: one reduced
         # Groebner basis, and the unit test is linear over the stage

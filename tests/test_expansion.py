@@ -26,7 +26,7 @@ from resweil import (
     weil_restrict,
     weilres,
 )
-from resweil.multipoly import normal_form
+from resweil.multipoly import GroebnerBasis, normal_form
 from resweil.versuite import parse_case, verify, verify_case
 from shared import _random_basis, _workloads
 
@@ -88,13 +88,11 @@ def _substitute_rule_weil_restrict(A, X, basis=None):
         images[sv] = sum((MPoly.variable(field, ctx, table[(sv, b)])
                           * basis[b].extend_context(ctx) for b in range(d)),
                          MPoly.zero(field, ctx))
-    ext_gb = [g.extend_context(ctx) for g in A.groebner.polys]
+    ext_gb = GroebnerBasis(field, ctx, [g.extend_context(ctx) for g in A.groebner.polys])
     idx = {m: i for i, m in enumerate(A.basis_monomials)}
     relations = []
     for g in X.relations:
-        reduced = _substitute(g, images)
-        if ext_gb:
-            reduced = normal_form(reduced, ext_gb)
+        reduced = normal_form(_substitute(g, images), ext_gb)
         vecs = {}
         for mono, c in reduced.terms.items():
             v = vecs.setdefault(mono[nt:], [field.zero] * d)
@@ -114,9 +112,9 @@ def _reduced_over_the_extended_basis(X, relations):
     to the combined context, as `SchemePresentation` took it before it
     reduced coefficient by coefficient."""
     ctx = X.all_vars
-    ext_gb = [g.extend_context(ctx) for g in X.base.groebner.polys]
-    return [normal_form(r.extend_context(ctx), ext_gb) if ext_gb else r.extend_context(ctx)
-            for r in relations]
+    ext_gb = GroebnerBasis(X.field, ctx,
+                           [g.extend_context(ctx) for g in X.base.groebner.polys])
+    return [normal_form(r.extend_context(ctx), ext_gb) for r in relations]
 
 
 def _assert_matches_the_rule(A, X, basis=None):

@@ -815,13 +815,13 @@ def test_decompose_of_a_local_algebra_builds_no_presentation(monkeypatch):
 
 
 def test_local_idempotents_refine_each_algebra_once(monkeypatch):
-    # a verify pass asks for the idempotents of each A tensor K and
-    # C tensor K once, since algebra_points keeps its points per stage on
-    # X, so the theorem check and the adjunction route share one run;
-    # each request refines, and a second request reads the kept list
-    asked, refined, walked = [], [], []
+    # a verify pass refines the idempotents of each A tensor K and
+    # C tensor K once: algebra_points keeps its points per stage on X, so
+    # the theorem check and the adjunction route share one run; nothing
+    # keeps the idempotents, so every request refines
+    asked, walked = [], []
     real_walk = AlgebraPresentation._walk
-    real = finalg._local_idempotents
+    real = weilres._local_idempotents
 
     def walk(self, *args):
         walked.append(self)
@@ -830,21 +830,25 @@ def test_local_idempotents_refine_each_algebra_once(monkeypatch):
     def noting(A):
         before = len(walked)
         out = real(A)
-        asked.append(A)
-        if any(B is A for B in walked[before:]):
-            refined.append(A)
+        asked.append((A, any(B is A for B in walked[before:])))
         return out
     monkeypatch.setattr(AlgebraPresentation, "_walk", walk)
-    monkeypatch.setattr(finalg, "_local_idempotents", noting)
     monkeypatch.setattr(weilres, "_local_idempotents", noting)
+    seen = []
     for name in CORPUS:
-        assert verify.verify_case(parse_case((CASES / (name + ".case")).read_text())).ok()
-    assert len({id(A) for A in refined}) == len(refined)
-    assert {id(A) for A in refined} == {id(A) for A in asked}
-    assert len(asked) == len(refined)
-    walks = len(walked)
-    assert noting(asked[0]) == noting(asked[0])
-    assert len(walked) == walks and len(refined) == len(asked) - 2
+        case = parse_case((CASES / (name + ".case")).read_text())
+        del asked[:]
+        assert verify.verify_case(case).ok()
+        assert all(fresh for _, fresh in asked), name
+        keys = [(A.vars, A.field) for A, _ in asked]
+        assert len(set(keys)) == len(keys), name
+        assert set(keys) == {(v, K) for _, K in keys
+                             for v in (case.algebra.vars, case.scheme.all_vars)}, name
+        seen += asked
+    A = seen[0][0]
+    del asked[:]
+    assert noting(A) == noting(A)
+    assert [fresh for _, fresh in asked] == [True, True]
 
 
 def _unipoly_rule_lagrange(mu, c):
@@ -898,7 +902,8 @@ def test_packed_lagrange_matches_the_unipoly_rule_on_the_corpus(monkeypatch):
                 BK = AlgebraPresentation(
                     K, B.vars, [r.map_coefficients(K) for r in B.relations])
                 del made[:]
-                assert finalg._local_idempotents(BK) == _unipoly_rule_local_idempotents(BK)
+                idems, _ = finalg._local_idempotents(BK)
+                assert idems == _unipoly_rule_local_idempotents(BK)
                 for S, mu, c, L in made:
                     mu = UniPoly(K, [exactfield.FieldElement(K, S.unpack(a)) for a in mu])
                     c = exactfield.FieldElement(K, S.unpack(c))

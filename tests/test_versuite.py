@@ -509,8 +509,10 @@ def _noting_builds(monkeypatch, wanted):
 def test_verify_case_builds_the_total_coordinate_ring_once(monkeypatch):
     # the presentations over A.vars + X.vars: X's total coordinate ring C
     # once at stage 1, C tensor K once per further adjunction stage by
-    # the extension constructor, kept on C.extensions, and the cover
-    # probe; a second algebra_points call builds none of them again
+    # the extension constructor, and the cover probe; C keeps no
+    # extension, but X keeps its points per stage, so the theorem's count
+    # and the adjunction check share each C tensor K, and a second
+    # algebra_points call builds none of them again
     case = parse_case(Path(corpus("dual-numbers-etale")).read_text())
     ctx = tuple(case.algebra.vars) + tuple(case.scheme.vars)
     built = _noting_builds(monkeypatch, ctx)
@@ -519,8 +521,6 @@ def test_verify_case_builds_the_total_coordinate_ring_once(monkeypatch):
     assert ("adjunction", (1, 2, 3)) in case.checks
     stages = [(how, m) for how, m, _ in built]
     assert stages == [("init", 1), ("extension", 2), ("extension", 3), ("init", 1)]
-    C = case.scheme.coordinate_ring
-    assert sorted(K.degree for K in C.extensions) == [2, 3]
     for m in (1, 2, 3):
         weilres.algebra_points(case.scheme, stage_field(7, m))
     assert len(built) == 4
@@ -528,24 +528,30 @@ def test_verify_case_builds_the_total_coordinate_ring_once(monkeypatch):
 
 def test_base_extension_and_its_local_factors_are_built_once(monkeypatch):
     # over F_49, A = F_7[t, e]/(t^2 - 3, e^2) splits into two local
-    # factors; the adjunction route and the theorem's per-factor count
-    # share A tensor K and its idempotents, and neither presents a factor
+    # factors; X keeps its points per stage, so the adjunction route and
+    # the theorem's per-factor count share one run: one build each of
+    # A tensor K and C tensor K, one refinement of each one's
+    # idempotents, and no factor presented
     case = parse_case(Path(corpus("tensor-mixed-base")).read_text())
     A, X = case.algebra, case.scheme
     K = stage_field(7, 2)
     built = _noting_builds(monkeypatch, A.vars)
+    built_c = _noting_builds(monkeypatch, X.coordinate_ring.vars)
+    refined = []
+    real = weilres._local_idempotents
+    monkeypatch.setattr(weilres, "_local_idempotents",
+                        lambda B: refined.append((B.vars, B.field)) or real(B))
     first = weilres.algebra_points(X, K)
     assert weilres.algebra_points(X, K) == first
     assert len(first) == 4
-    # A tensor K once, by the extension constructor
     assert built == [("extension", 2, 2)]
-    # decompose_local presents each local factor, once
+    assert built_c == [("extension", 2, 3)]
+    assert sorted(refined) == sorted([(A.vars, K), (X.coordinate_ring.vars, K)])
+    # decompose_local presents each local factor of A tensor K, afresh
+    # on each call
     factors = decompose_local(tensor_extend(A, K))
-    assert built == [("extension", 2, 2), ("init", 2, 3), ("init", 2, 3)]
-    assert factors is not decompose_local(tensor_extend(A, K))
-    factors.clear()
-    assert len(decompose_local(tensor_extend(A, K))) == 2
-    assert len(built) == 3
+    assert len(factors) == 2
+    assert built[1:] == [("extension", 2, 2), ("init", 2, 3), ("init", 2, 3)]
 
 
 def test_the_theorem_and_the_adjunction_check_share_one_points_run(monkeypatch):
@@ -608,7 +614,8 @@ def test_a_local_base_extension_passes_the_theorem():
     rep = verify_case(case)
     assert [(c.name, c.ok) for c in rep.checks] == [("theorem", True)]
     assert rep.S["ambient_degree"] == 2
-    assert len(_local_idempotents(tensor_extend(case.algebra, stage_field(7, 2)))) == 1
+    idems, _ = _local_idempotents(tensor_extend(case.algebra, stage_field(7, 2)))
+    assert len(idems) == 1
     assert rep.checks[0].detail.endswith("per-factor cross-check %d" % rep.pi0_left["count"])
 
 
@@ -807,17 +814,17 @@ def _dropped_first_section(real):
 
 def _merged_components(real):
     """Local idempotents with the first two merged into one, in the list
-    kept on the presentation and in the multiplication columns kept
-    beside it, which the adjunction route reads; A tensor K is local in
-    the case below, so only C tensor K has two to merge."""
+    and in the multiplication columns returned beside it, which the
+    adjunction route reads; A tensor K is local in the case below, so
+    only C tensor K has two to merge."""
     def merging(A):
-        out = real(A)
-        if len(out) > 1:
-            S, d, cols = A._stage, A.dimension, A.idempotent_columns
-            A.idempotent_columns = [[finalg._combination(S, d, [1, 1], pair)
-                                     for pair in zip(cols[0], cols[1])]] + cols[2:]
-            A.idempotents = [out[0] + out[1]] + out[2:]
-        return list(A.idempotents)
+        idems, cols = real(A)
+        if len(idems) > 1:
+            S, d = A._stage, A.dimension
+            idems = [idems[0] + idems[1]] + idems[2:]
+            cols = [[finalg._combination(S, d, [1, 1], pair)
+                     for pair in zip(cols[0], cols[1])]] + cols[2:]
+        return idems, cols
     return merging
 
 
@@ -1077,14 +1084,17 @@ def test_a_stage_past_the_degree_limit_names_its_layer(tmp_path, capsys):
 
 @pytest.mark.parametrize("tier, code", [("probes", 0), ("routes", 1)])
 def test_probe_and_route_reports_match_their_goldens(tier, code, capsys):
-    # the probes pass; the infinite route case fails its theorem check
+    # the probes pass; the infinite route case fails its theorem check,
+    # and its points at stages 1 and 2 come off the walk over K
     data = Path(__file__).resolve().parent / "data" / tier
     files = sorted(str(p) for p in data.glob("*.case"))
     assert main(["verify", "--json", "--seed", "42"] + files) == code
     assert capsys.readouterr().out == (data / "report-seed42.json").read_text()
     if tier == "routes":
-        assert main(["points", str(data / "route-infinite.case"), "--ext", "1"]) == 0
-        assert capsys.readouterr().out == (data / "route-infinite-ext1.txt").read_text()
+        for m in (1, 2):
+            assert main(["points", str(data / "route-infinite.case"), "--ext", str(m)]) == 0
+            golden = data / ("route-infinite-ext%d.txt" % m)
+            assert capsys.readouterr().out == golden.read_text()
 
 
 def test_cli_verify_human(capsys):

@@ -216,6 +216,41 @@ def test_zero_dim_solve_matches_exhaustion():
         assert got == want
 
 
+def _underdetermined_systems(rng, count):
+    """Seeded systems of one or two relations in three unknowns over
+    F_3 or F_5, each with an infinite quotient, and a stage 1 or 2."""
+    out = []
+    ctx = ("a", "b", "c")
+    while len(out) < count:
+        p = rng.choice([3, 5])
+        F = PrimeField(p)
+        xs = [MPoly.variable(F, ctx, v) for v in ctx]
+        rels = [sum((rng.randrange(p) * xs[i] ** rng.randrange(1, 3) * xs[j]
+                     for i, j in itertools.permutations(range(3), 2)),
+                    MPoly.constant(F, ctx, rng.randrange(p)))
+                for _ in range(rng.choice([1, 2]))]
+        B = AlgebraPresentation(F, ctx, rels)
+        if B.basis_monomials is weilres.INFINITE:
+            out.append((B, rels, stage_field(p, rng.choice([1, 2]))))
+    return out
+
+
+def test_zero_dim_solve_walks_an_infinite_quotient_like_exhaustion():
+    # every coordinate ranges over all of K, on the orbit walk and the
+    # packed relation check that root lists take
+    for B, rels, K in _underdetermined_systems(random.Random(3517), 8):
+        assert zero_dim_solve(B, K) == enumerate_points(B.field, B.vars, rels, K)
+
+
+def test_an_infinite_quotient_past_the_budget_stops_in_zero_dim_solve():
+    # |K|^n candidates, counted before K is listed: 3125^2 at F_{5^5}
+    ctx = ("a", "b")
+    B = AlgebraPresentation(F5, ctx, [MPoly.variable(F5, ctx, "a") - 1])
+    with pytest.raises(SearchGuardExceeded,
+                       match="^zero_dim_solve: 9765625 root combinations exceed"):
+        zero_dim_solve(B, stage_field(5, 5))
+
+
 def test_solver_unit_ideal_and_no_vars():
     B = algebra(F5, ["t"], lambda t: [t, t - 1])
     assert zero_dim_solve(B, F5) == []
@@ -294,7 +329,12 @@ def test_algebra_points_exhaustion_is_guarded(monkeypatch):
         algebra_points(X)
 
 
-def test_algebra_points_no_unknowns():
+def test_algebra_points_no_unknowns(monkeypatch):
+    # the exhaustive route's one candidate is (): it builds none of the
+    # |K|^d elements of A tensor K, so K is never listed
+    def unlisted(K):
+        raise AssertionError("the stage was listed")
+    monkeypatch.setattr(exactfield.ExtField, "__iter__", unlisted)
     A = algebra(F5, ["eps"], lambda e: [e * e])
     consistent = SchemePresentation(A, (), [MPoly.zero(F5, ("eps",))])
     broken = SchemePresentation(A, (), [MPoly.variable(F5, ("eps",), "eps")])
